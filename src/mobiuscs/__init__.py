@@ -5,7 +5,7 @@ Subpackage map:
 - ``theta``       Jacobi Theta_2/Theta_3 engine with certified truncation
 - ``geometry``    torus/strip embeddings, angle constraint, label map
 - ``dynamics``    constrained Lagrangian/Hamiltonian dynamics, spectrum,
-                  RK4 trajectory integration (numba-accelerated kernel)
+                  RK4 trajectory integration
 - ``states``      coherent-state construction, overlaps, expectations,
                   occupation law, quantization scan, time evolution
 - ``projection``  torus factorization, projected overlap, universal
@@ -14,7 +14,6 @@ Subpackage map:
 """
 
 from . import dynamics, geometry, projection, states, theta
-from ._backend import HAVE_NUMBA
 
-__all__ = ["theta", "geometry", "dynamics", "states", "projection", "HAVE_NUMBA"]
+__all__ = ["theta", "geometry", "dynamics", "states", "projection"]
 __version__ = "0.1.0"

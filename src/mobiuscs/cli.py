@@ -16,8 +16,9 @@ Angles accept symbolic multiples of pi ("pi", "3pi", "pi/2", "-0.5pi") so
 the border angles are expressible exactly.  All numeric output is printed
 with 17 significant digits; CSV artifacts use a header row, comma
 separators and LF line endings, and identical configs produce
-byte-identical artifacts.  MOBIUSCS_WORKERS sets the default sweep
-concurrency.
+byte-identical artifacts.  A command whose result holds inf or NaN prints
+no numbers and exits 1.  Sweeps run serially; ``--workers`` is accepted
+and ignored.
 """
 
 from __future__ import annotations
@@ -27,17 +28,13 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import dynamics, projection, report, states, theta
 from .errors import DomainError, PrecisionError
-
-WORKERS_ENV = "MOBIUSCS_WORKERS"
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
 
@@ -158,6 +155,14 @@ def emit(rows: list[dict], args, command: list[str], config: dict) -> None:
         sys.stdout.write(payload)
 
 
+def _require_finite(rows: list[dict]) -> None:
+    """Raise PrecisionError at the first inf or NaN cell of ``rows``."""
+    for row in rows:
+        for key, value in row.items():
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise PrecisionError(f"{key} is not finite", achieved=float(value))
+
+
 def make_label(args) -> states.StateLabel:
     return states.StateLabel(l=args.l, phi=args.phi, r=args.r, s=args.s)
 
@@ -173,12 +178,10 @@ def base_config(args, keys) -> dict:
 def cmd_theta(args) -> int:
     label = make_label(args)
     c = label.center
-    tau_nat = 1j / math.pi
-    tau_dual = 1j * math.pi
     shift = 0.0 if args.s == 0.0 else 0.5
-    t3 = theta.theta3(1j * c / math.pi, tau_nat)
-    t2 = theta.theta2(1j * c / math.pi, tau_nat)
-    modular = math.exp(c * c) * math.sqrt(math.pi) * theta.theta3(c + shift, tau_dual)
+    t3 = theta.theta3(1j * c / math.pi, states.TAU_NATURAL)
+    t2 = theta.theta2(1j * c / math.pi, states.TAU_NATURAL)
+    modular = math.exp(c * c) * math.sqrt(math.pi) * theta.theta3(c + shift, states.TAU_DUAL)
     natural = t3 if args.s == 0.0 else t2
     rows = [
         {"quantity": "center", "value_re": c, "value_im": 0.0},
@@ -188,8 +191,9 @@ def cmd_theta(args) -> int:
         {"quantity": "modular_residual",
          "value_re": abs(natural - modular) / max(1.0, abs(modular)), "value_im": 0.0},
         {"quantity": "logderiv_dual",
-         "value_re": theta.theta3_logderiv(c + shift, tau_dual), "value_im": 0.0},
+         "value_re": theta.theta3_logderiv(c + shift, states.TAU_DUAL), "value_im": 0.0},
     ]
+    _require_finite(rows)
     emit(rows, args, ["theta"], base_config(args, ("l", "phi", "r", "s")))
     return 0
 
@@ -247,6 +251,7 @@ def cmd_cs(args) -> int:
         cfg_keys = ("l", "phi", "r", "s", "t", "L0")
     else:
         raise DomainError(f"unknown cs action {args.action!r}")
+    _require_finite(rows)
     emit(rows, args, ["cs", args.action], base_config(args, cfg_keys))
     return 0
 
@@ -375,24 +380,21 @@ def cmd_sweep(args) -> int:
         params.update(dict(zip(names, point)))
         row = {name: params[name] for name in names}
         try:
-            row.update(_sweep_eval(args.target, params))
+            values = _sweep_eval(args.target, params)
+            _require_finite([values])
+            row.update(values)
             row["error"] = ""
         except Exception as exc:  # per-row failure is recorded, not fatal
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    workers = args.workers
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, points))
-    else:
-        rows = [one(p) for p in points]
+    rows = [one(p) for p in points]
 
     # column layout must not depend on which rows failed
     value_keys = sorted({k for row in rows for k in row} - set(names) - {"error"})
     rows = [{k: row.get(k, "") for k in (*names, *value_keys, "error")} for row in rows]
     emit(rows, args, ["sweep", args.target],
-         {"target": args.target, "grid": args.grid, **base, "workers": workers})
+         {"target": args.target, "grid": args.grid, **base, "workers": args.workers})
     return 1 if any(row["error"] for row in rows) else 0
 
 
@@ -493,8 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L0", type=float, default=0.0)
     p.add_argument("--theta", type=parse_angle, default=0.0)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get(WORKERS_ENV, "1")))
+    # kept so existing command lines and artifacts still parse and re-run
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored: sweeps run serially")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("run", help="re-run from a config or JSON artifact")

@@ -26,8 +26,7 @@ phi = (2k+1)*pi, where the spectrum closes to
 
 Trajectories come from a fixed-step RK4 in canonical variables with
 compensated (Kahan) state accumulation and step-halving acceptance on the
-energy drift; the stepping kernel is numba-compiled unless disabled (see
-``mobiuscs._backend``).
+energy drift.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import njit
 from .errors import CoordinateSingularityError, DomainError, EnergyDriftError
 from .geometry import TorusGeometry, mobius_point, torus_point
 
@@ -208,7 +206,6 @@ def conserved_set(s: MobiusState, r: float) -> ConservedSet:
 # Trajectory integration (hot kernel)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True, nogil=True)
 def _mobius_rhs(phi, p_phi, p_z, r):
     half = 0.5 * phi
     c = math.cos(half)
@@ -223,7 +220,6 @@ def _mobius_rhs(phi, p_phi, p_z, r):
     return dphi, dpphi, dz0
 
 
-@njit(cache=True, nogil=True)
 def _rk4_mobius(phi0, pphi0, z00, p_z, r, h, n_steps, stride, out):
     """Fixed-step RK4 in (phi, p_phi, z0) at constant p_z.
 
@@ -344,8 +340,11 @@ def integrate_mobius(
     The run is accepted only if the relative energy drift stays below
     ``energy_tol``; otherwise the internal step is halved (output grid
     unchanged) up to ``max_halvings`` times before EnergyDriftError.
+    Non-finite inputs raise DomainError before any step is taken.
     """
     _check_r(r)
+    if not all(map(math.isfinite, (s0.phi, s0.phi_dot, s0.z0, s0.z0_dot, t_end, dt))):
+        raise DomainError("need a finite initial state, t_end and dt")
     if dt <= 0.0 or t_end <= 0.0:
         raise DomainError("need dt > 0 and t_end > 0")
     n_out = int(round(t_end / dt))
@@ -363,8 +362,8 @@ def integrate_mobius(
         try:
             _rk4_mobius(s0.phi, p_phi0, s0.z0, L0, r, h, n_out * stride, stride, out)
         except (ValueError, OverflowError):
-            # interpreted-mode math.* raises on a diverged trial where the
-            # compiled kernel would propagate non-finite values; same retry
+            # math.* raises instead of returning inf/NaN when a trial step
+            # diverges; a smaller step may not, so retry like a drifted run
             continue
 
         half = 0.5 * out[:, 0]

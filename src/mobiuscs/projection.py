@@ -43,7 +43,7 @@ from scipy.integrate import quad
 
 from .errors import DegeneracyError, DomainError
 from .geometry import constraint_theta, label_center
-from .states import FockVector, StateLabel, default_j_max, fiducial, level_grid
+from .states import FockVector, StateLabel, _tail_bound, default_j_max, fiducial, level_grid
 
 __all__ = [
     "ProjectionSpec",
@@ -152,8 +152,7 @@ def build_torus_cs(
     m = level_grid(j_max, 0.0)
     a = np.exp(center_ms * j - 1j * phi * j - 0.5 * j * j)
     b = np.exp(center_aux * m - 1j * theta * m - 0.5 * m * m)
-    gap = j_max - max(abs(center_ms), abs(center_aux))
-    tail = math.exp(-gap * gap) if gap > 0.0 else math.inf
+    tail = _tail_bound(j_max, max(abs(center_ms), abs(center_aux)))
     return TorusFock(j=j, m=m.astype(int), a=a, b=b, tail_bound=tail)
 
 
@@ -290,9 +289,4 @@ def project_mobius_to_circle(v: FockVector) -> FockVector:
     phase = -w.imag % (2.0 * math.pi)
     j = level_grid(default_j_max(center), 0.0)
     c = np.exp(center * j - 1j * phase * j - 0.5 * j * j)
-    return FockVector(offset=0.0, j=j, c=c, tail_bound=_strip_tail(j[-1], center))
-
-
-def _strip_tail(j_max: float, center: float) -> float:
-    gap = j_max - abs(center)
-    return math.exp(-gap * gap) if gap > 0.0 else math.inf
+    return FockVector(offset=0.0, j=j, c=c, tail_bound=_tail_bound(j[-1], center))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, geometry, projection, states, theta
+from .states import TAU_DUAL, TAU_NATURAL
 
 __all__ = ["VerificationCheck", "SUITES", "run_suite"]
 
@@ -39,10 +40,6 @@ class VerificationCheck:
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
-
-
-TAU_NATURAL = 1j / math.pi
-TAU_DUAL = 1j * math.pi
 
 
 def _label_for_center(center: float, phi: float, r: float, s: float = 0.0) -> states.StateLabel:

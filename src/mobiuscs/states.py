@@ -326,6 +326,8 @@ def quantization_scan(
         if abs(center - 0.5 * round(2.0 * center)) > tol:
             continue
         jbar = expect_j(label, method="ratio")
+        if not math.isfinite(jbar):
+            raise PrecisionError(f"<J> is not finite at l={l:g}, phi={phi:g}", achieved=jbar)
         if abs(jbar - s - round(jbar - s)) > tol:
             continue
         roots.append(phi)

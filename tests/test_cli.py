@@ -115,6 +115,25 @@ class TestCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--t-end", "inf"], ["--t-end", "nan"], ["--dt", "nan"], ["--phi", "nan"],
+    ])
+    def test_dynamics_non_finite_input_exit_code(self, capsys, flags):
+        code, out, err = run_cli(["dynamics", "--t-end", "1", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["cs", "expect-j", "--l", "40"],
+        ["cs", "quantize", "--l", "30", "--r", "0.5", "--s", "half"],
+    ])
+    def test_non_finite_result_exit_code(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("precision failure:")
+
 
 class TestSweep:
     def test_border_momentum_column(self, capsys):
@@ -144,10 +163,22 @@ class TestSweep:
         assert out1 == out2
 
     def test_workers_do_not_change_output(self, capsys):
-        base = ["sweep", "expect-j", "--grid", "l=-1:1:7", "--phi", "pi", "--r", "0.5"]
-        _, serial, _ = run_cli(base + ["--workers", "1"], capsys)
-        _, parallel, _ = run_cli(base + ["--workers", "4"], capsys)
-        assert serial == parallel
+        for target in ("expect-j", "expect-u", "gaussian-supnorm"):
+            base = ["sweep", target, "--grid", "l=-1:1:7", "--phi", "pi", "--r", "0.5"]
+            _, serial, _ = run_cli(base, capsys)
+            assert csv_rows(serial) and all(r["error"] == "" for r in csv_rows(serial))
+            for workers in ("1", "2", "4"):
+                _, out, _ = run_cli(base + ["--workers", workers], capsys)
+                assert out == serial
+
+    def test_non_finite_value_is_a_row_failure(self, capsys):
+        code, out, _ = run_cli(["sweep", "norm2", "--grid", "l=0:40:3"], capsys)
+        assert code == 1
+        rows = csv_rows(out)
+        assert [r["error"] for r in rows[:2]] == ["", ""]
+        assert rows[2]["norm2"] == ""
+        assert rows[2]["error"].startswith("PrecisionError:")
+        assert "inf" not in out and "nan" not in out
 
     def test_row_failures_reported(self, capsys):
         code, out, _ = run_cli(
@@ -174,6 +205,20 @@ class TestRoundTrip:
         assert code == 0
         second = json.loads(rerun.read_text())
         assert first["rows"] == second["rows"]
+
+    def test_workers_key_in_artifact_reruns_identically(self, capsys, tmp_path):
+        artifact = tmp_path / "run.json"
+        code, _, _ = run_cli(
+            ["sweep", "expect-u", "--grid", "l=-1:1:5", "--phi", "pi", "--workers", "4",
+             "--format", "json", "--out", str(artifact)], capsys)
+        assert code == 0
+        assert json.loads(artifact.read_text())["config"]["workers"] == 4
+
+        rerun = tmp_path / "rerun.json"
+        code, _, _ = run_cli(["run", "--config", str(artifact),
+                              "--out", str(rerun), "--format", "json"], capsys)
+        assert code == 0
+        assert rerun.read_bytes() == artifact.read_bytes()
 
     def test_key_value_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "base.cfg"

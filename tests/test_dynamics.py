@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mobiuscs.errors import CoordinateSingularityError, EnergyDriftError
+from mobiuscs import dynamics
+from mobiuscs.errors import CoordinateSingularityError, DomainError, EnergyDriftError
 from mobiuscs.dynamics import (
     MobiusState,
     TorusState,
@@ -161,6 +162,21 @@ class TestIntegration:
         with pytest.raises(EnergyDriftError):
             integrate_mobius(MobiusState(0.3, 2.0, 0.0, 1.0), 0.9,
                              t_end=10.0, dt=1.0, energy_tol=1e-14, max_halvings=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("phi", math.nan), ("phi_dot", math.inf), ("z0", -math.inf), ("z0_dot", math.nan),
+        ("t_end", math.inf), ("t_end", math.nan), ("dt", math.nan), ("r", math.nan),
+    ])
+    def test_non_finite_input_rejected_before_stepping(self, monkeypatch, field, value):
+        def no_step(*args):
+            raise AssertionError("the RK4 kernel ran on non-finite input")
+
+        monkeypatch.setattr(dynamics, "_rk4_mobius", no_step)
+        state = {"phi": 0.1, "phi_dot": 1.0, "z0": 0.0, "z0_dot": 0.2}
+        run = {"r": 0.5, "t_end": 1.0, "dt": 1e-2}
+        (state if field in state else run)[field] = value
+        with pytest.raises(DomainError):
+            integrate_mobius(MobiusState(**state), **run)
 
     def test_columns_schema(self):
         traj = integrate_mobius(MobiusState(0.1, 1.0, 0.0, 0.2), 0.5, t_end=1.0, dt=1e-2)

@@ -277,6 +277,11 @@ class TestQuantizationScan:
                 val = expect_j(lab, method="ratio")
                 assert abs(val - round(val)) <= 1e-12
 
+    def test_overflowed_momentum_raises(self):
+        # at l = 30 the ratio route overflows to NaN past |l'| ~ 26.6
+        with pytest.raises(PrecisionError):
+            quantization_scan(0.5, 30.0, s=0.5)
+
 
 class TestEvolution:
     def test_zero_time_is_identity(self):
