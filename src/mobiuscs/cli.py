@@ -181,7 +181,8 @@ def cmd_theta(args) -> int:
     shift = 0.0 if args.s == 0.0 else 0.5
     t3 = theta.theta3(1j * c / math.pi, states.TAU_NATURAL)
     t2 = theta.theta2(1j * c / math.pi, states.TAU_NATURAL)
-    modular = math.exp(c * c) * math.sqrt(math.pi) * theta.theta3(c + shift, states.TAU_DUAL)
+    modular = (states._exp(c * c, "norm_modular_route") * math.sqrt(math.pi)
+               * theta.theta3(c + shift, states.TAU_DUAL))
     natural = t3 if args.s == 0.0 else t2
     rows = [
         {"quantity": "center", "value_re": c, "value_im": 0.0},

@@ -351,8 +351,14 @@ def integrate_mobius(
     if n_out < 1:
         raise DomainError("t_end shorter than one step")
 
+    if not energy_tol >= 0.0:
+        raise DomainError(f"need energy_tol >= 0, got {energy_tol}")
+
     p_phi0, L0 = mobius_momenta(s0, r)
     E0 = mobius_hamiltonian(p_phi0, L0, s0.phi, r)
+    if not math.isfinite(E0):
+        # no trial step can keep a drift from an infinite energy finite
+        raise DomainError(f"initial energy {E0} is not finite")
 
     drift = math.inf
     for attempt in range(max_halvings + 1):

@@ -140,6 +140,14 @@ def _tail_bound(j_max: float, center: float) -> float:
     return math.exp(-gap * gap)
 
 
+def _exp(x: float, what: str) -> float:
+    """math.exp(x), raising PrecisionError where the result would overflow."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise PrecisionError(f"{what} overflows: exp({x:g})", achieved=math.inf) from None
+
+
 def _require_tail(j_max: float, center: float, rel_tol: float = 1e-12) -> float:
     tail = _tail_bound(j_max, center)
     if not tail < rel_tol:
@@ -215,7 +223,7 @@ def norm2(label: StateLabel, method: str = "direct",
     if method == "modular":
         shift = 0.0 if label.s == 0.0 else 0.5
         th = theta3(center + shift, TAU_DUAL, policy)
-        return float(math.exp(center * center) * math.sqrt(math.pi) * th.real)
+        return float(_exp(center * center, "modular norm2") * math.sqrt(math.pi) * th.real)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -282,7 +290,7 @@ def distribution(label: StateLabel, j: float) -> float:
     if abs(j - round(j - label.s) - label.s) > 1e-12:
         raise DomainError(f"level j={j} is not in Z + {label.s}")
     center = label.center
-    return math.exp(2.0 * center * j - j * j) / norm2(label, method="direct")
+    return _exp(2.0 * center * j - j * j, "occupation weight") / norm2(label, method="direct")
 
 
 def gaussian_distribution(j: float, center: float) -> float:

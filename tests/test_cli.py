@@ -117,6 +117,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("flags", [
         ["--t-end", "inf"], ["--t-end", "nan"], ["--dt", "nan"], ["--phi", "nan"],
+        ["--tol", "nan"], ["--tol", "-1"], ["--j", "1e200"],
     ])
     def test_dynamics_non_finite_input_exit_code(self, capsys, flags):
         code, out, err = run_cli(["dynamics", "--t-end", "1", *flags], capsys)
@@ -127,12 +128,27 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["cs", "expect-j", "--l", "40"],
         ["cs", "quantize", "--l", "30", "--r", "0.5", "--s", "half"],
+        # exp(l'^2) and the occupation weights overflow past |l'| ~ 26.6
+        ["theta", "--l", "30"],
+        ["cs", "norm2", "--l", "40"],
+        ["cs", "distribution", "--l", "40"],
     ])
     def test_non_finite_result_exit_code(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("precision failure:")
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--theta", "nan"], ["--phi", "nan"], ["--theta", "inf"], ["--delta", "inf"],
+        ["--delta", "nan"], ["--delta", "1e200"], ["--theta", "1e200"],
+    ])
+    def test_project_non_finite_input_exit_code(self, capsys, flags):
+        code, out, err = run_cli(["project", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSweep:

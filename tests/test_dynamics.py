@@ -166,6 +166,9 @@ class TestIntegration:
     @pytest.mark.parametrize("field,value", [
         ("phi", math.nan), ("phi_dot", math.inf), ("z0", -math.inf), ("z0_dot", math.nan),
         ("t_end", math.inf), ("t_end", math.nan), ("dt", math.nan), ("r", math.nan),
+        # finite, but no halving can pass: a NaN or negative tolerance, and
+        # an initial energy that overflows to inf
+        ("energy_tol", math.nan), ("energy_tol", -1.0), ("phi_dot", 1e200),
     ])
     def test_non_finite_input_rejected_before_stepping(self, monkeypatch, field, value):
         def no_step(*args):

@@ -1,14 +1,19 @@
 """Torus factorization, projected overlap, constraint projector, circle relabeling."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mobiuscs
 from mobiuscs.errors import DomainError
 from mobiuscs.geometry import constraint_theta
 from mobiuscs.projection import (
     ProjectionSpec,
+    _si,
     build_torus_cs,
     project_mobius_to_circle,
     project_overlap,
@@ -133,6 +138,66 @@ class TestUniversalProjector:
     def test_window_validation(self):
         with pytest.raises(DomainError):
             ProjectionSpec(theta=0.0, phi=0.0, delta=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("theta", math.nan), ("theta", math.inf), ("phi", math.nan), ("phi", -math.inf),
+        ("delta", math.nan), ("delta", math.inf), ("delta", 1e200), ("theta", 1e200),
+    ])
+    def test_non_finite_spec_rejected(self, field, value):
+        spec = {"theta": 0.0, "phi": 0.0, "delta": 0.1, field: value}
+        with pytest.raises(DomainError):
+            ProjectionSpec(**spec)
+
+    def test_boundary_quadrature_is_the_truncated_integral(self):
+        # the quadrature route is the Dirichlet integral truncated at the
+        # certified cutoff L; at the boundary both Si arguments are extreme
+        # (c_plus*L = 16*T = 1.28e6, c_minus*L ~ 0), and the value must be
+        # that truncated integral, not only near 1/2
+        mp = pytest.importorskip("mpmath")
+        spec = ProjectionSpec(theta=constraint_theta(1.0) + 0.1, phi=1.0, delta=0.1)
+        x2 = spec.argument ** 2
+        a = spec.delta ** 2
+        coeffs = [c for c in (a + x2, a - x2) if c != 0.0]
+        floor = max(min(abs(c) for c in coeffs), (a + x2) / 16.0)
+        with mp.workdps(40):
+            cutoff = mp.mpf(8.0 / 1e-4) / floor
+            exact = float(sum(mp.si(c * cutoff) for c in coeffs) / mp.pi)
+        qd = universal_projector(spec, method="quadrature", tail_tol=1e-4)
+        assert abs(qd - exact) <= 1e-12
+
+
+class TestSineIntegral:
+    def test_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(6)
+        special = [0.0, 2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0),
+                   8e4, 1.28e6, 2e6]
+        magnitudes = np.concatenate([np.geomspace(1e-6, 2e6, 500),
+                                     rng.uniform(0.0, 4.0, 250),
+                                     rng.uniform(0.0, 2e6, 250)])
+        signs = rng.choice([-1.0, 1.0], size=magnitudes.size)
+        points = special + [-x for x in special] + list(signs * magnitudes)
+        assert len(points) >= 1000
+        worst = max(abs(_si(float(x)) - float(mp.si(float(x)))) for x in points)
+        assert worst <= 4e-15
+
+    def test_odd_with_zero_at_origin(self):
+        assert _si(0.0) == 0.0
+        for x in (1e-300, 0.7, 2.0, 3.1, 55.0, 1.28e6):
+            assert _si(-x) == -_si(x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, x):
+        with pytest.raises(DomainError):
+            _si(x)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mobiuscs.__file__)))
+    code = "import sys, mobiuscs, mobiuscs.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestCircleRelabeling:
