@@ -24,6 +24,8 @@ and ignored.
 from __future__ import annotations
 
 import argparse
+import cmath
+import contextlib
 import csv
 import io
 import json
@@ -131,28 +133,83 @@ def apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> N
             setattr(args, key, value)
 
 
-def emit(rows: list[dict], args, command: list[str], config: dict) -> None:
-    """Write rows as CSV or JSON (stdout or --out), deterministically."""
-    out_format = args.format
-    if out_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        if rows:
-            fieldnames = list(rows[0].keys())
-            writer.writerow(fieldnames)
-            for row in rows:
-                writer.writerow([fmt(row[k]) for k in fieldnames])
-        payload = buffer.getvalue()
-    elif out_format == "json":
-        artifact = {"command": command, "config": config, "rows": rows}
-        payload = json.dumps(artifact, default=float) + "\n"
-    else:
+CHUNK_ROWS = 4096  # CSV rows formatted and written per write call
+_FLOAT_SLOT = "%.17g"  # fmt's format for a float, as a %-operator slot
+
+
+def _is_float_column(values) -> bool:
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "f"
+    return all(isinstance(v, float) for v in values)
+
+
+def _write_csv(columns: dict, fh) -> None:
+    """Header and rows, CHUNK_ROWS at a time; nothing at all for an empty table.
+
+    csv lays out and quotes the cells of every column that is not all
+    floats, while each float cell is left as a %.17g slot; one % per chunk
+    then fills the slots in row order, which gives fmt's text for each.
+    """
+    cols = list(columns.values())
+    n_rows = len(cols[0]) if cols else 0
+    if not n_rows:
+        return
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    fh.write(buffer.getvalue())
+    is_float = [_is_float_column(col) for col in cols]
+    float_cols = [col for col, flt in zip(cols, is_float) if flt]
+    all_slots = ",".join([_FLOAT_SLOT] * len(cols)) + "\n"
+    for lo in range(0, n_rows, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, n_rows)
+        if all(is_float):
+            template = all_slots * (hi - lo)
+        else:
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerows(zip(*(
+                [_FLOAT_SLOT] * (hi - lo) if flt
+                else [fmt(v).replace("%", "%%") for v in col[lo:hi]]
+                for col, flt in zip(cols, is_float))))
+            template = buffer.getvalue()
+        values = (np.column_stack([col[lo:hi] for col in float_cols]).ravel().tolist()
+                  if float_cols else [])
+        fh.write(template % tuple(values))
+
+
+def _columns(rows: list[dict]) -> dict[str, list]:
+    """A short table given as rows, as columns keyed like the first row."""
+    return {key: [row[key] for row in rows] for key in (rows[0] if rows else ())}
+
+
+def emit(columns: dict, args, command: list[str], config: dict) -> None:
+    """Write a table given as equal-length columns as CSV or JSON, deterministically.
+
+    The output goes to --out or stdout.  JSON rows are built from the
+    columns for the artifact alone.
+    """
+    if args.format == "json":
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        payload = json.dumps({"command": command, "config": config, "rows": rows},
+                             default=float) + "\n"
+    elif args.format != "csv":
         raise DomainError(f"unknown format {args.format!r}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.format == "csv":
+            _write_csv(columns, fh)
+        else:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), but NaN where a part is NaN and none is infinite.
+
+    There CPython's abs() reads a stale errno, so an ERANGE left by an
+    earlier overflowed exp makes it raise OverflowError.
+    """
+    return math.nan if cmath.isnan(z) and not cmath.isinf(z) else abs(z)
 
 
 def _require_finite(rows: list[dict]) -> None:
@@ -190,12 +247,12 @@ def cmd_theta(args) -> int:
         {"quantity": "theta2_natural", "value_re": t2.real, "value_im": t2.imag},
         {"quantity": "norm_modular_route", "value_re": modular.real, "value_im": modular.imag},
         {"quantity": "modular_residual",
-         "value_re": abs(natural - modular) / max(1.0, abs(modular)), "value_im": 0.0},
+         "value_re": _modulus(natural - modular) / max(1.0, _modulus(modular)), "value_im": 0.0},
         {"quantity": "logderiv_dual",
          "value_re": theta.theta3_logderiv(c + shift, states.TAU_DUAL), "value_im": 0.0},
     ]
     _require_finite(rows)
-    emit(rows, args, ["theta"], base_config(args, ("l", "phi", "r", "s")))
+    emit(_columns(rows), args, ["theta"], base_config(args, ("l", "phi", "r", "s")))
     return 0
 
 
@@ -211,8 +268,8 @@ def cmd_cs(args) -> int:
     elif args.action == "expect-u":
         d = states.expect_u(label, method="direct")
         t = states.expect_u(label, method="theta")
-        rows = [{"expect_u_re": t.real, "expect_u_im": t.imag, "expect_u_abs": abs(t),
-                 "spread": abs(d - t)}]
+        rows = [{"expect_u_re": t.real, "expect_u_im": t.imag, "expect_u_abs": _modulus(t),
+                 "spread": _modulus(d - t)}]
     elif args.action == "norm2":
         rows = [{"norm2": states.norm2(label, method="theta"),
                  "direct_path": states.norm2(label, method="direct"),
@@ -233,7 +290,7 @@ def cmd_cs(args) -> int:
         direct = states.overlap(label, other, method="direct")
         closed = states.overlap(label, other, method="theta")
         rows = [{"overlap_re": closed.real, "overlap_im": closed.imag,
-                 "spread": abs(direct - closed)}]
+                 "spread": _modulus(direct - closed)}]
         cfg_keys = ("l", "phi", "r", "s", "l2", "phi2")
     elif args.action == "coeffs":
         v = states.build_cs(label, j_max=args.j_max)
@@ -253,7 +310,7 @@ def cmd_cs(args) -> int:
     else:
         raise DomainError(f"unknown cs action {args.action!r}")
     _require_finite(rows)
-    emit(rows, args, ["cs", args.action], base_config(args, cfg_keys))
+    emit(_columns(rows), args, ["cs", args.action], base_config(args, cfg_keys))
     return 0
 
 
@@ -266,7 +323,7 @@ def cmd_spectrum(args) -> int:
         rows.append({"j": float(j), "L0": args.L0,
                      "E": general.E,
                      "E_border": dynamics.energy_quantized(float(j), args.L0, args.r)})
-    emit(rows, args, ["spectrum"], base_config(args, ("r", "s", "j_max", "L0", "phi")))
+    emit(_columns(rows), args, ["spectrum"], base_config(args, ("r", "s", "j_max", "L0", "phi")))
     return 0
 
 
@@ -276,10 +333,7 @@ def cmd_dynamics(args) -> int:
     s0 = dynamics.MobiusState(phi=args.phi, phi_dot=phi_dot, z0=args.z0, z0_dot=z0_dot)
     traj = dynamics.integrate_mobius(s0, args.r, t_end=args.t_end, dt=args.dt,
                                      energy_tol=args.tol)
-    cols = traj.columns()
-    names = list(dynamics.TRAJECTORY_COLUMNS)
-    rows = [dict(zip(names, values)) for values in zip(*(cols[n] for n in names))]
-    emit(rows, args, ["dynamics"],
+    emit(traj.columns(), args, ["dynamics"],
          base_config(args, ("phi", "j", "L0", "z0", "r", "t_end", "dt", "tol")))
     return 0
 
@@ -295,14 +349,13 @@ def cmd_project(args) -> int:
         "quadrature": quad_val,
         "difference": abs(ind - quad_val),
     }]
-    emit(rows, args, ["project"], base_config(args, ("theta", "phi", "delta")))
+    emit(_columns(rows), args, ["project"], base_config(args, ("theta", "phi", "delta")))
     return 0
 
 
 def cmd_verify(args) -> int:
     checks = report.run_suite(args.suite)
-    rows = [c.row() for c in checks]
-    emit(rows, args, ["verify"], {"suite": args.suite})
+    emit(_columns([c.row() for c in checks]), args, ["verify"], {"suite": args.suite})
     failed = [c for c in checks if not c.passed]
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -376,27 +429,36 @@ def cmd_sweep(args) -> int:
     for vals in value_lists:
         points = [p + (v,) for p in points for v in vals]
 
-    def one(point):
+    # columns are built directly: a 10^4-point sweep keeps no per-row dicts
+    columns = {name: [] for name in names}
+    values: dict[str, list] = {}
+    errors = []
+    for i, point in enumerate(points):
         params = dict(base)
         params.update(dict(zip(names, point)))
-        row = {name: params[name] for name in names}
+        for name, col in columns.items():
+            col.append(params[name])
         try:
-            values = _sweep_eval(args.target, params)
-            _require_finite([values])
-            row.update(values)
-            row["error"] = ""
+            result = _sweep_eval(args.target, params)
+            _require_finite([result])
         except Exception as exc:  # per-row failure is recorded, not fatal
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-
-    rows = [one(p) for p in points]
+            errors.append(f"{type(exc).__name__}: {exc}")
+            continue
+        for key, value in result.items():
+            col = values.setdefault(key, [])
+            col.extend([""] * (i - len(col)))  # rows failed since the last value
+            col.append(value)
+        errors.append("")
 
     # column layout must not depend on which rows failed
-    value_keys = sorted({k for row in rows for k in row} - set(names) - {"error"})
-    rows = [{k: row.get(k, "") for k in (*names, *value_keys, "error")} for row in rows]
-    emit(rows, args, ["sweep", args.target],
+    for key in sorted(values):
+        col = values[key]
+        col.extend([""] * (len(points) - len(col)))
+        columns[key] = col
+    columns["error"] = errors
+    emit(columns, args, ["sweep", args.target],
          {"target": args.target, "grid": args.grid, **base, "workers": args.workers})
-    return 1 if any(row["error"] for row in rows) else 0
+    return 1 if any(errors) else 0
 
 
 def cmd_run(args) -> int:
@@ -520,7 +582,10 @@ def main(argv=None) -> int:
                 if isinstance(action, argparse._SubParsersAction):
                     sub_parser = action.choices[args.command]
             apply_config(args, sub_parser)
-        return args.func(args)
+        # an overflowed lattice sum is caught as a non-finite result and
+        # reported as a precision failure; numpy's warning would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

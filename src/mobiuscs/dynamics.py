@@ -26,7 +26,12 @@ phi = (2k+1)*pi, where the spectrum closes to
 
 Trajectories come from a fixed-step RK4 in canonical variables with
 compensated (Kahan) state accumulation and step-halving acceptance on the
-energy drift.
+energy drift.  A trial at one internal step is checked every BLOCK_ROWS
+output rows and abandoned at the first block whose drift is over the
+tolerance or not finite, so a step that is too coarse costs one block, not
+a whole run.  The last trial allowed always runs to its end, so that
+EnergyDriftError reports the drift of its whole run, and an accepted run is
+checked once more over all its rows.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ __all__ = [
     "torus_hamiltonian",
 ]
 
-TRAJECTORY_COLUMNS = ("t", "phi", "phi_dot", "z0", "z0_dot", "E", "J", "L0")
+# output rows per step-halving check: a failing trial stops within this many
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -206,67 +212,101 @@ def conserved_set(s: MobiusState, r: float) -> ConservedSet:
 # Trajectory integration (hot kernel)
 # ---------------------------------------------------------------------------
 
-def _mobius_rhs(phi, p_phi, p_z, r):
-    half = 0.5 * phi
-    c = math.cos(half)
-    sn = math.sin(half)
-    one = 1.0 + r * c
-    denom = one * one + 0.25 * r * r * sn * sn
-    jj = (p_phi + 0.5 * r * c * p_z) / denom
-    d_denom = -r * sn * one + 0.25 * r * r * sn * c
-    dphi = jj
-    dpphi = 0.25 * r * sn * jj * p_z + 0.5 * jj * jj * d_denom
-    dz0 = 0.5 * r * c * jj + p_z
-    return dphi, dpphi, dz0
-
-
-def _rk4_mobius(phi0, pphi0, z00, p_z, r, h, n_steps, stride, out):
+def _rk4_mobius(phi, pphi, z0, c_phi, c_pphi, c_z0, p_z, r, h, stride, out):
     """Fixed-step RK4 in (phi, p_phi, z0) at constant p_z.
 
     Kahan-compensated state accumulation keeps the roundoff of ~1e5-step
-    runs near machine precision.  Every ``stride``-th state is written to
-    ``out`` (rows: phi, p_phi, z0).
+    runs near machine precision.  Each row of ``out`` receives the state
+    (phi, p_phi, z0) after another ``stride`` steps.  Returns the state and
+    its compensations, which continue the run in the next call.
     """
-    phi = phi0
-    pphi = pphi0
-    z0 = z00
-    c_phi = 0.0
-    c_pphi = 0.0
-    c_z0 = 0.0
-    out[0, 0] = phi
-    out[0, 1] = pphi
-    out[0, 2] = z0
-    row = 0
-    for i in range(n_steps):
-        k1 = _mobius_rhs(phi, pphi, p_z, r)
-        k2 = _mobius_rhs(phi + 0.5 * h * k1[0], pphi + 0.5 * h * k1[1], p_z, r)
-        k3 = _mobius_rhs(phi + 0.5 * h * k2[0], pphi + 0.5 * h * k2[1], p_z, r)
-        k4 = _mobius_rhs(phi + h * k3[0], pphi + h * k3[1], p_z, r)
-        inc_phi = h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
-        inc_pphi = h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-        inc_z0 = h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / 6.0
+    cos = math.cos
+    sin = math.sin
+    half_h = 0.5 * h
+    half_r = 0.5 * r
+    quarter_r = 0.25 * r
+    quarter_r2 = 0.25 * r * r
+    neg_r = -r
+    # (weight of the stage slope, step from the base state to the next stage)
+    stages = ((1.0, half_h), (2.0, half_h), (2.0, h), (1.0, h))
+    for row in range(out.shape[0]):
+        for _ in range(stride):
+            # -0.0 + x == x for every x, so the sums round as k1 + 2k2 + 2k3 + k4
+            sum_phi = sum_pphi = sum_z0 = -0.0
+            s_phi = phi
+            s_pphi = pphi
+            for weight, step in stages:
+                half = 0.5 * s_phi
+                c = cos(half)
+                sn = sin(half)
+                one = 1.0 + r * c
+                denom = one * one + quarter_r2 * sn * sn
+                jj = (s_pphi + half_r * c * p_z) / denom
+                d_denom = neg_r * sn * one + quarter_r2 * sn * c
+                dpphi = quarter_r * sn * jj * p_z + 0.5 * jj * jj * d_denom
+                dz0 = half_r * c * jj + p_z
+                sum_phi = sum_phi + weight * jj
+                sum_pphi = sum_pphi + weight * dpphi
+                sum_z0 = sum_z0 + weight * dz0
+                s_phi = phi + step * jj
+                s_pphi = pphi + step * dpphi
 
-        y = inc_phi - c_phi
-        t = phi + y
-        c_phi = (t - phi) - y
-        phi = t
+            y = h * sum_phi / 6.0 - c_phi
+            t = phi + y
+            c_phi = (t - phi) - y
+            phi = t
 
-        y = inc_pphi - c_pphi
-        t = pphi + y
-        c_pphi = (t - pphi) - y
-        pphi = t
+            y = h * sum_pphi / 6.0 - c_pphi
+            t = pphi + y
+            c_pphi = (t - pphi) - y
+            pphi = t
 
-        y = inc_z0 - c_z0
-        t = z0 + y
-        c_z0 = (t - z0) - y
-        z0 = t
+            y = h * sum_z0 / 6.0 - c_z0
+            t = z0 + y
+            c_z0 = (t - z0) - y
+            z0 = t
+        out[row, 0] = phi
+        out[row, 1] = pphi
+        out[row, 2] = z0
+    return phi, pphi, z0, c_phi, c_pphi, c_z0
 
-        if (i + 1) % stride == 0:
-            row += 1
-            out[row, 0] = phi
-            out[row, 1] = pphi
-            out[row, 2] = z0
-    return row
+
+def _sampled_energy(rows, r, L0, E0):
+    """(cos(phi/2), phi_dot, relative energy drift from E0) of (phi, p_phi, z0) rows.
+
+    The drift is inf when any energy is not finite.
+    """
+    half = 0.5 * rows[:, 0]
+    c = np.cos(half)
+    sn = np.sin(half)
+    denom = (1.0 + r * c) ** 2 + 0.25 * r * r * sn * sn
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_dot = (rows[:, 1] + 0.5 * r * c * L0) / denom
+        energy = 0.5 * (phi_dot ** 2 * denom + L0 * L0)
+    if not np.all(np.isfinite(energy)):
+        return c, phi_dot, math.inf
+    return c, phi_dot, float(np.max(np.abs(energy - E0)) / max(1.0, abs(E0)))
+
+
+def _accepts(drift, energy_tol):
+    return math.isfinite(drift) and drift <= energy_tol
+
+
+def _run_trial(out, state, p_z, r, h, stride, E0, energy_tol):
+    """Integrate from ``state`` into out[1:], BLOCK_ROWS rows at a time.
+
+    With an ``energy_tol``, stops at the first block whose drift it does not
+    accept and returns that drift, leaving the later rows unfilled.  Returns
+    None when every row was filled.
+    """
+    for lo in range(1, out.shape[0], BLOCK_ROWS):
+        block = out[lo:lo + BLOCK_ROWS]
+        state = _rk4_mobius(*state, p_z, r, h, stride, block)
+        if energy_tol is not None:
+            drift = _sampled_energy(block, r, p_z, E0)[2]
+            if not _accepts(drift, energy_tol):
+                return drift
+    return None
 
 
 @dataclass(frozen=True)
@@ -339,8 +379,10 @@ def integrate_mobius(
 
     The run is accepted only if the relative energy drift stays below
     ``energy_tol``; otherwise the internal step is halved (output grid
-    unchanged) up to ``max_halvings`` times before EnergyDriftError.
-    Non-finite inputs raise DomainError before any step is taken.
+    unchanged) up to ``max_halvings`` times before EnergyDriftError.  Each
+    trial but the last stops at the first block of BLOCK_ROWS rows that
+    drifts too far.  Non-finite inputs raise DomainError before any step is
+    taken.
     """
     _check_r(r)
     if not all(map(math.isfinite, (s0.phi, s0.phi_dot, s0.z0, s0.z0_dot, t_end, dt))):
@@ -363,27 +405,22 @@ def integrate_mobius(
     drift = math.inf
     for attempt in range(max_halvings + 1):
         stride = 2 ** attempt
-        h = dt / stride
         out = np.empty((n_out + 1, 3))
+        out[0] = s0.phi, p_phi0, s0.z0
+        # the last trial runs to its end, so that the error reports its drift
+        block_tol = energy_tol if attempt < max_halvings else None
         try:
-            _rk4_mobius(s0.phi, p_phi0, s0.z0, L0, r, h, n_out * stride, stride, out)
+            early = _run_trial(out, (s0.phi, p_phi0, s0.z0, 0.0, 0.0, 0.0), L0, r,
+                               dt / stride, stride, E0, block_tol)
         except (ValueError, OverflowError):
             # math.* raises instead of returning inf/NaN when a trial step
             # diverges; a smaller step may not, so retry like a drifted run
             continue
-
-        half = 0.5 * out[:, 0]
-        c = np.cos(half)
-        sn = np.sin(half)
-        denom = (1.0 + r * c) ** 2 + 0.25 * r * r * sn * sn
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi_dot = (out[:, 1] + 0.5 * r * c * L0) / denom
-            energy = 0.5 * (phi_dot ** 2 * denom + L0 * L0)
-        if not np.all(np.isfinite(energy)):
-            drift = math.inf  # diverged trial; retry at a smaller step
+        if early is not None:
+            drift = early
             continue
-        drift = float(np.max(np.abs(energy - E0)) / max(1.0, abs(E0)))
-        if drift <= energy_tol:
+        c, phi_dot, drift = _sampled_energy(out, r, L0, E0)
+        if _accepts(drift, energy_tol):
             t = dt * np.arange(n_out + 1)
             z0_dot = L0 + 0.5 * r * c * phi_dot
             return Trajectory(

@@ -365,8 +365,12 @@ def temporal_fidelity(label: StateLabel, t: float, L0: float = 0.0,
     comparison = replace(
         v, c=np.exp(center * v.j - 1j * phase * v.j - 0.5 * v.j * v.j)
     )
-    num = abs(comparison.inner(evolved))
-    return num / (comparison.norm() * evolved.norm())
+    inner = comparison.inner(evolved)
+    norms = comparison.norm() * evolved.norm()
+    if not (cmath.isfinite(inner) and math.isfinite(norms)):
+        # the coefficients overflowed; abs() of a NaN overlap may even raise
+        raise PrecisionError("fidelity overlap overflows", achieved=math.inf)
+    return abs(inner) / norms
 
 
 def bargmann_coeff(label: StateLabel, j: float) -> complex:

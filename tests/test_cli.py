@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import warnings
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from mobiuscs import cli
@@ -132,9 +135,16 @@ class TestCommands:
         ["theta", "--l", "30"],
         ["cs", "norm2", "--l", "40"],
         ["cs", "distribution", "--l", "40"],
+        ["cs", "fidelity", "--l", "30"],
+        ["cs", "expect-u", "--l", "40"],
+        ["cs", "coeffs", "--l", "40"],
+        ["cs", "overlap", "--l", "30", "--l2", "30"],
     ])
     def test_non_finite_result_exit_code(self, capsys, argv):
-        code, out, err = run_cli(argv, capsys)
+        # the precision failure is the only report: no numpy warning ahead of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("precision failure:")
@@ -204,6 +214,57 @@ class TestSweep:
         rows = csv_rows(out)
         assert rows[0]["error"] == ""
         assert "DomainError" in rows[-1]["error"]
+
+
+class TestEmit:
+    @staticmethod
+    def oracle_csv(rows):
+        """The row-by-row writer that the columnar one replaced."""
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        if rows:
+            fieldnames = list(rows[0].keys())
+            writer.writerow(fieldnames)
+            for row in rows:
+                writer.writerow([cli.fmt(row[k]) for k in fieldnames])
+        return buffer.getvalue()
+
+    @staticmethod
+    def emitted(columns, fmt, tmp_path):
+        out = tmp_path / f"table.{fmt}"
+        cli.emit(columns, SimpleNamespace(format=fmt, out=str(out)), ["test"], {"n": 1})
+        return out.read_bytes()
+
+    def test_matches_row_writer(self, tmp_path):
+        n = 2 * cli.CHUNK_ROWS + 7
+        rng = np.random.default_rng(5)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[:6] = [0.0, -0.0, 1e-320, 0.1, 1 / 3, -2.5e300]
+        texts = ["", "plain", "a,b", 'say "hi"', "two\nlines", "50%", "%s%%", ",\"\n"]
+        columns = {
+            "array": floats,
+            "float64": [np.float64(v) for v in floats[::-1]],
+            "mixed": [[1.5, np.float64(-2.0), 3, np.int64(-4), True, False][i % 6]
+                      for i in range(n)],
+            "text": [texts[i % len(texts)] for i in range(n)],
+            "floats_or_blank": ["" if i % 5 == 0 else float(i) / 7 for i in range(n)],
+            "ints": np.arange(n),
+            "ints_and_bools": [[True, 7, False, 2**60][i % 4] for i in range(n)],
+        }
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        assert self.emitted(columns, "csv", tmp_path) == self.oracle_csv(rows).encode()
+        artifact = {"command": ["test"], "config": {"n": 1}, "rows": rows}
+        assert self.emitted(columns, "json", tmp_path) == (
+            json.dumps(artifact, default=float) + "\n").encode()
+
+    @pytest.mark.parametrize("columns", [
+        {"only": ["", "x"]},          # a lone empty cell is written as ""
+        {"a": [], "b": []},           # no rows: no header either
+        {"x": [0.5], "y": [float("inf")]},
+    ])
+    def test_small_tables_match_row_writer(self, tmp_path, columns):
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        assert self.emitted(columns, "csv", tmp_path) == self.oracle_csv(rows).encode()
 
 
 class TestRoundTrip:

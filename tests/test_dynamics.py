@@ -159,9 +159,43 @@ class TestIntegration:
         assert back.z0[-1] == pytest.approx(s0.z0, abs=1e-8)
 
     def test_step_halving_then_rejection(self):
+        s0 = MobiusState(0.3, 2.0, 0.0, 1.0)
         with pytest.raises(EnergyDriftError):
-            integrate_mobius(MobiusState(0.3, 2.0, 0.0, 1.0), 0.9,
-                             t_end=10.0, dt=1.0, energy_tol=1e-14, max_halvings=0)
+            integrate_mobius(s0, 0.9, t_end=10.0, dt=1.0, energy_tol=1e-14, max_halvings=0)
+
+        # earlier trials stop at their first failing block; the last one runs
+        # to its end, so the error reports the drift of its whole run: the
+        # drift of an accepted run at the same internal step, on the same grid
+        # the drift of this orbit keeps growing after the first block
+        s0, r, dt = MobiusState(0.3, 1.1, 0.0, 0.4), 0.5, 0.1
+        t_end = 4 * dynamics.BLOCK_ROWS * dt
+        with pytest.raises(EnergyDriftError) as info:
+            integrate_mobius(s0, r, t_end=t_end, dt=dt, energy_tol=1e-14, max_halvings=2)
+        same_step = integrate_mobius(s0, r, t_end=t_end, dt=dt / 4, energy_tol=math.inf,
+                                     max_halvings=0)
+        energy = same_step.columns()["E"][::4]
+        E0 = conserved_set(s0, r).E
+        drift = np.max(np.abs(energy - E0)) / max(1.0, abs(E0))
+        assert info.value.achieved == pytest.approx(drift, rel=1e-9)
+
+    def test_stiff_orbit_stops_failing_trials_early(self, monkeypatch):
+        steps = []
+        kernel = dynamics._rk4_mobius
+
+        def counted(*args):
+            stride, out = args[-2:]
+            steps.append(stride * out.shape[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(dynamics, "_rk4_mobius", counted)
+        r, L0, j = 0.9, 0.5, 30.0
+        phi_dot = mobius_phidot(j, L0, 0.0, r)
+        s0 = MobiusState(0.0, phi_dot, 0.0, L0 + 0.5 * r * phi_dot)
+        traj = integrate_mobius(s0, r, t_end=20.0, dt=1e-2)
+        # strides 1-32 fail within their first block (by row 42 of 2,000);
+        # stride 64 fails only at row 1,892, in the last, partial block
+        assert traj.substeps == 128
+        assert sum(steps) == 63 * dynamics.BLOCK_ROWS + (64 + 128) * 2000
 
     @pytest.mark.parametrize("field,value", [
         ("phi", math.nan), ("phi_dot", math.inf), ("z0", -math.inf), ("z0_dot", math.nan),
