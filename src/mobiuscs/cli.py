@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from . import dynamics, projection, report, states, theta
+from . import dynamics, geometry, projection, report, states, theta
 from .errors import DomainError, PrecisionError
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
@@ -388,11 +388,13 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
     return axes
 
 
-SWEEP_TARGETS = ("expect-j", "expect-u", "norm2", "gaussian-supnorm", "energy", "projector")
+STATE_TARGETS = ("expect-j", "expect-u", "norm2", "gaussian-supnorm")
+SWEEP_TARGETS = (*STATE_TARGETS, "energy", "projector")
 
 
 def _sweep_eval(target: str, params: dict) -> dict:
-    if target in ("expect-j", "expect-u", "norm2", "gaussian-supnorm"):
+    """One sweep point through the scalar routes."""
+    if target in STATE_TARGETS:
         label = states.StateLabel(l=params["l"], phi=params["phi"],
                                   r=params["r"], s=params["s"])
         if target == "expect-j":
@@ -402,11 +404,7 @@ def _sweep_eval(target: str, params: dict) -> dict:
             return {"expect_u_re": val.real, "expect_u_im": val.imag}
         if target == "norm2":
             return {"norm2": states.norm2(label, method="theta")}
-        levels = states.level_grid(states.default_j_max(label.center), label.s)
-        sup = max(abs(states.distribution(label, jj)
-                      - states.gaussian_distribution(jj, label.center))
-                  for jj in levels)
-        return {"supnorm": sup}
+        return {"supnorm": states.gaussian_supnorm(label.center, label.s)}
     if target == "energy":
         entry = dynamics.energy_spectrum(params["j"], params["L0"],
                                          params["phi"], params["r"])
@@ -418,43 +416,113 @@ def _sweep_eval(target: str, params: dict) -> dict:
     raise DomainError(f"unknown sweep target {target!r}")
 
 
+def _grid_columns(axes: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Each axis's value at every point of the Cartesian grid, first axis slowest.
+
+    A repeated axis name keeps its first place and its last axis's values.
+    """
+    mesh = np.meshgrid(*[vals for _, vals in axes], indexing="ij")
+    return {name: grid.ravel() for (name, _), grid in zip(axes, mesh)}
+
+
+def _sweep_states(target: str, labels: dict, values: dict, errors: list) -> list[int]:
+    """Evaluate a state target column-wise at the points with valid labels.
+
+    ``labels`` holds the l, phi, r and s columns.  Values go into
+    ``values`` (created on a row's first success) and non-finite rows get
+    _require_finite's error text.  Returns the rows left for the scalar
+    route: invalid labels, so that they fail with StateLabel's own message,
+    and every row of a sector whose batch raised.
+    """
+    l, phi, r, s = (labels[k] for k in ("l", "phi", "r", "s"))
+    valid = np.isfinite(l) & np.isfinite(phi) & (r >= 0.0) & (r < 1.0)
+    scalar_rows = np.flatnonzero(~(valid & ((s == 0.0) | (s == 0.5)))).tolist()
+    n = len(l)
+    for sector in (0.0, 0.5):
+        rows = np.flatnonzero(valid & (s == sector)).tolist()
+        if not rows:
+            continue
+        # centers in math, as StateLabel.center computes them
+        centers = [geometry.label_center(*point) for point in
+                   zip(l[rows].tolist(), phi[rows].tolist(), r[rows].tolist())]
+        try:
+            if target == "expect-j":
+                result = {"expect_j": states.expect_j_many(centers, sector).tolist()}
+            elif target == "expect-u":
+                u = states.expect_u_many(centers, phi[rows].tolist(), sector)
+                result = {"expect_u_re": [z.real for z in u], "expect_u_im": [z.imag for z in u]}
+            elif target == "norm2":
+                result = {"norm2": states.norm2_many(centers, sector).tolist()}
+            else:
+                result = _supnorm_rows(centers, sector, rows, errors)
+        except (PrecisionError, ArithmeticError, MemoryError, ValueError):
+            scalar_rows.extend(rows)  # the scalar route names each failing row's error
+            continue
+        for k, i in enumerate(rows):
+            if errors[i]:
+                continue
+            bad = next((key for key, col in result.items() if not math.isfinite(col[k])), None)
+            if bad is not None:
+                errors[i] = f"PrecisionError: {bad} is not finite"
+                continue
+            for key, col in result.items():
+                _value_column(values, key, n)[i] = col[k]
+    return scalar_rows
+
+
+def _value_column(values: dict, key: str, n: int) -> list:
+    """values[key], made on first use as n empty cells."""
+    if key not in values:
+        values[key] = [""] * n
+    return values[key]
+
+
+def _supnorm_rows(centers: list, s: float, rows: list, errors: list) -> dict:
+    """gaussian-supnorm per point; a point that raises gets its error cell."""
+    sup = []
+    for center, i in zip(centers, rows):
+        try:
+            sup.append(states.gaussian_supnorm(center, s))
+        except Exception as exc:  # per-row failure is recorded, not fatal
+            errors[i] = f"{type(exc).__name__}: {exc}"
+            sup.append(math.nan)
+    return {"supnorm": sup}
+
+
 def cmd_sweep(args) -> int:
     axes = parse_grid(args.grid)
     base = {"l": args.l, "phi": args.phi, "r": args.r, "s": args.s,
             "j": args.j, "L0": args.L0, "theta": args.theta, "delta": args.delta}
-
-    names = [name for name, _ in axes]
-    value_lists = [vals for _, vals in axes]
-    points = [()]
-    for vals in value_lists:
-        points = [p + (v,) for p in points for v in vals]
+    columns = _grid_columns(axes)
+    n_points = math.prod(len(vals) for _, vals in axes)
 
     # columns are built directly: a 10^4-point sweep keeps no per-row dicts
-    columns = {name: [] for name in names}
     values: dict[str, list] = {}
-    errors = []
-    for i, point in enumerate(points):
+    errors = [""] * n_points
+    scalar_rows = range(n_points)
+    if args.target in STATE_TARGETS:
+        try:
+            labels = {k: columns[k] if k in columns else np.full(n_points, float(base[k]))
+                      for k in ("l", "phi", "r", "s")}
+        except (TypeError, ValueError, OverflowError):
+            pass  # a non-numeric label from a config file: every row fails on its own
+        else:
+            scalar_rows = _sweep_states(args.target, labels, values, errors)
+    for i in scalar_rows:
         params = dict(base)
-        params.update(dict(zip(names, point)))
-        for name, col in columns.items():
-            col.append(params[name])
+        params.update({name: col[i] for name, col in columns.items()})
         try:
             result = _sweep_eval(args.target, params)
             _require_finite([result])
         except Exception as exc:  # per-row failure is recorded, not fatal
-            errors.append(f"{type(exc).__name__}: {exc}")
+            errors[i] = f"{type(exc).__name__}: {exc}"
             continue
         for key, value in result.items():
-            col = values.setdefault(key, [])
-            col.extend([""] * (i - len(col)))  # rows failed since the last value
-            col.append(value)
-        errors.append("")
+            _value_column(values, key, n_points)[i] = value
 
     # column layout must not depend on which rows failed
     for key in sorted(values):
-        col = values[key]
-        col.extend([""] * (len(points) - len(col)))
-        columns[key] = col
+        columns[key] = values[key]
     columns["error"] = errors
     emit(columns, args, ["sweep", args.target],
          {"target": args.target, "grid": args.grid, **base, "workers": args.workers})

@@ -38,7 +38,16 @@ import numpy as np
 from .errors import DomainError, PrecisionError
 from .geometry import coherent_label, label_center
 from .dynamics import energy_quantized
-from .theta import DEFAULT_POLICY, SeriesPolicy, theta2, theta3, theta3_logderiv
+from .theta import (
+    DEFAULT_POLICY,
+    SeriesPolicy,
+    row_blocks,
+    theta2,
+    theta2_many,
+    theta3,
+    theta3_logderiv,
+    theta3_many,
+)
 
 __all__ = [
     "StateLabel",
@@ -49,10 +58,14 @@ __all__ = [
     "fiducial",
     "overlap",
     "norm2",
+    "norm2_many",
     "expect_j",
+    "expect_j_many",
     "expect_u",
+    "expect_u_many",
     "distribution",
     "gaussian_distribution",
+    "gaussian_supnorm",
     "quantization_scan",
     "evolve",
     "temporal_fidelity",
@@ -82,6 +95,8 @@ class StateLabel:
             raise DomainError(f"z_sign must be +1 or -1, got {self.z_sign}")
         if not math.isfinite(self.l):
             raise DomainError("label l must be finite")
+        if not math.isfinite(self.phi):
+            raise DomainError("label phi must be finite")
 
     @property
     def xi(self) -> complex:
@@ -214,8 +229,7 @@ def norm2(label: StateLabel, method: str = "direct",
     """
     center = label.center
     if method == "direct":
-        j = level_grid(default_j_max(center), label.s)
-        return float(np.exp(2.0 * center * j - j * j).sum())
+        return _direct_norm2(center, label.s)
     if method == "theta":
         nu = 1j * center / math.pi
         th = theta3(nu, TAU_NATURAL, policy) if label.s == 0.0 else theta2(nu, TAU_NATURAL, policy)
@@ -225,6 +239,19 @@ def norm2(label: StateLabel, method: str = "direct",
         th = theta3(center + shift, TAU_DUAL, policy)
         return float(_exp(center * center, "modular norm2") * math.sqrt(math.pi) * th.real)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _direct_norm2(center: float, s: float) -> float:
+    """Truncated lattice sum sum_j exp(2*l'*j - j^2) over the level grid of ``center``."""
+    j = level_grid(default_j_max(center), s)
+    return float(np.exp(2.0 * center * j - j * j).sum())
+
+
+def norm2_many(centers, s: float, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """norm2(method="theta") at many centers of one sector s, bit for bit."""
+    nu = [1j * c / math.pi for c in centers]
+    th = theta3_many(nu, TAU_NATURAL, policy) if s == 0.0 else theta2_many(nu, TAU_NATURAL, policy)
+    return th.real
 
 
 def expect_j(label: StateLabel, method: str = "ratio",
@@ -264,6 +291,21 @@ def expect_j(label: StateLabel, method: str = "ratio",
     raise ValueError(f"unknown method {method!r}")
 
 
+def expect_j_many(centers, s: float) -> np.ndarray:
+    """expect_j(method="ratio") at many centers of one sector s, bit for bit.
+
+    Centers sharing a level grid are summed as one (rows x levels) array.
+    """
+    centers = np.array(centers, dtype=float)
+    out = np.empty(centers.size)
+    j_maxes = [default_j_max(c) for c in centers.tolist()]
+    for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
+        j = level_grid(j_max, s)
+        w = np.exp(2.0 * centers[rows, None] * j - j * j)
+        out[rows] = (j * w).sum(axis=1) / w.sum(axis=1)
+    return out
+
+
 def expect_u(label: StateLabel, method: str = "theta",
              policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
     """<U>/<xi|xi> for the shift U|j> = |j+1>; modulus never exceeds 1.
@@ -285,17 +327,60 @@ def expect_u(label: StateLabel, method: str = "theta",
     raise ValueError(f"unknown method {method!r}")
 
 
+def expect_u_many(centers, phis, s: float,
+                  policy: SeriesPolicy = DEFAULT_POLICY) -> list[complex]:
+    """expect_u(method="theta") at many labels of one sector s, bit for bit.
+
+    The theta sums are batched; the ratio and the phase are taken per label
+    in Python complex arithmetic, as in :func:`expect_u`.
+    """
+    nu = [1j * c / math.pi for c in centers]
+    t2 = theta2_many(nu, TAU_NATURAL, policy).tolist()
+    t3 = theta3_many(nu, TAU_NATURAL, policy).tolist()
+    scale = math.exp(-0.25)
+    return [scale * cmath.exp(1j * phi) * (a / b if s == 0.0 else b / a)
+            for a, b, phi in zip(t2, t3, phis)]
+
+
+def _occupation(center: float, s: float, j: float, norm: float) -> float:
+    """|<j|xi>|^2 / <xi|xi> at level j, given the direct norm of the state.
+
+    Where the norm has overflowed but the weight has not (|l'| ~ 26.632 to
+    26.642 for a whole level grid), both are divided by exp(l'^2): the law
+    is then exp(-(j - l')^2) / sum_k exp(-(k - l')^2).
+    """
+    weight = _exp(2.0 * center * j - j * j, "occupation weight")
+    if norm == math.inf:
+        k = level_grid(default_j_max(center), s)
+        return math.exp(-((j - center) ** 2)) / float(np.exp(-((k - center) ** 2)).sum())
+    return weight / norm
+
+
 def distribution(label: StateLabel, j: float) -> float:
     """Occupation probability |<j|xi>|^2 / <xi|xi> at level j in Z + s."""
     if abs(j - round(j - label.s) - label.s) > 1e-12:
         raise DomainError(f"level j={j} is not in Z + {label.s}")
     center = label.center
-    return _exp(2.0 * center * j - j * j, "occupation weight") / norm2(label, method="direct")
+    with np.errstate(over="ignore"):  # _occupation handles an overflowed norm
+        norm = _direct_norm2(center, label.s)
+    return _occupation(center, label.s, j, norm)
 
 
 def gaussian_distribution(j: float, center: float) -> float:
     """Limiting Gaussian law exp(-(j - l')^2)/sqrt(pi) of the occupation."""
     return math.exp(-((j - center) ** 2)) / math.sqrt(math.pi)
+
+
+def gaussian_supnorm(center: float, s: float) -> float:
+    """max over the level grid of |distribution - gaussian_distribution| at center l'.
+
+    The direct norm is summed once, not once per level.
+    """
+    levels = level_grid(default_j_max(center), s)
+    with np.errstate(over="ignore"):  # _occupation handles an overflowed norm
+        norm = _direct_norm2(center, s)
+    return max(abs(_occupation(center, s, j, norm) - gaussian_distribution(j, center))
+               for j in levels)
 
 
 def quantization_scan(
@@ -344,7 +429,7 @@ def quantization_scan(
 
 def evolve(v: FockVector, t: float, r: float, L0: float = 0.0) -> FockVector:
     """Diagonal time evolution c_j -> exp(-i*E_j*t)*c_j with the border spectrum."""
-    energies = np.array([energy_quantized(j, L0, r) for j in v.j])
+    energies = energy_quantized(v.j, L0, r)
     return replace(v, c=v.c * np.exp(-1j * energies * t))
 
 

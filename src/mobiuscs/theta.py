@@ -37,7 +37,9 @@ __all__ = [
     "SeriesPolicy",
     "DEFAULT_POLICY",
     "theta3",
+    "theta3_many",
     "theta2",
+    "theta2_many",
     "theta2_series",
     "theta3_modular",
     "theta3_logderiv",
@@ -73,6 +75,24 @@ def _check_tau(tau: complex) -> complex:
     return tau
 
 
+def _tail_bound(m: float, a: float, b: float) -> float:
+    """Certified two-sided tail bound at one-sided order m (see _truncation_order).
+
+    inf where the term ratio rho is not yet < 1, or where exp() of the
+    leading term would leave double range: the bound cannot pass there.
+    """
+    x = -math.pi * b * (2.0 * m + 1.0) + 2.0 * math.pi * a
+    if x > 0.0:  # rho > 1; math.exp would overflow past x = 709.78
+        return math.inf
+    rho = math.exp(x)
+    if rho >= 1.0:
+        return math.inf
+    log_mag = -math.pi * b * m * m + 2.0 * math.pi * a * m
+    if log_mag > 700.0:
+        return math.inf
+    return 2.0 * math.exp(log_mag) / (1.0 - rho)
+
+
 def _truncation_order(nu: complex, tau: complex, policy: SeriesPolicy, shift: float = 0.0) -> int:
     """Smallest one-sided order N whose certified tail bound is < target_tol.
 
@@ -83,27 +103,60 @@ def _truncation_order(nu: complex, tau: complex, policy: SeriesPolicy, shift: fl
         2 * exp(-pi*b*m^2 + 2*pi*a*m) / (1 - rho),
         rho = exp(-pi*b*(2*m+1) + 2*pi*a)
 
-    once the term ratio rho is < 1.
+    once the term ratio rho is < 1.  Since 1 - rho <= 1, the bound can only
+    pass beyond the larger root m* of pi*b*m^2 - 2*pi*a*m = log(2/tol), and
+    past m* > a/b it decreases with m; so N is found by stepping from
+    ceil(m* - shift) under the exact test.
     """
     b = tau.imag
     a = abs(complex(nu).imag)
-    bound = math.inf
-    for n in range(1, policy.max_terms + 1):
-        m = n + shift
-        rho = math.exp(-math.pi * b * (2.0 * m + 1.0) + 2.0 * math.pi * a)
-        if rho >= 1.0:
-            continue
-        log_mag = -math.pi * b * m * m + 2.0 * math.pi * a * m
-        if log_mag > 700.0:  # keep exp() finite; bound cannot pass yet
-            continue
-        bound = 2.0 * math.exp(log_mag) / (1.0 - rho)
-        if bound < policy.target_tol:
-            return n
-    raise PrecisionError(
-        f"lattice sum did not reach tol={policy.target_tol:g} within "
-        f"{policy.max_terms} terms (achieved bound {bound:g})",
-        achieved=bound,
-    )
+    tol = policy.target_tol
+    log_ratio = math.log(2.0 / tol)
+    n = 1
+    if log_ratio > 0.0:  # else the bound need not decrease in m: step from 1
+        peak = a / b
+        root = peak + math.sqrt(peak * peak + log_ratio / (math.pi * b)) - shift
+        n = max(1, math.ceil(root)) if root < policy.max_terms else policy.max_terms
+    while n > 1 and _tail_bound(n - 1 + shift, a, b) < tol:
+        n -= 1
+    while not _tail_bound(n + shift, a, b) < tol:
+        if n >= policy.max_terms:
+            bound = _tail_bound(policy.max_terms + shift, a, b)
+            raise PrecisionError(
+                f"lattice sum did not reach tol={policy.target_tol:g} within "
+                f"{policy.max_terms} terms (achieved bound {bound:g})",
+                achieved=bound,
+            )
+        n += 1
+    return n
+
+
+def _lattice_rows(nu: np.ndarray, tau: complex, n: np.ndarray) -> np.ndarray:
+    """sum_n exp(i*pi*tau*n^2 + 2*i*pi*nu*n) over the lattice points ``n``, per entry of ``nu``.
+
+    Each row sums in the order of a 1-D sum over ``n``, so a row's value
+    does not depend on which other rows share the array.
+    """
+    expo = 1j * math.pi * tau * n * n + 2j * math.pi * nu[:, None] * n
+    return np.exp(expo).sum(axis=1)
+
+
+BLOCK_TERMS = 1 << 15  # lattice terms (rows x points) summed in one array
+
+
+def row_blocks(keys, width):
+    """(key, row indices) for the rows sharing each key, in first-seen order.
+
+    Rows of one key are cut into blocks of at most BLOCK_TERMS // width(key)
+    rows (at least one), so no array holds more than one block's terms.
+    """
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for key, rows in groups.items():
+        step = max(1, BLOCK_TERMS // width(key))
+        for lo in range(0, len(rows), step):
+            yield key, rows[lo:lo + step]
 
 
 def theta3(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
@@ -112,8 +165,23 @@ def theta3(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> 
     nu = complex(nu)
     n_max = _truncation_order(nu, tau, policy)
     n = np.arange(-n_max, n_max + 1, dtype=float)
-    expo = 1j * math.pi * tau * n * n + 2j * math.pi * nu * n
-    return complex(np.exp(expo).sum())
+    return complex(_lattice_rows(np.array([nu]), tau, n)[0])
+
+
+def theta3_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """:func:`theta3` at every entry of ``nu``, bit for bit.
+
+    Entries are grouped by truncation order and each group is summed as
+    one (rows x lattice points) array.
+    """
+    tau = _check_tau(tau)
+    nu = np.array(nu, dtype=complex).ravel()
+    orders = [_truncation_order(v, tau, policy) for v in nu.tolist()]
+    out = np.empty(nu.size, dtype=complex)
+    for n_max, rows in row_blocks(orders, lambda n_max: 2 * n_max + 1):
+        n = np.arange(-n_max, n_max + 1, dtype=float)
+        out[rows] = _lattice_rows(nu[rows], tau, n)
+    return out
 
 
 def theta2_series(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
@@ -125,8 +193,7 @@ def theta2_series(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLI
     nu = complex(nu)
     n_max = _truncation_order(nu, tau, policy, shift=0.5)
     n = np.arange(-n_max, n_max, dtype=float) + 0.5
-    expo = 1j * math.pi * tau * n * n + 2j * math.pi * nu * n
-    return complex(np.exp(expo).sum())
+    return complex(_lattice_rows(np.array([nu]), tau, n)[0])
 
 
 def theta2(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
@@ -135,6 +202,19 @@ def theta2(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> 
     nu = complex(nu)
     prefactor = cmath.exp(1j * math.pi * (tau / 4.0 + nu))
     return prefactor * theta3(nu + tau / 2.0, tau, policy)
+
+
+def theta2_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """:func:`theta2` at every entry of ``nu``, bit for bit.
+
+    The shifted Theta3 sums go through :func:`theta3_many`; each prefactor
+    and product is taken in Python complex arithmetic, as in :func:`theta2`.
+    """
+    tau = _check_tau(tau)
+    nu = [complex(v) for v in np.ravel(nu)]
+    t3 = theta3_many([v + tau / 2.0 for v in nu], tau, policy).tolist()
+    return np.array([cmath.exp(1j * math.pi * (tau / 4.0 + v)) * t for v, t in zip(nu, t3)],
+                    dtype=complex)
 
 
 def theta3_modular(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:

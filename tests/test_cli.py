@@ -1,16 +1,20 @@
 """Command-line interface: parsing, commands, determinism, round-trips."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import struct
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mobiuscs import cli
+from mobiuscs import cli, states
 
 
 def run_cli(args, capsys):
@@ -52,6 +56,62 @@ class TestParsing:
         assert axes[0][0] == "phi"
         assert len(axes[0][1]) == 5
         assert axes[1][1][-1] == pytest.approx(0.9)
+
+
+def mp_occupation(center, s, levels):
+    """|<j|xi>|^2/<xi|xi> at each level, from 30-digit lattice sums over |j - l'| <= 40."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    c = mp.mpf(center)
+    lo = math.floor(center - s) - 40
+    norm = mp.fsum(mp.exp(2 * c * (k + s) - (k + s) ** 2) for k in range(lo, lo + 82))
+    return [float(mp.exp(2 * c * j - mp.mpf(j) ** 2) / norm) for j in levels]
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+# value columns of each state sweep target
+STATE_KEYS = {"expect-j": ("expect_j",), "expect-u": ("expect_u_re", "expect_u_im"),
+              "norm2": ("norm2",), "gaussian-supnorm": ("supnorm",)}
+
+
+def sweep_against_scalar_route(target, grid, flags=(), fmt="csv"):
+    """Run a state sweep; check every row, bit for bit, against cli._sweep_eval.
+
+    A row the scalar route fails must carry its error text and no values.
+    Returns the parsed rows.
+    """
+    argv = ["sweep", target, "--grid", grid, *flags, "--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    rows = json.loads(out.getvalue())["rows"] if fmt == "json" else csv_rows(out.getvalue())
+    args = cli.build_parser().parse_args(argv)
+    axes = cli.parse_grid(grid)
+    assert len(rows) == math.prod(len(values) for _, values in axes)
+    failed = False
+    for row in rows:
+        params = {"l": args.l, "phi": args.phi, "r": args.r, "s": args.s}
+        params.update({name: float(row[name]) for name, _ in axes})
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = cli._sweep_eval(target, params)
+            cli._require_finite([expected])
+            error = ""
+        except Exception as exc:
+            expected, error = {}, f"{type(exc).__name__}: {exc}"
+        assert row["error"] == error, params
+        for key in STATE_KEYS[target]:
+            if error:
+                assert row.get(key, "") == ""
+            else:
+                assert bits(float(row[key])) == bits(expected[key]), (key, params)
+        failed = failed or bool(error)
+    assert code == (1 if failed else 0)
+    return rows
 
 
 class TestCommands:
@@ -139,6 +199,10 @@ class TestCommands:
         ["cs", "expect-u", "--l", "40"],
         ["cs", "coeffs", "--l", "40"],
         ["cs", "overlap", "--l", "30", "--l2", "30"],
+        # 2*pi*|Im nu| > 709.8: exp() of the term ratio would leave double range
+        ["theta", "--l", "400"],
+        ["cs", "expect-u", "--l", "400"],
+        ["cs", "norm2", "--l", "400"],
     ])
     def test_non_finite_result_exit_code(self, capsys, argv):
         # the precision failure is the only report: no numpy warning ahead of it
@@ -149,6 +213,26 @@ class TestCommands:
         assert out == ""
         assert err.startswith("precision failure:")
 
+
+    @pytest.mark.parametrize("argv", [
+        ["cs", "expect-j", "--phi", "nan"],
+        ["cs", "expect-u", "--phi", "nan"],
+        ["cs", "norm2", "--phi", "nan"],
+        ["theta", "--phi", "nan"],
+    ])
+    def test_non_finite_phi_exit_code(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: label phi must be finite\n"
+
+    def test_distribution_in_norm_overflow_band(self, capsys):
+        # the direct norm overflows at l' = 26.636 while every weight is finite
+        code, out, _ = run_cli(["cs", "distribution", "--l", "26.636", "--r", "0"], capsys)
+        assert code == 0
+        rows = csv_rows(out)
+        law = mp_occupation(26.636, 0.0, [float(row["j"]) for row in rows])
+        assert max(abs(float(row["probability"]) - p) for row, p in zip(rows, law)) <= 1e-10
 
     @pytest.mark.parametrize("flags", [
         ["--theta", "nan"], ["--phi", "nan"], ["--theta", "inf"], ["--delta", "inf"],
@@ -205,6 +289,45 @@ class TestSweep:
         assert rows[2]["norm2"] == ""
         assert rows[2]["error"].startswith("PrecisionError:")
         assert "inf" not in out and "nan" not in out
+
+    @pytest.mark.parametrize("target", STATE_KEYS)
+    @settings(max_examples=40, deadline=None)
+    @given(l_range=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+           n_l=st.integers(1, 6),
+           phi_range=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+           n_phi=st.integers(1, 4),
+           r=st.floats(0.0, 0.95),
+           s=st.sampled_from(["int", "half"]))
+    def test_batched_rows_match_scalar_route(self, target, l_range, n_l, phi_range, n_phi, r, s):
+        grid = (f"l={l_range[0]!r}:{l_range[1]!r}:{n_l},"
+                f"phi={phi_range[0]!r}:{phi_range[1]!r}:{n_phi}")
+        sweep_against_scalar_route(target, grid, ["--r", repr(r), "--s", s])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("target", STATE_KEYS)
+    @pytest.mark.parametrize("grid,flags", [
+        ("r=0:1.2:7", ["--l", "0.3", "--phi", "1.1"]),          # r axis; r >= 1 rows fail
+        ("s=0:0.5:3", ["--l", "-2", "--phi", "pi"]),            # s axis; s = 1/4 fails
+        ("l=-30:30:13", ["--phi", "pi", "--s", "half"]),        # one axis
+        ("l=-30:30:5,phi=0:4pi:4,r=0:0.9:3", []),               # three axes
+        ("l=-3:3:4,s=0:0.5:2,l=5:6:2", []),                     # a repeated axis
+        ("l=0:1:0", []),                                        # empty grid
+        ("l=-3:3:5", ["--r", "1.5"]),                           # invalid --r
+        ("l=-3:3:5", ["--phi", "nan"]),                         # non-finite phi
+    ])
+    def test_fixed_grids_match_scalar_route(self, target, grid, flags, fmt):
+        sweep_against_scalar_route(target, grid, flags, fmt)
+
+    def test_supnorm_in_norm_overflow_band(self):
+        rows = sweep_against_scalar_route("gaussian-supnorm", "l=26.630:26.645:4", ["--r", "0"])
+        assert [bool(row["error"]) for row in rows] == [False, False, False, True]
+        assert rows[3]["error"].startswith("PrecisionError: occupation weight overflows")
+        for row in rows[:3]:
+            center = float(row["l"])
+            levels = states.level_grid(states.default_j_max(center), 0.0)
+            law = mp_occupation(center, 0.0, levels)
+            sup = max(abs(p - states.gaussian_distribution(j, center)) for j, p in zip(levels, law))
+            assert abs(float(row["supnorm"]) - sup) <= 1e-10
 
     def test_row_failures_reported(self, capsys):
         code, out, _ = run_cli(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mobiuscs.dynamics import energy_quantized
 from mobiuscs.errors import DomainError, PrecisionError
 from mobiuscs.states import (
     FockVector,
@@ -19,6 +20,7 @@ from mobiuscs.states import (
     expect_u,
     fiducial,
     gaussian_distribution,
+    gaussian_supnorm,
     level_grid,
     norm2,
     overlap,
@@ -79,6 +81,9 @@ class TestBuildCS:
             StateLabel(l=0.0, phi=0.0, r=0.5, s=0.3)
         with pytest.raises(DomainError):
             StateLabel(l=math.inf, phi=0.0, r=0.5)
+        for phi in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="label phi must be finite"):
+                StateLabel(l=0.0, phi=phi, r=0.5)
 
 
 class TestOverlap:
@@ -234,6 +239,49 @@ class TestDistribution:
                       for j in levels)
             assert sup <= 1.1e-4
 
+    # |l'| where the direct norm overflows but every weight is finite
+    BAND_CENTERS = (26.634, 26.636, 26.638, 26.6405)
+
+    @staticmethod
+    def mp_law(center, s):
+        """Occupation law and its sup-distance to the Gaussian, from 30-digit sums."""
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        c = mp.mpf(center)
+        levels = level_grid(default_j_max(center), s)
+        weights = [mp.exp(2 * c * mp.mpf(j) - mp.mpf(j) ** 2) for j in levels]
+        norm = mp.fsum(weights)
+        law = [float(w / norm) for w in weights]
+        sup = max(abs(w / norm - mp.exp(-(mp.mpf(j) - c) ** 2) / mp.sqrt(mp.pi))
+                  for j, w in zip(levels, weights))
+        return levels, law, float(sup)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_norm_overflow_band_against_mpmath(self, s):
+        in_band = 0
+        for center in self.BAND_CENTERS:
+            lab = StateLabel(l=center, phi=0.0, r=0.0, s=s)   # r = 0: l' = l
+            levels, law, sup = self.mp_law(center, s)
+            with np.errstate(over="ignore"):
+                in_band += norm2(lab, method="direct") == math.inf
+            got = [distribution(lab, float(j)) for j in levels]
+            assert max(abs(g - w) for g, w in zip(got, law)) <= 1e-10
+            assert abs(gaussian_supnorm(center, s) - sup) <= 1e-10
+        assert in_band == len(self.BAND_CENTERS)
+
+    def test_past_the_band_still_fails(self):
+        with pytest.raises(PrecisionError, match="occupation weight overflows"):
+            gaussian_supnorm(26.645, 0.0)
+
+    def test_supnorm_matches_per_level_distribution(self):
+        for center in (-7.3, 0.0, 0.42, 12.9, 26.6):
+            for s in (0.0, 0.5):
+                lab = StateLabel(l=center, phi=0.0, r=0.0, s=s)
+                levels = level_grid(default_j_max(center), s)
+                sup = max(abs(distribution(lab, j) - gaussian_distribution(j, center))
+                          for j in levels)
+                assert gaussian_supnorm(center, s) == sup
+
     def test_off_lattice_level_rejected(self):
         lab = StateLabel(l=0.0, phi=0.0, r=0.5, s=0.0)
         with pytest.raises(DomainError):
@@ -294,6 +342,13 @@ class TestEvolution:
         for t in (0.7, 13.9, 150.0):
             w = evolve(v, t, 0.5, L0=0.4)
             assert w.norm2() == pytest.approx(v.norm2(), abs=1e-14)
+
+    def test_energies_match_per_level_loop(self):
+        v = build_cs(StateLabel(l=1.7, phi=0.4, r=0.5, s=0.5))
+        for t, r, L0 in ((0.7, 0.5, 0.4), (13.9, 0.0, -1.3), (150.0, 0.93, 0.0)):
+            energies = np.array([energy_quantized(j, L0, r) for j in v.j])
+            expected = v.c * np.exp(-1j * energies * t)
+            assert evolve(v, t, r, L0=L0).c.tobytes() == expected.tobytes()
 
     def test_fidelity_diagnostic(self):
         lab = StateLabel(l=0.0, phi=math.pi, r=0.5, s=0.5)

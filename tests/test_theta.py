@@ -8,10 +8,13 @@ import pytest
 from mobiuscs.errors import DomainError, PrecisionError
 from mobiuscs.theta import (
     SeriesPolicy,
+    _truncation_order,
     theta2,
+    theta2_many,
     theta2_series,
     theta3,
     theta3_logderiv,
+    theta3_many,
     theta3_modular,
 )
 
@@ -163,6 +166,100 @@ class TestTruncation:
             loose = theta3(nu, tau, SeriesPolicy(target_tol=1e-8))
             tight = theta3(nu, tau, SeriesPolicy(target_tol=1e-15))
             assert abs(loose - tight) <= 1e-8
+
+
+def loop_truncation_order(a, b, policy, shift):
+    """The order search that the closed form replaced: scan n = 1, 2, ..."""
+    bound = math.inf
+    for n in range(1, policy.max_terms + 1):
+        m = n + shift
+        rho = math.exp(-math.pi * b * (2.0 * m + 1.0) + 2.0 * math.pi * a)
+        if rho >= 1.0:
+            continue
+        log_mag = -math.pi * b * m * m + 2.0 * math.pi * a * m
+        if log_mag > 700.0:
+            continue
+        bound = 2.0 * math.exp(log_mag) / (1.0 - rho)
+        if bound < policy.target_tol:
+            return n
+    raise PrecisionError(
+        f"lattice sum did not reach tol={policy.target_tol:g} within "
+        f"{policy.max_terms} terms (achieved bound {bound:g})",
+        achieved=bound,
+    )
+
+
+def _order_or_failure(order, *args):
+    try:
+        return order(*args)
+    except PrecisionError as exc:
+        return str(exc), repr(exc.achieved)
+
+
+class TestTruncationOrder:
+    def test_closed_form_matches_loop(self):
+        # |Im nu| past 2*pi*a = 709.8 made the loop's exp() overflow: those
+        # cases have no loop answer to match and are counted separately
+        imag_nu = (0.0, 1e-9, 0.1, 1.0, 2.5, 8.47, 20.0, 60.0, 112.0, 300.0, math.nan, math.inf)
+        imag_tau = (*np.geomspace(1e-3, 1e2, 8), 1.0 / math.pi, math.pi, math.inf)
+        policies = [SeriesPolicy(tol, cap) for tol in (1e-300, 1e-14, 1e-8, 1e-2, 0.5, 3.0)
+                    for cap in (1_000, 40)]
+        compared = overflowed = capped = 0
+        for a in imag_nu:
+            for b in imag_tau:
+                for policy in policies:
+                    for shift in (0.0, 0.5):
+                        try:
+                            expected = _order_or_failure(loop_truncation_order, a, b, policy, shift)
+                        except OverflowError:
+                            overflowed += 1
+                            continue
+                        got = _order_or_failure(_truncation_order, 1j * a, complex(0.0, b),
+                                                policy, shift)
+                        assert got == expected, (a, b, policy, shift)
+                        compared += 1
+                        capped += isinstance(expected, tuple)
+        assert compared > 1500 and capped > 200 and overflowed > 0
+
+    def test_cap_message(self):
+        policy = SeriesPolicy(target_tol=1e-14, max_terms=40)
+        with pytest.raises(PrecisionError) as info:
+            _truncation_order(0.0, 1e-3j, policy)
+        assert str(info.value) == ("lattice sum did not reach tol=1e-14 within 40 terms "
+                                   f"(achieved bound {info.value.achieved:g})")
+        assert info.value.achieved > 1e-14
+
+    @pytest.mark.parametrize("nu,achieved", [(complex(0, math.nan), "nan"), (complex(0, math.inf), "inf")])
+    def test_non_finite_argument_fails_at_the_cap(self, nu, achieved):
+        with pytest.raises(PrecisionError) as info:
+            _truncation_order(nu, TAU_NATURAL, SeriesPolicy())
+        assert str(info.value).endswith(f"within 10000 terms (achieved bound {achieved})")
+
+    def test_large_argument_sums_instead_of_overflowing(self):
+        # 2*pi*|Im nu| = 800 > 709.8: exp() of the term ratio would leave double range
+        order = _truncation_order(400j / math.pi, TAU_NATURAL, SeriesPolicy())
+        assert 800 <= order <= 810
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert theta3(400j / math.pi, TAU_NATURAL).real == math.inf
+
+
+class TestMany:
+    @pytest.mark.parametrize("tau", [TAU_NATURAL, TAU_DUAL, 0.3 + 0.8j])
+    def test_bit_identical_to_scalar(self, tau):
+        rng = np.random.default_rng(11)
+        nu = np.concatenate([1j * rng.uniform(-12.0, 12.0, 300),
+                             rng.uniform(-1.0, 1.0, 100) + 1j * rng.uniform(-3.0, 3.0, 100)])
+        # bytes, so that overflowed entries (inf and NaN parts) compare too
+        with np.errstate(over="ignore", invalid="ignore"):
+            many3, many2 = theta3_many(nu, tau), theta2_many(nu, tau)
+            scalar3 = np.array([theta3(v, tau) for v in nu])
+            scalar2 = np.array([theta2(v, tau) for v in nu])
+        assert many3.tobytes() == scalar3.tobytes()
+        assert many2.tobytes() == scalar2.tobytes()
+
+    def test_empty(self):
+        assert theta3_many([], TAU_NATURAL).shape == (0,)
+        assert theta2_many([], TAU_NATURAL).shape == (0,)
 
 
 def test_mpmath_cross_check():
