@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from . import dynamics, geometry, projection, report, states, theta
+from . import dynamics, projection, report, states, theta
 from .errors import DomainError, PrecisionError
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
@@ -389,22 +389,27 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
 
 
 STATE_TARGETS = ("expect-j", "expect-u", "norm2", "gaussian-supnorm")
+BATCHED_TARGETS = STATE_TARGETS[:3]  # their states routes also take a LabelBatch
 SWEEP_TARGETS = (*STATE_TARGETS, "energy", "projector")
+
+
+def _state_values(target: str, label) -> dict:
+    """A state target's values at a StateLabel, or their arrays at a LabelBatch."""
+    if target == "expect-j":
+        return {"expect_j": states.expect_j(label, method="ratio")}
+    if target == "expect-u":
+        val = states.expect_u(label, method="theta")
+        return {"expect_u_re": val.real, "expect_u_im": val.imag}
+    if target == "norm2":
+        return {"norm2": states.norm2(label, method="theta")}
+    return {"supnorm": states.gaussian_supnorm(label.center, label.s)}
 
 
 def _sweep_eval(target: str, params: dict) -> dict:
     """One sweep point through the scalar routes."""
     if target in STATE_TARGETS:
-        label = states.StateLabel(l=params["l"], phi=params["phi"],
-                                  r=params["r"], s=params["s"])
-        if target == "expect-j":
-            return {"expect_j": states.expect_j(label, method="ratio")}
-        if target == "expect-u":
-            val = states.expect_u(label, method="theta")
-            return {"expect_u_re": val.real, "expect_u_im": val.imag}
-        if target == "norm2":
-            return {"norm2": states.norm2(label, method="theta")}
-        return {"supnorm": states.gaussian_supnorm(label.center, label.s)}
+        return _state_values(target, states.StateLabel(l=params["l"], phi=params["phi"],
+                                                       r=params["r"], s=params["s"]))
     if target == "energy":
         entry = dynamics.energy_spectrum(params["j"], params["L0"],
                                          params["phi"], params["r"])
@@ -425,48 +430,29 @@ def _grid_columns(axes: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
     return {name: grid.ravel() for (name, _), grid in zip(axes, mesh)}
 
 
-def _sweep_states(target: str, labels: dict, values: dict, errors: list) -> list[int]:
-    """Evaluate a state target column-wise at the points with valid labels.
+def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> list[int]:
+    """Evaluate a batched state target at every row whose label is valid.
 
     ``labels`` holds the l, phi, r and s columns.  Values go into
     ``values`` (created on a row's first success) and non-finite rows get
     _require_finite's error text.  Returns the rows left for the scalar
     route: invalid labels, so that they fail with StateLabel's own message,
-    and every row of a sector whose batch raised.
+    and every row of a batch that raised.
     """
-    l, phi, r, s = (labels[k] for k in ("l", "phi", "r", "s"))
-    valid = np.isfinite(l) & np.isfinite(phi) & (r >= 0.0) & (r < 1.0)
-    scalar_rows = np.flatnonzero(~(valid & ((s == 0.0) | (s == 0.5)))).tolist()
-    n = len(l)
-    for sector in (0.0, 0.5):
-        rows = np.flatnonzero(valid & (s == sector)).tolist()
-        if not rows:
-            continue
-        # centers in math, as StateLabel.center computes them
-        centers = [geometry.label_center(*point) for point in
-                   zip(l[rows].tolist(), phi[rows].tolist(), r[rows].tolist())]
+    batches, scalar_rows = states.label_batches(*labels)
+    for rows, batch in batches:
         try:
-            if target == "expect-j":
-                result = {"expect_j": states.expect_j_many(centers, sector).tolist()}
-            elif target == "expect-u":
-                u = states.expect_u_many(centers, phi[rows].tolist(), sector)
-                result = {"expect_u_re": [z.real for z in u], "expect_u_im": [z.imag for z in u]}
-            elif target == "norm2":
-                result = {"norm2": states.norm2_many(centers, sector).tolist()}
-            else:
-                result = _supnorm_rows(centers, sector, rows, errors)
+            result = {key: col.tolist() for key, col in _state_values(target, batch).items()}
         except (PrecisionError, ArithmeticError, MemoryError, ValueError):
             scalar_rows.extend(rows)  # the scalar route names each failing row's error
             continue
         for k, i in enumerate(rows):
-            if errors[i]:
-                continue
             bad = next((key for key, col in result.items() if not math.isfinite(col[k])), None)
             if bad is not None:
                 errors[i] = f"PrecisionError: {bad} is not finite"
                 continue
             for key, col in result.items():
-                _value_column(values, key, n)[i] = col[k]
+                _value_column(values, key, len(errors))[i] = col[k]
     return scalar_rows
 
 
@@ -475,18 +461,6 @@ def _value_column(values: dict, key: str, n: int) -> list:
     if key not in values:
         values[key] = [""] * n
     return values[key]
-
-
-def _supnorm_rows(centers: list, s: float, rows: list, errors: list) -> dict:
-    """gaussian-supnorm per point; a point that raises gets its error cell."""
-    sup = []
-    for center, i in zip(centers, rows):
-        try:
-            sup.append(states.gaussian_supnorm(center, s))
-        except Exception as exc:  # per-row failure is recorded, not fatal
-            errors[i] = f"{type(exc).__name__}: {exc}"
-            sup.append(math.nan)
-    return {"supnorm": sup}
 
 
 def cmd_sweep(args) -> int:
@@ -500,14 +474,14 @@ def cmd_sweep(args) -> int:
     values: dict[str, list] = {}
     errors = [""] * n_points
     scalar_rows = range(n_points)
-    if args.target in STATE_TARGETS:
+    if args.target in BATCHED_TARGETS:
         try:
-            labels = {k: columns[k] if k in columns else np.full(n_points, float(base[k]))
-                      for k in ("l", "phi", "r", "s")}
+            labels = [columns[k].tolist() if k in columns else [float(base[k])] * n_points
+                      for k in ("l", "phi", "r", "s")]
         except (TypeError, ValueError, OverflowError):
             pass  # a non-numeric label from a config file: every row fails on its own
         else:
-            scalar_rows = _sweep_states(args.target, labels, values, errors)
+            scalar_rows = _sweep_batches(args.target, labels, values, errors)
     for i in scalar_rows:
         params = dict(base)
         params.update({name: col[i] for name, col in columns.items()})

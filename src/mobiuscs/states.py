@@ -51,6 +51,8 @@ from .theta import (
 
 __all__ = [
     "StateLabel",
+    "LabelBatch",
+    "label_batches",
     "FockVector",
     "default_j_max",
     "level_grid",
@@ -58,11 +60,8 @@ __all__ = [
     "fiducial",
     "overlap",
     "norm2",
-    "norm2_many",
     "expect_j",
-    "expect_j_many",
     "expect_u",
-    "expect_u_many",
     "distribution",
     "gaussian_distribution",
     "gaussian_supnorm",
@@ -87,16 +86,7 @@ class StateLabel:
     z_sign: int = +1
 
     def __post_init__(self):
-        if not (0.0 <= self.r < 1.0):
-            raise DomainError(f"need 0 <= r < 1, got r={self.r}")
-        if self.s not in (0.0, 0.5):
-            raise DomainError(f"basis offset s must be 0 or 0.5, got {self.s}")
-        if self.z_sign not in (+1, -1):
-            raise DomainError(f"z_sign must be +1 or -1, got {self.z_sign}")
-        if not math.isfinite(self.l):
-            raise DomainError("label l must be finite")
-        if not math.isfinite(self.phi):
-            raise DomainError("label phi must be finite")
+        _check_label(self.l, self.phi, self.r, self.s, self.z_sign)
 
     @property
     def xi(self) -> complex:
@@ -106,6 +96,63 @@ class StateLabel:
     def center(self) -> float:
         """Gaussian center l' = -log|xi| of the coefficient profile."""
         return label_center(self.l, self.phi, self.r, self.z_sign)
+
+
+def _check_label(l: float, phi: float, r: float, s: float, z_sign: int) -> None:
+    """Raise DomainError unless StateLabel(l, phi, r, s, z_sign) is a valid label."""
+    if not (0.0 <= r < 1.0):
+        raise DomainError(f"need 0 <= r < 1, got r={r}")
+    if s not in (0.0, 0.5):
+        raise DomainError(f"basis offset s must be 0 or 0.5, got {s}")
+    if z_sign not in (+1, -1):
+        raise DomainError(f"z_sign must be +1 or -1, got {z_sign}")
+    if not math.isfinite(l):
+        raise DomainError("label l must be finite")
+    if not math.isfinite(phi):
+        raise DomainError("label phi must be finite")
+
+
+@dataclass(frozen=True)
+class LabelBatch:
+    """Many labels of one basis offset s, held as the columns the batched routes read.
+
+    ``norm2(batch, method="theta")``, ``expect_j(batch, method="ratio")`` and
+    ``expect_u(batch, method="theta")`` return one value per label, each
+    bit for bit the value of the same route at that StateLabel.
+    """
+
+    centers: list[float]
+    phis: list[float]
+    s: float
+
+
+def label_batches(l, phi, r, s, z_sign: int = +1) -> tuple[list, list[int]]:
+    """Split label columns (sequences of floats) into one LabelBatch per basis offset.
+
+    Returns ``([(rows, batch), ...], rejected)``.  A row goes into a batch
+    if StateLabel accepts its label, and its center is taken as
+    StateLabel.center takes it; ``rejected`` lists the other rows.
+    """
+    sectors = {0.0: ([], [], []), 0.5: ([], [], [])}
+    rejected = []
+    for i, (li, phi_i, ri, si) in enumerate(zip(l, phi, r, s)):
+        try:
+            _check_label(li, phi_i, ri, si, z_sign)
+        except DomainError:
+            rejected.append(i)
+            continue
+        rows, centers, phis = sectors[0.0 if si == 0.0 else 0.5]
+        rows.append(i)
+        centers.append(label_center(li, phi_i, ri, z_sign))
+        phis.append(phi_i)
+    batches = [(rows, LabelBatch(centers, phis, offset))
+               for offset, (rows, centers, phis) in sectors.items() if rows]
+    return batches, rejected
+
+
+def _batched_method(fn: str, method: str, batched: str) -> None:
+    if method != batched:
+        raise ValueError(f"{fn} takes a LabelBatch with method={batched!r} only, got {method!r}")
 
 
 @dataclass(frozen=True)
@@ -219,14 +266,21 @@ def overlap(a: StateLabel, b: StateLabel, method: str = "theta",
     raise ValueError(f"unknown method {method!r}")
 
 
-def norm2(label: StateLabel, method: str = "direct",
-          policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def norm2(label: StateLabel | LabelBatch, method: str = "direct",
+          policy: SeriesPolicy = DEFAULT_POLICY) -> float | np.ndarray:
     """<xi|xi>; depends on (l, phi) only through the center l'.
 
     method="direct"   truncated lattice sum sum_j exp(2*l'*j - j^2);
     method="theta"    Theta_{3|2}(i*l'/pi | i/pi);
     method="modular"  exp(l'^2)*sqrt(pi)*Theta_3(l' (+1/2) | i*pi).
+
+    A LabelBatch (method="theta") gives an array, its theta sums batched.
     """
+    if isinstance(label, LabelBatch):
+        _batched_method("norm2", method, "theta")
+        nu = [1j * c / math.pi for c in label.centers]
+        many = theta3_many if label.s == 0.0 else theta2_many
+        return many(nu, TAU_NATURAL, policy).real
     center = label.center
     if method == "direct":
         return _direct_norm2(center, label.s)
@@ -247,15 +301,8 @@ def _direct_norm2(center: float, s: float) -> float:
     return float(np.exp(2.0 * center * j - j * j).sum())
 
 
-def norm2_many(centers, s: float, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """norm2(method="theta") at many centers of one sector s, bit for bit."""
-    nu = [1j * c / math.pi for c in centers]
-    th = theta3_many(nu, TAU_NATURAL, policy) if s == 0.0 else theta2_many(nu, TAU_NATURAL, policy)
-    return th.real
-
-
-def expect_j(label: StateLabel, method: str = "ratio",
-             policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def expect_j(label: StateLabel | LabelBatch, method: str = "ratio",
+             policy: SeriesPolicy = DEFAULT_POLICY) -> float | np.ndarray:
     """<J> in the coherent state, by one of three independent routes.
 
     method="ratio"   direct ratio sum_j j*w_j / sum_j w_j, w_j = exp(2*l'*j - j^2);
@@ -266,7 +313,20 @@ def expect_j(label: StateLabel, method: str = "ratio",
 
     (upper signs: s = 0; lower signs: s = 1/2).  The correction vanishes for
     l' in (1/2)Z, where <J> = l' exactly.
+
+    A LabelBatch (method="ratio") gives an array: labels that share a level
+    grid are summed as one (labels x levels) array.
     """
+    if isinstance(label, LabelBatch):
+        _batched_method("expect_j", method, "ratio")
+        centers = np.array(label.centers, dtype=float)
+        out = np.empty(centers.size)
+        j_maxes = [default_j_max(c) for c in label.centers]
+        for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
+            j = level_grid(j_max, label.s)
+            w = np.exp(2.0 * centers[rows, None] * j - j * j)
+            out[rows] = (j * w).sum(axis=1) / w.sum(axis=1)
+        return out
     center = label.center
     if method == "ratio":
         j = level_grid(default_j_max(center), label.s)
@@ -291,29 +351,26 @@ def expect_j(label: StateLabel, method: str = "ratio",
     raise ValueError(f"unknown method {method!r}")
 
 
-def expect_j_many(centers, s: float) -> np.ndarray:
-    """expect_j(method="ratio") at many centers of one sector s, bit for bit.
-
-    Centers sharing a level grid are summed as one (rows x levels) array.
-    """
-    centers = np.array(centers, dtype=float)
-    out = np.empty(centers.size)
-    j_maxes = [default_j_max(c) for c in centers.tolist()]
-    for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
-        j = level_grid(j_max, s)
-        w = np.exp(2.0 * centers[rows, None] * j - j * j)
-        out[rows] = (j * w).sum(axis=1) / w.sum(axis=1)
-    return out
-
-
-def expect_u(label: StateLabel, method: str = "theta",
-             policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
+def expect_u(label: StateLabel | LabelBatch, method: str = "theta",
+             policy: SeriesPolicy = DEFAULT_POLICY) -> complex | np.ndarray:
     """<U>/<xi|xi> for the shift U|j> = |j+1>; modulus never exceeds 1.
 
     Closed form exp(-1/4)*exp(i*phi) * Theta_2/Theta_3 at nu = i*l'/pi (the
     theta roles swap in the s = 1/2 sector, where the shifted lattice is the
     integer one).
+
+    A LabelBatch (method="theta") gives an array: the theta sums are
+    batched, the ratio and the phase are taken per label in Python complex
+    arithmetic, as for one label.
     """
+    if isinstance(label, LabelBatch):
+        _batched_method("expect_u", method, "theta")
+        nu = [1j * c / math.pi for c in label.centers]
+        t2 = theta2_many(nu, TAU_NATURAL, policy).tolist()
+        t3 = theta3_many(nu, TAU_NATURAL, policy).tolist()
+        scale = math.exp(-0.25)
+        return np.array([scale * cmath.exp(1j * phi) * (a / b if label.s == 0.0 else b / a)
+                         for a, b, phi in zip(t2, t3, label.phis)], dtype=complex)
     if method == "direct":
         v = build_cs(label)
         num = complex(np.vdot(v.c[1:], v.c[:-1]))
@@ -325,21 +382,6 @@ def expect_u(label: StateLabel, method: str = "theta",
         ratio = t2 / t3 if label.s == 0.0 else t3 / t2
         return math.exp(-0.25) * cmath.exp(1j * label.phi) * ratio
     raise ValueError(f"unknown method {method!r}")
-
-
-def expect_u_many(centers, phis, s: float,
-                  policy: SeriesPolicy = DEFAULT_POLICY) -> list[complex]:
-    """expect_u(method="theta") at many labels of one sector s, bit for bit.
-
-    The theta sums are batched; the ratio and the phase are taken per label
-    in Python complex arithmetic, as in :func:`expect_u`.
-    """
-    nu = [1j * c / math.pi for c in centers]
-    t2 = theta2_many(nu, TAU_NATURAL, policy).tolist()
-    t3 = theta3_many(nu, TAU_NATURAL, policy).tolist()
-    scale = math.exp(-0.25)
-    return [scale * cmath.exp(1j * phi) * (a / b if s == 0.0 else b / a)
-            for a, b, phi in zip(t2, t3, phis)]
 
 
 def _occupation(center: float, s: float, j: float, norm: float) -> float:

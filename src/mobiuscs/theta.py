@@ -111,11 +111,10 @@ def _truncation_order(nu: complex, tau: complex, policy: SeriesPolicy, shift: fl
     b = tau.imag
     a = abs(complex(nu).imag)
     tol = policy.target_tol
-    log_ratio = math.log(2.0 / tol)
     n = 1
-    if log_ratio > 0.0:  # else the bound need not decrease in m: step from 1
+    if tol < 2.0:  # else the bound need not decrease in m: step from 1
         peak = a / b
-        root = peak + math.sqrt(peak * peak + log_ratio / (math.pi * b)) - shift
+        root = peak + math.sqrt(peak * peak + math.log(2.0 / tol) / (math.pi * b)) - shift
         n = max(1, math.ceil(root)) if root < policy.max_terms else policy.max_terms
     while n > 1 and _tail_bound(n - 1 + shift, a, b) < tol:
         n -= 1

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mobiuscs.dynamics import energy_quantized
 from mobiuscs.errors import DomainError, PrecisionError
 from mobiuscs.states import (
     FockVector,
+    LabelBatch,
     StateLabel,
     bargmann_coeff,
     build_cs,
@@ -21,6 +23,7 @@ from mobiuscs.states import (
     fiducial,
     gaussian_distribution,
     gaussian_supnorm,
+    label_batches,
     level_grid,
     norm2,
     overlap,
@@ -84,6 +87,72 @@ class TestBuildCS:
         for phi in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="label phi must be finite"):
                 StateLabel(l=0.0, phi=phi, r=0.5)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+class TestLabelBatch:
+    # every kind of label StateLabel refuses, between valid ones of both sectors
+    COLUMNS = [
+        (0.3, 1.1, 0.5, 0.0), (-2.0, math.pi, 0.0, 0.5), (1.0, 0.0, 1.0, 0.0),
+        (1.0, 0.0, -0.1, 0.5), (1.0, 0.0, math.nan, 0.0), (1.0, 0.0, 0.5, 0.25),
+        (math.nan, 0.0, 0.5, 0.0), (-math.inf, 0.0, 0.5, 0.5), (0.0, math.nan, 0.5, 0.0),
+        (0.0, math.inf, 0.5, 0.5), (27.0, 0.4, 0.9, 0.5), (-0.0, -5.0, 0.2, -0.0),
+        (40.0, 2.0, 0.5, 0.0),
+    ]
+
+    @staticmethod
+    def scalar(point, z_sign=+1):
+        try:
+            return StateLabel(*point, z_sign=z_sign)
+        except DomainError:
+            return None
+
+    @pytest.mark.parametrize("z_sign", [+1, -1])
+    def test_rows_and_centers_match_state_label(self, z_sign):
+        batches, rejected = label_batches(*zip(*self.COLUMNS), z_sign=z_sign)
+        labels = [self.scalar(point, z_sign) for point in self.COLUMNS]
+        assert rejected == [i for i, lab in enumerate(labels) if lab is None]
+        assert [batch.s for _, batch in batches] == [0.0, 0.5]
+        for rows, batch in batches:
+            assert all(labels[i].s == batch.s for i in rows)
+            assert batch.phis == [labels[i].phi for i in rows]
+            assert [bits(c) for c in batch.centers] == [bits(labels[i].center) for i in rows]
+        assert sorted(rejected + [i for rows, _ in batches for i in rows]) == list(
+            range(len(self.COLUMNS)))
+
+    def test_invalid_z_sign_rejects_every_row(self):
+        assert label_batches([0.0], [0.0], [0.5], [0.0], z_sign=0) == ([], [0])
+
+    def test_routes_match_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        points = list(zip(rng.uniform(-40, 40, 300), rng.uniform(-20, 20, 300),
+                          rng.uniform(0, 0.95, 300), rng.choice([0.0, 0.5], 300)))
+        points = [tuple(float(x) for x in p) for p in points]
+        batches, rejected = label_batches(*zip(*points))
+        assert rejected == []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, batch in batches:
+                labels = [StateLabel(*points[i]) for i in rows]
+                for fn, method in ((norm2, "theta"), (expect_j, "ratio"), (expect_u, "theta")):
+                    many = fn(batch, method=method)
+                    assert many.shape == (len(rows),)
+                    for value, lab in zip(many.tolist(), labels):
+                        expected = fn(lab, method=method)
+                        if isinstance(expected, complex):
+                            assert (bits(value.real), bits(value.imag)) == (
+                                bits(expected.real), bits(expected.imag))
+                        else:
+                            assert bits(value) == bits(expected)
+
+    @pytest.mark.parametrize("fn,method", [(norm2, "direct"), (norm2, "modular"),
+                                           (expect_j, "theta"), (expect_u, "direct")])
+    def test_unbatched_method_is_refused(self, fn, method):
+        batch = LabelBatch(centers=[0.1], phis=[0.0], s=0.0)
+        with pytest.raises(ValueError, match="takes a LabelBatch with method="):
+            fn(batch, method=method)
 
 
 class TestOverlap:

@@ -202,7 +202,8 @@ class TestTruncationOrder:
         # cases have no loop answer to match and are counted separately
         imag_nu = (0.0, 1e-9, 0.1, 1.0, 2.5, 8.47, 20.0, 60.0, 112.0, 300.0, math.nan, math.inf)
         imag_tau = (*np.geomspace(1e-3, 1e2, 8), 1.0 / math.pi, math.pi, math.inf)
-        policies = [SeriesPolicy(tol, cap) for tol in (1e-300, 1e-14, 1e-8, 1e-2, 0.5, 3.0)
+        policies = [SeriesPolicy(tol, cap)
+                    for tol in (1e-300, 1e-14, 1e-8, 1e-2, 0.5, 1.999999999, 2.0, 3.0, math.inf)
                     for cap in (1_000, 40)]
         compared = overflowed = capped = 0
         for a in imag_nu:
