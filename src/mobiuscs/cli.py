@@ -27,6 +27,7 @@ import argparse
 import cmath
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -137,18 +138,33 @@ CHUNK_ROWS = 4096  # CSV rows formatted and written per write call
 _FLOAT_SLOT = "%.17g"  # fmt's format for a float, as a %-operator slot
 
 
-def _is_float_column(values) -> bool:
+def _float_kind(values) -> str | None:
+    """The column's kind: "float" (floats only), "blank" (floats and "" cells) or None."""
     if isinstance(values, np.ndarray):
-        return values.dtype.kind == "f"
-    return all(isinstance(v, float) for v in values)
+        return "float" if values.dtype.kind == "f" else None
+    if all(isinstance(v, float) for v in values):
+        return "float"
+    if all(isinstance(v, float) or v == "" for v in values):
+        return "blank"
+    return None
+
+
+def _template_cells(col, kind: str | None, lo: int, hi: int) -> list[str]:
+    """The cells of col[lo:hi]: a %.17g slot per float, fmt's text (% doubled) otherwise."""
+    if kind == "float":
+        return [_FLOAT_SLOT] * (hi - lo)
+    if kind == "blank":
+        return [_FLOAT_SLOT if isinstance(v, float) else "" for v in col[lo:hi]]
+    return [fmt(v).replace("%", "%%") for v in col[lo:hi]]
 
 
 def _write_csv(columns: dict, fh) -> None:
     """Header and rows, CHUNK_ROWS at a time; nothing at all for an empty table.
 
     csv lays out and quotes the cells of every column that is not all
-    floats, while each float cell is left as a %.17g slot; one % per chunk
-    then fills the slots in row order, which gives fmt's text for each.
+    floats and blanks, while each float cell is left as a %.17g slot and
+    each blank as an empty cell; one % per chunk then fills the slots in
+    row order, which gives fmt's text for each.
     """
     cols = list(columns.values())
     n_rows = len(cols[0]) if cols else 0
@@ -158,23 +174,24 @@ def _write_csv(columns: dict, fh) -> None:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     fh.write(buffer.getvalue())
-    is_float = [_is_float_column(col) for col in cols]
-    float_cols = [col for col, flt in zip(cols, is_float) if flt]
+    kinds = [_float_kind(col) for col in cols]
+    float_cols = [col for col, kind in zip(cols, kinds) if kind]
     all_slots = ",".join([_FLOAT_SLOT] * len(cols)) + "\n"
     for lo in range(0, n_rows, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n_rows)
-        if all(is_float):
+        if all(kind == "float" for kind in kinds):
             template = all_slots * (hi - lo)
         else:
             buffer.seek(0)
             buffer.truncate()
-            writer.writerows(zip(*(
-                [_FLOAT_SLOT] * (hi - lo) if flt
-                else [fmt(v).replace("%", "%%") for v in col[lo:hi]]
-                for col, flt in zip(cols, is_float))))
+            writer.writerows(zip(*(_template_cells(col, kind, lo, hi)
+                                   for col, kind in zip(cols, kinds))))
             template = buffer.getvalue()
-        values = (np.column_stack([col[lo:hi] for col in float_cols]).ravel().tolist()
-                  if float_cols else [])
+        chunks = [col[lo:hi] for col in float_cols]
+        if "blank" in kinds:
+            values = [v for row in zip(*chunks) for v in row if isinstance(v, float)]
+        else:
+            values = np.column_stack(chunks).ravel().tolist() if chunks else []
         fh.write(template % tuple(values))
 
 
@@ -277,12 +294,13 @@ def cmd_cs(args) -> int:
     elif args.action == "distribution":
         if args.j is not None:
             levels = [args.j]
+            law = [states.distribution(label, args.j)]  # checks that j is in Z + s
         else:
             levels = states.level_grid(states.default_j_max(label.center), label.s)
-        rows = [{"j": jj,
-                 "probability": states.distribution(label, jj),
+            law = states.occupation_law(label.center, label.s, levels)
+        rows = [{"j": jj, "probability": p,
                  "gaussian": states.gaussian_distribution(jj, label.center)}
-                for jj in levels]
+                for jj, p in zip(levels, law)]
         for row in rows:
             row["deviation"] = abs(row["probability"] - row["gaussian"])
     elif args.action == "overlap":
@@ -547,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="theta engine values at a label")
     _add_common(p, label=True)
-    p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("cs", help="coherent-state quantities")
     p.add_argument("action", choices=(
@@ -560,13 +577,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi2", type=parse_angle, default=0.0, help="second label angle")
     p.add_argument("--t", type=float, default=1.0, help="evolution time (fidelity)")
     p.add_argument("--L0", type=float, default=0.0)
-    p.set_defaults(func=cmd_cs)
 
     p = sub.add_parser("spectrum", help="level energies")
     _add_common(p, label=True)
     p.add_argument("--j-max", dest="j_max", type=float, default=3.0)
     p.add_argument("--L0", type=float, default=0.0)
-    p.set_defaults(func=cmd_spectrum, phi=math.pi)
+    p.set_defaults(phi=math.pi)
 
     p = sub.add_parser("dynamics", help="integrate a strip trajectory")
     _add_common(p, label=True)
@@ -576,20 +592,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-6, help="energy-drift acceptance")
-    p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("project", help="universal constraint-window projector")
     _add_common(p)
     p.add_argument("--theta", type=parse_angle, required=False, default=0.0)
     p.add_argument("--phi", type=parse_angle, default=0.0)
     p.add_argument("--delta", type=float, default=0.1)
-    p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("verify", help="identity-verification suites")
     _add_common(p)
     p.add_argument("--suite", default="all",
                    choices=("theta", "states", "dynamics", "projection", "all"))
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="Cartesian parameter sweep")
     p.add_argument("target", choices=SWEEP_TARGETS)
@@ -603,19 +616,28 @@ def build_parser() -> argparse.ArgumentParser:
     # kept so existing command lines and artifacts still parse and re-run
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: sweeps run serially")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("run", help="re-run from a config or JSON artifact")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_run)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main() call shares, built on the first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line with the shared parser.
+
+    The command runs as the cmd_<command> bound in this module at call
+    time, so a rebinding made after the parser was built takes effect.
+    """
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command != "run":
@@ -627,7 +649,7 @@ def main(argv=None) -> int:
         # an overflowed lattice sum is caught as a non-finite result and
         # reported as a precision failure; numpy's warning would only precede it
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return globals()[f"cmd_{args.command}"](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

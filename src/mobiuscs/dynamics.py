@@ -322,13 +322,6 @@ class Trajectory:
     L0: float
     substeps: int
 
-    @property
-    def states(self) -> list[MobiusState]:
-        return [
-            MobiusState(p, pd, z, zd)
-            for p, pd, z, zd in zip(self.phi, self.phi_dot, self.z0, self.z0_dot)
-        ]
-
     def momentum_column(self) -> np.ndarray:
         half = 0.5 * self.phi
         c = np.cos(half)

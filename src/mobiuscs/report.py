@@ -29,7 +29,7 @@ class VerificationCheck:
 
     @property
     def passed(self) -> bool:
-        return self.max_error <= self.tolerance
+        return bool(self.max_error <= self.tolerance)
 
     def row(self) -> dict:
         return {
@@ -158,7 +158,8 @@ def suite_states() -> list[VerificationCheck]:
     for lp in np.linspace(0.0, 1.0, 11):
         lab = _label_for_center(lp, math.pi, 0.5)
         j = states.level_grid(states.default_j_max(lp), 0.0)
-        sup = max(abs(states.distribution(lab, jj) - states.gaussian_distribution(jj, lp)) for jj in j)
+        law = states.occupation_law(lab.center, lab.s, j)
+        sup = max(abs(p - states.gaussian_distribution(jj, lp)) for jj, p in zip(j, law))
         err = max(err, sup)
     checks.append(VerificationCheck(
         "occupation-gaussian", "occupation law vs limiting Gaussian, sup over levels",

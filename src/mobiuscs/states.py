@@ -62,6 +62,7 @@ __all__ = [
     "norm2",
     "expect_j",
     "expect_u",
+    "occupation_law",
     "distribution",
     "gaussian_distribution",
     "gaussian_supnorm",
@@ -398,14 +399,21 @@ def _occupation(center: float, s: float, j: float, norm: float) -> float:
     return weight / norm
 
 
+def occupation_law(center: float, s: float, levels) -> list[float]:
+    """|<j|xi>|^2 / <xi|xi> at each of ``levels`` (all in Z + s) at center l'.
+
+    The direct norm is summed once, not once per level.
+    """
+    with np.errstate(over="ignore"):  # _occupation handles an overflowed norm
+        norm = _direct_norm2(center, s)
+    return [_occupation(center, s, j, norm) for j in levels]
+
+
 def distribution(label: StateLabel, j: float) -> float:
     """Occupation probability |<j|xi>|^2 / <xi|xi> at level j in Z + s."""
     if abs(j - round(j - label.s) - label.s) > 1e-12:
         raise DomainError(f"level j={j} is not in Z + {label.s}")
-    center = label.center
-    with np.errstate(over="ignore"):  # _occupation handles an overflowed norm
-        norm = _direct_norm2(center, label.s)
-    return _occupation(center, label.s, j, norm)
+    return occupation_law(label.center, label.s, (j,))[0]
 
 
 def gaussian_distribution(j: float, center: float) -> float:
@@ -414,15 +422,10 @@ def gaussian_distribution(j: float, center: float) -> float:
 
 
 def gaussian_supnorm(center: float, s: float) -> float:
-    """max over the level grid of |distribution - gaussian_distribution| at center l'.
-
-    The direct norm is summed once, not once per level.
-    """
+    """max over the level grid of |distribution - gaussian_distribution| at center l'."""
     levels = level_grid(default_j_max(center), s)
-    with np.errstate(over="ignore"):  # _occupation handles an overflowed norm
-        norm = _direct_norm2(center, s)
-    return max(abs(_occupation(center, s, j, norm) - gaussian_distribution(j, center))
-               for j in levels)
+    return max(abs(p - gaussian_distribution(j, center))
+               for j, p in zip(levels, occupation_law(center, s, levels)))
 
 
 def quantization_scan(

@@ -1,11 +1,15 @@
 """Command-line interface: parsing, commands, determinism, round-trips."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -166,6 +170,14 @@ class TestCommands:
         assert all(r["passed"] == "true" for r in csv_rows(out))
         assert "PASS" in err
 
+    def test_verify_passed_cells_are_booleans(self, capsys):
+        _, out, _ = run_cli(["verify", "--suite", "all"], capsys)
+        _, out_json, _ = run_cli(["verify", "--suite", "all", "--format", "json"], capsys)
+        cells = [r["passed"] for r in csv_rows(out)]
+        flags = [r["passed"] for r in json.loads(out_json)["rows"]]
+        assert cells and set(cells) <= {"true", "false"}
+        assert len(flags) == len(cells) and all(type(f) is bool for f in flags)
+
     def test_quantize(self, capsys):
         code, out, _ = run_cli(
             ["cs", "quantize", "--r", "0.5", "--l", "0", "--s", "half"], capsys)
@@ -233,6 +245,10 @@ class TestCommands:
         rows = csv_rows(out)
         law = mp_occupation(26.636, 0.0, [float(row["j"]) for row in rows])
         assert max(abs(float(row["probability"]) - p) for row, p in zip(rows, law)) <= 1e-10
+        for row in rows:  # a single --j level gives that level's row of the grid
+            _, single, _ = run_cli(["cs", "distribution", "--l", "26.636", "--r", "0",
+                                    "--j", row["j"]], capsys)
+            assert csv_rows(single) == [row]
 
     @pytest.mark.parametrize("flags", [
         ["--theta", "nan"], ["--phi", "nan"], ["--theta", "inf"], ["--delta", "inf"],
@@ -371,6 +387,8 @@ class TestEmit:
                       for i in range(n)],
             "text": [texts[i % len(texts)] for i in range(n)],
             "floats_or_blank": ["" if i % 5 == 0 else float(i) / 7 for i in range(n)],
+            "float64_or_blank": ["" if blank else np.float64(v)
+                                 for blank, v in zip(rng.random(n) < 0.3, floats)],
             "ints": np.arange(n),
             "ints_and_bools": [[True, 7, False, 2**60][i % 4] for i in range(n)],
         }
@@ -380,8 +398,20 @@ class TestEmit:
         assert self.emitted(columns, "json", tmp_path) == (
             json.dumps(artifact, default=float) + "\n").encode()
 
+    def test_float_columns_with_blanks_skip_fmt(self, tmp_path, monkeypatch):
+        n = 3 * cli.CHUNK_ROWS
+        blank = np.random.default_rng(7).random(n) < 0.2
+        columns = {"x": np.linspace(0.0, 1.0, n),
+                   "value": ["" if b else i / 3 for i, b in enumerate(blank)],
+                   "error": ["failed" if b else "" for b in blank]}
+        calls = []
+        monkeypatch.setattr(cli, "fmt", lambda v: calls.append(v) or str(v))
+        self.emitted(columns, "csv", tmp_path)
+        assert len(calls) == n  # the text column's cells alone
+
     @pytest.mark.parametrize("columns", [
         {"only": ["", "x"]},          # a lone empty cell is written as ""
+        {"only": ["", 2.5, ""]},      # so is a blank in a lone float column
         {"a": [], "b": []},           # no rows: no header either
         {"x": [0.5], "y": [float("inf")]},
     ])
@@ -433,3 +463,85 @@ class TestRoundTrip:
         code, _, err = run_cli(["cs", "expect-j", "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown config key" in err
+
+
+class TestCachedParser:
+    """main() builds its parser once per process and reuses it for every call."""
+
+    @staticmethod
+    def commands(tmp_path):
+        artifact = tmp_path / "artifact.json"
+        assert cli.main(["sweep", "expect-u", "--grid", "l=-1:1:3", "--format", "json",
+                         "--out", str(artifact)]) == 0
+        return [
+            ["theta", "--l", "0.3", "--phi", "pi/2"],
+            ["cs", "expect-j", "--l", "0.2", "--phi", "pi", "--s", "half"],
+            ["cs", "distribution", "--l", "1.5", "--format", "json"],
+            ["spectrum", "--r", "0.5", "--s", "half", "--j-max", "2"],
+            ["dynamics", "--t-end", "0.05", "--dt", "0.01"],
+            ["project", "--theta", "pi/2", "--phi", "0", "--delta", "0.1"],
+            ["verify", "--suite", "theta"],
+            ["sweep", "norm2", "--grid", "l=0:40:3"],
+            ["run", "--config", str(artifact)],
+        ]
+
+    def test_each_command_twice_gives_the_same_bytes(self, capsys, tmp_path):
+        for argv in self.commands(tmp_path):
+            first = run_cli(argv, capsys)
+            assert run_cli(argv, capsys) == first, argv
+            assert cli._parser().parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    def test_plain_run_after_config_run_keeps_the_defaults(self, capsys, tmp_path):
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text("l=0.7\nphi=pi\nr=0.25\ns=half\n")
+        plain = run_cli(["cs", "expect-j"], capsys)
+        configured = run_cli(["cs", "expect-j", "--config", str(cfg)], capsys)
+        assert configured != plain
+        assert run_cli(["cs", "expect-j"], capsys) == plain
+
+    @pytest.mark.parametrize("bad", [
+        ["cs", "nope"],
+        ["sweep", "expect-j"],
+        ["theta", "--phi", "two pi"],
+        ["verify", "--suite", "everything"],
+    ])
+    def test_bad_argv_after_good_ones_fails_as_in_a_fresh_process(
+            self, capsys, monkeypatch, tmp_path, bad):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in self.commands(tmp_path)[:3]:
+            run_cli(argv, capsys)
+        with pytest.raises(SystemExit) as stop:
+            cli.main(bad)
+        err = capsys.readouterr().err
+        fresh = subprocess.run(
+            [sys.executable, "-m", "mobiuscs.cli", *bad], capture_output=True, text=True,
+            env={**os.environ, "COLUMNS": "80",
+                 "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))})
+        assert stop.value.code == fresh.returncode == 2
+        assert err == fresh.stderr
+
+    def test_one_parser_over_fifty_calls(self, capsys, monkeypatch):
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            constructed.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser()
+        per_build = len(constructed)  # the top-level parser and one per subcommand
+        constructed.clear()
+        cli._parser.cache_clear()
+        for k in range(50):
+            assert cli.main(["cs", "expect-j", "--l", str(k / 10)]) == 0
+        capsys.readouterr()
+        assert len(constructed) == per_build
+
+    def test_command_is_looked_up_when_called(self, capsys, monkeypatch):
+        cli.main(["cs", "expect-j"])
+        capsys.readouterr()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.grid) or 7)
+        assert cli.main(["sweep", "norm2", "--grid", "l=0:1:2"]) == 7
+        assert seen == ["l=0:1:2"]

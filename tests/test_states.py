@@ -26,6 +26,7 @@ from mobiuscs.states import (
     label_batches,
     level_grid,
     norm2,
+    occupation_law,
     overlap,
     quantization_scan,
     temporal_fidelity,
@@ -343,12 +344,13 @@ class TestDistribution:
             gaussian_supnorm(26.645, 0.0)
 
     def test_supnorm_matches_per_level_distribution(self):
-        for center in (-7.3, 0.0, 0.42, 12.9, 26.6):
+        for center in (-7.3, 0.0, 0.42, 12.9, 26.6, 26.636):
             for s in (0.0, 0.5):
                 lab = StateLabel(l=center, phi=0.0, r=0.0, s=s)
                 levels = level_grid(default_j_max(center), s)
-                sup = max(abs(distribution(lab, j) - gaussian_distribution(j, center))
-                          for j in levels)
+                law = [distribution(lab, j) for j in levels]
+                assert occupation_law(center, s, levels) == law
+                sup = max(abs(p - gaussian_distribution(j, center)) for j, p in zip(levels, law))
                 assert gaussian_supnorm(center, s) == sup
 
     def test_off_lattice_level_rejected(self):
