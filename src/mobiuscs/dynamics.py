@@ -139,6 +139,14 @@ def mobius_lagrangian(s: MobiusState, r: float, path: str = "closed", z_sign: in
     raise ValueError(f"unknown path {path!r}")
 
 
+def _strip_bracket(c, sn, r):
+    """Metric bracket (1 + r*c)^2 + (r^2/4)*sn^2 at c = cos(phi/2), sn = sin(phi/2).
+
+    Takes floats or arrays, and rounds the same way on both.
+    """
+    return (1.0 + r * c) ** 2 + 0.25 * r * r * sn * sn
+
+
 def mobius_momenta(s: MobiusState, r: float) -> tuple[float, float]:
     """Conjugate momenta (p_phi, L0) in the closed (z_sign = -1) convention."""
     _check_r(r)
@@ -146,7 +154,7 @@ def mobius_momenta(s: MobiusState, r: float) -> tuple[float, float]:
     c = math.cos(half)
     sn = math.sin(half)
     L0 = s.z0_dot - 0.5 * r * c * s.phi_dot
-    p_phi = s.phi_dot * ((1.0 + r * c) ** 2 + 0.25 * r * r * sn * sn) - 0.5 * r * c * L0
+    p_phi = s.phi_dot * _strip_bracket(c, sn, r) - 0.5 * r * c * L0
     return p_phi, L0
 
 
@@ -156,8 +164,7 @@ def mobius_phidot(J: float, L0: float, phi: float, r: float) -> float:
     half = 0.5 * phi
     c = math.cos(half)
     sn = math.sin(half)
-    denom = (1.0 + r * c) ** 2 + 0.25 * r * r * sn * sn
-    return (J + 0.5 * r * L0 * c) / denom
+    return (J + 0.5 * r * L0 * c) / _strip_bracket(c, sn, r)
 
 
 def mobius_hamiltonian(J: float, L0: float, phi: float, r: float, variant: str = "reduced") -> float:
@@ -174,10 +181,9 @@ def mobius_hamiltonian(J: float, L0: float, phi: float, r: float, variant: str =
     _check_r(r)
     half = 0.5 * phi
     c = math.cos(half)
-    sn = math.sin(half)
     jj = mobius_phidot(J, L0, phi, r)
     if variant == "reduced":
-        bracket = (1.0 + r * c) ** 2 + 0.25 * r * r * sn * sn
+        bracket = _strip_bracket(c, math.sin(half), r)
     elif variant == "compact":
         bracket = (1.0 + r * c) ** 2 - 0.25 * r * r * math.cos(phi)
     else:
@@ -219,6 +225,10 @@ def _rk4_mobius(phi, pphi, z0, c_phi, c_pphi, c_z0, p_z, r, h, stride, out):
     runs near machine precision.  Each row of ``out`` receives the state
     (phi, p_phi, z0) after another ``stride`` steps.  Returns the state and
     its compensations, which continue the run in the next call.
+
+    The four stages are written out: stage i evaluates the slopes
+    (phi_dot, dp_phi, dz0) at its state, and the step sums them as
+    k1 + 2*k2 + 2*k3 + k4, left to right.
     """
     cos = math.cos
     sin = math.sin
@@ -227,41 +237,59 @@ def _rk4_mobius(phi, pphi, z0, c_phi, c_pphi, c_z0, p_z, r, h, stride, out):
     quarter_r = 0.25 * r
     quarter_r2 = 0.25 * r * r
     neg_r = -r
-    # (weight of the stage slope, step from the base state to the next stage)
-    stages = ((1.0, half_h), (2.0, half_h), (2.0, h), (1.0, h))
     for row in range(out.shape[0]):
         for _ in range(stride):
-            # -0.0 + x == x for every x, so the sums round as k1 + 2k2 + 2k3 + k4
-            sum_phi = sum_pphi = sum_z0 = -0.0
-            s_phi = phi
-            s_pphi = pphi
-            for weight, step in stages:
-                half = 0.5 * s_phi
-                c = cos(half)
-                sn = sin(half)
-                one = 1.0 + r * c
-                denom = one * one + quarter_r2 * sn * sn
-                jj = (s_pphi + half_r * c * p_z) / denom
-                d_denom = neg_r * sn * one + quarter_r2 * sn * c
-                dpphi = quarter_r * sn * jj * p_z + 0.5 * jj * jj * d_denom
-                dz0 = half_r * c * jj + p_z
-                sum_phi = sum_phi + weight * jj
-                sum_pphi = sum_pphi + weight * dpphi
-                sum_z0 = sum_z0 + weight * dz0
-                s_phi = phi + step * jj
-                s_pphi = pphi + step * dpphi
+            half = 0.5 * phi
+            c = cos(half)
+            sn = sin(half)
+            hc = half_r * c
+            qs = quarter_r2 * sn
+            one = 1.0 + r * c
+            jj1 = (pphi + hc * p_z) / (one * one + qs * sn)
+            dp1 = quarter_r * sn * jj1 * p_z + 0.5 * jj1 * jj1 * (neg_r * sn * one + qs * c)
+            dz1 = hc * jj1 + p_z
 
-            y = h * sum_phi / 6.0 - c_phi
+            half = 0.5 * (phi + half_h * jj1)
+            c = cos(half)
+            sn = sin(half)
+            hc = half_r * c
+            qs = quarter_r2 * sn
+            one = 1.0 + r * c
+            jj2 = (pphi + half_h * dp1 + hc * p_z) / (one * one + qs * sn)
+            dp2 = quarter_r * sn * jj2 * p_z + 0.5 * jj2 * jj2 * (neg_r * sn * one + qs * c)
+            dz2 = hc * jj2 + p_z
+
+            half = 0.5 * (phi + half_h * jj2)
+            c = cos(half)
+            sn = sin(half)
+            hc = half_r * c
+            qs = quarter_r2 * sn
+            one = 1.0 + r * c
+            jj3 = (pphi + half_h * dp2 + hc * p_z) / (one * one + qs * sn)
+            dp3 = quarter_r * sn * jj3 * p_z + 0.5 * jj3 * jj3 * (neg_r * sn * one + qs * c)
+            dz3 = hc * jj3 + p_z
+
+            half = 0.5 * (phi + h * jj3)
+            c = cos(half)
+            sn = sin(half)
+            hc = half_r * c
+            qs = quarter_r2 * sn
+            one = 1.0 + r * c
+            jj4 = (pphi + h * dp3 + hc * p_z) / (one * one + qs * sn)
+            dp4 = quarter_r * sn * jj4 * p_z + 0.5 * jj4 * jj4 * (neg_r * sn * one + qs * c)
+            dz4 = hc * jj4 + p_z
+
+            y = h * (jj1 + 2.0 * jj2 + 2.0 * jj3 + jj4) / 6.0 - c_phi
             t = phi + y
             c_phi = (t - phi) - y
             phi = t
 
-            y = h * sum_pphi / 6.0 - c_pphi
+            y = h * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4) / 6.0 - c_pphi
             t = pphi + y
             c_pphi = (t - pphi) - y
             pphi = t
 
-            y = h * sum_z0 / 6.0 - c_z0
+            y = h * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4) / 6.0 - c_z0
             t = z0 + y
             c_z0 = (t - z0) - y
             z0 = t
@@ -278,8 +306,7 @@ def _sampled_energy(rows, r, L0, E0):
     """
     half = 0.5 * rows[:, 0]
     c = np.cos(half)
-    sn = np.sin(half)
-    denom = (1.0 + r * c) ** 2 + 0.25 * r * r * sn * sn
+    denom = _strip_bracket(c, np.sin(half), r)
     with np.errstate(over="ignore", invalid="ignore"):
         phi_dot = (rows[:, 1] + 0.5 * r * c * L0) / denom
         energy = 0.5 * (phi_dot ** 2 * denom + L0 * L0)
@@ -295,23 +322,34 @@ def _accepts(drift, energy_tol):
 def _run_trial(out, state, p_z, r, h, stride, E0, energy_tol):
     """Integrate from ``state`` into out[1:], BLOCK_ROWS rows at a time.
 
-    With an ``energy_tol``, stops at the first block whose drift it does not
-    accept and returns that drift, leaving the later rows unfilled.  Returns
-    None when every row was filled.
+    Returns (drift, rows).  ``drift`` is None when every row was filled.
+    With an ``energy_tol``, the trial stops at the first block whose drift it
+    does not accept and returns that drift, leaving the later rows unfilled.
+    A step that raises stops the trial with drift inf: math.* raises instead
+    of returning inf/NaN when a step diverges.  ``rows`` counts the rows of
+    every block the trial started, the one that raised included.
     """
     for lo in range(1, out.shape[0], BLOCK_ROWS):
         block = out[lo:lo + BLOCK_ROWS]
-        state = _rk4_mobius(*state, p_z, r, h, stride, block)
+        rows = lo - 1 + block.shape[0]
+        try:
+            state = _rk4_mobius(*state, p_z, r, h, stride, block)
+        except (ValueError, OverflowError):
+            return math.inf, rows
         if energy_tol is not None:
             drift = _sampled_energy(block, r, p_z, E0)[2]
             if not _accepts(drift, energy_tol):
-                return drift
-    return None
+                return drift, rows
+    return None, out.shape[0] - 1
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled strip trajectory with monitored quantities as columns."""
+    """Sampled strip trajectory with monitored quantities as columns.
+
+    ``substeps`` is the number of RK4 steps per output row of the accepted
+    trial; ``steps`` counts the RK4 steps of every trial the run started.
+    """
 
     t: np.ndarray
     phi: np.ndarray
@@ -321,32 +359,24 @@ class Trajectory:
     r: float
     L0: float
     substeps: int
-
-    def momentum_column(self) -> np.ndarray:
-        half = 0.5 * self.phi
-        c = np.cos(half)
-        sn = np.sin(half)
-        denom = (1.0 + self.r * c) ** 2 + 0.25 * self.r ** 2 * sn ** 2
-        return self.phi_dot * denom - 0.5 * self.r * c * self.L0
-
-    def energy_column(self) -> np.ndarray:
-        half = 0.5 * self.phi
-        c = np.cos(half)
-        sn = np.sin(half)
-        denom = (1.0 + self.r * c) ** 2 + 0.25 * self.r ** 2 * sn ** 2
-        return 0.5 * (self.phi_dot ** 2 * denom + self.L0 ** 2)
+    steps: int
 
     def columns(self) -> dict[str, np.ndarray]:
-        n = self.t.size
+        half = 0.5 * self.phi
+        c = np.cos(half)
+        sn = np.sin(half)
+        # rounds as r**2 * sn**2, not as _strip_bracket does: the exported
+        # E and J keep their bytes
+        bracket = (1.0 + self.r * c) ** 2 + 0.25 * self.r ** 2 * sn ** 2
         return {
             "t": self.t,
             "phi": self.phi,
             "phi_dot": self.phi_dot,
             "z0": self.z0,
             "z0_dot": self.z0_dot,
-            "E": self.energy_column(),
-            "J": self.momentum_column(),
-            "L0": np.full(n, self.L0),
+            "E": 0.5 * (self.phi_dot ** 2 * bracket + self.L0 ** 2),
+            "J": self.phi_dot * bracket - 0.5 * self.r * c * self.L0,
+            "L0": np.full(self.t.size, self.L0),
         }
 
     def drift(self) -> dict[str, float]:
@@ -374,15 +404,19 @@ def integrate_mobius(
     ``energy_tol``; otherwise the internal step is halved (output grid
     unchanged) up to ``max_halvings`` times before EnergyDriftError.  Each
     trial but the last stops at the first block of BLOCK_ROWS rows that
-    drifts too far.  Non-finite inputs raise DomainError before any step is
-    taken.
+    drifts too far.  Non-finite inputs, a t_end/dt that is not finite and an
+    output grid that cannot be allocated raise DomainError before any step
+    is taken.
     """
     _check_r(r)
     if not all(map(math.isfinite, (s0.phi, s0.phi_dot, s0.z0, s0.z0_dot, t_end, dt))):
         raise DomainError("need a finite initial state, t_end and dt")
     if dt <= 0.0 or t_end <= 0.0:
         raise DomainError("need dt > 0 and t_end > 0")
-    n_out = int(round(t_end / dt))
+    span = t_end / dt
+    if not math.isfinite(span):
+        raise DomainError(f"t_end/dt = {span} is not finite")
+    n_out = int(round(span))
     if n_out < 1:
         raise DomainError("t_end shorter than one step")
 
@@ -394,21 +428,22 @@ def integrate_mobius(
     if not math.isfinite(E0):
         # no trial step can keep a drift from an infinite energy finite
         raise DomainError(f"initial energy {E0} is not finite")
+    try:
+        # every trial writes rows 1..n_out of the same grid
+        out = np.empty((n_out + 1, 3))
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise DomainError(f"cannot allocate {n_out + 1} output rows") from None
+    out[0] = s0.phi, p_phi0, s0.z0
 
     drift = math.inf
+    steps = 0
     for attempt in range(max_halvings + 1):
         stride = 2 ** attempt
-        out = np.empty((n_out + 1, 3))
-        out[0] = s0.phi, p_phi0, s0.z0
         # the last trial runs to its end, so that the error reports its drift
         block_tol = energy_tol if attempt < max_halvings else None
-        try:
-            early = _run_trial(out, (s0.phi, p_phi0, s0.z0, 0.0, 0.0, 0.0), L0, r,
-                               dt / stride, stride, E0, block_tol)
-        except (ValueError, OverflowError):
-            # math.* raises instead of returning inf/NaN when a trial step
-            # diverges; a smaller step may not, so retry like a drifted run
-            continue
+        early, rows = _run_trial(out, (s0.phi, p_phi0, s0.z0, 0.0, 0.0, 0.0), L0, r,
+                                 dt / stride, stride, E0, block_tol)
+        steps += stride * rows
         if early is not None:
             drift = early
             continue
@@ -425,6 +460,7 @@ def integrate_mobius(
                 r=r,
                 L0=L0,
                 substeps=stride,
+                steps=steps,
             )
     raise EnergyDriftError(
         f"energy drift {drift:g} above {energy_tol:g} after {max_halvings} halvings",

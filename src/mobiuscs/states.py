@@ -463,7 +463,10 @@ def quantization_scan(
         center = label.center
         if abs(center - 0.5 * round(2.0 * center)) > tol:
             continue
-        jbar = expect_j(label, method="ratio")
+        # past |l'| ~ 26.6 the weights overflow and <J> comes out NaN, which
+        # is raised below; numpy's warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            jbar = expect_j(label, method="ratio")
         if not math.isfinite(jbar):
             raise PrecisionError(f"<J> is not finite at l={l:g}, phi={phi:g}", achieved=jbar)
         if abs(jbar - s - round(jbar - s)) > tol:

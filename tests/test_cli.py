@@ -193,6 +193,9 @@ class TestCommands:
     @pytest.mark.parametrize("flags", [
         ["--t-end", "inf"], ["--t-end", "nan"], ["--dt", "nan"], ["--phi", "nan"],
         ["--tol", "nan"], ["--tol", "-1"], ["--j", "1e200"],
+        # t_end/dt overflows to inf; 10^15 and 10^302 rows cannot be allocated
+        ["--t-end", "1e300", "--dt", "1e-300"], ["--t-end", "1e12", "--dt", "1e-3"],
+        ["--t-end", "1e300"],
     ])
     def test_dynamics_non_finite_input_exit_code(self, capsys, flags):
         code, out, err = run_cli(["dynamics", "--t-end", "1", *flags], capsys)

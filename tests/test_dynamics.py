@@ -1,11 +1,12 @@
 """Strip/torus dynamics: closed forms, Legendre duality, conservation, integration."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from mobiuscs import dynamics
+from mobiuscs import cli, dynamics
 from mobiuscs.errors import CoordinateSingularityError, DomainError, EnergyDriftError
 from mobiuscs.dynamics import (
     MobiusState,
@@ -25,6 +26,63 @@ from mobiuscs.dynamics import (
 from mobiuscs.geometry import TorusGeometry, constraint_theta
 
 RNG = np.random.default_rng(20260810)
+
+
+def rolled_rk4_mobius(phi, pphi, z0, c_phi, c_pphi, c_z0, p_z, r, h, stride, out):
+    """Reference RK4 step: the stage loop that _rk4_mobius unrolls."""
+    cos = math.cos
+    sin = math.sin
+    half_h = 0.5 * h
+    half_r = 0.5 * r
+    quarter_r = 0.25 * r
+    quarter_r2 = 0.25 * r * r
+    neg_r = -r
+    # (weight of the stage slope, step from the base state to the next stage)
+    stages = ((1.0, half_h), (2.0, half_h), (2.0, h), (1.0, h))
+    for row in range(out.shape[0]):
+        for _ in range(stride):
+            # -0.0 + x == x for every x, so the sums round as k1 + 2k2 + 2k3 + k4
+            sum_phi = sum_pphi = sum_z0 = -0.0
+            s_phi = phi
+            s_pphi = pphi
+            for weight, step in stages:
+                half = 0.5 * s_phi
+                c = cos(half)
+                sn = sin(half)
+                one = 1.0 + r * c
+                denom = one * one + quarter_r2 * sn * sn
+                jj = (s_pphi + half_r * c * p_z) / denom
+                d_denom = neg_r * sn * one + quarter_r2 * sn * c
+                dpphi = quarter_r * sn * jj * p_z + 0.5 * jj * jj * d_denom
+                dz0 = half_r * c * jj + p_z
+                sum_phi = sum_phi + weight * jj
+                sum_pphi = sum_pphi + weight * dpphi
+                sum_z0 = sum_z0 + weight * dz0
+                s_phi = phi + step * jj
+                s_pphi = pphi + step * dpphi
+
+            y = h * sum_phi / 6.0 - c_phi
+            t = phi + y
+            c_phi = (t - phi) - y
+            phi = t
+
+            y = h * sum_pphi / 6.0 - c_pphi
+            t = pphi + y
+            c_pphi = (t - pphi) - y
+            pphi = t
+
+            y = h * sum_z0 / 6.0 - c_z0
+            t = z0 + y
+            c_z0 = (t - z0) - y
+            z0 = t
+        out[row, 0] = phi
+        out[row, 1] = pphi
+        out[row, 2] = z0
+    return phi, pphi, z0, c_phi, c_pphi, c_z0
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
 class TestMobiusLagrangian:
@@ -196,6 +254,31 @@ class TestIntegration:
         # stride 64 fails only at row 1,892, in the last, partial block
         assert traj.substeps == 128
         assert sum(steps) == 63 * dynamics.BLOCK_ROWS + (64 + 128) * 2000
+        assert traj.steps == sum(steps) == 400_128
+
+    def test_raising_step_stops_its_trial_and_counts_its_block(self, monkeypatch):
+        kernel = dynamics._rk4_mobius
+
+        def diverging(*args):
+            stride = args[-2]
+            if stride < 4:
+                raise OverflowError("math range error")
+            return kernel(*args)
+
+        monkeypatch.setattr(dynamics, "_rk4_mobius", diverging)
+        s0, n_out = MobiusState(0.3, 1.1, 0.0, 0.4), 2 * dynamics.BLOCK_ROWS + 5
+        traj = integrate_mobius(s0, 0.5, t_end=n_out * 1e-2, dt=1e-2)
+        assert traj.substeps == 4
+        assert traj.steps == (1 + 2) * dynamics.BLOCK_ROWS + 4 * n_out
+        with pytest.raises(EnergyDriftError) as info:
+            integrate_mobius(s0, 0.5, t_end=n_out * 1e-2, dt=1e-2, max_halvings=1)
+        assert info.value.achieved == math.inf
+
+    def test_smooth_orbit_counts_one_step_per_row(self):
+        n_out = 3 * dynamics.BLOCK_ROWS + 17
+        traj = integrate_mobius(MobiusState(0.3, 1.1, 0.0, 0.4), 0.5, t_end=n_out * 1e-3, dt=1e-3)
+        assert traj.substeps == 1
+        assert traj.steps == n_out == traj.t.size - 1
 
     @pytest.mark.parametrize("field,value", [
         ("phi", math.nan), ("phi_dot", math.inf), ("z0", -math.inf), ("z0_dot", math.nan),
@@ -203,6 +286,9 @@ class TestIntegration:
         # finite, but no halving can pass: a NaN or negative tolerance, and
         # an initial energy that overflows to inf
         ("energy_tol", math.nan), ("energy_tol", -1.0), ("phi_dot", 1e200),
+        # a t_end/dt that overflows to inf, and grids of 10^14 and 10^302
+        # rows: past the memory and past numpy's size limit
+        ("dt", 1e-300), ("t_end", 1e12), ("t_end", 1e300),
     ])
     def test_non_finite_input_rejected_before_stepping(self, monkeypatch, field, value):
         def no_step(*args):
@@ -214,6 +300,13 @@ class TestIntegration:
         (state if field in state else run)[field] = value
         with pytest.raises(DomainError):
             integrate_mobius(MobiusState(**state), **run)
+
+    def test_strip_bracket_rounds_alike_on_floats_and_arrays(self):
+        rng = np.random.default_rng(6)
+        c, sn = np.cos(rng.uniform(-6, 6, size=(2, 200)))
+        r = float(rng.uniform(0.0, 0.95))
+        scalar = [dynamics._strip_bracket(float(a), float(b), r) for a, b in zip(c, sn)]
+        assert np.array_equal(bits(scalar), bits(dynamics._strip_bracket(c, sn, r)))
 
     def test_columns_schema(self):
         traj = integrate_mobius(MobiusState(0.1, 1.0, 0.0, 0.2), 0.5, t_end=1.0, dt=1e-2)
@@ -229,6 +322,48 @@ class TestIntegration:
         assert cols["E"][0] == pytest.approx(cs.E, abs=1e-14)
         assert cols["J"][0] == pytest.approx(cs.J, abs=1e-14)
         assert cols["L0"][0] == pytest.approx(cs.L0, abs=1e-14)
+
+
+class TestKernel:
+    @staticmethod
+    def run(kernel, state, p_z, r, h, stride, rows):
+        out = np.full((rows, 3), np.nan)
+        try:
+            return kernel(*state, p_z, r, h, stride, out), out
+        except (ValueError, OverflowError) as exc:
+            # a diverging step: math.* raises, and the rows before it stay filled
+            return type(exc), out
+
+    def test_matches_rolled_reference_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        raised = 0
+        for _ in range(200):
+            phi, pphi = rng.uniform(-4 * math.pi, 4 * math.pi), rng.uniform(-5.0, 5.0)
+            z0, p_z = rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)
+            r = rng.uniform(0.0, 0.95)
+            h = 10.0 ** rng.uniform(-4.0, -0.5)
+            stride = int(rng.integers(1, 5))
+            rows = int(rng.integers(1, 6))
+            state = ref_state = (phi, pphi, z0, 0.0, 0.0, 0.0)
+            for _ in range(2):  # the second call continues from the compensations
+                state, out = self.run(dynamics._rk4_mobius, state, p_z, r, h, stride, rows)
+                ref_state, ref = self.run(rolled_rk4_mobius, ref_state, p_z, r, h, stride, rows)
+                assert np.array_equal(bits(out), bits(ref))
+                if isinstance(ref_state, type):
+                    assert state is ref_state
+                    raised += 1
+                    break
+                assert np.array_equal(bits(state), bits(ref_state))
+        assert raised < 20
+
+    def test_stiff_export_digest(self, capsys):
+        # sha256 of the CSV this command printed before the kernel was unrolled
+        code = cli.main(["dynamics", "--phi", "0", "--j", "30", "--L0", "0.5", "--r", "0.9",
+                         "--t-end", "2", "--dt", "1e-2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "dc38f0060850e922811700750fcfa6a0cfe726074612de1602e3d672e699910b")
 
 
 class TestTorus:
