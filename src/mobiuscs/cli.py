@@ -333,6 +333,9 @@ def cmd_cs(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    for flag, value in (("--j-max", args.j_max), ("--L0", args.L0), ("--phi", args.phi)):
+        if not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite, got {value}")
     levels = np.arange(-math.floor(args.j_max), math.floor(args.j_max) + 1) + args.s
     levels = levels[np.abs(levels) <= args.j_max]
     rows = []
@@ -341,6 +344,7 @@ def cmd_spectrum(args) -> int:
         rows.append({"j": float(j), "L0": args.L0,
                      "E": general.E,
                      "E_border": dynamics.energy_quantized(float(j), args.L0, args.r)})
+    _require_finite(rows)
     emit(_columns(rows), args, ["spectrum"], base_config(args, ("r", "s", "j_max", "L0", "phi")))
     return 0
 
@@ -601,8 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="identity-verification suites")
     _add_common(p)
-    p.add_argument("--suite", default="all",
-                   choices=("theta", "states", "dynamics", "projection", "all"))
+    p.add_argument("--suite", default="all", choices=(*report.SUITES, "all"))
 
     p = sub.add_parser("sweep", help="Cartesian parameter sweep")
     p.add_argument("target", choices=SWEEP_TARGETS)

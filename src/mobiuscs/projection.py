@@ -300,8 +300,10 @@ def project_mobius_to_circle(v: FockVector) -> FockVector:
 
     The label (center, phase mod 2*pi) is read off adjacent coefficient
     ratios log(c_{j+1}/c_j) = center - i*phase - (j + 1/2) and rebuilt on
-    the integer lattice: the double-cover information is dropped, the
-    boson-sector state is returned.  Idempotent.
+    the integer levels of v's range: the double-cover information is
+    dropped, the boson-sector state is returned.  Idempotent: the levels
+    come from v, because a cutoff chosen from the re-read center would
+    jump where its rounding moves ceil(|center|) across an integer.
     """
     if v.j.size < 2:
         raise DomainError("need at least two levels to read off the label")
@@ -312,6 +314,6 @@ def project_mobius_to_circle(v: FockVector) -> FockVector:
     w = cmath.log(ratio) + (v.j[k] + 0.5)
     center = w.real
     phase = -w.imag % (2.0 * math.pi)
-    j = level_grid(default_j_max(center), 0.0)
+    j = level_grid(v.j[-1], 0.0)
     c = np.exp(center * j - 1j * phase * j - 0.5 * j * j)
     return FockVector(offset=0.0, j=j, c=c, tail_bound=_tail_bound(j[-1], center))

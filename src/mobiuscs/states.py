@@ -39,8 +39,6 @@ from .errors import DomainError, PrecisionError
 from .geometry import coherent_label, label_center
 from .dynamics import energy_quantized
 from .theta import (
-    DEFAULT_POLICY,
-    SeriesPolicy,
     row_blocks,
     theta2,
     theta2_many,
@@ -51,6 +49,7 @@ from .theta import (
 
 __all__ = [
     "StateLabel",
+    "label_for_center",
     "LabelBatch",
     "label_batches",
     "FockVector",
@@ -111,6 +110,12 @@ def _check_label(l: float, phi: float, r: float, s: float, z_sign: int) -> None:
         raise DomainError("label l must be finite")
     if not math.isfinite(phi):
         raise DomainError("label phi must be finite")
+
+
+def label_for_center(center: float, phi: float, r: float, s: float = 0.0) -> StateLabel:
+    """The label at angle phi and half-width r whose Gaussian center l' is ``center``."""
+    l = center - r * math.sin(0.5 * phi) + math.log(1.0 + r * math.cos(0.5 * phi))
+    return StateLabel(l=l, phi=phi, r=r, s=s)
 
 
 @dataclass(frozen=True)
@@ -190,6 +195,8 @@ def default_j_max(center: float) -> int:
 
 def level_grid(j_max: float, s: float) -> np.ndarray:
     """Symmetric grid of basis levels in Z + s with |j| <= j_max."""
+    if not math.isfinite(j_max):
+        raise DomainError(f"level cutoff j_max must be finite, got {j_max}")
     n = int(math.floor(j_max))
     if s == 0.0:
         return np.arange(-n, n + 1, dtype=float)
@@ -227,8 +234,8 @@ def build_cs(label: StateLabel, j_max: float | None = None) -> FockVector:
     center = label.center
     if j_max is None:
         j_max = default_j_max(center)
-    tail = _require_tail(j_max, center)
     j = level_grid(j_max, label.s)
+    tail = _require_tail(j_max, center)
     c = np.exp(center * j - 1j * label.phi * j - 0.5 * j * j)
     return FockVector(offset=label.s, j=j, c=c, tail_bound=tail)
 
@@ -250,8 +257,7 @@ def _check_pair(a: StateLabel, b: StateLabel) -> None:
         raise DomainError("overlapping states must share the half-width r")
 
 
-def overlap(a: StateLabel, b: StateLabel, method: str = "theta",
-            policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
+def overlap(a: StateLabel, b: StateLabel, method: str = "theta") -> complex:
     """<a|b>: truncated direct sum, or the closed theta form."""
     _check_pair(a, b)
     if method == "direct":
@@ -262,13 +268,12 @@ def overlap(a: StateLabel, b: StateLabel, method: str = "theta",
     if method == "theta":
         nu = (a.phi - b.phi) / (2.0 * math.pi) - 1j * (a.center + b.center) / (2.0 * math.pi)
         if a.s == 0.0:
-            return theta3(nu, TAU_NATURAL, policy)
-        return theta2(nu, TAU_NATURAL, policy)
+            return theta3(nu, TAU_NATURAL)
+        return theta2(nu, TAU_NATURAL)
     raise ValueError(f"unknown method {method!r}")
 
 
-def norm2(label: StateLabel | LabelBatch, method: str = "direct",
-          policy: SeriesPolicy = DEFAULT_POLICY) -> float | np.ndarray:
+def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.ndarray:
     """<xi|xi>; depends on (l, phi) only through the center l'.
 
     method="direct"   truncated lattice sum sum_j exp(2*l'*j - j^2);
@@ -281,17 +286,17 @@ def norm2(label: StateLabel | LabelBatch, method: str = "direct",
         _batched_method("norm2", method, "theta")
         nu = [1j * c / math.pi for c in label.centers]
         many = theta3_many if label.s == 0.0 else theta2_many
-        return many(nu, TAU_NATURAL, policy).real
+        return many(nu, TAU_NATURAL).real
     center = label.center
     if method == "direct":
         return _direct_norm2(center, label.s)
     if method == "theta":
         nu = 1j * center / math.pi
-        th = theta3(nu, TAU_NATURAL, policy) if label.s == 0.0 else theta2(nu, TAU_NATURAL, policy)
+        th = theta3(nu, TAU_NATURAL) if label.s == 0.0 else theta2(nu, TAU_NATURAL)
         return float(th.real)
     if method == "modular":
         shift = 0.0 if label.s == 0.0 else 0.5
-        th = theta3(center + shift, TAU_DUAL, policy)
+        th = theta3(center + shift, TAU_DUAL)
         return float(_exp(center * center, "modular norm2") * math.sqrt(math.pi) * th.real)
     raise ValueError(f"unknown method {method!r}")
 
@@ -302,8 +307,7 @@ def _direct_norm2(center: float, s: float) -> float:
     return float(np.exp(2.0 * center * j - j * j).sum())
 
 
-def expect_j(label: StateLabel | LabelBatch, method: str = "ratio",
-             policy: SeriesPolicy = DEFAULT_POLICY) -> float | np.ndarray:
+def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | np.ndarray:
     """<J> in the coherent state, by one of three independent routes.
 
     method="ratio"   direct ratio sum_j j*w_j / sum_j w_j, w_j = exp(2*l'*j - j^2);
@@ -335,7 +339,7 @@ def expect_j(label: StateLabel | LabelBatch, method: str = "ratio",
         return float((j * w).sum() / w.sum())
     if method == "theta":
         shift = 0.0 if label.s == 0.0 else 0.5
-        return center + 0.5 * theta3_logderiv(center + shift, TAU_DUAL, policy)
+        return center + 0.5 * theta3_logderiv(center + shift, TAU_DUAL)
     if method == "series":
         sign = 1.0 if label.s == 0.0 else -1.0
         q = math.exp(-math.pi * math.pi)
@@ -352,8 +356,7 @@ def expect_j(label: StateLabel | LabelBatch, method: str = "ratio",
     raise ValueError(f"unknown method {method!r}")
 
 
-def expect_u(label: StateLabel | LabelBatch, method: str = "theta",
-             policy: SeriesPolicy = DEFAULT_POLICY) -> complex | np.ndarray:
+def expect_u(label: StateLabel | LabelBatch, method: str = "theta") -> complex | np.ndarray:
     """<U>/<xi|xi> for the shift U|j> = |j+1>; modulus never exceeds 1.
 
     Closed form exp(-1/4)*exp(i*phi) * Theta_2/Theta_3 at nu = i*l'/pi (the
@@ -367,8 +370,8 @@ def expect_u(label: StateLabel | LabelBatch, method: str = "theta",
     if isinstance(label, LabelBatch):
         _batched_method("expect_u", method, "theta")
         nu = [1j * c / math.pi for c in label.centers]
-        t2 = theta2_many(nu, TAU_NATURAL, policy).tolist()
-        t3 = theta3_many(nu, TAU_NATURAL, policy).tolist()
+        t2 = theta2_many(nu, TAU_NATURAL).tolist()
+        t3 = theta3_many(nu, TAU_NATURAL).tolist()
         scale = math.exp(-0.25)
         return np.array([scale * cmath.exp(1j * phi) * (a / b if label.s == 0.0 else b / a)
                          for a, b, phi in zip(t2, t3, label.phis)], dtype=complex)
@@ -378,8 +381,8 @@ def expect_u(label: StateLabel | LabelBatch, method: str = "theta",
         return num / v.norm2()
     if method == "theta":
         nu = 1j * label.center / math.pi
-        t2 = theta2(nu, TAU_NATURAL, policy)
-        t3 = theta3(nu, TAU_NATURAL, policy)
+        t2 = theta2(nu, TAU_NATURAL)
+        t3 = theta3(nu, TAU_NATURAL)
         ratio = t2 / t3 if label.s == 0.0 else t3 / t2
         return math.exp(-0.25) * cmath.exp(1j * label.phi) * ratio
     raise ValueError(f"unknown method {method!r}")
@@ -411,6 +414,8 @@ def occupation_law(center: float, s: float, levels) -> list[float]:
 
 def distribution(label: StateLabel, j: float) -> float:
     """Occupation probability |<j|xi>|^2 / <xi|xi> at level j in Z + s."""
+    if not math.isfinite(j):
+        raise DomainError(f"level j must be finite, got {j}")
     if abs(j - round(j - label.s) - label.s) > 1e-12:
         raise DomainError(f"level j={j} is not in Z + {label.s}")
     return occupation_law(label.center, label.s, (j,))[0]

@@ -218,6 +218,8 @@ class TestCommands:
         ["theta", "--l", "400"],
         ["cs", "expect-u", "--l", "400"],
         ["cs", "norm2", "--l", "400"],
+        # E = L0^2/2 + ... overflows
+        ["spectrum", "--L0", "1e200"],
     ])
     def test_non_finite_result_exit_code(self, capsys, argv):
         # the precision failure is the only report: no numpy warning ahead of it
@@ -240,6 +242,18 @@ class TestCommands:
         assert code == 2
         assert out == ""
         assert err == "error: label phi must be finite\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--phi", "nan"], ["spectrum", "--phi", "inf"], ["spectrum", "--L0", "nan"],
+        ["spectrum", "--L0", "inf"], ["spectrum", "--j-max", "inf"], ["spectrum", "--j-max", "nan"],
+        ["cs", "coeffs", "--j-max", "inf"], ["cs", "coeffs", "--j-max", "nan"],
+        ["cs", "distribution", "--j", "nan"], ["cs", "distribution", "--j", "inf"],
+    ])
+    def test_non_finite_level_input_exit_code(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.endswith("must be finite, got " + argv[-1] + "\n")
 
     def test_distribution_in_norm_overflow_band(self, capsys):
         # the direct norm overflows at l' = 26.636 while every weight is finite

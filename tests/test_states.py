@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobiuscs.dynamics import energy_quantized
 from mobiuscs.errors import DomainError, PrecisionError
@@ -24,6 +26,7 @@ from mobiuscs.states import (
     gaussian_distribution,
     gaussian_supnorm,
     label_batches,
+    label_for_center,
     level_grid,
     norm2,
     occupation_law,
@@ -38,12 +41,6 @@ RNG = np.random.default_rng(314159)
 FIDUCIAL_AMPLITUDE_SUM = 2.5066282880429056   # sum_j exp(-j^2/2), j in Z
 FIDUCIAL_NORM2_INT = 1.772637204826652        # sum_j exp(-j^2),  j in Z
 FIDUCIAL_NORM2_HALF = 1.7722704969843799      # sum_j exp(-j^2),  j in Z + 1/2
-
-
-def label_for_center(center, phi, r, s=0.0):
-    """Back-solve l so the Gaussian center comes out at ``center`` exactly."""
-    l = center - r * math.sin(0.5 * phi) + math.log(1.0 + r * math.cos(0.5 * phi))
-    return StateLabel(l=l, phi=phi, r=r, s=s)
 
 
 class TestBuildCS:
@@ -167,6 +164,17 @@ class TestOverlap:
         b = StateLabel(l=-0.4, phi=0.7, r=0.5)
         assert abs(overlap(a, b) - np.conj(overlap(b, a))) < 1e-14
 
+    @settings(deadline=None)
+    @given(ls=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+           phis=st.tuples(st.floats(0.0, 4 * math.pi), st.floats(0.0, 4 * math.pi)),
+           r=st.floats(0.0, 0.95), s=st.sampled_from([0.0, 0.5]))
+    def test_hermitian_symmetry_random(self, ls, phis, r, s):
+        a = StateLabel(l=ls[0], phi=phis[0], r=r, s=s)
+        b = StateLabel(l=ls[1], phi=phis[1], r=r, s=s)
+        for method in ("theta", "direct"):
+            assert abs(overlap(a, b, method=method)
+                       - np.conj(overlap(b, a, method=method))) < 1e-14
+
     def test_dual_path_example(self):
         a = StateLabel(l=0.0, phi=math.pi, r=0.5)
         b = StateLabel(l=0.0, phi=0.0, r=0.5)
@@ -175,10 +183,18 @@ class TestOverlap:
         assert abs(d - t) <= 1e-12
 
     def test_dual_path_random_both_sectors(self):
+        pairs = []
         for _ in range(40):
             s = float(RNG.integers(0, 2)) * 0.5
             a = label_for_center(RNG.uniform(-2, 2), RNG.uniform(0, 4 * math.pi), 0.5, s)
             b = label_for_center(RNG.uniform(-2, 2), RNG.uniform(0, 4 * math.pi), 0.5, s)
+            pairs.append((a, b))
+        rng = np.random.default_rng(1)  # 100 more pairs, all in the s = 0 sector
+        for _ in range(100):
+            ca, cb = rng.uniform(-2.0, 2.0, size=2)
+            pa, pb = rng.uniform(0.0, 4.0 * math.pi, size=2)
+            pairs.append((label_for_center(ca, pa, 0.5), label_for_center(cb, pb, 0.5)))
+        for a, b in pairs:
             d = overlap(a, b, method="direct")
             t = overlap(a, b, method="theta")
             assert abs(d - t) <= 1e-12 * max(1.0, abs(t))
@@ -191,16 +207,6 @@ class TestOverlap:
 
 
 class TestNorm:
-    def test_three_routes_agree(self):
-        for s in (0.0, 0.5):
-            for center in np.linspace(-1.5, 1.5, 7):
-                lab = label_for_center(center, 0.9, 0.5, s)
-                d = norm2(lab, method="direct")
-                t = norm2(lab, method="theta")
-                m = norm2(lab, method="modular")
-                assert d == pytest.approx(t, rel=1e-12)
-                assert d == pytest.approx(m, rel=1e-12)
-
     def test_depends_only_on_center(self):
         a = label_for_center(0.37, 0.5, 0.5)
         b = label_for_center(0.37, 2.9, 0.5)
@@ -238,7 +244,7 @@ class TestExpectJ:
                     v1 = expect_j(lab, method="ratio")
                     v2 = expect_j(lab, method="theta")
                     v3 = expect_j(lab, method="series")
-                    assert max(abs(v1 - v2), abs(v1 - v3)) <= 1e-10
+                    assert max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3)) <= 1e-10
 
     def test_correction_vanishes_on_half_lattice(self):
         # sin(2*pi*l') kills the correction at every half-integer center
@@ -263,14 +269,6 @@ class TestExpectU:
         ref = StateLabel(l=0.0, phi=0.0, r=0.0)
         ratio = expect_u(lab) / expect_u(ref)
         assert abs(ratio) == pytest.approx(1.0, abs=1e-12)
-
-    def test_shift_contraction_matches_closed_form(self):
-        for s in (0.0, 0.5):
-            for center in np.linspace(-1.0, 1.0, 9):
-                lab = label_for_center(center, 1.9, 0.5, s)
-                d = expect_u(lab, method="direct")
-                t = expect_u(lab, method="theta")
-                assert abs(d - t) <= 1e-12
 
     def test_modulus_bounded_by_one(self):
         for _ in range(30):
@@ -300,14 +298,6 @@ class TestDistribution:
             levels = level_grid(default_j_max(lab.center), s)
             total = sum(distribution(lab, float(j)) for j in levels)
             assert abs(total - 1.0) <= 1e-12
-
-    def test_gaussian_sup_norm(self):
-        for center in np.linspace(0.0, 1.0, 11):
-            lab = label_for_center(center, math.pi, 0.5)
-            levels = level_grid(default_j_max(center), 0.0)
-            sup = max(abs(distribution(lab, float(j)) - gaussian_distribution(float(j), center))
-                      for j in levels)
-            assert sup <= 1.1e-4
 
     # |l'| where the direct norm overflows but every weight is finite
     BAND_CENTERS = (26.634, 26.636, 26.638, 26.6405)

@@ -1,11 +1,15 @@
 """Theta engine: series values, shift relation, modular transform, log-derivative."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobiuscs.errors import DomainError, PrecisionError
+from mobiuscs.states import TAU_DUAL, TAU_NATURAL
 from mobiuscs.theta import (
     SeriesPolicy,
     _truncation_order,
@@ -17,9 +21,6 @@ from mobiuscs.theta import (
     theta3_many,
     theta3_modular,
 )
-
-TAU_NATURAL = 1j / math.pi   # nome e^{-1}
-TAU_DUAL = 1j * math.pi      # nome e^{-pi^2}
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -127,6 +128,39 @@ class TestModular:
                     a = theta3(nu, tau)
                     b = theta3_modular(nu, tau)
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+taus = st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.3, 3.0))
+nus = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-0.5, 0.5))
+
+
+class TestProperties:
+    """The fixed-example identities above, over random (nu, tau) at the same tolerances."""
+
+    @settings(deadline=None)
+    @given(nu=nus, tau=taus)
+    def test_evenness(self, nu, tau):
+        assert abs(theta3(nu, tau) - theta3(-nu, tau)) < 1e-13
+
+    @settings(deadline=None)
+    @given(nu=nus, tau=taus)
+    def test_unit_periodicity(self, nu, tau):
+        a = theta3(nu, tau)
+        assert abs(a - theta3(nu + 1.0, tau)) < 1e-13 * max(1.0, abs(a))
+
+    @settings(deadline=None)
+    @given(nu=nus, tau=taus)
+    def test_quasi_periodicity(self, nu, tau):
+        # Theta3(nu + tau | tau) = exp(-i*pi*tau - 2*i*pi*nu) * Theta3(nu | tau)
+        shifted = theta3(nu + tau, tau)
+        expected = cmath.exp(-1j * math.pi * tau - 2j * math.pi * nu) * theta3(nu, tau)
+        assert abs(shifted - expected) < 1e-13 * max(1.0, abs(shifted))
+
+    @settings(deadline=None)
+    @given(nu=nus, tau=taus)
+    def test_modular_dual_path(self, nu, tau):
+        a = theta3(nu, tau)
+        assert abs(a - theta3_modular(nu, tau)) <= 1e-12 * max(1.0, abs(a))
 
 
 class TestLogDerivative:
