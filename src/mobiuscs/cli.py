@@ -10,15 +10,17 @@ Subcommands::
     project    universal constraint-window projector
     verify     identity-verification suites (exit 1 on any failure)
     sweep      Cartesian parameter sweeps of scalar targets
-    run        re-run a command from a JSON artifact or key=value config
+    run        re-run the command of a JSON artifact with its config
 
 Angles accept symbolic multiples of pi ("pi", "3pi", "pi/2", "-0.5pi") so
 the border angles are expressible exactly.  All numeric output is printed
 with 17 significant digits; CSV artifacts use a header row, comma
 separators and LF line endings, and identical configs produce
-byte-identical artifacts.  A command whose result holds inf or NaN prints
-no numbers and exits 1.  Sweeps run serially; ``--workers`` is accepted
-and ignored.
+byte-identical artifacts.  The values of a --config file (key=value
+lines or a JSON artifact) act as flags placed before the command line's
+own, so a flag given on the command line wins.  A command whose result
+holds inf or NaN prints no numbers and exits 1.  Sweeps run serially;
+``--workers`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -79,59 +81,44 @@ def fmt(value) -> str:
     return str(value)
 
 
-# parameter name -> parser for config files given as key=value text
-PARAM_PARSERS = {
-    "phi": parse_angle, "phi2": parse_angle, "theta": parse_angle,
-    "s": parse_offset,
-    "l": float, "l2": float, "r": float, "j": float, "L0": float,
-    "t": float, "t_end": float, "dt": float, "delta": float, "tol": float,
-    "j_max": float, "z0": float,
-    "workers": int,
-    "grid": str, "out": str, "format": str, "target": str, "suite": str,
-    "action": str,
-}
+def load_config(path: str) -> tuple[list | None, dict[str, str]]:
+    """Read a key=value file or a JSON artifact.
 
-
-def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(text)
-        return data
-    mapping = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DomainError(f"config line without '=': {line!r}")
-        key, _, raw = line.partition("=")
+    Returns the artifact's command words (None if it has none) and each
+    config value as the text of its flag: JSON values go through fmt.  The
+    keys command, target and action are skipped, since they are command words.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config {path!r}: {exc}") from None
+    if text.lstrip().startswith("{"):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"config {path!r} is not valid JSON: {exc}") from None
+        command = data.get("command")
+        items = (data["config"] if isinstance(data.get("config"), dict) else data).items()
+    else:
+        command, items = None, []
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise DomainError(f"config line without '=': {line!r}")
+            key, _, raw = line.partition("=")
+            items.append((key, raw.strip()))
+    values = {}
+    for key, value in items:
         key = key.strip().replace("-", "_")
-        if key not in PARAM_PARSERS:
-            raise DomainError(f"unknown config key {key!r}")
-        mapping[key] = PARAM_PARSERS[key](raw.strip())
-    return mapping
-
-
-def apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill parameters from --config for any flag not given on the command line."""
-    if not getattr(args, "config", None):
-        return
-    data = load_config(args.config)
-    if "config" in data and isinstance(data["config"], dict):
-        data = data["config"]
-    defaults = {a.dest: a.default for a in parser._actions}
-    for key, value in data.items():
-        key = key.replace("-", "_")
-        if key in ("command",):
+        if key in ("command", "target", "action"):
             continue
-        if key not in defaults:
-            raise DomainError(f"unknown config key {key!r} for this command")
-        if getattr(args, key, None) == defaults.get(key):
-            if isinstance(value, str) and key in PARAM_PARSERS:
-                value = PARAM_PARSERS[key](value)
-            setattr(args, key, value)
+        if value is None or isinstance(value, (list, dict)):
+            raise DomainError(f"config key {key!r} needs a number or a string, got {value!r}")
+        values[key] = fmt(value)
+    return command, values
 
 
 CHUNK_ROWS = 4096  # CSV rows formatted and written per write call
@@ -336,10 +323,8 @@ def cmd_spectrum(args) -> int:
     for flag, value in (("--j-max", args.j_max), ("--L0", args.L0), ("--phi", args.phi)):
         if not math.isfinite(value):
             raise DomainError(f"{flag} must be finite, got {value}")
-    levels = np.arange(-math.floor(args.j_max), math.floor(args.j_max) + 1) + args.s
-    levels = levels[np.abs(levels) <= args.j_max]
     rows = []
-    for j in levels:
+    for j in states.level_grid(args.j_max, args.s):
         general = dynamics.energy_spectrum(float(j), args.L0, args.phi, args.r)
         rows.append({"j": float(j), "L0": args.L0,
                      "E": general.E,
@@ -388,6 +373,10 @@ def cmd_verify(args) -> int:
 
 _GRID_PART = re.compile(r"^(\w+)=([^:]+):([^:]+):(\d+)$")
 
+# the sweep's parameters, in the order of its config, and the type of each
+SWEEP_PARAMS = {"l": float, "phi": parse_angle, "r": float, "s": parse_offset,
+                "j": float, "L0": float, "theta": parse_angle, "delta": float}
+
 
 def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
     """Parse 'var=start:stop:count[,var=...]' into (name, values) pairs.
@@ -401,12 +390,13 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
         if not m:
             raise DomainError(f"cannot parse grid component {part!r}")
         name, lo_s, hi_s, count_s = m.groups()
-        name = name.replace("-", "_")
-        if name not in PARAM_PARSERS:
+        if name not in SWEEP_PARAMS:
             raise DomainError(f"unknown sweep variable {name!r}")
-        caster = PARAM_PARSERS[name]
-        lo, hi, count = caster(lo_s), caster(hi_s), int(count_s)
-        axes.append((name, np.linspace(lo, hi, count)))
+        try:
+            lo, hi = SWEEP_PARAMS[name](lo_s), SWEEP_PARAMS[name](hi_s)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise DomainError(f"cannot parse grid component {part!r}") from None
+        axes.append((name, np.linspace(lo, hi, int(count_s))))
     return axes
 
 
@@ -487,8 +477,7 @@ def _value_column(values: dict, key: str, n: int) -> list:
 
 def cmd_sweep(args) -> int:
     axes = parse_grid(args.grid)
-    base = {"l": args.l, "phi": args.phi, "r": args.r, "s": args.s,
-            "j": args.j, "L0": args.L0, "theta": args.theta, "delta": args.delta}
+    base = {key: getattr(args, key) for key in SWEEP_PARAMS}
     columns = _grid_columns(axes)
     n_points = math.prod(len(vals) for _, vals in axes)
 
@@ -497,13 +486,9 @@ def cmd_sweep(args) -> int:
     errors = [""] * n_points
     scalar_rows = range(n_points)
     if args.target in BATCHED_TARGETS:
-        try:
-            labels = [columns[k].tolist() if k in columns else [float(base[k])] * n_points
-                      for k in ("l", "phi", "r", "s")]
-        except (TypeError, ValueError, OverflowError):
-            pass  # a non-numeric label from a config file: every row fails on its own
-        else:
-            scalar_rows = _sweep_batches(args.target, labels, values, errors)
+        labels = [columns[k].tolist() if k in columns else [base[k]] * n_points
+                  for k in ("l", "phi", "r", "s")]
+        scalar_rows = _sweep_batches(args.target, labels, values, errors)
     for i in scalar_rows:
         params = dict(base)
         params.update({name: col[i] for name, col in columns.items()})
@@ -525,22 +510,27 @@ def cmd_sweep(args) -> int:
     return 1 if any(errors) else 0
 
 
-def cmd_run(args) -> int:
-    data = load_config(args.config)
-    if "command" not in data:
-        raise DomainError("artifact has no 'command' entry; cannot re-run")
-    command = data["command"]
-    cfg = data.get("config", {})
-    argv = list(command)
-    for key, value in cfg.items():
-        if key in ("target", "action"):  # already part of the command words
-            continue
-        argv.extend([f"--{key.replace('_', '-')}",
-                     fmt(value) if not isinstance(value, str) else value])
-    if args.out:
-        argv.extend(["--out", args.out])
-    argv.extend(["--format", args.format])
-    return main(argv)
+def _config_argv(parser: argparse.ArgumentParser, args, argv: list[str]) -> list[str]:
+    """The command line that ``argv`` and its --config file stand for together.
+
+    The config's values become flags placed before the command line's own,
+    and argparse keeps a repeated flag's last value, so the command line
+    wins.  ``run`` takes its command words from the artifact, and its own
+    command line gives only --out and --format.
+    """
+    command, values = load_config(args.config)
+    if args.command != "run":
+        words, tail = argv[:1], argv[1:]
+    else:
+        words = [str(word) for word in command] if isinstance(command, list) else []
+        if not words or words[0] not in parser.config_flags:
+            raise DomainError(f"artifact names no command to re-run, got {command!r}")
+        tail = ([f"--out={args.out}"] if args.out else []) + [f"--format={args.format}"]
+    flags = parser.config_flags[words[0]]
+    for key in values:
+        if key not in flags:
+            raise DomainError(f"unknown config key {key!r} for {words[0]!r}")
+    return [*words, *(f"{flags[key]}={text}" for key, text in values.items()), *tail]
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +610,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: sweeps run serially")
 
-    p = sub.add_parser("run", help="re-run from a config or JSON artifact")
+    p = sub.add_parser("run", help="re-run from a JSON artifact")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    # command -> {dest: flag} of every flag a config may set
+    parser.config_flags = {
+        name: {a.dest: a.option_strings[-1] for a in command._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+        for name, command in sub.choices.items()}
     return parser
 
 
@@ -637,18 +632,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command line with the shared parser.
 
-    The command runs as the cmd_<command> bound in this module at call
-    time, so a rebinding made after the parser was built takes effect.
+    A command line with --config is parsed a second time, as _config_argv
+    rewrites it.  The command runs as the cmd_<command> bound in this
+    module at call time, so a rebinding made after the parser was built
+    takes effect.
     """
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        if args.command != "run":
-            sub_parser = None
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    sub_parser = action.choices[args.command]
-            apply_config(args, sub_parser)
+        if args.config:
+            args = parser.parse_args(_config_argv(parser, args, argv))
         # an overflowed lattice sum is caught as a non-finite result and
         # reported as a precision failure; numpy's warning would only precede it
         with np.errstate(over="ignore", invalid="ignore"):

@@ -44,7 +44,15 @@ import numpy as np
 
 from .errors import DegeneracyError, DomainError
 from .geometry import constraint_theta, label_center
-from .states import FockVector, StateLabel, _tail_bound, default_j_max, fiducial, level_grid
+from .states import (
+    FockVector,
+    StateLabel,
+    _tail_bound,
+    cs_coeffs,
+    default_j_max,
+    fiducial,
+    level_grid,
+)
 
 __all__ = [
     "ProjectionSpec",
@@ -156,8 +164,8 @@ def build_torus_cs(
         j_max = max(default_j_max(center_ms), default_j_max(center_aux))
     j = level_grid(j_max, s)
     m = level_grid(j_max, 0.0)
-    a = np.exp(center_ms * j - 1j * phi * j - 0.5 * j * j)
-    b = np.exp(center_aux * m - 1j * theta * m - 0.5 * m * m)
+    a = cs_coeffs(center_ms, phi, j)
+    b = cs_coeffs(center_aux, theta, m)
     tail = _tail_bound(j_max, max(abs(center_ms), abs(center_aux)))
     return TorusFock(j=j, m=m.astype(int), a=a, b=b, tail_bound=tail)
 
@@ -315,5 +323,5 @@ def project_mobius_to_circle(v: FockVector) -> FockVector:
     center = w.real
     phase = -w.imag % (2.0 * math.pi)
     j = level_grid(v.j[-1], 0.0)
-    c = np.exp(center * j - 1j * phase * j - 0.5 * j * j)
-    return FockVector(offset=0.0, j=j, c=c, tail_bound=_tail_bound(j[-1], center))
+    return FockVector(offset=0.0, j=j, c=cs_coeffs(center, phase, j),
+                      tail_bound=_tail_bound(j[-1], center))

@@ -56,6 +56,7 @@ __all__ = [
     "default_j_max",
     "level_grid",
     "build_cs",
+    "cs_coeffs",
     "fiducial",
     "overlap",
     "norm2",
@@ -194,13 +195,18 @@ def default_j_max(center: float) -> int:
 
 
 def level_grid(j_max: float, s: float) -> np.ndarray:
-    """Symmetric grid of basis levels in Z + s with |j| <= j_max."""
+    """Symmetric grid of every basis level in Z + s with |j| <= j_max."""
     if not math.isfinite(j_max):
         raise DomainError(f"level cutoff j_max must be finite, got {j_max}")
-    n = int(math.floor(j_max))
-    if s == 0.0:
-        return np.arange(-n, n + 1, dtype=float)
-    return np.arange(-n, n, dtype=float) + 0.5
+    try:
+        if s == 0.0:
+            n = math.floor(j_max)
+            return np.arange(-n, n + 1, dtype=float)
+        # floor(j_max + 1/2) positive levels; j_max - 1/2 is exact where j_max + 1/2 may round up
+        n = math.floor(j_max - 0.5) + 1
+        return np.arange(-n, n, dtype=float) + 0.5
+    except (MemoryError, ValueError, OverflowError):  # past numpy's size limit or the memory
+        raise DomainError(f"cannot allocate the levels |j| <= {j_max:g}") from None
 
 
 def _tail_bound(j_max: float, center: float) -> float:
@@ -236,8 +242,12 @@ def build_cs(label: StateLabel, j_max: float | None = None) -> FockVector:
         j_max = default_j_max(center)
     j = level_grid(j_max, label.s)
     tail = _require_tail(j_max, center)
-    c = np.exp(center * j - 1j * label.phi * j - 0.5 * j * j)
-    return FockVector(offset=label.s, j=j, c=c, tail_bound=tail)
+    return FockVector(offset=label.s, j=j, c=cs_coeffs(center, label.phi, j), tail_bound=tail)
+
+
+def cs_coeffs(center: float, phase: float, j: np.ndarray) -> np.ndarray:
+    """Coherent-state coefficients exp(l'*j - i*phase*j - j^2/2) at the levels ``j``."""
+    return np.exp(center * j - 1j * phase * j - 0.5 * j * j)
 
 
 def fiducial(j_max: float | None = None, s: float = 0.0) -> FockVector:
@@ -500,9 +510,7 @@ def temporal_fidelity(label: StateLabel, t: float, L0: float = 0.0,
     center = label.center
     omega = 4.0 * center / (4.0 + label.r ** 2)
     phase = label.phi + omega * t
-    comparison = replace(
-        v, c=np.exp(center * v.j - 1j * phase * v.j - 0.5 * v.j * v.j)
-    )
+    comparison = replace(v, c=cs_coeffs(center, phase, v.j))
     inner = comparison.inner(evolved)
     norms = comparison.norm() * evolved.norm()
     if not (cmath.isfinite(inner) and math.isfinite(norms)):

@@ -136,6 +136,28 @@ class TestCommands:
         target = [r for r in rows if float(r["j"]) == 0.5]
         assert target and float(target[0]["E"]) == pytest.approx(0.11764705882352941, abs=1e-12)
 
+    @pytest.mark.parametrize("s", ["int", "half"])
+    @pytest.mark.parametrize("j_max", ["0", "0.4", "0.5", "0.6", "1", "3", "3.5", "3.7", "7.6"])
+    def test_spectrum_lists_every_level_within_the_cutoff(self, capsys, j_max, s):
+        code, out, _ = run_cli(["spectrum", "--s", s, "--j-max", j_max], capsys)
+        offset = 0.5 if s == "half" else 0.0
+        assert code == 0
+        assert [float(row["j"]) for row in csv_rows(out)] == [
+            k + offset for k in range(-20, 21) if abs(k + offset) <= float(j_max)]
+
+    def test_coeffs_at_a_fractional_cutoff(self, capsys):
+        code, out, _ = run_cli(["cs", "coeffs", "--s", "half", "--j-max", "12.7"], capsys)
+        assert code == 0
+        assert [float(row["j"]) for row in csv_rows(out)] == [k + 0.5 for k in range(-13, 13)]
+
+    # numpy refuses these at once; never test with a cutoff that could allocate
+    @pytest.mark.parametrize("argv", [["spectrum", "--j-max", "1e300"],
+                                      ["cs", "coeffs", "--j-max", "1e12"]])
+    def test_unallocatable_level_cutoff_exit_code(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "cannot allocate" in err
+
     def test_theta_command(self, capsys):
         code, out, _ = run_cli(["theta", "--l", "0", "--phi", "0", "--r", "0"], capsys)
         assert code == 0
@@ -291,6 +313,17 @@ class TestSweep:
             # at the border angle the momentum equals l + r up to the theta
             # correction, which is bounded by ~2*pi*e^{-pi^2} ~ 3.3e-4
             assert float(row["expect_j"]) == pytest.approx(float(row["r"]), abs=4e-4)
+
+    @pytest.mark.parametrize("grid, message", [
+        ("grid=a:b:3", "unknown sweep variable 'grid'"),
+        ("workers=1:2:3", "unknown sweep variable 'workers'"),
+        ("t=0:1:2", "unknown sweep variable 't'"),
+        ("l=a:b:3", "cannot parse grid component"),
+    ])
+    def test_bad_grid_exit_code(self, capsys, grid, message):
+        code, out, err = run_cli(["sweep", "expect-j", "--grid", grid], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_empty_grid(self, capsys):
         code, out, _ = run_cli(
@@ -480,6 +513,97 @@ class TestRoundTrip:
         code, _, err = run_cli(["cs", "expect-j", "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown config key" in err
+
+
+class TestConfig:
+    """A --config file's values act as flags placed before the command line's own."""
+
+    # one artifact per command kind; the tiny negative values, written as
+    # --flag=value on the command line, come back as exponent text
+    ARTIFACT_COMMANDS = [
+        ["theta", "--l=-1e-05", "--phi", "pi/2"],
+        ["cs", "expect-j", "--l=-2.5e-06", "--s", "half"],
+        ["cs", "expect-u", "--phi", "pi"],
+        ["cs", "norm2", "--l", "1.5"],
+        ["cs", "distribution", "--l", "0.7"],
+        ["cs", "overlap", "--l2=-3e-07", "--phi2", "pi"],
+        ["cs", "coeffs", "--s", "half"],
+        ["cs", "quantize", "--l", "1"],
+        ["cs", "fidelity", "--t", "0.3", "--L0=-1e-05"],
+        ["spectrum", "--s", "half", "--L0=-1e-05"],
+        ["dynamics", "--t-end", "0.05", "--dt", "0.01", "--z0=-1e-05"],
+        ["project", "--theta", "pi/2", "--phi=-1e-05"],
+        ["verify", "--suite", "theta"],
+        ["sweep", "expect-u", "--grid", "l=-1:1:5", "--workers", "4"],
+        ["sweep", "energy", "--grid", "j=-1:1:3", "--L0=-1e-05"],
+        ["sweep", "projector", "--grid", "theta=0:pi:3", "--delta", "0.2"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARTIFACT_COMMANDS, ids=" ".join)
+    def test_run_gives_the_artifact_bytes(self, capsys, tmp_path, argv):
+        artifact, rerun = tmp_path / "artifact.json", tmp_path / "rerun.json"
+        code = cli.main([*argv, "--format", "json", "--out", str(artifact)])
+        assert cli.main(["run", "--config", str(artifact),
+                         "--format", "json", "--out", str(rerun)]) == code
+        capsys.readouterr()
+        assert rerun.read_bytes() == artifact.read_bytes()
+
+    @pytest.mark.parametrize("text", ["r=0.25\nl=0.3\n", '{"config": {"r": 0.25, "l": 0.3}}'])
+    def test_command_line_flag_wins_at_its_default_value(self, capsys, tmp_path, text):
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(text)
+        configured = run_cli(["cs", "expect-j", "--config", str(cfg), "--r", "0.5"], capsys)
+        assert configured == run_cli(["cs", "expect-j", "--l", "0.3", "--r", "0.5"], capsys)
+        assert configured != run_cli(["cs", "expect-j", "--l", "0.3", "--r", "0.25"], capsys)
+
+    @pytest.mark.parametrize("argv", [["cs", "expect-j"], ["run"]])
+    def test_json_null_value_exit_code(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({"command": ["cs", "expect-j"], "config": {"r": None}}))
+        code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["out={out}\nformat=json\n",
+                                      '{{"out": "{out}", "format": "json"}}'])
+    def test_both_config_forms_set_the_same_flags(self, capsys, tmp_path, text):
+        out = tmp_path / "out.json"
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(text.format(out=out))
+        assert run_cli(["cs", "norm2", "--config", str(cfg)], capsys) == (0, "", "")
+        assert json.loads(out.read_text())["command"] == ["cs", "norm2"]
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"),
+        ("{bad", "is not valid JSON"),
+        ("r\n", "config line without '='"),
+        ("config=other.cfg\n", "unknown config key 'config'"),
+        ('{"r": [0.5]}', "needs a number or a string"),
+        ("t=3\n", "unknown config key 't'"),  # not an abbreviation of --t-end
+    ])
+    def test_bad_config_exit_code(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "bad.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(["dynamics", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+
+    def test_argv_is_parsed_once_without_config(self, capsys, monkeypatch, tmp_path):
+        parser = cli._parser()
+        seen = []
+        parse = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(argv) or parse(argv))
+        cli.main(["cs", "expect-j", "--l", "0.2"])
+        assert seen == [["cs", "expect-j", "--l", "0.2"]]
+
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text("phi=-pi/2\nj-max=12\n")
+        cli.main(["cs", "coeffs", "--config", str(cfg), "--l", "0.2"])
+        capsys.readouterr()
+        assert seen[1:] == [["cs", "coeffs", "--config", str(cfg), "--l", "0.2"],
+                            ["cs", "--phi=-pi/2", "--j-max=12",
+                             "coeffs", "--config", str(cfg), "--l", "0.2"]]
 
 
 class TestCachedParser:

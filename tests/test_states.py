@@ -42,6 +42,28 @@ FIDUCIAL_AMPLITUDE_SUM = 2.5066282880429056   # sum_j exp(-j^2/2), j in Z
 FIDUCIAL_NORM2_INT = 1.772637204826652        # sum_j exp(-j^2),  j in Z
 FIDUCIAL_NORM2_HALF = 1.7722704969843799      # sum_j exp(-j^2),  j in Z + 1/2
 
+LEVEL_CUTOFFS = (0, 0.4, 0.5, 0.6, 1, 3, 3.5, 3.7, 7.6,
+                 math.nextafter(0.5, 0.0), math.nextafter(3.5, 0.0), -0.5)
+
+
+def brute_levels(j_max, s):
+    """Every level of Z + s with |j| <= j_max, filtered from a wider range."""
+    return [k + s for k in range(-20, 21) if abs(k + s) <= j_max]
+
+
+class TestLevelGrid:
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("j_max", LEVEL_CUTOFFS)
+    def test_every_level_within_the_cutoff(self, j_max, s):
+        assert level_grid(j_max, s).tolist() == brute_levels(j_max, s)
+
+    # numpy refuses these at once; never test with a cutoff that could allocate
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("j_max", [1e12, 1e300])
+    def test_unallocatable_cutoff_is_a_domain_error(self, j_max, s):
+        with pytest.raises(DomainError, match="cannot allocate"):
+            level_grid(j_max, s)
+
 
 class TestBuildCS:
     def test_fiducial_center_coefficient(self):
