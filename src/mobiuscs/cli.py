@@ -228,8 +228,10 @@ def make_label(args) -> states.StateLabel:
     return states.StateLabel(l=args.l, phi=args.phi, r=args.r, s=args.s)
 
 
-def base_config(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _config(args) -> dict:
+    """An artifact's config: its command's flags but --out, --format and unset (None) ones."""
+    return {key: value for key in _parser().config_flags[args.command]
+            if key not in ("out", "format") and (value := getattr(args, key)) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +258,12 @@ def cmd_theta(args) -> int:
          "value_re": theta.theta3_logderiv(c + shift, states.TAU_DUAL), "value_im": 0.0},
     ]
     _require_finite(rows)
-    emit(_columns(rows), args, ["theta"], base_config(args, ("l", "phi", "r", "s")))
+    emit(_columns(rows), args, ["theta"], _config(args))
     return 0
 
 
 def cmd_cs(args) -> int:
     label = make_label(args)
-    cfg_keys = ("l", "phi", "r", "s")
     if args.action == "expect-j":
         v1 = states.expect_j(label, method="ratio")
         v2 = states.expect_j(label, method="theta")
@@ -279,24 +280,15 @@ def cmd_cs(args) -> int:
                  "direct_path": states.norm2(label, method="direct"),
                  "modular_path": states.norm2(label, method="modular")}]
     elif args.action == "distribution":
-        if args.j is not None:
-            levels = [args.j]
-            law = [states.distribution(label, args.j)]  # checks that j is in Z + s
-        else:
-            levels = states.level_grid(states.default_j_max(label.center), label.s)
-            law = states.occupation_law(label.center, label.s, levels)
-        rows = [{"j": jj, "probability": p,
-                 "gaussian": states.gaussian_distribution(jj, label.center)}
-                for jj, p in zip(levels, law)]
-        for row in rows:
-            row["deviation"] = abs(row["probability"] - row["gaussian"])
+        law = states.occupation_law(label, args.j)  # the --j level alone, if given
+        rows = [{"j": jj, "probability": p, "gaussian": g, "deviation": abs(p - g)}
+                for jj, p, g in zip(*(col.tolist() for col in law))]
     elif args.action == "overlap":
         other = states.StateLabel(l=args.l2, phi=args.phi2, r=args.r, s=args.s)
         direct = states.overlap(label, other, method="direct")
         closed = states.overlap(label, other, method="theta")
         rows = [{"overlap_re": closed.real, "overlap_im": closed.imag,
                  "spread": _modulus(direct - closed)}]
-        cfg_keys = ("l", "phi", "r", "s", "l2", "phi2")
     elif args.action == "coeffs":
         v = states.build_cs(label, j_max=args.j_max)
         rows = [{"j": jj, "c_re": cc.real, "c_im": cc.imag}
@@ -311,11 +303,10 @@ def cmd_cs(args) -> int:
     elif args.action == "fidelity":
         rows = [{"t": args.t,
                  "fidelity": states.temporal_fidelity(label, args.t, L0=args.L0)}]
-        cfg_keys = ("l", "phi", "r", "s", "t", "L0")
     else:
         raise DomainError(f"unknown cs action {args.action!r}")
     _require_finite(rows)
-    emit(_columns(rows), args, ["cs", args.action], base_config(args, cfg_keys))
+    emit(_columns(rows), args, ["cs", args.action], _config(args))
     return 0
 
 
@@ -330,7 +321,7 @@ def cmd_spectrum(args) -> int:
                      "E": general.E,
                      "E_border": dynamics.energy_quantized(float(j), args.L0, args.r)})
     _require_finite(rows)
-    emit(_columns(rows), args, ["spectrum"], base_config(args, ("r", "s", "j_max", "L0", "phi")))
+    emit(_columns(rows), args, ["spectrum"], _config(args))
     return 0
 
 
@@ -340,8 +331,7 @@ def cmd_dynamics(args) -> int:
     s0 = dynamics.MobiusState(phi=args.phi, phi_dot=phi_dot, z0=args.z0, z0_dot=z0_dot)
     traj = dynamics.integrate_mobius(s0, args.r, t_end=args.t_end, dt=args.dt,
                                      energy_tol=args.tol)
-    emit(traj.columns(), args, ["dynamics"],
-         base_config(args, ("phi", "j", "L0", "z0", "r", "t_end", "dt", "tol")))
+    emit(traj.columns(), args, ["dynamics"], _config(args))
     return 0
 
 
@@ -356,13 +346,13 @@ def cmd_project(args) -> int:
         "quadrature": quad_val,
         "difference": abs(ind - quad_val),
     }]
-    emit(_columns(rows), args, ["project"], base_config(args, ("theta", "phi", "delta")))
+    emit(_columns(rows), args, ["project"], _config(args))
     return 0
 
 
 def cmd_verify(args) -> int:
     checks = report.run_suite(args.suite)
-    emit(_columns([c.row() for c in checks]), args, ["verify"], {"suite": args.suite})
+    emit(_columns([c.row() for c in checks]), args, ["verify"], _config(args))
     failed = [c for c in checks if not c.passed]
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -396,41 +386,38 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
             lo, hi = SWEEP_PARAMS[name](lo_s), SWEEP_PARAMS[name](hi_s)
         except (ValueError, argparse.ArgumentTypeError):
             raise DomainError(f"cannot parse grid component {part!r}") from None
-        axes.append((name, np.linspace(lo, hi, int(count_s))))
+        try:
+            axes.append((name, np.linspace(lo, hi, int(count_s))))
+        except (MemoryError, ValueError):  # past numpy's size limit or the memory
+            raise DomainError(f"cannot allocate the grid axis {part.strip()!r}") from None
     return axes
 
 
 STATE_TARGETS = ("expect-j", "expect-u", "norm2", "gaussian-supnorm")
-BATCHED_TARGETS = STATE_TARGETS[:3]  # their states routes also take a LabelBatch
 SWEEP_TARGETS = (*STATE_TARGETS, "energy", "projector")
 
 
-def _state_values(target: str, label) -> dict:
-    """A state target's values at a StateLabel, or their arrays at a LabelBatch."""
+def _state_values(target: str, batch: states.LabelBatch) -> dict:
+    """A state target's value arrays at a LabelBatch."""
     if target == "expect-j":
-        return {"expect_j": states.expect_j(label, method="ratio")}
+        return {"expect_j": states.expect_j(batch, method="ratio")}
     if target == "expect-u":
-        val = states.expect_u(label, method="theta")
+        val = states.expect_u(batch, method="theta")
         return {"expect_u_re": val.real, "expect_u_im": val.imag}
     if target == "norm2":
-        return {"norm2": states.norm2(label, method="theta")}
-    return {"supnorm": states.gaussian_supnorm(label.center, label.s)}
+        return {"norm2": states.norm2(batch, method="theta")}
+    return {"supnorm": states.gaussian_supnorm(batch)}
 
 
 def _sweep_eval(target: str, params: dict) -> dict:
-    """One sweep point through the scalar routes."""
-    if target in STATE_TARGETS:
-        return _state_values(target, states.StateLabel(l=params["l"], phi=params["phi"],
-                                                       r=params["r"], s=params["s"]))
+    """One energy or projector sweep point."""
     if target == "energy":
         entry = dynamics.energy_spectrum(params["j"], params["L0"],
                                          params["phi"], params["r"])
         return {"E": entry.E}
-    if target == "projector":
-        spec = projection.ProjectionSpec(theta=params["theta"], phi=params["phi"],
-                                         delta=params["delta"])
-        return {"indicator": projection.universal_projector(spec, method="indicator")}
-    raise DomainError(f"unknown sweep target {target!r}")
+    spec = projection.ProjectionSpec(theta=params["theta"], phi=params["phi"],
+                                     delta=params["delta"])
+    return {"indicator": projection.universal_projector(spec, method="indicator")}
 
 
 def _grid_columns(axes: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -438,25 +425,34 @@ def _grid_columns(axes: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
 
     A repeated axis name keeps its first place and its last axis's values.
     """
-    mesh = np.meshgrid(*[vals for _, vals in axes], indexing="ij")
+    try:
+        mesh = np.meshgrid(*[vals for _, vals in axes], indexing="ij")
+    except (MemoryError, ValueError):  # past numpy's size limit or the memory
+        raise DomainError("cannot allocate the sweep grid's points") from None
     return {name: grid.ravel() for (name, _), grid in zip(axes, mesh)}
 
 
-def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> list[int]:
-    """Evaluate a batched state target at every row whose label is valid.
+def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> None:
+    """Evaluate a state target at every row of the l, phi, r and s columns ``labels``.
 
-    ``labels`` holds the l, phi, r and s columns.  Values go into
-    ``values`` (created on a row's first success) and non-finite rows get
-    _require_finite's error text.  Returns the rows left for the scalar
-    route: invalid labels, so that they fail with StateLabel's own message,
-    and every row of a batch that raised.
+    Values go into ``values`` (created on a row's first success).  An
+    invalid label gets StateLabel's error text, a non-finite row
+    _require_finite's, and a batch that raises is retried row by row, so
+    that each failing row gets its own error.
     """
-    batches, scalar_rows = states.label_batches(*labels)
-    for rows, batch in batches:
+    batches, rejected = states.label_batches(*labels)
+    for i, message in rejected.items():
+        errors[i] = f"DomainError: {message}"
+    while batches:
+        rows, batch = batches.pop()
         try:
             result = {key: col.tolist() for key, col in _state_values(target, batch).items()}
-        except (PrecisionError, ArithmeticError, MemoryError, ValueError):
-            scalar_rows.extend(rows)  # the scalar route names each failing row's error
+        except Exception as exc:  # per-row failure is recorded, not fatal
+            if len(rows) == 1:
+                errors[rows[0]] = f"{type(exc).__name__}: {exc}"
+            else:
+                batches += [([i], states.LabelBatch([c], [phi], batch.s))
+                            for i, c, phi in zip(rows, batch.centers, batch.phis)]
             continue
         for k, i in enumerate(rows):
             bad = next((key for key, col in result.items() if not math.isfinite(col[k])), None)
@@ -465,7 +461,6 @@ def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> lis
                 continue
             for key, col in result.items():
                 _value_column(values, key, len(errors))[i] = col[k]
-    return scalar_rows
 
 
 def _value_column(values: dict, key: str, n: int) -> list:
@@ -476,6 +471,8 @@ def _value_column(values: dict, key: str, n: int) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if args.grid is None:
+        raise DomainError("sweep needs --grid, on the command line or in its --config")
     axes = parse_grid(args.grid)
     base = {key: getattr(args, key) for key in SWEEP_PARAMS}
     columns = _grid_columns(axes)
@@ -484,29 +481,28 @@ def cmd_sweep(args) -> int:
     # columns are built directly: a 10^4-point sweep keeps no per-row dicts
     values: dict[str, list] = {}
     errors = [""] * n_points
-    scalar_rows = range(n_points)
-    if args.target in BATCHED_TARGETS:
+    if args.target in STATE_TARGETS:
         labels = [columns[k].tolist() if k in columns else [base[k]] * n_points
                   for k in ("l", "phi", "r", "s")]
-        scalar_rows = _sweep_batches(args.target, labels, values, errors)
-    for i in scalar_rows:
-        params = dict(base)
-        params.update({name: col[i] for name, col in columns.items()})
-        try:
-            result = _sweep_eval(args.target, params)
-            _require_finite([result])
-        except Exception as exc:  # per-row failure is recorded, not fatal
-            errors[i] = f"{type(exc).__name__}: {exc}"
-            continue
-        for key, value in result.items():
-            _value_column(values, key, n_points)[i] = value
+        _sweep_batches(args.target, labels, values, errors)
+    else:
+        for i in range(n_points):
+            params = dict(base)
+            params.update({name: col[i] for name, col in columns.items()})
+            try:
+                result = _sweep_eval(args.target, params)
+                _require_finite([result])
+            except Exception as exc:  # per-row failure is recorded, not fatal
+                errors[i] = f"{type(exc).__name__}: {exc}"
+                continue
+            for key, value in result.items():
+                _value_column(values, key, n_points)[i] = value
 
     # column layout must not depend on which rows failed
     for key in sorted(values):
         columns[key] = values[key]
     columns["error"] = errors
-    emit(columns, args, ["sweep", args.target],
-         {"target": args.target, "grid": args.grid, **base, "workers": args.workers})
+    emit(columns, args, ["sweep", args.target], _config(args))
     return 1 if any(errors) else 0
 
 
@@ -600,8 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="Cartesian parameter sweep")
     p.add_argument("target", choices=SWEEP_TARGETS)
     _add_common(p, label=True)
-    p.add_argument("--grid", required=True,
-                   help="axes as 'var=start:stop:count[,var=...]' (inclusive)")
+    p.add_argument("--grid", default=None,
+                   help="axes as 'var=start:stop:count[,var=...]' (inclusive); required")
     p.add_argument("--j", type=float, default=0.5)
     p.add_argument("--L0", type=float, default=0.0)
     p.add_argument("--theta", type=parse_angle, default=0.0)

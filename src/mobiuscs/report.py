@@ -188,14 +188,8 @@ def _shift_dual_path() -> float:
 @_check("states", "occupation-gaussian", "occupation law vs limiting Gaussian, sup over levels",
         "center in [0,1], 21 points", 1.1e-4)
 def _occupation_gaussian() -> float:
-    err = 0.0
-    for lp in np.linspace(0.0, 1.0, 21):
-        lab = label_for_center(lp, math.pi, 0.5)
-        j = states.level_grid(states.default_j_max(lp), 0.0)
-        law = states.occupation_law(lab.center, lab.s, j)
-        sup = max(abs(p - states.gaussian_distribution(jj, lp)) for jj, p in zip(j, law))
-        err = max(err, sup)
-    return err
+    return max(states.gaussian_supnorm(label_for_center(lp, math.pi, 0.5))
+               for lp in np.linspace(0.0, 1.0, 21))
 
 
 # -- dynamics ---------------------------------------------------------------

@@ -14,7 +14,8 @@ Everything measurable closes in theta functions:
     <xi|xi>     = Theta_{3|2}(i*l'/pi | i/pi) = exp(l'^2) sqrt(pi) Theta_{3|4}(l' | i*pi)
     <J>         = l' + (1/2) d/dnu log Theta_{3|4}(nu|i*pi) at nu = l'
     <U>/<1>     = exp(-1/4) exp(i*phi) * theta ratio          (U|j> = |j+1>)
-    |<j|xi>|^2 / <xi|xi> = exp(-2*l'*j - j^2) / Theta_{3|2}(i*l'/pi | i/pi)
+    |<j|xi>|^2 / <xi|xi> = exp(2*l'*j - j^2) / Theta_{3|2}(i*l'/pi | i/pi)
+                         = exp(-(j-l')^2) / sum_k exp(-(k-l')^2)
 
 (the second subscript applies in the s = 1/2 sector; Theta_4(nu) enters only
 as Theta_3(nu + 1/2)).  Each quantity is exposed through at least two
@@ -64,7 +65,6 @@ __all__ = [
     "expect_u",
     "occupation_law",
     "distribution",
-    "gaussian_distribution",
     "gaussian_supnorm",
     "quantization_scan",
     "evolve",
@@ -123,9 +123,10 @@ def label_for_center(center: float, phi: float, r: float, s: float = 0.0) -> Sta
 class LabelBatch:
     """Many labels of one basis offset s, held as the columns the batched routes read.
 
-    ``norm2(batch, method="theta")``, ``expect_j(batch, method="ratio")`` and
-    ``expect_u(batch, method="theta")`` return one value per label, each
-    bit for bit the value of the same route at that StateLabel.
+    ``norm2(batch, method="theta")``, ``expect_j(batch, method="ratio")``,
+    ``expect_u(batch, method="theta")``, ``gaussian_supnorm`` and
+    ``occupation_law`` give one entry per label; a StateLabel runs as a
+    batch of one, and no entry depends on the other labels of its batch.
     """
 
     centers: list[float]
@@ -133,20 +134,20 @@ class LabelBatch:
     s: float
 
 
-def label_batches(l, phi, r, s, z_sign: int = +1) -> tuple[list, list[int]]:
+def label_batches(l, phi, r, s, z_sign: int = +1) -> tuple[list, dict[int, str]]:
     """Split label columns (sequences of floats) into one LabelBatch per basis offset.
 
     Returns ``([(rows, batch), ...], rejected)``.  A row goes into a batch
     if StateLabel accepts its label, and its center is taken as
-    StateLabel.center takes it; ``rejected`` lists the other rows.
+    StateLabel.center takes it; ``rejected`` maps the others to StateLabel's error text.
     """
     sectors = {0.0: ([], [], []), 0.5: ([], [], [])}
-    rejected = []
+    rejected = {}
     for i, (li, phi_i, ri, si) in enumerate(zip(l, phi, r, s)):
         try:
             _check_label(li, phi_i, ri, si, z_sign)
-        except DomainError:
-            rejected.append(i)
+        except DomainError as exc:
+            rejected[i] = str(exc)
             continue
         rows, centers, phis = sectors[0.0 if si == 0.0 else 0.5]
         rows.append(i)
@@ -157,8 +158,16 @@ def label_batches(l, phi, r, s, z_sign: int = +1) -> tuple[list, list[int]]:
     return batches, rejected
 
 
-def _batched_method(fn: str, method: str, batched: str) -> None:
-    if method != batched:
+def _batched(label: StateLabel | LabelBatch, kernel):
+    """kernel(batch) at a LabelBatch; at a StateLabel, the one entry of its batch of one."""
+    if isinstance(label, LabelBatch):
+        return kernel(label)
+    entry = kernel(LabelBatch([label.center], [label.phi], label.s))[0]
+    return entry.item() if isinstance(entry, np.generic) else entry  # a Python number
+
+
+def _refuse_batch(fn: str, label, batched: str, method: str) -> None:
+    if isinstance(label, LabelBatch):
         raise ValueError(f"{fn} takes a LabelBatch with method={batched!r} only, got {method!r}")
 
 
@@ -255,23 +264,14 @@ def fiducial(j_max: float | None = None, s: float = 0.0) -> FockVector:
     return build_cs(StateLabel(l=0.0, phi=0.0, r=0.0, s=s), j_max=j_max)
 
 
-def _pair_center_j_max(a: StateLabel, b: StateLabel) -> int:
-    return max(default_j_max(a.center), default_j_max(b.center),
-               default_j_max(0.5 * (a.center + b.center)))
-
-
-def _check_pair(a: StateLabel, b: StateLabel) -> None:
+def overlap(a: StateLabel, b: StateLabel, method: str = "theta") -> complex:
+    """<a|b>: truncated direct sum, or the closed theta form."""
     if a.s != b.s:
         raise DomainError("overlapping states must share the basis offset s")
     if a.r != b.r:
         raise DomainError("overlapping states must share the half-width r")
-
-
-def overlap(a: StateLabel, b: StateLabel, method: str = "theta") -> complex:
-    """<a|b>: truncated direct sum, or the closed theta form."""
-    _check_pair(a, b)
     if method == "direct":
-        j_max = _pair_center_j_max(a, b)
+        j_max = max(default_j_max(c) for c in (a.center, b.center, 0.5 * (a.center + b.center)))
         va = build_cs(a, j_max=j_max)
         vb = build_cs(b, j_max=j_max)
         return va.inner(vb)
@@ -292,29 +292,20 @@ def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.
 
     A LabelBatch (method="theta") gives an array, its theta sums batched.
     """
-    if isinstance(label, LabelBatch):
-        _batched_method("norm2", method, "theta")
-        nu = [1j * c / math.pi for c in label.centers]
+    if method == "theta":
         many = theta3_many if label.s == 0.0 else theta2_many
-        return many(nu, TAU_NATURAL).real
+        return _batched(label, lambda batch: many([1j * c / math.pi for c in batch.centers],
+                                                  TAU_NATURAL).real)
+    _refuse_batch("norm2", label, "theta", method)
     center = label.center
     if method == "direct":
-        return _direct_norm2(center, label.s)
-    if method == "theta":
-        nu = 1j * center / math.pi
-        th = theta3(nu, TAU_NATURAL) if label.s == 0.0 else theta2(nu, TAU_NATURAL)
-        return float(th.real)
+        j = level_grid(default_j_max(center), label.s)
+        return float(np.exp(2.0 * center * j - j * j).sum())
     if method == "modular":
         shift = 0.0 if label.s == 0.0 else 0.5
         th = theta3(center + shift, TAU_DUAL)
         return float(_exp(center * center, "modular norm2") * math.sqrt(math.pi) * th.real)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _direct_norm2(center: float, s: float) -> float:
-    """Truncated lattice sum sum_j exp(2*l'*j - j^2) over the level grid of ``center``."""
-    j = level_grid(default_j_max(center), s)
-    return float(np.exp(2.0 * center * j - j * j).sum())
 
 
 def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | np.ndarray:
@@ -332,21 +323,10 @@ def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | n
     A LabelBatch (method="ratio") gives an array: labels that share a level
     grid are summed as one (labels x levels) array.
     """
-    if isinstance(label, LabelBatch):
-        _batched_method("expect_j", method, "ratio")
-        centers = np.array(label.centers, dtype=float)
-        out = np.empty(centers.size)
-        j_maxes = [default_j_max(c) for c in label.centers]
-        for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
-            j = level_grid(j_max, label.s)
-            w = np.exp(2.0 * centers[rows, None] * j - j * j)
-            out[rows] = (j * w).sum(axis=1) / w.sum(axis=1)
-        return out
-    center = label.center
     if method == "ratio":
-        j = level_grid(default_j_max(center), label.s)
-        w = np.exp(2.0 * center * j - j * j)
-        return float((j * w).sum() / w.sum())
+        return _batched(label, _expect_j_ratio)
+    _refuse_batch("expect_j", label, "ratio", method)
+    center = label.center
     if method == "theta":
         shift = 0.0 if label.s == 0.0 else 0.5
         return center + 0.5 * theta3_logderiv(center + shift, TAU_DUAL)
@@ -366,6 +346,23 @@ def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | n
     raise ValueError(f"unknown method {method!r}")
 
 
+def _grid_blocks(batch: LabelBatch, weight, reach: int = 0):
+    """(rows, levels, weight(centers, levels)) per row block of labels on one level grid."""
+    centers = np.array(batch.centers, dtype=float)
+    # widened towards reach by at most 19 levels: past |l'| + 28, exp(-(j - l')^2) is 0.0
+    j_maxes = [d + min(max(reach - d, 0), 19) for d in map(default_j_max, batch.centers)]
+    for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
+        j = level_grid(j_max, batch.s)
+        yield rows, j, weight(centers[rows, None], j)
+
+
+def _expect_j_ratio(batch: LabelBatch) -> np.ndarray:
+    out = np.empty(len(batch.centers))
+    for rows, j, w in _grid_blocks(batch, lambda c, j: np.exp(2.0 * c * j - j * j)):
+        out[rows] = (j * w).sum(axis=1) / w.sum(axis=1)
+    return out
+
+
 def expect_u(label: StateLabel | LabelBatch, method: str = "theta") -> complex | np.ndarray:
     """<U>/<xi|xi> for the shift U|j> = |j+1>; modulus never exceeds 1.
 
@@ -375,72 +372,75 @@ def expect_u(label: StateLabel | LabelBatch, method: str = "theta") -> complex |
 
     A LabelBatch (method="theta") gives an array: the theta sums are
     batched, the ratio and the phase are taken per label in Python complex
-    arithmetic, as for one label.
+    arithmetic.
     """
-    if isinstance(label, LabelBatch):
-        _batched_method("expect_u", method, "theta")
-        nu = [1j * c / math.pi for c in label.centers]
-        t2 = theta2_many(nu, TAU_NATURAL).tolist()
-        t3 = theta3_many(nu, TAU_NATURAL).tolist()
-        scale = math.exp(-0.25)
-        return np.array([scale * cmath.exp(1j * phi) * (a / b if label.s == 0.0 else b / a)
-                         for a, b, phi in zip(t2, t3, label.phis)], dtype=complex)
+    if method == "theta":
+        return _batched(label, _expect_u_theta)
+    _refuse_batch("expect_u", label, "theta", method)
     if method == "direct":
         v = build_cs(label)
-        num = complex(np.vdot(v.c[1:], v.c[:-1]))
-        return num / v.norm2()
-    if method == "theta":
-        nu = 1j * label.center / math.pi
-        t2 = theta2(nu, TAU_NATURAL)
-        t3 = theta3(nu, TAU_NATURAL)
-        ratio = t2 / t3 if label.s == 0.0 else t3 / t2
-        return math.exp(-0.25) * cmath.exp(1j * label.phi) * ratio
+        return complex(np.vdot(v.c[1:], v.c[:-1])) / v.norm2()
     raise ValueError(f"unknown method {method!r}")
 
 
-def _occupation(center: float, s: float, j: float, norm: float) -> float:
-    """|<j|xi>|^2 / <xi|xi> at level j, given the direct norm of the state.
+def _expect_u_theta(batch: LabelBatch) -> np.ndarray:
+    nu = [1j * c / math.pi for c in batch.centers]
+    t2 = theta2_many(nu, TAU_NATURAL).tolist()
+    t3 = theta3_many(nu, TAU_NATURAL).tolist()
+    return np.array([math.exp(-0.25) * cmath.exp(1j * phi) * (a / b if batch.s == 0.0 else b / a)
+                     for a, b, phi in zip(t2, t3, batch.phis)], dtype=complex)
 
-    Where the norm has overflowed but the weight has not (|l'| ~ 26.632 to
-    26.642 for a whole level grid), both are divided by exp(l'^2): the law
-    is then exp(-(j - l')^2) / sum_k exp(-(k - l')^2).
+
+def _check_level(j: float, s: float) -> None:
+    if not math.isfinite(j):
+        raise DomainError(f"level j must be finite, got {j}")
+    if abs(j - round(j - s) - s) > 1e-12:
+        raise DomainError(f"level j={j} is not in Z + {s}")
+
+
+def _occupation_law(batch: LabelBatch, level: float | None = None) -> list[tuple]:
+    """(levels, probability, gaussian) per label, or with ``level`` that level's entry alone.
+
+    The weights w_j = exp(-(j - l')^2) = |<j|xi>|^2 / exp(l'^2) sum to between
+    exp(-1/4) and 2 on a label's grid, so nothing overflows at any l';
+    probability = w/sum(w) and gaussian = w/sqrt(pi) come from the one array.
     """
-    weight = _exp(2.0 * center * j - j * j, "occupation weight")
-    if norm == math.inf:
-        k = level_grid(default_j_max(center), s)
-        return math.exp(-((j - center) ** 2)) / float(np.exp(-((k - center) ** 2)).sum())
-    return weight / norm
+    if level is not None:
+        _check_level(level, batch.s)
+    law = [None] * len(batch.centers)
+    reach = math.ceil(abs(level or 0.0))
+    for rows, j, w in _grid_blocks(batch, lambda c, j: np.exp(-((j - c) ** 2)), reach):
+        p, g = w / w.sum(axis=1, keepdims=True), w / math.sqrt(math.pi)
+        if level is not None:
+            k = round(level - j[0])
+            if 0 <= k < j.size:
+                j, p, g = j[k:k + 1], p[:, k:k + 1], g[:, k:k + 1]
+            else:  # beyond the widened grid its weight, and so both entries, is 0.0
+                j, p, g = np.array([float(level)]), *np.zeros((2, len(rows), 1))
+        for row, i in enumerate(rows):
+            law[i] = (j, p[row], g[row])
+    return law
 
 
-def occupation_law(center: float, s: float, levels) -> list[float]:
-    """|<j|xi>|^2 / <xi|xi> at each of ``levels`` (all in Z + s) at center l'.
+def occupation_law(label: StateLabel | LabelBatch, level: float | None = None):
+    """|<j|xi>|^2 / <xi|xi> and its Gaussian limit exp(-(j - l')^2)/sqrt(pi), level by level.
 
-    The direct norm is summed once, not once per level.
+    The arrays (levels, probability, gaussian) over level_grid(default_j_max(l'), s);
+    a LabelBatch gives one such triple per label.  With ``level`` (in Z + s) they hold
+    that level alone, from a grid widened to reach it if it lies beyond (see _grid_blocks).
     """
-    with np.errstate(over="ignore"):  # _occupation handles an overflowed norm
-        norm = _direct_norm2(center, s)
-    return [_occupation(center, s, j, norm) for j in levels]
+    return _batched(label, lambda batch: _occupation_law(batch, level))
 
 
 def distribution(label: StateLabel, j: float) -> float:
-    """Occupation probability |<j|xi>|^2 / <xi|xi> at level j in Z + s."""
-    if not math.isfinite(j):
-        raise DomainError(f"level j must be finite, got {j}")
-    if abs(j - round(j - label.s) - label.s) > 1e-12:
-        raise DomainError(f"level j={j} is not in Z + {label.s}")
-    return occupation_law(label.center, label.s, (j,))[0]
+    """Occupation probability |<j|xi>|^2 / <xi|xi> at level j in Z + s (see occupation_law)."""
+    return float(_batched(label, lambda batch: _occupation_law(batch, j))[1][0])
 
 
-def gaussian_distribution(j: float, center: float) -> float:
-    """Limiting Gaussian law exp(-(j - l')^2)/sqrt(pi) of the occupation."""
-    return math.exp(-((j - center) ** 2)) / math.sqrt(math.pi)
-
-
-def gaussian_supnorm(center: float, s: float) -> float:
-    """max over the level grid of |distribution - gaussian_distribution| at center l'."""
-    levels = level_grid(default_j_max(center), s)
-    return max(abs(p - gaussian_distribution(j, center))
-               for j, p in zip(levels, occupation_law(center, s, levels)))
+def gaussian_supnorm(label: StateLabel | LabelBatch) -> float | np.ndarray:
+    """max over the level grid of |probability - gaussian| (see occupation_law)."""
+    return _batched(label, lambda batch: np.array(
+        [np.abs(p - g).max() for _, p, g in _occupation_law(batch)]))
 
 
 def quantization_scan(
@@ -521,7 +521,6 @@ def temporal_fidelity(label: StateLabel, t: float, L0: float = 0.0,
 
 def bargmann_coeff(label: StateLabel, j: float) -> complex:
     """Analytic coefficient (xi*)^{-j} exp(-j^2/2) = conj(<j|xi>)."""
-    if abs(j - round(j - label.s) - label.s) > 1e-12:
-        raise DomainError(f"level j={j} is not in Z + {label.s}")
+    _check_level(j, label.s)
     center = label.center
     return cmath.exp(center * j + 1j * label.phi * j - 0.5 * j * j)

@@ -195,12 +195,21 @@ def theta2_series(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLI
     return complex(_lattice_rows(np.array([nu]), tau, n)[0])
 
 
+def _shift_prefactor(nu: complex, tau: complex) -> complex:
+    """exp(i*pi*(tau/4 + nu)), raising PrecisionError where it leaves double range."""
+    try:
+        return cmath.exp(1j * math.pi * (tau / 4.0 + nu))
+    except OverflowError:
+        x = -math.pi * (tau / 4.0 + nu).imag
+        raise PrecisionError(f"Theta2 prefactor overflows: exp({x:g})", achieved=math.inf) from None
+
+
 def theta2(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
     """Theta2(nu|tau) via the half-period shift of Theta3."""
     tau = _check_tau(tau)
     nu = complex(nu)
-    prefactor = cmath.exp(1j * math.pi * (tau / 4.0 + nu))
-    return prefactor * theta3(nu + tau / 2.0, tau, policy)
+    t3 = theta3(nu + tau / 2.0, tau, policy)
+    return _shift_prefactor(nu, tau) * t3
 
 
 def theta2_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -212,8 +221,7 @@ def theta2_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.n
     tau = _check_tau(tau)
     nu = [complex(v) for v in np.ravel(nu)]
     t3 = theta3_many([v + tau / 2.0 for v in nu], tau, policy).tolist()
-    return np.array([cmath.exp(1j * math.pi * (tau / 4.0 + v)) * t for v, t in zip(nu, t3)],
-                    dtype=complex)
+    return np.array([_shift_prefactor(v, tau) * t for v, t in zip(nu, t3)], dtype=complex)
 
 
 def theta3_modular(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:

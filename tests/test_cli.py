@@ -63,13 +63,18 @@ class TestParsing:
 
 
 def mp_occupation(center, s, levels):
-    """|<j|xi>|^2/<xi|xi> at each level, from 30-digit lattice sums over |j - l'| <= 40."""
+    """|<j|xi>|^2/<xi|xi> at each level and its sup-distance to exp(-(j - l')^2)/sqrt(pi).
+
+    From 40-digit lattice sums over |j - l'| <= 40.
+    """
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
+    mp.mp.dps = 40
     c = mp.mpf(center)
     lo = math.floor(center - s) - 40
-    norm = mp.fsum(mp.exp(2 * c * (k + s) - (k + s) ** 2) for k in range(lo, lo + 82))
-    return [float(mp.exp(2 * c * j - mp.mpf(j) ** 2) / norm) for j in levels]
+    norm = mp.fsum(mp.exp(2 * c * (k + s) - mp.mpf(k + s) ** 2) for k in range(lo, lo + 82))
+    law = [mp.exp(2 * c * j - mp.mpf(j) ** 2) / norm for j in levels]
+    sup = max(abs(p - mp.exp(-(mp.mpf(j) - c) ** 2) / mp.sqrt(mp.pi)) for j, p in zip(levels, law))
+    return [float(p) for p in law], float(sup)
 
 
 def bits(x):
@@ -81,11 +86,23 @@ STATE_KEYS = {"expect-j": ("expect_j",), "expect-u": ("expect_u_re", "expect_u_i
               "norm2": ("norm2",), "gaussian-supnorm": ("supnorm",)}
 
 
-def sweep_against_scalar_route(target, grid, flags=(), fmt="csv"):
-    """Run a state sweep; check every row, bit for bit, against cli._sweep_eval.
+def one_label_values(target, label):
+    """A state target's values from the StateLabel call of its route."""
+    if target == "expect-j":
+        return {"expect_j": states.expect_j(label, method="ratio")}
+    if target == "expect-u":
+        u = states.expect_u(label, method="theta")
+        return {"expect_u_re": u.real, "expect_u_im": u.imag}
+    if target == "norm2":
+        return {"norm2": states.norm2(label, method="theta")}
+    return {"supnorm": states.gaussian_supnorm(label)}
 
-    A row the scalar route fails must carry its error text and no values.
-    Returns the parsed rows.
+
+def sweep_against_one_label_calls(target, grid, flags=(), fmt="csv"):
+    """Run a state sweep; check every row, bit for bit, against its one-label call.
+
+    A row whose StateLabel or route call fails must carry that error's text
+    and no values.  Returns the parsed rows.
     """
     argv = ["sweep", target, "--grid", grid, *flags, "--format", fmt]
     out = io.StringIO()
@@ -102,7 +119,7 @@ def sweep_against_scalar_route(target, grid, flags=(), fmt="csv"):
         params.update({name: float(row[name]) for name, _ in axes})
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                expected = cli._sweep_eval(target, params)
+                expected = one_label_values(target, states.StateLabel(**params))
             cli._require_finite([expected])
             error = ""
         except Exception as exc:
@@ -228,10 +245,11 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["cs", "expect-j", "--l", "40"],
         ["cs", "quantize", "--l", "30", "--r", "0.5", "--s", "half"],
-        # exp(l'^2) and the occupation weights overflow past |l'| ~ 26.6
+        # exp(l'^2) overflows past |l'| ~ 26.6
         ["theta", "--l", "30"],
         ["cs", "norm2", "--l", "40"],
-        ["cs", "distribution", "--l", "40"],
+        # the Theta2 prefactor exp(-l' - 1/4) overflows past l' ~ -709.5
+        ["cs", "norm2", "--l", "-1000", "--s", "half"],
         ["cs", "fidelity", "--l", "30"],
         ["cs", "expect-u", "--l", "40"],
         ["cs", "coeffs", "--l", "40"],
@@ -242,6 +260,8 @@ class TestCommands:
         ["cs", "norm2", "--l", "400"],
         # E = L0^2/2 + ... overflows
         ["spectrum", "--L0", "1e200"],
+        ["cs", "expect-u", "--l", "-800"],
+        ["theta", "--l", "-1000"],
     ])
     def test_non_finite_result_exit_code(self, capsys, argv):
         # the precision failure is the only report: no numpy warning ahead of it
@@ -282,12 +302,24 @@ class TestCommands:
         code, out, _ = run_cli(["cs", "distribution", "--l", "26.636", "--r", "0"], capsys)
         assert code == 0
         rows = csv_rows(out)
-        law = mp_occupation(26.636, 0.0, [float(row["j"]) for row in rows])
+        law, _ = mp_occupation(26.636, 0.0, [float(row["j"]) for row in rows])
         assert max(abs(float(row["probability"]) - p) for row, p in zip(rows, law)) <= 1e-10
         for row in rows:  # a single --j level gives that level's row of the grid
             _, single, _ = run_cli(["cs", "distribution", "--l", "26.636", "--r", "0",
                                     "--j", row["j"]], capsys)
             assert csv_rows(single) == [row]
+
+    @pytest.mark.parametrize("s", ["int", "half"])
+    def test_distribution_past_the_norm_overflow_edge(self, capsys, s):
+        code, out, _ = run_cli(["cs", "distribution", "--l", "40", "--s", s], capsys)
+        assert code == 0
+        rows = csv_rows(out)
+        assert abs(math.fsum(float(row["probability"]) for row in rows) - 1.0) <= 1e-14
+        center = states.StateLabel(l=40.0, phi=0.0, r=0.5).center
+        law, sup = mp_occupation(center, 0.5 if s == "half" else 0.0,
+                                 [float(row["j"]) for row in rows])
+        assert max(abs(float(row["probability"]) - p) for row, p in zip(rows, law)) <= 1e-15
+        assert abs(max(float(row["deviation"]) for row in rows) - sup) <= 1e-15
 
     @pytest.mark.parametrize("flags", [
         ["--theta", "nan"], ["--phi", "nan"], ["--theta", "inf"], ["--delta", "inf"],
@@ -364,10 +396,11 @@ class TestSweep:
            n_phi=st.integers(1, 4),
            r=st.floats(0.0, 0.95),
            s=st.sampled_from(["int", "half"]))
-    def test_batched_rows_match_scalar_route(self, target, l_range, n_l, phi_range, n_phi, r, s):
+    def test_batched_rows_match_one_label_calls(self, target, l_range, n_l, phi_range, n_phi,
+                                                r, s):
         grid = (f"l={l_range[0]!r}:{l_range[1]!r}:{n_l},"
                 f"phi={phi_range[0]!r}:{phi_range[1]!r}:{n_phi}")
-        sweep_against_scalar_route(target, grid, ["--r", repr(r), "--s", s])
+        sweep_against_one_label_calls(target, grid, ["--r", repr(r), "--s", s])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("target", STATE_KEYS)
@@ -380,20 +413,56 @@ class TestSweep:
         ("l=0:1:0", []),                                        # empty grid
         ("l=-3:3:5", ["--r", "1.5"]),                           # invalid --r
         ("l=-3:3:5", ["--phi", "nan"]),                         # non-finite phi
+        # batches that raise; each row is retried alone and fails with its own text
+        ("l=-1e4:1e4:5", ["--s", "half"]),
+        ("l=-1e300:1e300:3", []),
     ])
-    def test_fixed_grids_match_scalar_route(self, target, grid, flags, fmt):
-        sweep_against_scalar_route(target, grid, flags, fmt)
+    def test_fixed_grids_match_one_label_calls(self, target, grid, flags, fmt):
+        sweep_against_one_label_calls(target, grid, flags, fmt)
 
-    def test_supnorm_in_norm_overflow_band(self):
-        rows = sweep_against_scalar_route("gaussian-supnorm", "l=26.630:26.645:4", ["--r", "0"])
-        assert [bool(row["error"]) for row in rows] == [False, False, False, True]
-        assert rows[3]["error"].startswith("PrecisionError: occupation weight overflows")
-        for row in rows[:3]:
-            center = float(row["l"])
+    def test_supnorm_past_the_norm_overflow_edge(self):
+        rows = sweep_against_one_label_calls("gaussian-supnorm", "l=26.63:40:8", ["--r", "0"])
+        assert [row["error"] for row in rows] == [""] * 8
+        for row in rows:
+            center = float(row["l"])   # r = 0: l' = l
             levels = states.level_grid(states.default_j_max(center), 0.0)
-            law = mp_occupation(center, 0.0, levels)
-            sup = max(abs(p - states.gaussian_distribution(j, center)) for j, p in zip(levels, law))
-            assert abs(float(row["supnorm"]) - sup) <= 1e-10
+            _, sup = mp_occupation(center, 0.0, levels.tolist())
+            assert abs(float(row["supnorm"]) - sup) <= 1e-15
+
+    def test_failing_batch_rows_keep_their_own_errors(self, capsys):
+        code, out, _ = run_cli(["sweep", "norm2", "--grid", "l=-1e4:1e4:5", "--s", "half"],
+                               capsys)
+        errors = [row["error"] for row in csv_rows(out)]
+        assert code == 1
+        assert errors[0].startswith("PrecisionError: lattice sum did not reach")
+        assert errors[1].startswith("PrecisionError: Theta2 prefactor overflows")
+        assert errors[2] == ""
+
+    # numpy refuses these at once; never test with a grid that could allocate
+    @pytest.mark.parametrize("grid", [
+        "l=0:1:100000000000000000", "l=0:1:10000000000000000000",
+        "l=0:1:10000,phi=0:1:10000,r=0:0.5:10000,l=0:1:10000,phi=0:1:10000",
+    ])
+    def test_unallocatable_grid_exit_code(self, capsys, grid):
+        code, out, err = run_cli(["sweep", "norm2", "--grid", grid], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot allocate the")
+
+    def test_grid_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("grid=l=-1:1:3\nr=0.25\n")
+        configured = run_cli(["sweep", "expect-j", "--config", str(cfg)], capsys)
+        assert configured == run_cli(["sweep", "expect-j", "--grid", "l=-1:1:3", "--r", "0.25"],
+                                     capsys)
+        assert configured[0] == 0 and len(csv_rows(configured[1])) == 3
+
+    def test_no_grid_exit_code(self, capsys, tmp_path):
+        cfg = tmp_path / "nogrid.cfg"
+        cfg.write_text("r=0.25\n")
+        for argv in (["sweep", "norm2"], ["sweep", "norm2", "--config", str(cfg)]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err == "error: sweep needs --grid, on the command line or in its --config\n"
 
     def test_row_failures_reported(self, capsys):
         code, out, _ = run_cli(
@@ -528,6 +597,8 @@ class TestConfig:
         ["cs", "distribution", "--l", "0.7"],
         ["cs", "overlap", "--l2=-3e-07", "--phi2", "pi"],
         ["cs", "coeffs", "--s", "half"],
+        ["cs", "coeffs", "--j-max", "12"],
+        ["cs", "distribution", "--j", "1"],
         ["cs", "quantize", "--l", "1"],
         ["cs", "fidelity", "--t", "0.3", "--L0=-1e-05"],
         ["spectrum", "--s", "half", "--L0=-1e-05"],
@@ -547,6 +618,34 @@ class TestConfig:
                          "--format", "json", "--out", str(rerun)]) == code
         capsys.readouterr()
         assert rerun.read_bytes() == artifact.read_bytes()
+
+    def test_config_records_every_flag_but_out_and_format(self, capsys, tmp_path):
+        artifact = tmp_path / "a.json"
+        cli.main(["cs", "coeffs", "--j-max", "12", "--format", "json", "--out", str(artifact)])
+        config = json.loads(artifact.read_text())["config"]
+        assert config == {"l": 0.0, "phi": 0.0, "r": 0.5, "s": 0.0, "j_max": 12.0, "l2": 0.0,
+                          "phi2": 0.0, "t": 1.0, "L0": 0.0}  # --j is unset: a null would not re-run
+
+    # artifacts written before every flag was recorded: a hand-picked key set,
+    # and a sweep's target among the config keys
+    OLD_ARTIFACTS = [
+        ({"command": ["cs", "coeffs"], "config": {"l": 0.5, "phi": 1.0, "r": 0.5, "s": 0.5}},
+         ["cs", "coeffs", "--l", "0.5", "--phi", "1", "--s", "half"]),
+        ({"command": ["sweep", "norm2"],
+          "config": {"target": "norm2", "grid": "l=-1:1:3", "l": 0.0, "phi": 0.0, "r": 0.5,
+                     "s": 0.0, "j": 0.5, "L0": 0.0, "theta": 0.0, "delta": 0.1, "workers": 1}},
+         ["sweep", "norm2", "--grid", "l=-1:1:3"]),
+        ({"command": ["dynamics"], "config": {"phi": 0.3, "j": 1.0, "L0": 0.2, "z0": 0.0,
+                                              "r": 0.5, "t_end": 0.05, "dt": 0.01, "tol": 1e-6}},
+         ["dynamics", "--phi", "0.3", "--L0", "0.2", "--t-end", "0.05", "--dt", "0.01"]),
+    ]
+
+    @pytest.mark.parametrize("artifact, argv", OLD_ARTIFACTS, ids=lambda x: " ".join(x)
+                             if isinstance(x, list) else None)
+    def test_older_artifacts_still_run(self, capsys, tmp_path, artifact, argv):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(artifact))
+        assert run_cli(["run", "--config", str(path)], capsys) == run_cli(argv, capsys)
 
     @pytest.mark.parametrize("text", ["r=0.25\nl=0.3\n", '{"config": {"r": 0.25, "l": 0.3}}'])
     def test_command_line_flag_wins_at_its_default_value(self, capsys, tmp_path, text):
@@ -642,7 +741,7 @@ class TestCachedParser:
 
     @pytest.mark.parametrize("bad", [
         ["cs", "nope"],
-        ["sweep", "expect-j"],
+        ["sweep", "expect-j", "--grid"],
         ["theta", "--phi", "two pi"],
         ["verify", "--suite", "everything"],
     ])

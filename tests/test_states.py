@@ -23,7 +23,6 @@ from mobiuscs.states import (
     expect_j,
     expect_u,
     fiducial,
-    gaussian_distribution,
     gaussian_supnorm,
     label_batches,
     label_for_center,
@@ -125,47 +124,57 @@ class TestLabelBatch:
 
     @staticmethod
     def scalar(point, z_sign=+1):
+        """StateLabel at the point, or the text of the DomainError it raises there."""
         try:
             return StateLabel(*point, z_sign=z_sign)
-        except DomainError:
-            return None
+        except DomainError as exc:
+            return str(exc)
 
     @pytest.mark.parametrize("z_sign", [+1, -1])
     def test_rows_and_centers_match_state_label(self, z_sign):
         batches, rejected = label_batches(*zip(*self.COLUMNS), z_sign=z_sign)
         labels = [self.scalar(point, z_sign) for point in self.COLUMNS]
-        assert rejected == [i for i, lab in enumerate(labels) if lab is None]
+        assert rejected == {i: lab for i, lab in enumerate(labels) if isinstance(lab, str)}
         assert [batch.s for _, batch in batches] == [0.0, 0.5]
         for rows, batch in batches:
             assert all(labels[i].s == batch.s for i in rows)
             assert batch.phis == [labels[i].phi for i in rows]
             assert [bits(c) for c in batch.centers] == [bits(labels[i].center) for i in rows]
-        assert sorted(rejected + [i for rows, _ in batches for i in rows]) == list(
+        assert sorted([*rejected, *(i for rows, _ in batches for i in rows)]) == list(
             range(len(self.COLUMNS)))
 
     def test_invalid_z_sign_rejects_every_row(self):
-        assert label_batches([0.0], [0.0], [0.5], [0.0], z_sign=0) == ([], [0])
+        assert label_batches([0.0], [0.0], [0.5], [0.0], z_sign=0) == (
+            [], {0: "z_sign must be +1 or -1, got 0"})
 
-    def test_routes_match_scalar_bit_for_bit(self):
+    ROUTES = [lambda x: norm2(x, method="theta"), lambda x: expect_j(x, method="ratio"),
+              lambda x: expect_u(x, method="theta"), gaussian_supnorm]
+
+    def test_batch_rows_match_one_label_calls_bit_for_bit(self):
+        # a StateLabel runs the batch kernel on one label: no row may depend on its batch
         rng = np.random.default_rng(11)
         points = list(zip(rng.uniform(-40, 40, 300), rng.uniform(-20, 20, 300),
                           rng.uniform(0, 0.95, 300), rng.choice([0.0, 0.5], 300)))
         points = [tuple(float(x) for x in p) for p in points]
         batches, rejected = label_batches(*zip(*points))
-        assert rejected == []
+        assert rejected == {}
         with np.errstate(over="ignore", invalid="ignore"):
             for rows, batch in batches:
                 labels = [StateLabel(*points[i]) for i in rows]
-                for fn, method in ((norm2, "theta"), (expect_j, "ratio"), (expect_u, "theta")):
-                    many = fn(batch, method=method)
+                for route in self.ROUTES:
+                    many = route(batch)
                     assert many.shape == (len(rows),)
                     for value, lab in zip(many.tolist(), labels):
-                        expected = fn(lab, method=method)
+                        expected = route(lab)
+                        assert type(expected) in (float, complex)
                         if isinstance(expected, complex):
                             assert (bits(value.real), bits(value.imag)) == (
                                 bits(expected.real), bits(expected.imag))
                         else:
                             assert bits(value) == bits(expected)
+                for lab, law in zip(labels, occupation_law(batch)):
+                    assert [col.tobytes() for col in law] == [
+                        col.tobytes() for col in occupation_law(lab)]
 
     @pytest.mark.parametrize("fn,method", [(norm2, "direct"), (norm2, "modular"),
                                            (expect_j, "theta"), (expect_u, "direct")])
@@ -173,6 +182,24 @@ class TestLabelBatch:
         batch = LabelBatch(centers=[0.1], phis=[0.0], s=0.0)
         with pytest.raises(ValueError, match="takes a LabelBatch with method="):
             fn(batch, method=method)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("norm2", {"method": "theta"}), ("expect_j", {"method": "ratio"}),
+        ("expect_u", {"method": "theta"}), ("gaussian_supnorm", {}), ("occupation_law", {}),
+        ("distribution", {"j": 1.0}),
+    ])
+    def test_one_label_call_enters_one_route(self, name, kwargs, monkeypatch):
+        # a tracer wraps the public names: the kernel is reached without calling one again
+        import mobiuscs.states as states_module
+
+        calls = []
+        for attr in states_module.__all__:
+            fn = getattr(states_module, attr)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(states_module, attr,
+                                    lambda *a, _fn=fn, _n=attr, **k: calls.append(_n) or _fn(*a, **k))
+        getattr(states_module, name)(StateLabel(l=0.3, phi=1.0, r=0.5), **kwargs)
+        assert [c for c in calls if c not in ("level_grid", "default_j_max")] == [name]
 
 
 class TestOverlap:
@@ -325,45 +352,89 @@ class TestDistribution:
     BAND_CENTERS = (26.634, 26.636, 26.638, 26.6405)
 
     @staticmethod
-    def mp_law(center, s):
-        """Occupation law and its sup-distance to the Gaussian, from 30-digit sums."""
+    def mp_law(center, s, levels, dps=40):
+        """Occupation law, its Gaussian limit and their sup-distance at ``levels``.
+
+        From mpmath sums of the weights exp(2*l'*j - j^2) over every level
+        within 40 of the center; the rest weigh below exp(-1600), which is 0
+        in double precision.
+        """
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
+        mp.mp.dps = dps
         c = mp.mpf(center)
-        levels = level_grid(default_j_max(center), s)
-        weights = [mp.exp(2 * c * mp.mpf(j) - mp.mpf(j) ** 2) for j in levels]
-        norm = mp.fsum(weights)
-        law = [float(w / norm) for w in weights]
-        sup = max(abs(w / norm - mp.exp(-(mp.mpf(j) - c) ** 2) / mp.sqrt(mp.pi))
-                  for j, w in zip(levels, weights))
-        return levels, law, float(sup)
+        lo = math.floor(center - s) - 40
+        weights = {k + s: mp.exp(2 * c * (k + s) - mp.mpf(k + s) ** 2) for k in range(lo, lo + 82)}
+        norm = mp.fsum(weights.values())
+        scale = mp.exp(-c * c) / mp.sqrt(mp.pi)   # exp(2*l'*j - j^2 - l'^2) = exp(-(j - l')^2)
+        law = [weights.get(j, mp.mpf(0)) / norm for j in levels]
+        gauss = [weights.get(j, mp.mpf(0)) * scale for j in levels]
+        sup = max(abs(p - g) for p, g in zip(law, gauss))
+        return [float(p) for p in law], [float(g) for g in gauss], float(sup)
 
     @pytest.mark.parametrize("s", [0.0, 0.5])
     def test_norm_overflow_band_against_mpmath(self, s):
         in_band = 0
         for center in self.BAND_CENTERS:
             lab = StateLabel(l=center, phi=0.0, r=0.0, s=s)   # r = 0: l' = l
-            levels, law, sup = self.mp_law(center, s)
+            levels = level_grid(default_j_max(center), s)
+            law, _, sup = self.mp_law(center, s, levels, dps=30)
             with np.errstate(over="ignore"):
                 in_band += norm2(lab, method="direct") == math.inf
             got = [distribution(lab, float(j)) for j in levels]
             assert max(abs(g - w) for g, w in zip(got, law)) <= 1e-10
-            assert abs(gaussian_supnorm(center, s) - sup) <= 1e-10
+            assert abs(gaussian_supnorm(lab) - sup) <= 1e-10
         assert in_band == len(self.BAND_CENTERS)
 
-    def test_past_the_band_still_fails(self):
-        with pytest.raises(PrecisionError, match="occupation weight overflows"):
-            gaussian_supnorm(26.645, 0.0)
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_law_against_mpmath_at_any_center(self, s):
+        # the weights exp(-(j - l')^2) hold 1e-15 absolute where exp(2*l'*j - j^2)
+        # lost 5e-14 (|l'| <= 26) or overflowed (past |l'| ~ 26.64)
+        rng = np.random.default_rng(2718)
+        centers = [*rng.uniform(-26.0, 26.0, 300).tolist(),
+                   30.0, -30.0, 100.25, -100.25, 1000.7, -1000.7]
+        batch = LabelBatch(centers=centers, phis=[0.0] * len(centers), s=s)
+        sups = gaussian_supnorm(batch)
+        for center, (levels, law, gauss), sup in zip(centers, occupation_law(batch), sups):
+            assert levels.tolist() == level_grid(default_j_max(center), s).tolist()
+            mp_p, mp_g, mp_sup = self.mp_law(center, s, levels.tolist())
+            assert np.max(np.abs(law - mp_p)) <= 1e-15, center
+            assert np.max(np.abs(gauss - mp_g)) <= 1e-15, center
+            assert abs(sup - mp_sup) <= 1e-15, center
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("center", [40.2, -40.2, 1000.7])
+    def test_far_center_law_sums_to_one(self, center, s):
+        levels, law, gauss = occupation_law(StateLabel(l=center, phi=0.0, r=0.0, s=s))
+        assert abs(math.fsum(law.tolist()) - 1.0) <= 1e-14
+        assert levels[np.argmax(law)] == round(center - s) + s
 
     def test_supnorm_matches_per_level_distribution(self):
-        for center in (-7.3, 0.0, 0.42, 12.9, 26.6, 26.636):
+        for center in (-7.3, 0.0, 0.42, 12.9, 26.6, 26.636, 26.645, 40.0):
             for s in (0.0, 0.5):
                 lab = StateLabel(l=center, phi=0.0, r=0.0, s=s)
-                levels = level_grid(default_j_max(center), s)
-                law = [distribution(lab, j) for j in levels]
-                assert occupation_law(center, s, levels) == law
-                sup = max(abs(p - gaussian_distribution(j, center)) for j, p in zip(levels, law))
-                assert gaussian_supnorm(center, s) == sup
+                levels, law, gauss = occupation_law(lab)
+                assert [distribution(lab, j) for j in levels.tolist()] == law.tolist()
+                assert gaussian_supnorm(lab) == max(abs(p - g) for p, g in zip(law, gauss))
+
+    def test_level_alone_is_its_entry_of_the_law(self):
+        lab = StateLabel(l=0.9, phi=1.0, r=0.5, s=0.5)
+        levels, law, gauss = occupation_law(lab)
+        for k, j in enumerate(levels.tolist()):
+            one = occupation_law(lab, j)
+            assert [col.tolist() for col in one] == [[j], [law[k]], [gauss[k]]]
+        # a level past the grid widens it: the probabilities then run to |j|
+        far = levels[-1] + 5.0
+        (j,), (p,), (g,) = occupation_law(lab, far)
+        wide = level_grid(far, 0.5)
+        w = np.exp(-((wide - lab.center) ** 2))
+        assert j == far and p == distribution(lab, far) == w[-1] / w.sum()
+        assert g == w[-1] / math.sqrt(math.pi) > 0.0
+        # by at most 19 levels; past |l'| + 28 the weight is 0.0 in double precision
+        for level in (levels[-1] + 19.0, levels[-1] + 20.0, -1e12 - 0.5, 2.0**51 + 0.5):
+            law = occupation_law(lab, level)
+            assert [col.tolist() for col in law] == [[level], [0.0], [0.0]]
+            assert distribution(lab, level) == 0.0
+            assert math.exp(-((level - lab.center) ** 2)) == 0.0
 
     def test_off_lattice_level_rejected(self):
         lab = StateLabel(l=0.0, phi=0.0, r=0.5, s=0.0)

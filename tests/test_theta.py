@@ -98,6 +98,17 @@ class TestTheta2:
         assert abs(theta2(0.5, TAU_DUAL)) < 1e-14
         assert abs(brute_theta2(0.5, TAU_DUAL)) < 1e-14
 
+    @pytest.mark.parametrize("center", [-720.0, -1000.0])
+    def test_overflowing_prefactor_is_a_precision_error(self, center):
+        # exp(i*pi*(tau/4 + nu)) = exp(-center - 1/4) at nu = i*center/pi leaves double
+        # range (the shifted Theta3 sum there overflows to inf, with numpy's warning)
+        nu = 1j * center / math.pi
+        for call in (lambda: theta2(nu, TAU_NATURAL), lambda: theta2_many([nu], TAU_NATURAL)):
+            with np.errstate(over="ignore"), pytest.raises(
+                    PrecisionError, match=r"Theta2 prefactor overflows: exp\(") as exc:
+                call()
+            assert exc.value.achieved == math.inf
+
 
 class TestModular:
     def test_specialization_at_origin(self):
