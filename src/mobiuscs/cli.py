@@ -436,9 +436,10 @@ def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> Non
     """Evaluate a state target at every row of the l, phi, r and s columns ``labels``.
 
     Values go into ``values`` (created on a row's first success).  An
-    invalid label gets StateLabel's error text, a non-finite row
-    _require_finite's, and a batch that raises is retried row by row, so
-    that each failing row gets its own error.
+    invalid label gets StateLabel's error text and a non-finite row
+    _require_finite's.  A batch that raises is halved and each half run on
+    its own, so the good rows stay batched and each failing row ends as a
+    batch of one with its own error.
     """
     batches, rejected = states.label_batches(*labels)
     for i, message in rejected.items():
@@ -446,27 +447,32 @@ def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> Non
     while batches:
         rows, batch = batches.pop()
         try:
-            result = {key: col.tolist() for key, col in _state_values(target, batch).items()}
+            result = _state_values(target, batch)
         except Exception as exc:  # per-row failure is recorded, not fatal
             if len(rows) == 1:
                 errors[rows[0]] = f"{type(exc).__name__}: {exc}"
             else:
-                batches += [([i], states.LabelBatch([c], [phi], batch.s))
-                            for i, c, phi in zip(rows, batch.centers, batch.phis)]
+                half = len(rows) // 2
+                batches += [(rows[lo:hi], states.LabelBatch(batch.centers[lo:hi],
+                                                            batch.phis[lo:hi], batch.s))
+                            for lo, hi in ((0, half), (half, len(rows)))]
             continue
-        for k, i in enumerate(rows):
-            bad = next((key for key, col in result.items() if not math.isfinite(col[k])), None)
-            if bad is not None:
-                errors[i] = f"PrecisionError: {bad} is not finite"
-                continue
+        rows = np.asarray(rows)
+        good = np.ones(rows.size, dtype=bool)
+        for key, col in result.items():  # a row's error names its first non-finite key
+            finite = np.isfinite(col)
+            for i in rows[good & ~finite].tolist():
+                errors[i] = f"PrecisionError: {key} is not finite"
+            good &= finite
+        if good.any():
             for key, col in result.items():
-                _value_column(values, key, len(errors))[i] = col[k]
+                _value_column(values, key, len(errors))[rows[good]] = col[good]
 
 
-def _value_column(values: dict, key: str, n: int) -> list:
-    """values[key], made on first use as n empty cells."""
+def _value_column(values: dict, key: str, n: int) -> np.ndarray:
+    """values[key], made on first use as n empty ("") cells of an object array."""
     if key not in values:
-        values[key] = [""] * n
+        values[key] = np.full(n, "", dtype=object)
     return values[key]
 
 
@@ -479,10 +485,10 @@ def cmd_sweep(args) -> int:
     n_points = math.prod(len(vals) for _, vals in axes)
 
     # columns are built directly: a 10^4-point sweep keeps no per-row dicts
-    values: dict[str, list] = {}
+    values: dict[str, np.ndarray] = {}
     errors = [""] * n_points
     if args.target in STATE_TARGETS:
-        labels = [columns[k].tolist() if k in columns else [base[k]] * n_points
+        labels = [columns[k] if k in columns else np.full(n_points, base[k])
                   for k in ("l", "phi", "r", "s")]
         _sweep_batches(args.target, labels, values, errors)
     else:
@@ -500,7 +506,7 @@ def cmd_sweep(args) -> int:
 
     # column layout must not depend on which rows failed
     for key in sorted(values):
-        columns[key] = values[key]
+        columns[key] = values[key].tolist()
     columns["error"] = errors
     emit(columns, args, ["sweep", args.target], _config(args))
     return 1 if any(errors) else 0

@@ -42,6 +42,7 @@ __all__ = [
     "mobius_point",
     "coherent_label",
     "label_center",
+    "label_centers",
 ]
 
 
@@ -109,3 +110,22 @@ def label_center(l: float, phi: float, r: float, z_sign: int = +1) -> float:
         raise DomainError(f"need 0 <= r < 1, got r={r}")
     half = 0.5 * phi
     return (l + z_sign * r * math.sin(half)) - math.log(1.0 + r * math.cos(half))
+
+
+def _libm(fn, col: np.ndarray) -> np.ndarray:
+    """The math function fn at every entry of col (numpy's own may differ in the last bit)."""
+    return np.fromiter(map(fn, col.tolist()), dtype=float, count=col.size)
+
+
+def label_centers(l: np.ndarray, phi: np.ndarray, r: np.ndarray, z_sign: int = +1) -> np.ndarray:
+    """label_center at every entry of the float columns l, phi and r, bit for bit.
+
+    The same IEEE operations in the same order, with math's sin, cos and log
+    mapped over the column.
+    """
+    _check_z_sign(z_sign)
+    if not np.all((0.0 <= r) & (r < 1.0)):
+        raise DomainError("need 0 <= r < 1 in every row")
+    half = 0.5 * phi
+    return ((l + z_sign * r * _libm(math.sin, half))
+            - _libm(math.log, 1.0 + r * _libm(math.cos, half)))

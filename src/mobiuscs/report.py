@@ -125,6 +125,12 @@ def _theta3_symmetry() -> float:
 
 # -- states -----------------------------------------------------------------
 
+def _batch(labels: list[states.StateLabel]) -> states.LabelBatch:
+    """The labels (all of one basis offset) as one LabelBatch, for the batched routes."""
+    return states.LabelBatch([lab.center for lab in labels], [lab.phi for lab in labels],
+                             labels[0].s)
+
+
 @_check("states", "overlap-closed-form", "truncated overlap sum vs theta closed form",
         "60 random label pairs, |center| <= 2, both sectors", 1e-12)
 def _overlap_closed_form() -> float:
@@ -148,10 +154,10 @@ def _overlap_closed_form() -> float:
 def _norm_closed_form() -> float:
     err = 0.0
     for s in (0.0, 0.5):
-        for lp in np.linspace(-1.5, 1.5, 13):
-            lab = label_for_center(lp, 1.0, 0.5, s)
+        labels = [label_for_center(lp, 1.0, 0.5, s) for lp in np.linspace(-1.5, 1.5, 13)]
+        thetas = states.norm2(_batch(labels), method="theta").tolist()
+        for lab, t in zip(labels, thetas):
             d = states.norm2(lab, method="direct")
-            t = states.norm2(lab, method="theta")
             m = states.norm2(lab, method="modular")
             err = max(err, abs(d - t) / d, abs(d - m) / d)
     return err
@@ -162,13 +168,14 @@ def _norm_closed_form() -> float:
 def _momentum_triple_path() -> float:
     err = 0.0
     for s in (0.0, 0.5):
-        for l in np.linspace(-1.0, 1.0, 10):
-            for phi in np.linspace(0.0, 4.0 * math.pi, 10, endpoint=False):
-                lab = states.StateLabel(l=l, phi=phi, r=0.5, s=s)
-                v1 = states.expect_j(lab, method="ratio")
-                v2 = states.expect_j(lab, method="theta")
-                v3 = states.expect_j(lab, method="series")
-                err = max(err, abs(v1 - v2), abs(v1 - v3), abs(v2 - v3))
+        labels = [states.StateLabel(l=l, phi=phi, r=0.5, s=s)
+                  for l in np.linspace(-1.0, 1.0, 10)
+                  for phi in np.linspace(0.0, 4.0 * math.pi, 10, endpoint=False)]
+        ratios = states.expect_j(_batch(labels), method="ratio").tolist()
+        for lab, v1 in zip(labels, ratios):
+            v2 = states.expect_j(lab, method="theta")
+            v3 = states.expect_j(lab, method="series")
+            err = max(err, abs(v1 - v2), abs(v1 - v3), abs(v2 - v3))
     return err
 
 
@@ -177,10 +184,10 @@ def _momentum_triple_path() -> float:
 def _shift_dual_path() -> float:
     err = 0.0
     for s in (0.0, 0.5):
-        for lp in np.linspace(-1.0, 1.0, 9):
-            lab = label_for_center(lp, 2.0, 0.5, s)
+        labels = [label_for_center(lp, 2.0, 0.5, s) for lp in np.linspace(-1.0, 1.0, 9)]
+        thetas = states.expect_u(_batch(labels), method="theta").tolist()
+        for lab, t in zip(labels, thetas):
             d = states.expect_u(lab, method="direct")
-            t = states.expect_u(lab, method="theta")
             err = max(err, abs(d - t))
     return err
 
@@ -188,8 +195,8 @@ def _shift_dual_path() -> float:
 @_check("states", "occupation-gaussian", "occupation law vs limiting Gaussian, sup over levels",
         "center in [0,1], 21 points", 1.1e-4)
 def _occupation_gaussian() -> float:
-    return max(states.gaussian_supnorm(label_for_center(lp, math.pi, 0.5))
-               for lp in np.linspace(0.0, 1.0, 21))
+    labels = [label_for_center(lp, math.pi, 0.5) for lp in np.linspace(0.0, 1.0, 21)]
+    return max(states.gaussian_supnorm(_batch(labels)).tolist())
 
 
 # -- dynamics ---------------------------------------------------------------

@@ -37,9 +37,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .geometry import coherent_label, label_center
+from .geometry import coherent_label, label_center, label_centers
 from .dynamics import energy_quantized
 from .theta import (
+    COLUMN_MIN_ROWS,
     row_blocks,
     theta2,
     theta2_many,
@@ -135,26 +136,30 @@ class LabelBatch:
 
 
 def label_batches(l, phi, r, s, z_sign: int = +1) -> tuple[list, dict[int, str]]:
-    """Split label columns (sequences of floats) into one LabelBatch per basis offset.
+    """Split label columns (sequences or arrays of floats) into one LabelBatch per basis offset.
 
     Returns ``([(rows, batch), ...], rejected)``.  A row goes into a batch
     if StateLabel accepts its label, and its center is taken as
     StateLabel.center takes it; ``rejected`` maps the others to StateLabel's error text.
+    The columns are checked with numpy masks, and the centers of each
+    sector's rows come from geometry.label_centers, bit-equal to the labels' own.
     """
-    sectors = {0.0: ([], [], []), 0.5: ([], [], [])}
+    l, phi, r, s = (np.asarray(col, dtype=float) for col in (l, phi, r, s))
+    valid = ((0.0 <= r) & (r < 1.0) & ((s == 0.0) | (s == 0.5))
+             & np.isfinite(l) & np.isfinite(phi) & (z_sign in (+1, -1)))
     rejected = {}
-    for i, (li, phi_i, ri, si) in enumerate(zip(l, phi, r, s)):
+    for i in np.flatnonzero(~valid).tolist():
         try:
-            _check_label(li, phi_i, ri, si, z_sign)
+            _check_label(l[i].item(), phi[i].item(), r[i].item(), s[i].item(), z_sign)
         except DomainError as exc:
             rejected[i] = str(exc)
-            continue
-        rows, centers, phis = sectors[0.0 if si == 0.0 else 0.5]
-        rows.append(i)
-        centers.append(label_center(li, phi_i, ri, z_sign))
-        phis.append(phi_i)
-    batches = [(rows, LabelBatch(centers, phis, offset))
-               for offset, (rows, centers, phis) in sectors.items() if rows]
+    batches = []
+    for offset in (0.0, 0.5):
+        rows = np.flatnonzero(valid & (s == offset))
+        if rows.size:
+            centers = label_centers(l[rows], phi[rows], r[rows], z_sign)
+            batch = LabelBatch(centers.tolist(), phi[rows].tolist(), offset)
+            batches.append((rows.tolist(), batch))
     return batches, rejected
 
 
@@ -200,7 +205,7 @@ class FockVector:
 
 def default_j_max(center: float) -> int:
     """Level cutoff giving a relative Gaussian tail below ~exp(-81)."""
-    return int(math.ceil(abs(center))) + 9
+    return math.ceil(abs(center)) + 9
 
 
 def level_grid(j_max: float, s: float) -> np.ndarray:
@@ -346,11 +351,19 @@ def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | n
     raise ValueError(f"unknown method {method!r}")
 
 
+_EXACT_INT = 2.0 ** 52  # below this, a center's default_j_max is exact as an int64
+
+
 def _grid_blocks(batch: LabelBatch, weight, reach: int = 0):
     """(rows, levels, weight(centers, levels)) per row block of labels on one level grid."""
     centers = np.array(batch.centers, dtype=float)
     # widened towards reach by at most 19 levels: past |l'| + 28, exp(-(j - l')^2) is 0.0
-    j_maxes = [d + min(max(reach - d, 0), 19) for d in map(default_j_max, batch.centers)]
+    if (centers.size >= COLUMN_MIN_ROWS and reach < _EXACT_INT
+            and np.all(np.abs(centers) < _EXACT_INT)):
+        d = np.ceil(np.abs(centers)).astype(np.int64) + 9  # default_j_max, exact in int64 here
+        j_maxes = d + np.minimum(np.maximum(reach - d, 0), 19)
+    else:
+        j_maxes = [d + min(max(reach - d, 0), 19) for d in map(default_j_max, batch.centers)]
     for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
         j = level_grid(j_max, batch.s)
         yield rows, j, weight(centers[rows, None], j)

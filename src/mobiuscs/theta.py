@@ -109,7 +109,7 @@ def _truncation_order(nu: complex, tau: complex, policy: SeriesPolicy, shift: fl
     ceil(m* - shift) under the exact test.
     """
     b = tau.imag
-    a = abs(complex(nu).imag)
+    a = abs(nu.imag)
     tol = policy.target_tol
     n = 1
     if tol < 2.0:  # else the bound need not decrease in m: step from 1
@@ -141,6 +141,65 @@ def _lattice_rows(nu: np.ndarray, tau: complex, n: np.ndarray) -> np.ndarray:
 
 
 BLOCK_TERMS = 1 << 15  # lattice terms (rows x points) summed in one array
+# Below this many rows, per-row Python beats numpy's fixed cost per call: one
+# truncation order took 2.8 us in Python and 97 us as one-entry columns
+# (Python 3.11, numpy 2.4, 2-vCPU x86_64).
+COLUMN_MIN_ROWS = 64
+# A numpy-evaluated tail bound decides a row only where it clears target_tol
+# by this relative margin, far beyond the few ulp between numpy's and libm's exp.
+_CERTIFY_MARGIN = 1e-9
+_RHO_MAX = 1.0 - 1e-3  # 1 - rho then keeps those few ulp below 1e-12 relative
+
+
+def _tail_bounds(m: np.ndarray, a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(bound, raised): _tail_bound at every entry, as far as numpy can tell.
+
+    x and log_mag are formed with the same operations as in _tail_bound, so
+    its inf branches are taken exactly.  Elsewhere numpy's exp stands in for
+    libm's, with log_mag raised to -700 where it is lower (``raised``: there
+    the bound only bounds _tail_bound's from above); where rho is near 1 the
+    bound is NaN, which no comparison passes.
+    """
+    x = -math.pi * b * (2.0 * m + 1.0) + 2.0 * math.pi * a
+    log_mag = -math.pi * b * m * m + 2.0 * math.pi * a * m
+    rho = np.exp(np.minimum(x, 0.0))
+    bound = 2.0 * np.exp(np.clip(log_mag, -700.0, 700.0)) / (1.0 - rho)
+    bound[rho > _RHO_MAX] = math.nan
+    bound[(x > 0.0) | (log_mag > 700.0)] = math.inf
+    return bound, log_mag < -700.0
+
+
+def _truncation_orders(nu: np.ndarray, tau: complex, policy: SeriesPolicy) -> np.ndarray:
+    """[_truncation_order(v, tau, policy) for v in nu], computed a column at a time.
+
+    Each row starts from _truncation_order's own closed-form N (the same
+    IEEE operations, so the same N), and keeps it where numpy's tail bounds
+    show that neither of its loops would move: the bound at N - 1 is not
+    below target_tol (or N = 1) and the bound at N is, both with
+    _CERTIFY_MARGIN to spare.  Every other row (a near-tie, rho near 1,
+    N >= max_terms - 1, a non-finite nu) takes the scalar search, in index
+    order, so a failing batch raises the scalar error of its first failing row.
+    """
+    b = tau.imag
+    tol = policy.target_tol
+    a = np.abs(nu.imag)
+    with np.errstate(all="ignore"):
+        if tol < 2.0:  # else the scalar search starts from 1
+            peak = a / b
+            root = peak + np.sqrt(peak * peak + math.log(2.0 / tol) / (math.pi * b))
+            n = np.where(root < policy.max_terms, np.maximum(1.0, np.ceil(root)),
+                         float(policy.max_terms))
+        else:
+            n = np.ones(a.shape)
+        hi, _ = _tail_bounds(n, a, b)
+        lo, lo_raised = _tail_bounds(n - 1.0, a, b)
+        certified = (np.isfinite(a) & (n < policy.max_terms - 1)
+                     & (hi < tol * (1.0 - _CERTIFY_MARGIN))
+                     & ((n == 1.0) | ((lo >= tol * (1.0 + _CERTIFY_MARGIN)) & ~lo_raised)))
+    orders = n.astype(np.int64)
+    for i in np.flatnonzero(~certified).tolist():
+        orders[i] = _truncation_order(complex(nu[i]), tau, policy)
+    return orders
 
 
 def row_blocks(keys, width):
@@ -148,11 +207,20 @@ def row_blocks(keys, width):
 
     Rows of one key are cut into blocks of at most BLOCK_TERMS // width(key)
     rows (at least one), so no array holds more than one block's terms.
+    From COLUMN_MIN_ROWS keys on, the rows of each distinct key are found by
+    one numpy comparison over the key column, cheaper than a sort for the few
+    distinct orders or level grids of a column, and come as integer arrays;
+    fewer keys are grouped in a dict.
     """
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    for key, rows in groups.items():
+    if len(keys) < COLUMN_MIN_ROWS:
+        groups: dict = {}
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
+        grouped = groups.items()
+    else:
+        keys = np.asarray(keys)
+        grouped = [(key, np.flatnonzero(keys == key)) for key in dict.fromkeys(keys.tolist())]
+    for key, rows in grouped:
         step = max(1, BLOCK_TERMS // width(key))
         for lo in range(0, len(rows), step):
             yield key, rows[lo:lo + step]
@@ -171,11 +239,18 @@ def theta3_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.n
     """:func:`theta3` at every entry of ``nu``, bit for bit.
 
     Entries are grouped by truncation order and each group is summed as
-    one (rows x lattice points) array.
+    one (rows x lattice points) array.  From COLUMN_MIN_ROWS entries on,
+    the orders are certified a column at a time (_truncation_orders), with
+    the scalar search for the rows numpy cannot decide; a shorter column
+    takes the scalar search row by row.  Either way a column raises the
+    PrecisionError of its first entry that exceeds policy.max_terms.
     """
     tau = _check_tau(tau)
     nu = np.array(nu, dtype=complex).ravel()
-    orders = [_truncation_order(v, tau, policy) for v in nu.tolist()]
+    if nu.size < COLUMN_MIN_ROWS:
+        orders = [_truncation_order(v, tau, policy) for v in nu.tolist()]
+    else:
+        orders = _truncation_orders(nu, tau, policy)
     out = np.empty(nu.size, dtype=complex)
     for n_max, rows in row_blocks(orders, lambda n_max: 2 * n_max + 1):
         n = np.arange(-n_max, n_max + 1, dtype=float)

@@ -413,7 +413,7 @@ class TestSweep:
         ("l=0:1:0", []),                                        # empty grid
         ("l=-3:3:5", ["--r", "1.5"]),                           # invalid --r
         ("l=-3:3:5", ["--phi", "nan"]),                         # non-finite phi
-        # batches that raise; each row is retried alone and fails with its own text
+        # batches that raise; they are halved until each failing row fails alone, with its own text
         ("l=-1e4:1e4:5", ["--s", "half"]),
         ("l=-1e300:1e300:3", []),
     ])
@@ -437,6 +437,20 @@ class TestSweep:
         assert errors[0].startswith("PrecisionError: lattice sum did not reach")
         assert errors[1].startswith("PrecisionError: Theta2 prefactor overflows")
         assert errors[2] == ""
+
+    def test_failing_batch_is_halved_and_good_rows_stay_batched(self, monkeypatch):
+        sizes = []  # rows of each batch that _state_values returned for
+
+        def spy(target, batch, state_values=cli._state_values):
+            result = state_values(target, batch)
+            sizes.append(len(batch.centers))
+            return result
+
+        monkeypatch.setattr(cli, "_state_values", spy)
+        # 100 rows at l = -1e4 (each fails) before 100 good rows, in one batch
+        rows = sweep_against_one_label_calls("expect-u", "l=-1e4:1:2,phi=0:1:100", [])
+        assert [bool(row["error"]) for row in rows] == [True] * 100 + [False] * 100
+        assert sizes == [100]
 
     # numpy refuses these at once; never test with a grid that could allocate
     @pytest.mark.parametrize("grid", [

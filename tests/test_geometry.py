@@ -11,6 +11,7 @@ from mobiuscs.geometry import (
     coherent_label,
     constraint_theta,
     label_center,
+    label_centers,
     mobius_point,
     torus_point,
 )
@@ -111,3 +112,18 @@ class TestLabel:
             coherent_label(0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             label_center(0.0, 0.0, -0.1)
+        with pytest.raises(DomainError):
+            label_centers(np.zeros(2), np.zeros(2), np.array([0.5, 1.0]))
+        with pytest.raises(DomainError):
+            label_centers(np.zeros(2), np.zeros(2), np.zeros(2), z_sign=0)
+
+    @pytest.mark.parametrize("z_sign", [+1, -1])
+    def test_centers_are_label_center_bit_for_bit(self, z_sign):
+        rng = np.random.default_rng(8)
+        # mostly small l, where a last-bit change in sin, cos or log shows in the center
+        l = np.where(rng.uniform(size=5000) < 0.1,
+                     rng.uniform(-1e3, 1e3, 5000), rng.uniform(-3.0, 3.0, 5000))
+        phi = rng.uniform(-1e4, 1e4, 5000)
+        r = np.where(rng.uniform(size=5000) < 0.1, 0.0, rng.uniform(0.0, 1.0, 5000))
+        expected = [label_center(*point, z_sign) for point in zip(l.tolist(), phi.tolist(), r.tolist())]
+        assert label_centers(l, phi, r, z_sign).tobytes() == np.array(expected).tobytes()

@@ -143,6 +143,30 @@ class TestLabelBatch:
         assert sorted([*rejected, *(i for rows, _ in batches for i in rows)]) == list(
             range(len(self.COLUMNS)))
 
+    @pytest.mark.parametrize("z_sign", [+1, -1])
+    def test_random_columns_match_state_label(self, z_sign):
+        rng = np.random.default_rng(2718 + z_sign)
+        n = 10_000
+
+        def column(values, odd):
+            # finite draws, with the odd values planted in about one row in eight
+            return np.where(rng.uniform(size=n) < 0.125, rng.choice(odd, n), values).tolist()
+
+        non_finite = [math.inf, -math.inf, math.nan]
+        l = column(rng.uniform(-60.0, 60.0, n), non_finite + [1e300, -0.0])
+        phi = column(rng.uniform(-30.0, 30.0, n), non_finite + [math.pi, -0.0])
+        r = column(rng.uniform(0.0, 1.0, n), [1.0, 1.5, -0.1, math.nan, math.inf, 0.0, 0.999999])
+        s = column(rng.choice([0.0, 0.5], n), [0.25, 1.0, -0.5, math.nan, -0.0])
+        batches, rejected = label_batches(l, phi, r, s, z_sign=z_sign)
+        labels = [self.scalar(point, z_sign) for point in zip(l, phi, r, s)]
+        assert rejected == {i: lab for i, lab in enumerate(labels) if isinstance(lab, str)}
+        assert 1000 < len(rejected) < n - 1000
+        assert sorted([*rejected, *(i for rows, _ in batches for i in rows)]) == list(range(n))
+        for rows, batch in batches:
+            assert all(labels[i].s == batch.s for i in rows)
+            assert [bits(p) for p in batch.phis] == [bits(labels[i].phi) for i in rows]
+            assert [bits(c) for c in batch.centers] == [bits(labels[i].center) for i in rows]
+
     def test_invalid_z_sign_rejects_every_row(self):
         assert label_batches([0.0], [0.0], [0.5], [0.0], z_sign=0) == (
             [], {0: "z_sign must be +1 or -1, got 0"})

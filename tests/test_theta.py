@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobiuscs import theta as theta_module
 from mobiuscs.errors import DomainError, PrecisionError
 from mobiuscs.states import TAU_DUAL, TAU_NATURAL
 from mobiuscs.theta import (
+    COLUMN_MIN_ROWS,
+    DEFAULT_POLICY,
     SeriesPolicy,
     _truncation_order,
+    _truncation_orders,
     theta2,
     theta2_many,
     theta2_series,
@@ -306,6 +310,125 @@ class TestMany:
     def test_empty(self):
         assert theta3_many([], TAU_NATURAL).shape == (0,)
         assert theta2_many([], TAU_NATURAL).shape == (0,)
+
+    @pytest.mark.parametrize("size", [0, 5, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS, 5000])
+    def test_row_blocks_match_a_dict_grouping(self, size):
+        keys = np.random.default_rng(size).integers(0, 40, size) ** 3  # some blocks get cut
+
+        def width(key):
+            return 2 * key + 1
+
+        groups = {}
+        for i, key in enumerate(keys.tolist()):
+            groups.setdefault(key, []).append(i)
+        step = {key: max(1, theta_module.BLOCK_TERMS // width(key)) for key in groups}
+        expected = [(key, rows[lo:lo + step[key]])
+                    for key, rows in groups.items() for lo in range(0, len(rows), step[key])]
+        got = [(key, list(rows)) for key, rows in theta_module.row_blocks(keys, width)]
+        assert got == expected
+
+
+TAUS = [TAU_NATURAL, TAU_DUAL, 0.3 + 0.8j]
+
+
+def scalar_orders(nu, tau, policy=DEFAULT_POLICY):
+    """[_truncation_order(v, ...) for v in nu], or the failure of its first failing entry."""
+    return _order_or_failure(lambda: [_truncation_order(v, tau, policy)
+                                      for v in np.asarray(nu, dtype=complex).tolist()])
+
+
+def column_orders(nu, tau, policy=DEFAULT_POLICY):
+    return _order_or_failure(lambda: _truncation_orders(
+        np.asarray(nu, dtype=complex), complex(tau), policy).tolist())
+
+
+def edge(tau, policy):
+    """|Im nu| at which the closed-form order reaches policy.max_terms (see _truncation_order)."""
+    b, m = complex(tau).imag, policy.max_terms
+    c = math.log(2.0 / policy.target_tol) / (math.pi * b)
+    return b * (m * m - c) / (2.0 * m)
+
+
+def threshold(tau, policy, a_lo, a_hi):
+    """Adjacent floats a < a' in [a_lo, a_hi] where the scalar order steps up."""
+    order = lambda a: _truncation_order(1j * a, tau, policy)
+    assert order(a_lo) < order(a_hi)
+    while math.nextafter(a_lo, math.inf) < a_hi:
+        mid = 0.5 * (a_lo + a_hi)
+        if order(mid) == order(a_lo):
+            a_lo = mid
+        else:
+            a_hi = mid
+    return a_lo, a_hi
+
+
+class TestColumnOrders:
+    """theta3_many's column-wise orders against the scalar search, entry by entry."""
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, SeriesPolicy(1e-8, 300), SeriesPolicy(3.0, 50)])
+    def test_dense_grid_up_to_the_max_terms_edge(self, tau, policy):
+        a = np.linspace(0.0, edge(tau, policy) * (1.0 - 1e-12), 20_001)
+        rng = np.random.default_rng(3)
+        nu = rng.uniform(-1.0, 1.0, a.size) + 1j * a * rng.choice([-1.0, 1.0], a.size)
+        expected = scalar_orders(nu, tau, policy)
+        assert isinstance(expected, list) and max(expected) >= policy.max_terms - 1
+        assert column_orders(nu, tau, policy) == expected
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_non_finite_real_parts_keep_their_orders(self, tau):
+        rng = np.random.default_rng(4)
+        real = rng.choice([math.inf, -math.inf, math.nan, 0.25], 500)
+        nu = real + 1j * rng.uniform(-40.0, 40.0, 500)
+        assert column_orders(nu, tau) == scalar_orders(nu, tau)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("bad", [complex(0.0, math.nan), complex(0.0, math.inf),
+                                     complex(math.nan, math.nan), 1e6j])
+    def test_first_failing_entry_raises_its_scalar_error(self, tau, bad):
+        nu = 1j * np.linspace(-5.0, 5.0, 200)
+        nu[70] = bad
+        nu[150] = complex(0.0, math.inf) if bad != complex(0.0, math.inf) else 1e6j
+        expected = _order_or_failure(_truncation_order, complex(nu[70]), tau, DEFAULT_POLICY)
+        assert isinstance(expected, tuple)
+        assert column_orders(nu, tau) == expected
+        with pytest.raises(PrecisionError) as info:
+            theta3_many(nu, tau)
+        assert (str(info.value), repr(info.value.achieved)) == expected
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("size", [1, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS, 3 * COLUMN_MIN_ROWS + 5])
+    def test_theta3_many_orders_on_both_sides_of_the_cutoff(self, tau, size, monkeypatch):
+        seen = []
+        row_blocks = theta_module.row_blocks
+        monkeypatch.setattr(theta_module, "row_blocks",
+                            lambda keys, width: seen.append(list(keys)) or row_blocks(keys, width))
+        rng = np.random.default_rng(size)
+        nu = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-30.0, 30.0, size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            many = theta3_many(nu, tau)
+            scalar = np.array([theta3(v, tau) for v in nu])
+        assert seen == [scalar_orders(nu, tau)]
+        assert many.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, SeriesPolicy(1e-3, 10_000)])
+    def test_order_thresholds_take_the_scalar_search(self, tau, policy, monkeypatch):
+        grid = np.linspace(0.0, 60.0, 241).tolist()
+        orders = [_truncation_order(1j * a, tau, policy) for a in grid]
+        steps = [k for k in range(len(grid) - 1) if orders[k] < orders[k + 1]]
+        entries = []
+        for k in (steps[0], steps[len(steps) // 2], steps[-1]):
+            lo, hi = threshold(tau, policy, grid[k], grid[k + 1])
+            entries += [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+        # the tied entries between ordinary ones, in a column past the cutoff
+        nu = 1j * np.concatenate([entries, np.linspace(0.0, 60.0, 2 * COLUMN_MIN_ROWS), entries])
+        expected = scalar_orders(nu, tau, policy)
+        scalar_calls = []
+        monkeypatch.setattr(theta_module, "_truncation_order",
+                            lambda v, *args: scalar_calls.append(v.imag) or _truncation_order(v, *args))
+        assert column_orders(nu, tau, policy) == expected
+        assert set(entries) <= set(scalar_calls) and len(scalar_calls) < nu.size // 2
 
 
 def test_mpmath_cross_check():
