@@ -123,62 +123,123 @@ def load_config(path: str) -> tuple[list | None, dict[str, str]]:
 
 CHUNK_ROWS = 4096  # CSV rows formatted and written per write call
 _FLOAT_SLOT = "%.17g"  # fmt's format for a float, as a %-operator slot
+_NEEDS_CSV = re.compile(r'[,"\r\n]')  # the characters that can make csv quote a cell
+_TEXT = frozenset({str})  # the cell types of a text column
+_FLOATS = frozenset({float, np.float64})  # the cell types a list of floats may hold
 
 
-def _float_kind(values) -> str | None:
-    """The column's kind: "float" (floats only), "blank" (floats and "" cells) or None."""
-    if isinstance(values, np.ndarray):
-        return "float" if values.dtype.kind == "f" else None
-    if all(isinstance(v, float) for v in values):
-        return "float"
-    if all(isinstance(v, float) or v == "" for v in values):
-        return "blank"
-    return None
+def _text_cell(text: str, empty: str) -> str:
+    """text as csv writes it in a row of several cells, with each % doubled.
+
+    An empty text gives ``empty``: csv writes "" for it in a row of
+    several cells and '""' in a row of one.
+    """
+    if not text:
+        return empty
+    if _NEEDS_CSV.search(text):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow((text,))
+        text = buffer.getvalue()[:-1]
+    return text.replace("%", "%%")
 
 
-def _template_cells(col, kind: str | None, lo: int, hi: int) -> list[str]:
-    """The cells of col[lo:hi]: a %.17g slot per float, fmt's text (% doubled) otherwise."""
-    if kind == "float":
-        return [_FLOAT_SLOT] * (hi - lo)
-    if kind == "blank":
-        return [_FLOAT_SLOT if isinstance(v, float) else "" for v in col[lo:hi]]
-    return [fmt(v).replace("%", "%%") for v in col[lo:hi]]
+def _chunk_plan(chunk, blank, texts: dict[str, str], empty: str, find_repeats: bool):
+    """One column's rows of a chunk as (cells, slots, filled).
+
+    cells is each row's template cell, or one str that every row shares.
+    slots is None, or the values that fill the %.17g slots of the rows
+    that the mask ``filled`` sets (every row where it is None).  A text
+    column gets each distinct text fmt-ed once, its cell kept in ``texts``
+    for every column and chunk; a list of floats (a short table) puts
+    each in a slot; any other column that is not a float array has each
+    cell fmt-ed.
+    """
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind == "f":
+        return _float_plan(chunk, blank, empty, find_repeats)
+    kinds = set(map(type, chunk))
+    if kinds == _TEXT:
+        distinct = set(chunk)
+        for text in distinct.difference(texts):
+            texts[text] = _text_cell(fmt(text), empty)
+        if len(distinct) == 1:
+            return texts[chunk[0]], None, None
+        return list(map(texts.__getitem__, chunk)), None, None
+    if kinds <= _FLOATS:
+        return _FLOAT_SLOT, chunk, None
+    return [_text_cell(fmt(value), empty) for value in chunk], None, None
 
 
-def _write_csv(columns: dict, fh) -> None:
+def _float_plan(chunk: np.ndarray, blank, empty: str, find_repeats: bool):
+    """_chunk_plan of a float array; ``blank`` is None or the mask of its empty rows.
+
+    With ``find_repeats``, a chunk whose values are at most half distinct
+    gets each distinct bit pattern (0.0 and -0.0 apart) formatted once.
+    """
+    chunk = np.ascontiguousarray(chunk, dtype=np.float64)
+    bits = chunk.view(np.int64)
+    if find_repeats:
+        kept = np.sort(bits if blank is None else bits[~blank])  # np.unique takes 4x as long
+        new = kept[1:] != kept[:-1]
+        find_repeats = 2 * (np.count_nonzero(new) + 1) <= kept.size
+    if not find_repeats:
+        if blank is None:
+            return _FLOAT_SLOT, chunk, None
+        return np.where(blank, empty, _FLOAT_SLOT).tolist(), chunk, ~blank
+    distinct = kept[np.concatenate(([True], new))]
+    table = [f"{v:.17g}" for v in distinct.view(np.float64).tolist()]
+    if blank is None and len(table) == 1:
+        return table[0], None, None
+    index = np.searchsorted(distinct, bits)
+    if blank is not None:
+        index[blank] = len(table)
+    return np.array([*table, empty], dtype=object)[index].tolist(), None, None
+
+
+def _write_csv(columns: dict, fh, blank: dict) -> None:
     """Header and rows, CHUNK_ROWS at a time; nothing at all for an empty table.
 
-    csv lays out and quotes the cells of every column that is not all
-    floats and blanks, while each float cell is left as a %.17g slot and
-    each blank as an empty cell; one % per chunk then fills the slots in
-    row order, which gives fmt's text for each.
+    Each chunk is written as one row template, holding each cell's text
+    or a %.17g slot (see _chunk_plan), filled by one % with the slots'
+    floats in row order, which gives fmt's text for each.  ``blank`` maps
+    a float column's key to the row mask of its empty cells.
     """
     cols = list(columns.values())
     n_rows = len(cols[0]) if cols else 0
     if not n_rows:
         return
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
+    csv.writer(buffer, lineterminator="\n").writerow(columns)
     fh.write(buffer.getvalue())
-    kinds = [_float_kind(col) for col in cols]
-    float_cols = [col for col, kind in zip(cols, kinds) if kind]
-    all_slots = ",".join([_FLOAT_SLOT] * len(cols)) + "\n"
+    texts: dict[str, str] = {}
+    empty = '""' if len(cols) == 1 else ""
+    # a table of float arrays alone (a trajectory) keeps a slot per cell:
+    # its values are mostly distinct, and formatting its constant L0 column
+    # once saved about 6% of its emit time but left 1-5 MB more of the heap
+    # unreturned, which raised perfbench's trajectory-export peak RSS
+    find_repeats = not all(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in cols)
     for lo in range(0, n_rows, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n_rows)
-        if all(kind == "float" for kind in kinds):
-            template = all_slots * (hi - lo)
+        plans = [_chunk_plan(col[lo:hi], None if (mask := blank.get(key)) is None else mask[lo:hi],
+                             texts, empty, find_repeats)
+                 for key, col in columns.items()]
+        cells = [cell for cell, _, _ in plans]
+        if all(isinstance(cell, str) for cell in cells):
+            template = (",".join(cells) + "\n") * (hi - lo)
         else:
-            buffer.seek(0)
-            buffer.truncate()
-            writer.writerows(zip(*(_template_cells(col, kind, lo, hi)
-                                   for col, kind in zip(cols, kinds))))
-            template = buffer.getvalue()
-        chunks = [col[lo:hi] for col in float_cols]
-        if "blank" in kinds:
-            values = [v for row in zip(*chunks) for v in row if isinstance(v, float)]
+            template = "\n".join(map(",".join, zip(*(
+                [cell] * (hi - lo) if isinstance(cell, str) else cell for cell in cells)))) + "\n"
+        slotted = [(slots, filled) for _, slots, filled in plans if slots is not None]
+        if not slotted:
+            values = []
+        elif all(isinstance(slots, list) for slots, _ in slotted):  # a short table
+            values = [value for row in zip(*(slots for slots, _ in slotted)) for value in row]
+        elif all(filled is None for _, filled in slotted):
+            values = np.column_stack([slots for slots, _ in slotted]).ravel().tolist()
         else:
-            values = np.column_stack(chunks).ravel().tolist() if chunks else []
+            every = np.ones(hi - lo, dtype=bool)
+            stacked = np.column_stack([slots for slots, _ in slotted])
+            values = stacked[np.column_stack([every if filled is None else filled
+                                              for _, filled in slotted])].tolist()
         fh.write(template % tuple(values))
 
 
@@ -187,14 +248,18 @@ def _columns(rows: list[dict]) -> dict[str, list]:
     return {key: [row[key] for row in rows] for key in (rows[0] if rows else ())}
 
 
-def emit(columns: dict, args, command: list[str], config: dict) -> None:
+def emit(columns: dict, args, command: list[str], config: dict, blank: dict | None = None) -> None:
     """Write a table given as equal-length columns as CSV or JSON, deterministically.
 
-    The output goes to --out or stdout.  JSON rows are built from the
-    columns for the artifact alone.
+    ``blank`` maps the key of a float-array column to the row mask of its
+    blank cells: empty in CSV, "" in JSON.  The output goes to --out or
+    stdout.  JSON rows are built from the columns for the artifact alone.
     """
+    blank = blank or {}
     if args.format == "json":
-        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        cells = {key: _with_blanks(col, blank[key]) if key in blank else col
+                 for key, col in columns.items()}
+        rows = [dict(zip(cells, values)) for values in zip(*cells.values())]
         payload = json.dumps({"command": command, "config": config, "rows": rows},
                              default=float) + "\n"
     elif args.format != "csv":
@@ -202,9 +267,16 @@ def emit(columns: dict, args, command: list[str], config: dict) -> None:
     with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.format == "csv":
-            _write_csv(columns, fh)
+            _write_csv(columns, fh, blank)
         else:
             fh.write(payload)
+
+
+def _with_blanks(col: np.ndarray, mask: np.ndarray) -> list:
+    """col's values as a list, with "" in the rows that mask sets."""
+    cells = col.astype(object)
+    cells[mask] = ""
+    return cells.tolist()
 
 
 def _modulus(z: complex) -> float:
@@ -435,11 +507,11 @@ def _grid_columns(axes: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
 def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> None:
     """Evaluate a state target at every row of the l, phi, r and s columns ``labels``.
 
-    Values go into ``values`` (created on a row's first success).  An
-    invalid label gets StateLabel's error text and a non-finite row
-    _require_finite's.  A batch that raises is halved and each half run on
-    its own, so the good rows stay batched and each failing row ends as a
-    batch of one with its own error.
+    Values go into the float64 arrays of ``values`` (created on a row's
+    first success).  An invalid label gets StateLabel's error text and a
+    non-finite row _require_finite's.  A batch that raises is halved and
+    each half run on its own, so the good rows stay batched and each
+    failing row ends as a batch of one with its own error.
     """
     batches, rejected = states.label_batches(*labels)
     for i, message in rejected.items():
@@ -466,14 +538,9 @@ def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> Non
             good &= finite
         if good.any():
             for key, col in result.items():
-                _value_column(values, key, len(errors))[rows[good]] = col[good]
-
-
-def _value_column(values: dict, key: str, n: int) -> np.ndarray:
-    """values[key], made on first use as n empty ("") cells of an object array."""
-    if key not in values:
-        values[key] = np.full(n, "", dtype=object)
-    return values[key]
+                if key not in values:
+                    values[key] = np.zeros(len(errors))
+                values[key][rows[good]] = col[good]
 
 
 def cmd_sweep(args) -> int:
@@ -502,13 +569,17 @@ def cmd_sweep(args) -> int:
                 errors[i] = f"{type(exc).__name__}: {exc}"
                 continue
             for key, value in result.items():
-                _value_column(values, key, n_points)[i] = value
+                if key not in values:
+                    values[key] = np.zeros(n_points)
+                values[key][i] = value
 
-    # column layout must not depend on which rows failed
+    # column layout must not depend on which rows failed; a failed row's
+    # value cells are blank
+    failed = np.fromiter(map(bool, errors), dtype=bool, count=n_points)
     for key in sorted(values):
-        columns[key] = values[key].tolist()
+        columns[key] = values[key]
     columns["error"] = errors
-    emit(columns, args, ["sweep", args.target], _config(args))
+    emit(columns, args, ["sweep", args.target], _config(args), dict.fromkeys(values, failed))
     return 1 if any(errors) else 0
 
 

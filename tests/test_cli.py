@@ -502,10 +502,17 @@ class TestEmit:
         return buffer.getvalue()
 
     @staticmethod
-    def emitted(columns, fmt, tmp_path):
+    def emitted(columns, fmt, tmp_path, blank=None):
         out = tmp_path / f"table.{fmt}"
-        cli.emit(columns, SimpleNamespace(format=fmt, out=str(out)), ["test"], {"n": 1})
+        cli.emit(columns, SimpleNamespace(format=fmt, out=str(out)), ["test"], {"n": 1}, blank)
         return out.read_bytes()
+
+    @staticmethod
+    def rows_with_blanks(columns, blank):
+        """The table's rows, with "" in each cell that blank masks."""
+        cells = {key: ["" if b else v for v, b in zip(col, blank[key])] if key in blank else col
+                 for key, col in columns.items()}
+        return [dict(zip(cells, values)) for values in zip(*cells.values())]
 
     def test_matches_row_writer(self, tmp_path):
         n = 2 * cli.CHUNK_ROWS + 7
@@ -524,23 +531,55 @@ class TestEmit:
                                  for blank, v in zip(rng.random(n) < 0.3, floats)],
             "ints": np.arange(n),
             "ints_and_bools": [[True, 7, False, 2**60][i % 4] for i in range(n)],
+            # few-valued float columns, each distinct value formatted once
+            "meshgrid": np.repeat(np.linspace(-32.0, 32.0, 100), 100)[:n],
+            "meshgrid_fast": np.tile(np.linspace(0.0, 4 * math.pi, 100), n // 100 + 1)[:n],
+            "constant": np.full(n, 0.1),
+            "signed_zeros": np.where(np.arange(n) % 2 == 0, 0.0, -0.0),
+            "non_finite": np.array([math.nan, math.inf, -math.inf, 1.5])[np.arange(n) % 4],
+            "repeated_with_blanks": np.repeat([2.5, -0.0, 1e-300], n // 3 + 1)[:n],
+            "distinct_with_blanks": floats[::-1],
         }
-        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-        assert self.emitted(columns, "csv", tmp_path) == self.oracle_csv(rows).encode()
+        blank = {"repeated_with_blanks": rng.random(n) < 0.3,
+                 "distinct_with_blanks": np.arange(n) % 3 == 0}
+        rows = self.rows_with_blanks(columns, blank)
+        assert self.emitted(columns, "csv", tmp_path, blank) == self.oracle_csv(rows).encode()
         artifact = {"command": ["test"], "config": {"n": 1}, "rows": rows}
-        assert self.emitted(columns, "json", tmp_path) == (
+        assert self.emitted(columns, "json", tmp_path, blank) == (
             json.dumps(artifact, default=float) + "\n").encode()
 
     def test_float_columns_with_blanks_skip_fmt(self, tmp_path, monkeypatch):
         n = 3 * cli.CHUNK_ROWS
-        blank = np.random.default_rng(7).random(n) < 0.2
+        failed = np.random.default_rng(7).random(n) < 0.2
         columns = {"x": np.linspace(0.0, 1.0, n),
-                   "value": ["" if b else i / 3 for i, b in enumerate(blank)],
-                   "error": ["failed" if b else "" for b in blank]}
+                   "value": np.arange(n) / 3,
+                   "error": ["failed" if b else "" for b in failed]}
         calls = []
         monkeypatch.setattr(cli, "fmt", lambda v: calls.append(v) or str(v))
-        self.emitted(columns, "csv", tmp_path)
-        assert len(calls) == n  # the text column's cells alone
+        self.emitted(columns, "csv", tmp_path, {"value": failed})
+        assert sorted(calls) == ["", "failed"]  # each distinct text once, no float
+
+    @pytest.mark.parametrize("argv", [
+        ["expect-u", "--grid", "l=-32:32:41,phi=0:2pi:7"],
+        ["norm2", "--grid", "l=-32:32:41,phi=0:2pi:7", "--s", "half"],
+        ["energy", "--grid", "r=0:1.5:7,j=0:2:3"],               # r >= 1 rows fail
+    ])
+    def test_sweep_csv_matches_its_json_rows(self, capsys, argv):
+        code, text, _ = run_cli(["sweep", *argv], capsys)
+        code_json, artifact, _ = run_cli(["sweep", *argv, "--format", "json"], capsys)
+        rows = json.loads(artifact)["rows"]
+        failed = [row for row in rows if row["error"]]
+        assert code == code_json == 1 and 0 < len(failed) < len(rows)
+        value_keys = [key for key in rows[0] if key not in ("l", "phi", "r", "j", "error")]
+        assert value_keys and all(row[key] == "" for row in failed for key in value_keys)
+        assert text == self.oracle_csv(rows)
+
+    def test_lone_float_column_with_blanks(self, tmp_path):
+        columns = {"only": np.array([1.5, 0.0, -0.0, 0.0])}
+        blank = {"only": np.array([False, True, False, True])}
+        rows = self.rows_with_blanks(columns, blank)
+        assert self.emitted(columns, "csv", tmp_path, blank) == self.oracle_csv(rows).encode()
+        assert self.emitted(columns, "csv", tmp_path, blank) == b'only\n1.5\n""\n-0\n""\n'
 
     @pytest.mark.parametrize("columns", [
         {"only": ["", "x"]},          # a lone empty cell is written as ""

@@ -192,10 +192,12 @@ class TestSineIntegral:
 
 def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(mobiuscs.__file__)))
-    code = "import sys, mobiuscs, mobiuscs.cli; print('scipy' in sys.modules)"
+    # numpy.ma, which numpy loads only on use, would add about 13 ms to the import
+    code = ("import sys, mobiuscs, mobiuscs.cli; "
+            "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 class TestCircleRelabeling:
