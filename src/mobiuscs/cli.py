@@ -123,85 +123,83 @@ def load_config(path: str) -> tuple[list | None, dict[str, str]]:
 
 CHUNK_ROWS = 4096  # CSV rows formatted and written per write call
 _FLOAT_SLOT = "%.17g"  # fmt's format for a float, as a %-operator slot
-_NEEDS_CSV = re.compile(r'[,"\r\n]')  # the characters that can make csv quote a cell
+_NEEDS_CSV = frozenset(',"\r\n')  # the characters that can make csv quote a cell
 _TEXT = frozenset({str})  # the cell types of a text column
 _FLOATS = frozenset({float, np.float64})  # the cell types a list of floats may hold
 
 
 def _text_cell(text: str, empty: str) -> str:
-    """text as csv writes it in a row of several cells, with each % doubled.
+    """text as csv writes it in a row of several cells.
 
     An empty text gives ``empty``: csv writes "" for it in a row of
     several cells and '""' in a row of one.
     """
     if not text:
         return empty
-    if _NEEDS_CSV.search(text):
+    if not _NEEDS_CSV.isdisjoint(text):
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerow((text,))
-        text = buffer.getvalue()[:-1]
-    return text.replace("%", "%%")
+        return buffer.getvalue()[:-1]
+    return text
 
 
-def _chunk_plan(chunk, blank, texts: dict[str, str], empty: str, find_repeats: bool):
-    """One column's rows of a chunk as (cells, slots, filled).
+def _chunk_plan(chunk, blank, texts: dict[str, str], empty: str):
+    """One column's rows of a chunk as (cell, values), for the chunk's row template.
 
-    cells is each row's template cell, or one str that every row shares.
-    slots is None, or the values that fill the %.17g slots of the rows
-    that the mask ``filled`` sets (every row where it is None).  A text
-    column gets each distinct text fmt-ed once, its cell kept in ``texts``
-    for every column and chunk; a list of floats (a short table) puts
-    each in a slot; any other column that is not a float array has each
+    The cell is text that every row shares (values None), a %.17g slot
+    filled by ``values``, the column's floats, or a %s slot filled by
+    ``values``, each row's cell text.  A text column gets each distinct
+    text fmt-ed once, its cell kept in ``texts`` for every column and
+    chunk; any other column that is neither text nor floats has each
     cell fmt-ed.
     """
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind == "f":
-        return _float_plan(chunk, blank, empty, find_repeats)
+        return _float_plan(chunk, blank, empty)
     kinds = set(map(type, chunk))
-    if kinds == _TEXT:
-        distinct = set(chunk)
-        for text in distinct.difference(texts):
-            texts[text] = _text_cell(fmt(text), empty)
-        if len(distinct) == 1:
-            return texts[chunk[0]], None, None
-        return list(map(texts.__getitem__, chunk)), None, None
     if kinds <= _FLOATS:
-        return _FLOAT_SLOT, chunk, None
-    return [_text_cell(fmt(value), empty) for value in chunk], None, None
+        return _FLOAT_SLOT, chunk
+    if kinds != _TEXT:
+        return "%s", [_text_cell(fmt(value), empty) for value in chunk]
+    distinct = set(chunk)
+    for text in distinct.difference(texts):
+        texts[text] = _text_cell(fmt(text), empty)
+    if len(distinct) == 1:
+        return texts[chunk[0]].replace("%", "%%"), None
+    return "%s", list(map(texts.__getitem__, chunk))
 
 
-def _float_plan(chunk: np.ndarray, blank, empty: str, find_repeats: bool):
+def _float_plan(chunk: np.ndarray, blank, empty: str):
     """_chunk_plan of a float array; ``blank`` is None or the mask of its empty rows.
 
-    With ``find_repeats``, a chunk whose values are at most half distinct
-    gets each distinct bit pattern (0.0 and -0.0 apart) formatted once.
+    A chunk whose values are at most half distinct gets each distinct bit
+    pattern (0.0 and -0.0 apart) formatted once; a chunk with blank rows
+    has its other floats formatted by one %.
     """
     chunk = np.ascontiguousarray(chunk, dtype=np.float64)
     bits = chunk.view(np.int64)
-    if find_repeats:
-        kept = np.sort(bits if blank is None else bits[~blank])  # np.unique takes 4x as long
-        new = kept[1:] != kept[:-1]
-        find_repeats = 2 * (np.count_nonzero(new) + 1) <= kept.size
-    if not find_repeats:
+    kept = np.sort(bits if blank is None else bits[~blank])  # np.unique takes 4x as long
+    new = kept[1:] != kept[:-1]
+    if 2 * (np.count_nonzero(new) + 1) > kept.size:
         if blank is None:
-            return _FLOAT_SLOT, chunk, None
-        return np.where(blank, empty, _FLOAT_SLOT).tolist(), chunk, ~blank
+            return _FLOAT_SLOT, chunk
+        cells = np.full(chunk.size, empty, dtype=object)
+        filled = chunk[~blank].tolist()
+        cells[~blank] = ((_FLOAT_SLOT + "\n") * len(filled) % tuple(filled)).split("\n")[:-1]
+        return "%s", cells
     distinct = kept[np.concatenate(([True], new))]
     table = [f"{v:.17g}" for v in distinct.view(np.float64).tolist()]
     if blank is None and len(table) == 1:
-        return table[0], None, None
+        return table[0], None
     index = np.searchsorted(distinct, bits)
     if blank is not None:
         index[blank] = len(table)
-    return np.array([*table, empty], dtype=object)[index].tolist(), None, None
+    return "%s", np.array([*table, empty], dtype=object)[index]
 
 
 def _write_csv(columns: dict, fh, blank: dict) -> None:
     """Header and rows, CHUNK_ROWS at a time; nothing at all for an empty table.
 
-    Each chunk is written as one row template, holding each cell's text
-    or a %.17g slot (see _chunk_plan), filled by one % with the slots'
-    floats in row order, which gives fmt's text for each.  ``blank`` maps
-    a float column's key to the row mask of its empty cells.
+    ``blank`` maps a float column's key to the row mask of its empty cells.
     """
     cols = list(columns.values())
     n_rows = len(cols[0]) if cols else 0
@@ -212,35 +210,31 @@ def _write_csv(columns: dict, fh, blank: dict) -> None:
     fh.write(buffer.getvalue())
     texts: dict[str, str] = {}
     empty = '""' if len(cols) == 1 else ""
-    # a table of float arrays alone (a trajectory) keeps a slot per cell:
-    # its values are mostly distinct, and formatting its constant L0 column
-    # once saved about 6% of its emit time but left 1-5 MB more of the heap
-    # unreturned, which raised perfbench's trajectory-export peak RSS
-    find_repeats = not all(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in cols)
     for lo in range(0, n_rows, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n_rows)
-        plans = [_chunk_plan(col[lo:hi], None if (mask := blank.get(key)) is None else mask[lo:hi],
-                             texts, empty, find_repeats)
-                 for key, col in columns.items()]
-        cells = [cell for cell, _, _ in plans]
-        if all(isinstance(cell, str) for cell in cells):
-            template = (",".join(cells) + "\n") * (hi - lo)
-        else:
-            template = "\n".join(map(",".join, zip(*(
-                [cell] * (hi - lo) if isinstance(cell, str) else cell for cell in cells)))) + "\n"
-        slotted = [(slots, filled) for _, slots, filled in plans if slots is not None]
-        if not slotted:
-            values = []
-        elif all(isinstance(slots, list) for slots, _ in slotted):  # a short table
-            values = [value for row in zip(*(slots for slots, _ in slotted)) for value in row]
-        elif all(filled is None for _, filled in slotted):
-            values = np.column_stack([slots for slots, _ in slotted]).ravel().tolist()
-        else:
-            every = np.ones(hi - lo, dtype=bool)
-            stacked = np.column_stack([slots for slots, _ in slotted])
-            values = stacked[np.column_stack([every if filled is None else filled
-                                              for _, filled in slotted])].tolist()
-        fh.write(template % tuple(values))
+        fh.write(_chunk_text(hi - lo, [
+            _chunk_plan(col[lo:hi], blank[key][lo:hi] if key in blank else None, texts, empty)
+            for key, col in columns.items()]))
+
+
+def _chunk_text(n: int, plans: list) -> str:
+    """The CSV text of n rows, given each column's (cell, values) from _chunk_plan.
+
+    One row template, repeated n times and holding each column's cell, is
+    filled by one % with the slots' values in row order; a %.17g slot
+    gives fmt's text for a float.  Every temporary of a chunk is freed on
+    return, before the next chunk is planned.
+    """
+    template = (",".join(cell for cell, _ in plans) + "\n") * n
+    slotted = [values for _, values in plans if values is not None]
+    if all(isinstance(values, list) for values in slotted):  # a short table
+        # tuple() of a list: a tuple built from a generator is resized, and
+        # CPython keeps each freed one in the free list of its final size
+        return template % tuple([value for row in zip(*slotted) for value in row])
+    grid = np.empty((n, len(slotted)), dtype=object)
+    for j, values in enumerate(slotted):
+        grid[:, j] = values
+    return template % tuple(grid.ravel().tolist())
 
 
 def _columns(rows: list[dict]) -> dict[str, list]:

@@ -539,9 +539,12 @@ class TestEmit:
             "non_finite": np.array([math.nan, math.inf, -math.inf, 1.5])[np.arange(n) % 4],
             "repeated_with_blanks": np.repeat([2.5, -0.0, 1e-300], n // 3 + 1)[:n],
             "distinct_with_blanks": floats[::-1],
+            "blank_first_chunk": floats,
+            "constant_text": ['5%, "q"'] * n,
         }
         blank = {"repeated_with_blanks": rng.random(n) < 0.3,
-                 "distinct_with_blanks": np.arange(n) % 3 == 0}
+                 "distinct_with_blanks": np.arange(n) % 3 == 0,
+                 "blank_first_chunk": np.arange(n) < cli.CHUNK_ROWS + 3}
         rows = self.rows_with_blanks(columns, blank)
         assert self.emitted(columns, "csv", tmp_path, blank) == self.oracle_csv(rows).encode()
         artifact = {"command": ["test"], "config": {"n": 1}, "rows": rows}
