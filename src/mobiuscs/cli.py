@@ -338,7 +338,7 @@ def cmd_cs(args) -> int:
                  "max_spread": max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3))}]
     elif args.action == "expect-u":
         d = states.expect_u(label, method="direct")
-        t = states.expect_u(label, method="theta")
+        t = states.expect_u(label, method="dual")
         rows = [{"expect_u_re": t.real, "expect_u_im": t.imag, "expect_u_abs": _modulus(t),
                  "spread": _modulus(d - t)}]
     elif args.action == "norm2":
@@ -468,7 +468,7 @@ def _state_values(target: str, batch: states.LabelBatch) -> dict:
     if target == "expect-j":
         return {"expect_j": states.expect_j(batch, method="ratio")}
     if target == "expect-u":
-        val = states.expect_u(batch, method="theta")
+        val = states.expect_u(batch, method="dual")
         return {"expect_u_re": val.real, "expect_u_im": val.imag}
     if target == "norm2":
         return {"norm2": states.norm2(batch, method="theta")}

@@ -184,11 +184,24 @@ def _momentum_triple_path() -> float:
 def _shift_dual_path() -> float:
     err = 0.0
     for s in (0.0, 0.5):
-        labels = [label_for_center(lp, 2.0, 0.5, s) for lp in np.linspace(-1.0, 1.0, 9)]
-        thetas = states.expect_u(_batch(labels), method="theta").tolist()
-        for lab, t in zip(labels, thetas):
-            d = states.expect_u(lab, method="direct")
-            err = max(err, abs(d - t))
+        for lp in np.linspace(-1.0, 1.0, 9):
+            lab = label_for_center(lp, 2.0, 0.5, s)
+            err = max(err, abs(states.expect_u(lab, method="direct")
+                               - states.expect_u(lab, method="theta")))
+    return err
+
+
+@_check("states", "u-dual-path",
+        "<U> on the dual lattice vs natural theta ratio vs shifted contraction",
+        "center in [-19.7,19.7], 21 points x s in {0,1/2}", 1e-12)
+def _u_dual_path() -> float:
+    err = 0.0
+    for s in (0.0, 0.5):
+        labels = [label_for_center(lp, 2.0, 0.5, s) for lp in np.linspace(-19.7, 19.7, 21)]
+        duals = states.expect_u(_batch(labels), method="dual").tolist()
+        for lab, u in zip(labels, duals):
+            err = max(err, abs(u - states.expect_u(lab, method="theta")),
+                      abs(u - states.expect_u(lab, method="direct")))
     return err
 
 

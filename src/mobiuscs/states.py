@@ -13,7 +13,8 @@ Everything measurable closes in theta functions:
                 = Theta_{3|2}(nu | i/pi),  nu = (phi_a-phi_b)/(2*pi) - i*(l'_a+l'_b)/(2*pi)
     <xi|xi>     = Theta_{3|2}(i*l'/pi | i/pi) = exp(l'^2) sqrt(pi) Theta_{3|4}(l' | i*pi)
     <J>         = l' + (1/2) d/dnu log Theta_{3|4}(nu|i*pi) at nu = l'
-    <U>/<1>     = exp(-1/4) exp(i*phi) * theta ratio          (U|j> = |j+1>)
+    <U>/<1>     = exp(-1/4) exp(i*phi) * Theta_{2|3}/Theta_{3|2}(i*l'/pi | i/pi)
+                = exp(-1/4) exp(i*phi) * Theta_{4|3}/Theta_{3|4}(l' | i*pi)   (U|j> = |j+1>)
     |<j|xi>|^2 / <xi|xi> = exp(2*l'*j - j^2) / Theta_{3|2}(i*l'/pi | i/pi)
                          = exp(-(j-l')^2) / sum_k exp(-(k-l')^2)
 
@@ -21,6 +22,14 @@ Everything measurable closes in theta functions:
 as Theta_3(nu + 1/2)).  Each quantity is exposed through at least two
 independent evaluation routes so the closed forms are verifiable against
 truncated sums.
+
+The routes on the natural lattice tau = i/pi need 2|l'| + 13 terms and
+overflow past |l'| ~ 26.6.  The dual lattice tau = i*pi (nome exp(-pi^2))
+needs 5 terms at any l', and its Theta_3 has period 1 in nu, so the batched
+<U> route reads it at the reduced center l' - round(l') and is finite at
+any finite l'.  The <J> ratio and direct <U> routes sum the rescaled
+weights exp(-(j - l')^2), which never overflow.  norm2 itself leaves
+double range past |l'| ~ 26.6 on every route.
 
 The distinguished angles phi = (2k+1)*pi place the particle on the strip
 border, where l' = l +/- r and the theta correction to <J> vanishes; with
@@ -125,9 +134,11 @@ class LabelBatch:
     """Many labels of one basis offset s, held as the columns the batched routes read.
 
     ``norm2(batch, method="theta")``, ``expect_j(batch, method="ratio")``,
-    ``expect_u(batch, method="theta")``, ``gaussian_supnorm`` and
+    ``expect_u(batch, method="dual")``, ``gaussian_supnorm`` and
     ``occupation_law`` give one entry per label; a StateLabel runs as a
     batch of one, and no entry depends on the other labels of its batch.
+    ``expect_u(label, method="theta")``, the natural-lattice ratio, takes a
+    StateLabel only: it is the scalar oracle of the dual route.
     """
 
     centers: list[float]
@@ -316,7 +327,8 @@ def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.
 def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | np.ndarray:
     """<J> in the coherent state, by one of three independent routes.
 
-    method="ratio"   direct ratio sum_j j*w_j / sum_j w_j, w_j = exp(2*l'*j - j^2);
+    method="ratio"   direct ratio l' + sum_j (j - l')*w_j / sum_j w_j over the rescaled
+                     weights w_j = exp(-(j - l')^2) = exp(2*l'*j - j^2) / exp(l'^2);
     method="theta"   l' + (1/2) * dlog Theta_3(nu|i*pi)/dnu at nu = l' (+1/2);
     method="series"  l' plus the explicit product-expansion correction
                      -/+ 2*pi*sin(2*pi*l') * sum_{n>=1} q^{2n-1} /
@@ -354,8 +366,8 @@ def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | n
 _EXACT_INT = 2.0 ** 52  # below this, a center's default_j_max is exact as an int64
 
 
-def _grid_blocks(batch: LabelBatch, weight, reach: int = 0):
-    """(rows, levels, weight(centers, levels)) per row block of labels on one level grid."""
+def _grid_blocks(batch: LabelBatch, reach: int = 0):
+    """(rows, levels, centers as a column) per row block of labels on one level grid."""
     centers = np.array(batch.centers, dtype=float)
     # widened towards reach by at most 19 levels: past |l'| + 28, exp(-(j - l')^2) is 0.0
     if (centers.size >= COLUMN_MIN_ROWS and reach < _EXACT_INT
@@ -366,42 +378,70 @@ def _grid_blocks(batch: LabelBatch, weight, reach: int = 0):
         j_maxes = [d + min(max(reach - d, 0), 19) for d in map(default_j_max, batch.centers)]
     for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
         j = level_grid(j_max, batch.s)
-        yield rows, j, weight(centers[rows, None], j)
+        yield rows, j, centers[rows, None]
+
+
+def _gaussian(d: np.ndarray) -> np.ndarray:
+    """exp(-d^2) at every entry of ``d``, formed in place in one new array."""
+    w = d * d
+    np.negative(w, out=w)
+    return np.exp(w, out=w)
 
 
 def _expect_j_ratio(batch: LabelBatch) -> np.ndarray:
+    """l' + sum_j (j - l')*w_j / sum_j w_j with the rescaled weights w_j = exp(-(j - l')^2)."""
     out = np.empty(len(batch.centers))
-    for rows, j, w in _grid_blocks(batch, lambda c, j: np.exp(2.0 * c * j - j * j)):
-        out[rows] = (j * w).sum(axis=1) / w.sum(axis=1)
+    for rows, j, c in _grid_blocks(batch):
+        d = j - c
+        w = _gaussian(d)
+        norm = w.sum(axis=1)
+        d *= w  # (j - l')*w_j, in place
+        out[rows] = c[:, 0] + d.sum(axis=1) / norm
     return out
 
 
-def expect_u(label: StateLabel | LabelBatch, method: str = "theta") -> complex | np.ndarray:
+def expect_u(label: StateLabel | LabelBatch, method: str = "dual") -> complex | np.ndarray:
     """<U>/<xi|xi> for the shift U|j> = |j+1>; modulus never exceeds 1.
 
-    Closed form exp(-1/4)*exp(i*phi) * Theta_2/Theta_3 at nu = i*l'/pi (the
-    theta roles swap in the s = 1/2 sector, where the shifted lattice is the
-    integer one).
+    method="theta"   exp(-1/4)*exp(i*phi) * Theta_2/Theta_3(i*l'/pi | i/pi) (the
+                     theta roles swap in the s = 1/2 sector, where the shifted
+                     lattice is the integer one); overflows past |l'| ~ 26.6;
+    method="dual"    exp(-1/4)*exp(i*phi) * Theta_3(f + 1/2 | i*pi)/Theta_3(f | i*pi),
+                     f = l' - round(l'), and the reciprocal ratio for s = 1/2
+                     (Jacobi's imaginary transformation); finite at any l';
+    method="direct"  sum_j conj(c_{j+1}) c_j / sum_j |c_j|^2 over the rescaled
+                     coefficients c_j = exp(-(j - l')^2/2 - i*phi*j).
 
-    A LabelBatch (method="theta") gives an array: the theta sums are
-    batched, the ratio and the phase are taken per label in Python complex
-    arithmetic.
+    A LabelBatch (method="dual") gives an array.
     """
+    if method == "dual":
+        return _batched(label, _expect_u_dual)
+    _refuse_batch("expect_u", label, "dual", method)
+    center = label.center
     if method == "theta":
-        return _batched(label, _expect_u_theta)
-    _refuse_batch("expect_u", label, "theta", method)
+        nu = 1j * center / math.pi
+        a, b = theta2(nu, TAU_NATURAL), theta3(nu, TAU_NATURAL)
+        return math.exp(-0.25) * cmath.exp(1j * label.phi) * (a / b if label.s == 0.0 else b / a)
     if method == "direct":
-        v = build_cs(label)
-        return complex(np.vdot(v.c[1:], v.c[:-1])) / v.norm2()
+        j = level_grid(default_j_max(center), label.s)
+        c = np.exp(-0.5 * (j - center) ** 2 - 1j * label.phi * j)
+        return complex(np.vdot(c[1:], c[:-1])) / float(np.vdot(c, c).real)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _expect_u_theta(batch: LabelBatch) -> np.ndarray:
-    nu = [1j * c / math.pi for c in batch.centers]
-    t2 = theta2_many(nu, TAU_NATURAL).tolist()
-    t3 = theta3_many(nu, TAU_NATURAL).tolist()
-    return np.array([math.exp(-0.25) * cmath.exp(1j * phi) * (a / b if batch.s == 0.0 else b / a)
-                     for a, b, phi in zip(t2, t3, batch.phis)], dtype=complex)
+def _expect_u_dual(batch: LabelBatch) -> np.ndarray:
+    """The dual ratio per label, its Theta_3 sums taken as one block.
+
+    f = l' - round(l') is exact in double precision.  Theta_3 has period 1
+    in nu; reducing first keeps f + 1/2 apart from f where l' + 1/2 would
+    round to l' (|l'| >= 2^52).  Every real argument takes the same
+    truncation order on the dual lattice.
+    """
+    centers = np.array(batch.centers, dtype=float)
+    nu = (centers - np.rint(centers)) + np.array([0.0, 0.5])[:, None]
+    th3, th4 = theta3_many(nu, TAU_DUAL).real.reshape(nu.shape)
+    ratio = th4 / th3 if batch.s == 0.0 else th3 / th4
+    return np.exp(1j * np.array(batch.phis, dtype=float)) * (math.exp(-0.25) * ratio)
 
 
 def _check_level(j: float, s: float) -> None:
@@ -422,7 +462,8 @@ def _occupation_law(batch: LabelBatch, level: float | None = None) -> list[tuple
         _check_level(level, batch.s)
     law = [None] * len(batch.centers)
     reach = math.ceil(abs(level or 0.0))
-    for rows, j, w in _grid_blocks(batch, lambda c, j: np.exp(-((j - c) ** 2)), reach):
+    for rows, j, c in _grid_blocks(batch, reach):
+        w = _gaussian(j - c)
         p, g = w / w.sum(axis=1, keepdims=True), w / math.sqrt(math.pi)
         if level is not None:
             k = round(level - j[0])
@@ -491,12 +532,7 @@ def quantization_scan(
         center = label.center
         if abs(center - 0.5 * round(2.0 * center)) > tol:
             continue
-        # past |l'| ~ 26.6 the weights overflow and <J> comes out NaN, which
-        # is raised below; numpy's warnings would only precede it
-        with np.errstate(over="ignore", invalid="ignore"):
-            jbar = expect_j(label, method="ratio")
-        if not math.isfinite(jbar):
-            raise PrecisionError(f"<J> is not finite at l={l:g}, phi={phi:g}", achieved=jbar)
+        jbar = expect_j(label, method="ratio")
         if abs(jbar - s - round(jbar - s)) > tol:
             continue
         roots.append(phi)

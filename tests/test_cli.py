@@ -91,7 +91,7 @@ def one_label_values(target, label):
     if target == "expect-j":
         return {"expect_j": states.expect_j(label, method="ratio")}
     if target == "expect-u":
-        u = states.expect_u(label, method="theta")
+        u = states.expect_u(label, method="dual")
         return {"expect_u_re": u.real, "expect_u_im": u.imag}
     if target == "norm2":
         return {"norm2": states.norm2(label, method="theta")}
@@ -243,24 +243,19 @@ class TestCommands:
         assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
-        ["cs", "expect-j", "--l", "40"],
-        ["cs", "quantize", "--l", "30", "--r", "0.5", "--s", "half"],
         # exp(l'^2) overflows past |l'| ~ 26.6
         ["theta", "--l", "30"],
         ["cs", "norm2", "--l", "40"],
         # the Theta2 prefactor exp(-l' - 1/4) overflows past l' ~ -709.5
         ["cs", "norm2", "--l", "-1000", "--s", "half"],
         ["cs", "fidelity", "--l", "30"],
-        ["cs", "expect-u", "--l", "40"],
         ["cs", "coeffs", "--l", "40"],
         ["cs", "overlap", "--l", "30", "--l2", "30"],
         # 2*pi*|Im nu| > 709.8: exp() of the term ratio would leave double range
         ["theta", "--l", "400"],
-        ["cs", "expect-u", "--l", "400"],
         ["cs", "norm2", "--l", "400"],
         # E = L0^2/2 + ... overflows
         ["spectrum", "--L0", "1e200"],
-        ["cs", "expect-u", "--l", "-800"],
         ["theta", "--l", "-1000"],
     ])
     def test_non_finite_result_exit_code(self, capsys, argv):
@@ -272,6 +267,30 @@ class TestCommands:
         assert out == ""
         assert err.startswith("precision failure:")
 
+
+    @pytest.mark.parametrize("argv", [
+        ["cs", "expect-j", "--l", "40"],
+        ["cs", "quantize", "--l", "30", "--r", "0.5", "--s", "half"],
+        ["cs", "expect-u", "--l", "40"],
+        ["cs", "expect-u", "--l", "400"],
+        ["cs", "expect-u", "--l", "-800", "--s", "half"],
+    ])
+    def test_scale_free_routes_past_the_norm_overflow_edge(self, capsys, argv):
+        # <J> and <U> are bounded, and their routes sum exp(-(j - l')^2)-scaled weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        rows = csv_rows(out)
+        values = [float(v) for row in rows for v in row.values()]
+        assert rows and all(math.isfinite(v) for v in values)
+        if argv[1] == "expect-u":
+            assert float(rows[0]["expect_u_abs"]) <= 1.0
+            assert float(rows[0]["spread"]) <= 1e-12
+        elif argv[1] == "expect-j":
+            assert float(rows[0]["max_spread"]) <= 1e-12 * float(rows[0]["expect_j"])
+        else:
+            assert [float(row["expect_j"]) for row in rows] == [30.5, 29.5]
 
     @pytest.mark.parametrize("argv", [
         ["cs", "expect-j", "--phi", "nan"],
@@ -413,7 +432,9 @@ class TestSweep:
         ("l=0:1:0", []),                                        # empty grid
         ("l=-3:3:5", ["--r", "1.5"]),                           # invalid --r
         ("l=-3:3:5", ["--phi", "nan"]),                         # non-finite phi
-        # batches that raise; they are halved until each failing row fails alone, with its own text
+        # far labels: the dual <U> route fails no row; the others raise (norm2) or, at
+        # l = +/-1e300, cannot allocate their level grids, and their batches are halved
+        # until each failing row fails alone, with its own text
         ("l=-1e4:1e4:5", ["--s", "half"]),
         ("l=-1e300:1e300:3", []),
     ])
@@ -438,6 +459,16 @@ class TestSweep:
         assert errors[1].startswith("PrecisionError: Theta2 prefactor overflows")
         assert errors[2] == ""
 
+    def test_far_level_grid_rows_keep_their_own_errors(self, capsys):
+        code, out, _ = run_cli(["sweep", "expect-j", "--grid", "l=-1e300:1e300:5", "--r", "0"],
+                               capsys)
+        errors = [row["error"] for row in csv_rows(out)]
+        assert code == 1
+        assert errors == [f"DomainError: cannot allocate the levels |j| <= {j_max}"
+                          for j_max in ("1e+300", "5e+299")] + [""] + [
+                          f"DomainError: cannot allocate the levels |j| <= {j_max}"
+                          for j_max in ("5e+299", "1e+300")]
+
     def test_failing_batch_is_halved_and_good_rows_stay_batched(self, monkeypatch):
         sizes = []  # rows of each batch that _state_values returned for
 
@@ -447,10 +478,23 @@ class TestSweep:
             return result
 
         monkeypatch.setattr(cli, "_state_values", spy)
-        # 100 rows at l = -1e4 (each fails) before 100 good rows, in one batch
-        rows = sweep_against_one_label_calls("expect-u", "l=-1e4:1:2,phi=0:1:100", [])
+        # 100 rows at l = -1e300 (each fails) before 100 good rows, in one batch
+        rows = sweep_against_one_label_calls("expect-j", "l=-1e300:1:2,phi=0:1:100", [])
         assert [bool(row["error"]) for row in rows] == [True] * 100 + [False] * 100
         assert sizes == [100]
+
+    def test_far_expect_u_rows_stay_in_one_batch(self, monkeypatch):
+        # the dual lattice reads l' mod 1: rows at l = -1e4 are finite, so the batch is never halved
+        sizes = []
+
+        def spy(target, batch, state_values=cli._state_values):
+            sizes.append(len(batch.centers))
+            return state_values(target, batch)
+
+        monkeypatch.setattr(cli, "_state_values", spy)
+        rows = sweep_against_one_label_calls("expect-u", "l=-1e4:2:2,phi=0:1:5000", [])
+        assert [row["error"] for row in rows] == [""] * 10_000
+        assert sizes == [10_000]
 
     # numpy refuses these at once; never test with a grid that could allocate
     @pytest.mark.parametrize("grid", [
@@ -563,7 +607,7 @@ class TestEmit:
         assert sorted(calls) == ["", "failed"]  # each distinct text once, no float
 
     @pytest.mark.parametrize("argv", [
-        ["expect-u", "--grid", "l=-32:32:41,phi=0:2pi:7"],
+        ["expect-u", "--grid", "l=-32:32:41,phi=0:2pi:7,r=0.5:1.5:2"],  # r >= 1 rows fail
         ["norm2", "--grid", "l=-32:32:41,phi=0:2pi:7", "--s", "half"],
         ["energy", "--grid", "r=0:1.5:7,j=0:2:3"],               # r >= 1 rows fail
     ])

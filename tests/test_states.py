@@ -45,6 +45,26 @@ LEVEL_CUTOFFS = (0, 0.4, 0.5, 0.6, 1, 3, 3.5, 3.7, 7.6,
                  math.nextafter(0.5, 0.0), math.nextafter(3.5, 0.0), -0.5)
 
 
+def mp_sums(center, s, phi=0.0, dps=40):
+    """(<J>, <U>, <xi|xi>) at the double ``center`` from 40-digit sums over |j - l'| <= 41.
+
+    The weights are exp(-(j - l')^2) = exp(2*l'*j - j^2) / exp(l'^2); the
+    rest weigh below exp(-1600), which is 0 in double precision.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = dps
+    c = mp.mpf(center)
+    levels = [mp.mpf(k) + s for k in range(math.floor(center - s) - 40,
+                                          math.floor(center - s) + 42)]
+    weights = [mp.exp(-(j - c) ** 2) for j in levels]
+    total = mp.fsum(weights)
+    jbar = mp.fsum(j * w for j, w in zip(levels, weights)) / total
+    # conj(c_{j+1}) c_j / exp(l'^2) = exp(i*phi) exp(-((j + 1 - l')^2 + (j - l')^2)/2)
+    shifted = mp.fsum(mp.exp(-((j + 1 - c) ** 2 + (j - c) ** 2) / 2) for j in levels)
+    u = mp.expj(phi) * shifted / total
+    return jbar, u, mp.exp(c * c) * total
+
+
 def brute_levels(j_max, s):
     """Every level of Z + s with |j| <= j_max, filtered from a wider range."""
     return [k + s for k in range(-20, 21) if abs(k + s) <= j_max]
@@ -172,7 +192,7 @@ class TestLabelBatch:
             [], {0: "z_sign must be +1 or -1, got 0"})
 
     ROUTES = [lambda x: norm2(x, method="theta"), lambda x: expect_j(x, method="ratio"),
-              lambda x: expect_u(x, method="theta"), gaussian_supnorm]
+              lambda x: expect_u(x, method="dual"), gaussian_supnorm]
 
     def test_batch_rows_match_one_label_calls_bit_for_bit(self):
         # a StateLabel runs the batch kernel on one label: no row may depend on its batch
@@ -201,7 +221,8 @@ class TestLabelBatch:
                         col.tobytes() for col in occupation_law(lab)]
 
     @pytest.mark.parametrize("fn,method", [(norm2, "direct"), (norm2, "modular"),
-                                           (expect_j, "theta"), (expect_u, "direct")])
+                                           (expect_j, "theta"), (expect_u, "direct"),
+                                           (expect_u, "theta")])
     def test_unbatched_method_is_refused(self, fn, method):
         batch = LabelBatch(centers=[0.1], phis=[0.0], s=0.0)
         with pytest.raises(ValueError, match="takes a LabelBatch with method="):
@@ -209,7 +230,7 @@ class TestLabelBatch:
 
     @pytest.mark.parametrize("name, kwargs", [
         ("norm2", {"method": "theta"}), ("expect_j", {"method": "ratio"}),
-        ("expect_u", {"method": "theta"}), ("gaussian_supnorm", {}), ("occupation_law", {}),
+        ("expect_u", {"method": "dual"}), ("gaussian_supnorm", {}), ("occupation_law", {}),
         ("distribution", {"j": 1.0}),
     ])
     def test_one_label_call_enters_one_route(self, name, kwargs, monkeypatch):
@@ -280,6 +301,15 @@ class TestOverlap:
 
 
 class TestNorm:
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_modular_route_against_mpmath(self, s):
+        rng = np.random.default_rng(1313)
+        centers = [*rng.uniform(-26.6, 26.6, 200).tolist(), 0.0, 0.5, -0.5, 26.6, -26.6]
+        for center in centers:
+            got = norm2(label_for_center(center, 0.0, 0.5, s), method="modular")
+            ref = float(mp_sums(center, s)[2])
+            assert abs(got - ref) <= 1e-13 * ref, center
+
     def test_depends_only_on_center(self):
         a = label_for_center(0.37, 0.5, 0.5)
         b = label_for_center(0.37, 2.9, 0.5)
@@ -319,6 +349,16 @@ class TestExpectJ:
                     v3 = expect_j(lab, method="series")
                     assert max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3)) <= 1e-10
 
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_ratio_route_against_mpmath(self, s):
+        # scale-free weights: finite and within a few ulp of l' at every |l'| <= 40
+        rng = np.random.default_rng(4040)
+        centers = [*rng.uniform(-40.0, 40.0, 200).tolist(), 26.7, -30.25, 40.0, -39.9]
+        batch = LabelBatch(centers=centers, phis=[0.0] * len(centers), s=s)
+        for center, got in zip(centers, expect_j(batch, method="ratio").tolist()):
+            ref = float(mp_sums(center, s)[0])
+            assert abs(got - ref) <= 2 * math.ulp(max(1.0, abs(ref))), center
+
     def test_correction_vanishes_on_half_lattice(self):
         # sin(2*pi*l') kills the correction at every half-integer center
         for s in (0.0, 0.5):
@@ -350,6 +390,32 @@ class TestExpectU:
                              r=float(RNG.uniform(0, 0.95)),
                              s=float(RNG.integers(0, 2)) * 0.5)
             assert abs(expect_u(lab)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_dual_route_against_mpmath(self, s):
+        centers = [30.0, 40.0, 1e3, 1e6, -30.0, -40.0, -1e3, -1e6, 0.3, 26.7, 1e6 + 0.37]
+        phis = [1.0 + 0.5 * k for k in range(len(centers))]
+        dual = expect_u(LabelBatch(centers=centers, phis=phis, s=s), method="dual")
+        for center, phi, got in zip(centers, phis, dual.tolist()):
+            ref = complex(mp_sums(center, s, phi)[1])
+            assert abs(got - ref) <= 1e-15, center
+            assert abs(got) <= 1.0
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_dual_route_at_the_ends_of_double_range(self, s):
+        at_zero = expect_u(LabelBatch(centers=[0.0], phis=[0.7], s=s), method="dual")
+        for l in (1e300, -1e300):
+            lab = StateLabel(l=l, phi=0.7, r=0.5, s=s)
+            got = expect_u(lab, method="dual")
+            assert cmath.isfinite(got) and abs(got) <= 1.0
+            assert got == at_zero[0]
+
+    def test_direct_route_past_the_norm_overflow_edge(self):
+        # the rescaled coefficients exp(-(j - l')^2/2 - i*phi*j) never overflow
+        for center in (30.0, -40.5, 400.2):
+            lab = label_for_center(center, 1.3, 0.5)
+            direct = expect_u(lab, method="direct")
+            assert abs(direct - complex(mp_sums(lab.center, 0.0, 1.3)[1])) <= 1e-13
 
     def test_operator_action_route(self):
         # raising the vector and contracting reproduces the closed form
@@ -503,10 +569,12 @@ class TestQuantizationScan:
                 val = expect_j(lab, method="ratio")
                 assert abs(val - round(val)) <= 1e-12
 
-    def test_overflowed_momentum_raises(self):
-        # at l = 30 the ratio route overflows to NaN past |l'| ~ 26.6
-        with pytest.raises(PrecisionError):
-            quantization_scan(0.5, 30.0, s=0.5)
+    def test_roots_past_the_norm_overflow_edge(self):
+        # the ratio route's weights exp(-(j - l')^2) stay finite at l' = 30 +/- 1/2
+        assert quantization_scan(0.5, 30.0, s=0.5) == [math.pi, 3 * math.pi]
+        values = [expect_j(StateLabel(l=30.0, phi=p, r=0.5, s=0.5), method="ratio")
+                  for p in (math.pi, 3 * math.pi)]
+        assert values == [30.5, 29.5]
 
 
 class TestEvolution:

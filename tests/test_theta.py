@@ -311,6 +311,18 @@ class TestMany:
         assert theta3_many([], TAU_NATURAL).shape == (0,)
         assert theta2_many([], TAU_NATURAL).shape == (0,)
 
+    def test_real_arguments_on_the_dual_lattice_sum_five_terms(self, monkeypatch):
+        # the dual <U> route of states reads Theta3(f | i*pi) at real f: one order, one block
+        widths = []
+        lattice_rows = theta_module._lattice_rows
+        monkeypatch.setattr(theta_module, "_lattice_rows",
+                            lambda nu, tau, n: widths.append((nu.size, n.size))
+                            or lattice_rows(nu, tau, n))
+        nu = np.random.default_rng(3).uniform(-0.5, 1.0, 2000)
+        assert _truncation_orders(nu.astype(complex), TAU_DUAL, DEFAULT_POLICY).tolist() == [2] * 2000
+        theta3_many(nu, TAU_DUAL)
+        assert widths == [(2000, 5)]
+
     @pytest.mark.parametrize("size", [0, 5, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS, 5000])
     def test_row_blocks_match_a_dict_grouping(self, size):
         keys = np.random.default_rng(size).integers(0, 40, size) ** 3  # some blocks get cut
