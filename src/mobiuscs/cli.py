@@ -128,22 +128,37 @@ _TEXT = frozenset({str})  # the cell types of a text column
 _FLOATS = frozenset({float, np.float64})  # the cell types a list of floats may hold
 
 
-def _text_cell(text: str, empty: str) -> str:
-    """text as csv writes it in a row of several cells.
+class _TextCells(dict):
+    """One table's text cells as csv writes them in a row of several cells.
 
-    An empty text gives ``empty``: csv writes "" for it in a row of
-    several cells and '""' in a row of one.
+    Maps each text met so far to its cell.  A text is quoted by the
+    table's one csv writer, which writes the header too.  An empty text
+    gives ``empty``: csv writes "" for it in a row of several cells and
+    '""' in a row of one.
     """
-    if not text:
-        return empty
-    if not _NEEDS_CSV.isdisjoint(text):
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow((text,))
-        return buffer.getvalue()[:-1]
-    return text
+
+    def __init__(self, empty: str):
+        super().__init__()
+        self.empty = empty
+        self._buffer = io.StringIO()
+        self._writer = csv.writer(self._buffer, lineterminator="\n")
+
+    def row(self, cells) -> str:
+        """The csv line of ``cells``."""
+        self._buffer.seek(0)
+        self._buffer.truncate()
+        self._writer.writerow(cells)
+        return self._buffer.getvalue()
+
+    def cell(self, text: str) -> str:
+        if not text:
+            return self.empty
+        if not _NEEDS_CSV.isdisjoint(text):
+            return self.row((text,))[:-1]
+        return text
 
 
-def _chunk_plan(chunk, blank, texts: dict[str, str], empty: str):
+def _chunk_plan(chunk, blank, texts: _TextCells):
     """One column's rows of a chunk as (cell, values), for the chunk's row template.
 
     The cell is text that every row shares (values None), a %.17g slot
@@ -154,15 +169,15 @@ def _chunk_plan(chunk, blank, texts: dict[str, str], empty: str):
     cell fmt-ed.
     """
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind == "f":
-        return _float_plan(chunk, blank, empty)
+        return _float_plan(chunk, blank, texts.empty)
     kinds = set(map(type, chunk))
     if kinds <= _FLOATS:
         return _FLOAT_SLOT, chunk
     if kinds != _TEXT:
-        return "%s", [_text_cell(fmt(value), empty) for value in chunk]
+        return "%s", [texts.cell(fmt(value)) for value in chunk]
     distinct = set(chunk)
     for text in distinct.difference(texts):
-        texts[text] = _text_cell(fmt(text), empty)
+        texts[text] = texts.cell(fmt(text))
     if len(distinct) == 1:
         return texts[chunk[0]].replace("%", "%%"), None
     return "%s", list(map(texts.__getitem__, chunk))
@@ -173,8 +188,11 @@ def _float_plan(chunk: np.ndarray, blank, empty: str):
 
     A chunk whose values are at most half distinct gets each distinct bit
     pattern (0.0 and -0.0 apart) formatted once; a chunk with blank rows
-    has its other floats formatted by one %.
+    has its other floats formatted by one %.  A mask with no row set is
+    taken as None.
     """
+    if blank is not None and not blank.any():
+        blank = None
     chunk = np.ascontiguousarray(chunk, dtype=np.float64)
     bits = chunk.view(np.int64)
     kept = np.sort(bits if blank is None else bits[~blank])  # np.unique takes 4x as long
@@ -205,15 +223,12 @@ def _write_csv(columns: dict, fh, blank: dict) -> None:
     n_rows = len(cols[0]) if cols else 0
     if not n_rows:
         return
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(columns)
-    fh.write(buffer.getvalue())
-    texts: dict[str, str] = {}
-    empty = '""' if len(cols) == 1 else ""
+    texts = _TextCells('""' if len(cols) == 1 else "")
+    fh.write(texts.row(columns))
     for lo in range(0, n_rows, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n_rows)
         fh.write(_chunk_text(hi - lo, [
-            _chunk_plan(col[lo:hi], blank[key][lo:hi] if key in blank else None, texts, empty)
+            _chunk_plan(col[lo:hi], blank[key][lo:hi] if key in blank else None, texts)
             for key, col in columns.items()]))
 
 
@@ -498,43 +513,48 @@ def _grid_columns(axes: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
     return {name: grid.ravel() for (name, _), grid in zip(axes, mesh)}
 
 
-def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> None:
+def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> np.ndarray:
     """Evaluate a state target at every row of the l, phi, r and s columns ``labels``.
 
     Values go into the float64 arrays of ``values`` (created on a row's
     first success).  An invalid label gets StateLabel's error text and a
     non-finite row _require_finite's.  A batch that raises is halved and
     each half run on its own, so the good rows stay batched and each
-    failing row ends as a batch of one with its own error.
+    failing row ends as a batch of one with its own error.  Returns the
+    mask of the rows given an error.
     """
+    failed = np.zeros(len(errors), dtype=bool)
     batches, rejected = states.label_batches(*labels)
     for i, message in rejected.items():
         errors[i] = f"DomainError: {message}"
+        failed[i] = True
     while batches:
         rows, batch = batches.pop()
         try:
             result = _state_values(target, batch)
         except Exception as exc:  # per-row failure is recorded, not fatal
-            if len(rows) == 1:
+            if rows.size == 1:
                 errors[rows[0]] = f"{type(exc).__name__}: {exc}"
+                failed[rows] = True
             else:
-                half = len(rows) // 2
+                half = rows.size // 2
                 batches += [(rows[lo:hi], states.LabelBatch(batch.centers[lo:hi],
                                                             batch.phis[lo:hi], batch.s))
-                            for lo, hi in ((0, half), (half, len(rows)))]
+                            for lo, hi in ((0, half), (half, rows.size))]
             continue
-        rows = np.asarray(rows)
         good = np.ones(rows.size, dtype=bool)
         for key, col in result.items():  # a row's error names its first non-finite key
             finite = np.isfinite(col)
             for i in rows[good & ~finite].tolist():
                 errors[i] = f"PrecisionError: {key} is not finite"
             good &= finite
+        failed[rows[~good]] = True
         if good.any():
             for key, col in result.items():
                 if key not in values:
                     values[key] = np.zeros(len(errors))
                 values[key][rows[good]] = col[good]
+    return failed
 
 
 def cmd_sweep(args) -> int:
@@ -551,8 +571,9 @@ def cmd_sweep(args) -> int:
     if args.target in STATE_TARGETS:
         labels = [columns[k] if k in columns else np.full(n_points, base[k])
                   for k in ("l", "phi", "r", "s")]
-        _sweep_batches(args.target, labels, values, errors)
+        failed = _sweep_batches(args.target, labels, values, errors)
     else:
+        failed = np.zeros(n_points, dtype=bool)
         for i in range(n_points):
             params = dict(base)
             params.update({name: col[i] for name, col in columns.items()})
@@ -561,6 +582,7 @@ def cmd_sweep(args) -> int:
                 _require_finite([result])
             except Exception as exc:  # per-row failure is recorded, not fatal
                 errors[i] = f"{type(exc).__name__}: {exc}"
+                failed[i] = True
                 continue
             for key, value in result.items():
                 if key not in values:
@@ -569,12 +591,11 @@ def cmd_sweep(args) -> int:
 
     # column layout must not depend on which rows failed; a failed row's
     # value cells are blank
-    failed = np.fromiter(map(bool, errors), dtype=bool, count=n_points)
     for key in sorted(values):
         columns[key] = values[key]
     columns["error"] = errors
     emit(columns, args, ["sweep", args.target], _config(args), dict.fromkeys(values, failed))
-    return 1 if any(errors) else 0
+    return 1 if failed.any() else 0
 
 
 def _config_argv(parser: argparse.ArgumentParser, args, argv: list[str]) -> list[str]:

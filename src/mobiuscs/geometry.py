@@ -113,8 +113,22 @@ def label_center(l: float, phi: float, r: float, z_sign: int = +1) -> float:
 
 
 def _libm(fn, col: np.ndarray) -> np.ndarray:
-    """The math function fn at every entry of col (numpy's own may differ in the last bit)."""
-    return np.fromiter(map(fn, col.tolist()), dtype=float, count=col.size)
+    """The math function fn at every entry of col (numpy's own may differ in the last bit).
+
+    A column with at most half as many distinct bit patterns as rows (0.0
+    and -0.0 apart) has fn run once per distinct pattern, as sweep grids
+    repeat each angle along the other axes; any other column, once per row.
+    """
+    col = np.ascontiguousarray(col, dtype=np.float64)
+    bits = col.view(np.int64)
+    kept = np.sort(bits)  # np.unique takes 4x as long
+    new = kept[1:] != kept[:-1]
+    if 2 * (np.count_nonzero(new) + 1) > col.size:
+        return np.fromiter(map(fn, col.tolist()), dtype=float, count=col.size)
+    distinct = kept[np.concatenate(([True], new))]
+    table = np.fromiter(map(fn, distinct.view(np.float64).tolist()), dtype=float,
+                        count=distinct.size)
+    return table[np.searchsorted(distinct, bits)]
 
 
 def label_centers(l: np.ndarray, phi: np.ndarray, r: np.ndarray, z_sign: int = +1) -> np.ndarray:

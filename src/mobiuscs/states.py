@@ -50,6 +50,9 @@ from .geometry import coherent_label, label_center, label_centers
 from .dynamics import energy_quantized
 from .theta import (
     COLUMN_MIN_ROWS,
+    _c_prod,
+    _c_quot,
+    _complex,
     row_blocks,
     theta2,
     theta2_many,
@@ -139,19 +142,22 @@ class LabelBatch:
     batch of one, and no entry depends on the other labels of its batch.
     ``expect_u(label, method="theta")``, the natural-lattice ratio, takes a
     StateLabel only: it is the scalar oracle of the dual route.
+
+    ``centers`` and ``phis`` are float64 arrays, or sequences of floats.
     """
 
-    centers: list[float]
-    phis: list[float]
+    centers: np.ndarray
+    phis: np.ndarray
     s: float
 
 
 def label_batches(l, phi, r, s, z_sign: int = +1) -> tuple[list, dict[int, str]]:
     """Split label columns (sequences or arrays of floats) into one LabelBatch per basis offset.
 
-    Returns ``([(rows, batch), ...], rejected)``.  A row goes into a batch
-    if StateLabel accepts its label, and its center is taken as
-    StateLabel.center takes it; ``rejected`` maps the others to StateLabel's error text.
+    Returns ``([(rows, batch), ...], rejected)``, rows and the batch's
+    columns as arrays.  A row goes into a batch if StateLabel accepts its
+    label, and its center is taken as StateLabel.center takes it;
+    ``rejected`` maps the others to StateLabel's error text.
     The columns are checked with numpy masks, and the centers of each
     sector's rows come from geometry.label_centers, bit-equal to the labels' own.
     """
@@ -169,8 +175,7 @@ def label_batches(l, phi, r, s, z_sign: int = +1) -> tuple[list, dict[int, str]]
         rows = np.flatnonzero(valid & (s == offset))
         if rows.size:
             centers = label_centers(l[rows], phi[rows], r[rows], z_sign)
-            batch = LabelBatch(centers.tolist(), phi[rows].tolist(), offset)
-            batches.append((rows.tolist(), batch))
+            batches.append((rows, LabelBatch(centers, phi[rows], offset)))
     return batches, rejected
 
 
@@ -310,8 +315,7 @@ def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.
     """
     if method == "theta":
         many = theta3_many if label.s == 0.0 else theta2_many
-        return _batched(label, lambda batch: many([1j * c / math.pi for c in batch.centers],
-                                                  TAU_NATURAL).real)
+        return _batched(label, lambda batch: many(_natural_nus(batch.centers), TAU_NATURAL).real)
     _refuse_batch("norm2", label, "theta", method)
     center = label.center
     if method == "direct":
@@ -322,6 +326,19 @@ def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.
         th = theta3(center + shift, TAU_DUAL)
         return float(_exp(center * center, "modular norm2") * math.sqrt(math.pi) * th.real)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _natural_nus(centers):
+    """1j*c/pi at every center c, as Python's complex arithmetic gives it.
+
+    From COLUMN_MIN_ROWS centers on, as a column in CPython's real
+    operations (a center of -0.0 gives 0j there too).
+    """
+    if len(centers) < COLUMN_MIN_ROWS:
+        return [1j * c / math.pi for c in centers]
+    with np.errstate(all="ignore"):  # Python's float arithmetic gives inf and NaN silently
+        return _complex(*_c_quot(*_c_prod(0.0, 1.0, np.asarray(centers, dtype=float), 0.0),
+                                 complex(math.pi)))
 
 
 def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | np.ndarray:
@@ -368,14 +385,14 @@ _EXACT_INT = 2.0 ** 52  # below this, a center's default_j_max is exact as an in
 
 def _grid_blocks(batch: LabelBatch, reach: int = 0):
     """(rows, levels, centers as a column) per row block of labels on one level grid."""
-    centers = np.array(batch.centers, dtype=float)
+    centers = np.asarray(batch.centers, dtype=float)
     # widened towards reach by at most 19 levels: past |l'| + 28, exp(-(j - l')^2) is 0.0
     if (centers.size >= COLUMN_MIN_ROWS and reach < _EXACT_INT
             and np.all(np.abs(centers) < _EXACT_INT)):
         d = np.ceil(np.abs(centers)).astype(np.int64) + 9  # default_j_max, exact in int64 here
         j_maxes = d + np.minimum(np.maximum(reach - d, 0), 19)
     else:
-        j_maxes = [d + min(max(reach - d, 0), 19) for d in map(default_j_max, batch.centers)]
+        j_maxes = [d + min(max(reach - d, 0), 19) for d in map(default_j_max, centers.tolist())]
     for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
         j = level_grid(j_max, batch.s)
         yield rows, j, centers[rows, None]
@@ -437,11 +454,11 @@ def _expect_u_dual(batch: LabelBatch) -> np.ndarray:
     round to l' (|l'| >= 2^52).  Every real argument takes the same
     truncation order on the dual lattice.
     """
-    centers = np.array(batch.centers, dtype=float)
+    centers = np.asarray(batch.centers, dtype=float)
     nu = (centers - np.rint(centers)) + np.array([0.0, 0.5])[:, None]
     th3, th4 = theta3_many(nu, TAU_DUAL).real.reshape(nu.shape)
     ratio = th4 / th3 if batch.s == 0.0 else th3 / th4
-    return np.exp(1j * np.array(batch.phis, dtype=float)) * (math.exp(-0.25) * ratio)
+    return np.exp(1j * np.asarray(batch.phis, dtype=float)) * (math.exp(-0.25) * ratio)
 
 
 def _check_level(j: float, s: float) -> None:
@@ -451,20 +468,24 @@ def _check_level(j: float, s: float) -> None:
         raise DomainError(f"level j={j} is not in Z + {s}")
 
 
-def _occupation_law(batch: LabelBatch, level: float | None = None) -> list[tuple]:
-    """(levels, probability, gaussian) per label, or with ``level`` that level's entry alone.
+def _law_blocks(batch: LabelBatch, reach: int = 0):
+    """(rows, levels, probability, gaussian) per row block of labels on one level grid.
 
     The weights w_j = exp(-(j - l')^2) = |<j|xi>|^2 / exp(l'^2) sum to between
     exp(-1/4) and 2 on a label's grid, so nothing overflows at any l';
     probability = w/sum(w) and gaussian = w/sqrt(pi) come from the one array.
     """
+    for rows, j, c in _grid_blocks(batch, reach):
+        w = _gaussian(j - c)
+        yield rows, j, w / w.sum(axis=1, keepdims=True), w / math.sqrt(math.pi)
+
+
+def _occupation_law(batch: LabelBatch, level: float | None = None) -> list[tuple]:
+    """(levels, probability, gaussian) per label, or with ``level`` that level's entry alone."""
     if level is not None:
         _check_level(level, batch.s)
     law = [None] * len(batch.centers)
-    reach = math.ceil(abs(level or 0.0))
-    for rows, j, c in _grid_blocks(batch, reach):
-        w = _gaussian(j - c)
-        p, g = w / w.sum(axis=1, keepdims=True), w / math.sqrt(math.pi)
+    for rows, j, p, g in _law_blocks(batch, math.ceil(abs(level or 0.0))):
         if level is not None:
             k = round(level - j[0])
             if 0 <= k < j.size:
@@ -493,8 +514,14 @@ def distribution(label: StateLabel, j: float) -> float:
 
 def gaussian_supnorm(label: StateLabel | LabelBatch) -> float | np.ndarray:
     """max over the level grid of |probability - gaussian| (see occupation_law)."""
-    return _batched(label, lambda batch: np.array(
-        [np.abs(p - g).max() for _, p, g in _occupation_law(batch)]))
+    return _batched(label, _gaussian_supnorm)
+
+
+def _gaussian_supnorm(batch: LabelBatch) -> np.ndarray:
+    out = np.empty(len(batch.centers))
+    for rows, _, p, g in _law_blocks(batch):
+        out[rows] = np.abs(p - g).max(axis=1)
+    return out
 
 
 def quantization_scan(

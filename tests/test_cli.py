@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiuscs import cli, states
+from mobiuscs import cli, states, theta
 
 
 def run_cli(args, capsys):
@@ -427,6 +427,9 @@ class TestSweep:
         ("r=0:1.2:7", ["--l", "0.3", "--phi", "1.1"]),          # r axis; r >= 1 rows fail
         ("s=0:0.5:3", ["--l", "-2", "--phi", "pi"]),            # s axis; s = 1/4 fails
         ("l=-30:30:13", ["--phi", "pi", "--s", "half"]),        # one axis
+        # batches past COLUMN_MIN_ROWS: every phi distinct; phi = -0.0 past |l'| ~ 26.6
+        ("phi=-3:40:300", ["--l", "5"]),
+        ("phi=-0.0:0:2,l=-30:30:61", ["--s", "half"]),
         ("l=-30:30:5,phi=0:4pi:4,r=0:0.9:3", []),               # three axes
         ("l=-3:3:4,s=0:0.5:2,l=5:6:2", []),                     # a repeated axis
         ("l=0:1:0", []),                                        # empty grid
@@ -449,6 +452,24 @@ class TestSweep:
             levels = states.level_grid(states.default_j_max(center), 0.0)
             _, sup = mp_occupation(center, 0.0, levels.tolist())
             assert abs(float(row["supnorm"]) - sup) <= 1e-15
+
+    def test_grid_sweep_maps_libm_once_per_distinct_angle(self, capsys, monkeypatch):
+        # a 100x100 grid repeats each phi along l: sin and cos run once per distinct
+        # half-angle in label_centers and once for the Theta2 prefactor angle that every
+        # row shares, and no row takes the scalar prefactor
+        calls = dict.fromkeys(("sin", "cos", "_shift_prefactor"), 0)
+        for owner, name in ((math, "sin"), (math, "cos"), (theta, "_shift_prefactor")):
+            def counted(*args, name=name, fn=getattr(owner, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(owner, name, counted)
+        code, out, _ = run_cli(["sweep", "norm2", "--grid", "l=-32:32:100,phi=0:4pi:100",
+                                "--r", "0.5", "--s", "half"], capsys)
+        rows = csv_rows(out)
+        assert code == 1 and len(rows) == 10_000  # rows past |l'| ~ 26.6 overflow
+        assert 0 < sum(bool(row["error"]) for row in rows) < 5000
+        assert calls["sin"] <= 100 + 1 and calls["cos"] <= 100 + 1
+        assert calls["_shift_prefactor"] == 0
 
     def test_failing_batch_rows_keep_their_own_errors(self, capsys):
         code, out, _ = run_cli(["sweep", "norm2", "--grid", "l=-1e4:1e4:5", "--s", "half"],
@@ -620,6 +641,30 @@ class TestEmit:
         value_keys = [key for key in rows[0] if key not in ("l", "phi", "r", "j", "error")]
         assert value_keys and all(row[key] == "" for row in failed for key in value_keys)
         assert text == self.oracle_csv(rows)
+
+    def test_mask_without_blank_rows_writes_as_no_mask(self, tmp_path):
+        n = 2 * cli.CHUNK_ROWS + 7
+        columns = {"distinct": np.random.default_rng(9).standard_normal(n),
+                   "repeated": np.repeat(np.linspace(-32.0, 32.0, 100), n // 100 + 1)[:n],
+                   "constant": np.full(n, -0.0),
+                   "error": [""] * n}
+        blank = dict.fromkeys(("distinct", "repeated", "constant"), np.zeros(n, dtype=bool))
+        assert self.emitted(columns, "csv", tmp_path, blank) == self.emitted(columns, "csv",
+                                                                             tmp_path)
+        # and a chunk of distinct floats goes to the one %.17g slot, not through a cell list
+        chunk = columns["distinct"][:cli.CHUNK_ROWS]
+        assert cli._float_plan(chunk, np.zeros(chunk.size, dtype=bool), "")[0] == "%.17g"
+
+    def test_one_csv_writer_per_table(self, tmp_path, monkeypatch):
+        texts = [f"row {i}, quoted" for i in range(50)] + ['say "hi"', "two\nlines", ""]
+        columns = {"x": np.arange(len(texts) * 3) / 7, "text": texts * 3}
+        expected = self.oracle_csv([dict(zip(columns, values))
+                                    for values in zip(*columns.values())]).encode()
+        writers = []
+        writer = csv.writer
+        monkeypatch.setattr(cli.csv, "writer", lambda *a, **k: writers.append(1) or writer(*a, **k))
+        assert self.emitted(columns, "csv", tmp_path) == expected
+        assert len(writers) == 1
 
     def test_lone_float_column_with_blanks(self, tmp_path):
         columns = {"only": np.array([1.5, 0.0, -0.0, 0.0])}

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobiuscs.errors import DomainError
 from mobiuscs.geometry import (
     TorusGeometry,
+    _libm,
     coherent_label,
     constraint_theta,
     label_center,
@@ -127,3 +130,30 @@ class TestLabel:
         r = np.where(rng.uniform(size=5000) < 0.1, 0.0, rng.uniform(0.0, 1.0, 5000))
         expected = [label_center(*point, z_sign) for point in zip(l.tolist(), phi.tolist(), r.tolist())]
         assert label_centers(l, phi, r, z_sign).tobytes() == np.array(expected).tobytes()
+
+
+# a small pool makes repeats likely; 0.0 and -0.0 are two entries of it
+POOL = [0.0, -0.0, 0.5, -0.5, math.pi, 1e-300, -1e300, 2.0 ** 52, 7.25]
+
+
+class TestLibm:
+    @settings(max_examples=200, deadline=None)
+    @given(col=st.one_of(
+        st.lists(st.sampled_from(POOL), max_size=60),
+        st.lists(st.floats(-1e6, 1e6), max_size=60),
+        st.lists(st.floats(-1e6, 1e6), max_size=30, unique=True),
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6).flatmap(
+            lambda values: st.lists(st.sampled_from(values), max_size=60))))
+    def test_matches_mapped_math_bit_for_bit(self, col):
+        col = np.array(col, dtype=float)
+        for fn in (math.sin, math.cos, math.atan, lambda x: math.copysign(1.0, x)):
+            calls = []
+            got = _libm(lambda x: calls.append(x) or fn(x), col)
+            assert got.tobytes() == np.array([fn(x) for x in col.tolist()], dtype=float).tobytes()
+            distinct = len({x.hex() for x in col.tolist()})  # -0.0 apart from 0.0
+            # once per distinct bit pattern when at most half the rows are distinct
+            assert len(calls) == (distinct if 2 * distinct <= col.size else col.size)
+
+    def test_signed_zeros_stay_apart(self):
+        col = np.array([0.0, -0.0] * 8)
+        assert _libm(lambda x: math.copysign(1.0, x), col).tolist() == [1.0, -1.0] * 8

@@ -15,6 +15,7 @@ from mobiuscs.states import (
     FockVector,
     LabelBatch,
     StateLabel,
+    _natural_nus,
     bargmann_coeff,
     build_cs,
     default_j_max,
@@ -33,6 +34,7 @@ from mobiuscs.states import (
     quantization_scan,
     temporal_fidelity,
 )
+from mobiuscs.theta import COLUMN_MIN_ROWS
 
 RNG = np.random.default_rng(314159)
 
@@ -158,7 +160,9 @@ class TestLabelBatch:
         assert [batch.s for _, batch in batches] == [0.0, 0.5]
         for rows, batch in batches:
             assert all(labels[i].s == batch.s for i in rows)
-            assert batch.phis == [labels[i].phi for i in rows]
+            for col in (batch.phis, batch.centers):
+                assert isinstance(col, np.ndarray) and col.dtype == np.float64
+            assert [bits(p) for p in batch.phis] == [bits(labels[i].phi) for i in rows]
             assert [bits(c) for c in batch.centers] == [bits(labels[i].center) for i in rows]
         assert sorted([*rejected, *(i for rows, _ in batches for i in rows)]) == list(
             range(len(self.COLUMNS)))
@@ -309,6 +313,30 @@ class TestNorm:
             got = norm2(label_for_center(center, 0.0, 0.5, s), method="modular")
             ref = float(mp_sums(center, s)[2])
             assert abs(got - ref) <= 1e-13 * ref, center
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_theta_batch_at_edge_centers_matches_one_label_batches(self, s):
+        # from COLUMN_MIN_ROWS labels on, nu = 1j*c/pi is formed in real operations;
+        # a center of -0.0 must still give 0j, as Python's complex arithmetic does
+        rng = np.random.default_rng(52)
+        centers = np.array([-0.0, 0.0, 30.0, -30.0, 2.0 ** 52, -(2.0 ** 52)]
+                           + rng.uniform(-40.0, 40.0, COLUMN_MIN_ROWS).tolist())
+        nus = _natural_nus(centers)
+        assert nus.tobytes() == np.array([1j * c / math.pi for c in centers.tolist()]).tobytes()
+        assert (bits(nus[0].real), bits(nus[0].imag)) == (bits(0.0), bits(0.0))
+
+        def theta_norms(cs):
+            """norm2's bytes at a LabelBatch of the centers cs, or the text it raises."""
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return norm2(LabelBatch(cs, np.zeros(len(cs)), s), method="theta").tobytes()
+            except PrecisionError as exc:
+                return str(exc)
+
+        finite = np.delete(centers, [4, 5])  # the lattice sums at +-2^52 exceed max_terms
+        assert theta_norms(finite) == b"".join(theta_norms([c]) for c in finite.tolist())
+        assert theta_norms(centers) == theta_norms([2.0 ** 52])  # the first failing row's error
+        assert theta_norms(centers).startswith("lattice sum did not reach")
 
     def test_depends_only_on_center(self):
         a = label_for_center(0.37, 0.5, 0.5)
