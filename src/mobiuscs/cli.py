@@ -40,6 +40,7 @@ import numpy as np
 
 from . import dynamics, projection, report, states, theta
 from .errors import DomainError, PrecisionError
+from .geometry import _distinct, _rejected
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
 
@@ -186,25 +187,23 @@ def _chunk_plan(chunk, blank, texts: _TextCells):
 def _float_plan(chunk: np.ndarray, blank, empty: str):
     """_chunk_plan of a float array; ``blank`` is None or the mask of its empty rows.
 
-    A chunk whose values are at most half distinct gets each distinct bit
-    pattern (0.0 and -0.0 apart) formatted once; a chunk with blank rows
-    has its other floats formatted by one %.  A mask with no row set is
-    taken as None.
+    A chunk whose values geometry._distinct finds at most half distinct
+    gets each distinct bit pattern (0.0 and -0.0 apart) formatted once; a
+    chunk with blank rows has its other floats formatted by one %.  A mask
+    with no row set is taken as None.
     """
     if blank is not None and not blank.any():
         blank = None
     chunk = np.ascontiguousarray(chunk, dtype=np.float64)
     bits = chunk.view(np.int64)
-    kept = np.sort(bits if blank is None else bits[~blank])  # np.unique takes 4x as long
-    new = kept[1:] != kept[:-1]
-    if 2 * (np.count_nonzero(new) + 1) > kept.size:
+    distinct = _distinct(bits if blank is None else bits[~blank])
+    if distinct is None:
         if blank is None:
             return _FLOAT_SLOT, chunk
         cells = np.full(chunk.size, empty, dtype=object)
         filled = chunk[~blank].tolist()
         cells[~blank] = ((_FLOAT_SLOT + "\n") * len(filled) % tuple(filled)).split("\n")[:-1]
         return "%s", cells
-    distinct = kept[np.concatenate(([True], new))]
     table = [f"{v:.17g}" for v in distinct.view(np.float64).tolist()]
     if blank is None and len(table) == 1:
         return table[0], None
@@ -474,8 +473,7 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
     return axes
 
 
-STATE_TARGETS = ("expect-j", "expect-u", "norm2", "gaussian-supnorm")
-SWEEP_TARGETS = (*STATE_TARGETS, "energy", "projector")
+SWEEP_TARGETS = ("expect-j", "expect-u", "norm2", "gaussian-supnorm", "energy", "projector")
 
 
 def _state_values(target: str, batch: states.LabelBatch) -> dict:
@@ -490,15 +488,31 @@ def _state_values(target: str, batch: states.LabelBatch) -> dict:
     return {"supnorm": states.gaussian_supnorm(batch)}
 
 
-def _sweep_eval(target: str, params: dict) -> dict:
-    """One energy or projector sweep point."""
+def _sweep_work(target: str, column) -> tuple[list, dict[int, str]]:
+    """A target's work items, and the DomainError text of each row it rejects unevaluated.
+
+    ``column(name)`` is a sweep parameter at every point.  A work item is
+    (rows, evaluate, columns): evaluate(*columns) gives the target's value
+    arrays at rows.  states.label_batches splits a state target's rows; an
+    energy or projector row is rejected where a mask mirrors the check of
+    its scalar route, with the text that check raises.
+    """
     if target == "energy":
-        entry = dynamics.energy_spectrum(params["j"], params["L0"],
-                                         params["phi"], params["r"])
-        return {"E": entry.E}
-    spec = projection.ProjectionSpec(theta=params["theta"], phi=params["phi"],
-                                     delta=params["delta"])
-    return {"indicator": projection.universal_projector(spec, method="indicator")}
+        cols = [column(key) for key in ("j", "L0", "phi", "r")]
+        valid = (0.0 <= cols[3]) & (cols[3] < 1.0)
+        rejected = _rejected(valid, dynamics._check_r, cols[3])
+        evaluate = lambda *c: {"E": dynamics.mobius_hamiltonians(*c)}
+    elif target == "projector":
+        cols = [column(key) for key in ("theta", "phi", "delta")]
+        valid = projection.valid_specs(*cols)
+        rejected = _rejected(valid, projection.ProjectionSpec, *cols)
+        evaluate = lambda *c: {"indicator": projection.universal_projectors(*c)}
+    else:
+        batches, rejected = states.label_batches(*map(column, ("l", "phi", "r", "s")))
+        return [(rows, lambda *c, s=batch.s: _state_values(target, states.LabelBatch(*c, s)),
+                 [batch.centers, batch.phis]) for rows, batch in batches], rejected
+    rows = np.flatnonzero(valid)
+    return [(rows, evaluate, [col[rows] for col in cols])], rejected
 
 
 def _grid_columns(axes: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -513,34 +527,32 @@ def _grid_columns(axes: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
     return {name: grid.ravel() for (name, _), grid in zip(axes, mesh)}
 
 
-def _sweep_batches(target: str, labels: list, values: dict, errors: list) -> np.ndarray:
-    """Evaluate a state target at every row of the l, phi, r and s columns ``labels``.
+def _sweep_batches(work: list, rejected: dict, values: dict, errors: list) -> np.ndarray:
+    """Run _sweep_work's items: each row gets its values or its error text.
 
     Values go into the float64 arrays of ``values`` (created on a row's
-    first success).  An invalid label gets StateLabel's error text and a
-    non-finite row _require_finite's.  A batch that raises is halved and
-    each half run on its own, so the good rows stay batched and each
-    failing row ends as a batch of one with its own error.  Returns the
-    mask of the rows given an error.
+    first success).  A rejected row gets its text and a non-finite row
+    _require_finite's.  An item that raises is halved and each half run on
+    its own, so the good rows stay batched and each failing row ends as a
+    batch of one with its own error.  Returns the mask of the rows given
+    an error.
     """
     failed = np.zeros(len(errors), dtype=bool)
-    batches, rejected = states.label_batches(*labels)
-    for i, message in rejected.items():
-        errors[i] = f"DomainError: {message}"
+    for i, text in rejected.items():
+        errors[i] = f"DomainError: {text}"
         failed[i] = True
-    while batches:
-        rows, batch = batches.pop()
+    while work:
+        rows, evaluate, cols = work.pop()
         try:
-            result = _state_values(target, batch)
+            result = evaluate(*cols)
         except Exception as exc:  # per-row failure is recorded, not fatal
             if rows.size == 1:
                 errors[rows[0]] = f"{type(exc).__name__}: {exc}"
                 failed[rows] = True
             else:
                 half = rows.size // 2
-                batches += [(rows[lo:hi], states.LabelBatch(batch.centers[lo:hi],
-                                                            batch.phis[lo:hi], batch.s))
-                            for lo, hi in ((0, half), (half, rows.size))]
+                work += [(rows[lo:hi], evaluate, [col[lo:hi] for col in cols])
+                         for lo, hi in ((0, half), (half, rows.size))]
             continue
         good = np.ones(rows.size, dtype=bool)
         for key, col in result.items():  # a row's error names its first non-finite key
@@ -561,33 +573,15 @@ def cmd_sweep(args) -> int:
     if args.grid is None:
         raise DomainError("sweep needs --grid, on the command line or in its --config")
     axes = parse_grid(args.grid)
-    base = {key: getattr(args, key) for key in SWEEP_PARAMS}
     columns = _grid_columns(axes)
     n_points = math.prod(len(vals) for _, vals in axes)
 
     # columns are built directly: a 10^4-point sweep keeps no per-row dicts
     values: dict[str, np.ndarray] = {}
     errors = [""] * n_points
-    if args.target in STATE_TARGETS:
-        labels = [columns[k] if k in columns else np.full(n_points, base[k])
-                  for k in ("l", "phi", "r", "s")]
-        failed = _sweep_batches(args.target, labels, values, errors)
-    else:
-        failed = np.zeros(n_points, dtype=bool)
-        for i in range(n_points):
-            params = dict(base)
-            params.update({name: col[i] for name, col in columns.items()})
-            try:
-                result = _sweep_eval(args.target, params)
-                _require_finite([result])
-            except Exception as exc:  # per-row failure is recorded, not fatal
-                errors[i] = f"{type(exc).__name__}: {exc}"
-                failed[i] = True
-                continue
-            for key, value in result.items():
-                if key not in values:
-                    values[key] = np.zeros(n_points)
-                values[key][i] = value
+    work = _sweep_work(args.target, lambda key: columns[key] if key in columns
+                       else np.full(n_points, getattr(args, key)))
+    failed = _sweep_batches(*work, values, errors)
 
     # column layout must not depend on which rows failed; a failed row's
     # value cells are blank

@@ -28,7 +28,9 @@ so |xi| = exp(-l') with the Gaussian center
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,23 +114,63 @@ def label_center(l: float, phi: float, r: float, z_sign: int = +1) -> float:
     return (l + z_sign * r * math.sin(half)) - math.log(1.0 + r * math.cos(half))
 
 
+@functools.lru_cache(maxsize=64)
+def _probe(n: int) -> np.ndarray:
+    """4*isqrt(n) of the rows 0..n-1, sorted: pseudo-random, the same on every call."""
+    rows = np.array(sorted(random.Random(n).sample(range(n), 4 * math.isqrt(n))))
+    rows.flags.writeable = False  # one array for every caller
+    return rows
+
+
+def _distinct(bits: np.ndarray) -> np.ndarray | None:
+    """The sorted distinct entries of the int64 column bits; None if over half are distinct.
+
+    From 1024 rows on, the column is first read at its _probe rows and
+    taken as over half distinct, unsorted, if they hold no repeat.  At most
+    half distinct, it would show about 16 repeated pairs there on average,
+    and always one if it has fewer distinct entries than probed rows: so a
+    grid axis is found whether it repeats in runs or with a period.
+    """
+    if bits.size >= 1024:
+        probe = np.sort(bits[_probe(bits.size)])
+        if np.all(probe[1:] != probe[:-1]):
+            return None
+    kept = np.sort(bits)  # np.unique takes 4x as long
+    new = kept[1:] != kept[:-1]
+    if 2 * (np.count_nonzero(new) + 1) > kept.size:
+        return None
+    return kept[np.concatenate(([True], new))]
+
+
 def _libm(fn, col: np.ndarray) -> np.ndarray:
     """The math function fn at every entry of col (numpy's own may differ in the last bit).
 
-    A column with at most half as many distinct bit patterns as rows (0.0
-    and -0.0 apart) has fn run once per distinct pattern, as sweep grids
-    repeat each angle along the other axes; any other column, once per row.
+    A column that _distinct finds at most half distinct (0.0 and -0.0
+    apart) has fn run once per distinct bit pattern, as sweep grids repeat
+    each angle along the other axes; any other column, once per row.
     """
     col = np.ascontiguousarray(col, dtype=np.float64)
     bits = col.view(np.int64)
-    kept = np.sort(bits)  # np.unique takes 4x as long
-    new = kept[1:] != kept[:-1]
-    if 2 * (np.count_nonzero(new) + 1) > col.size:
+    distinct = _distinct(bits)
+    if distinct is None:
         return np.fromiter(map(fn, col.tolist()), dtype=float, count=col.size)
-    distinct = kept[np.concatenate(([True], new))]
     table = np.fromiter(map(fn, distinct.view(np.float64).tolist()), dtype=float,
                         count=distinct.size)
     return table[np.searchsorted(distinct, bits)]
+
+
+_pow2 = functools.partial(pow, exp=2)  # a float's ** 2: libm's pow, not numpy's x*x
+
+
+def _rejected(valid: np.ndarray, check, *cols) -> dict[int, str]:
+    """The text of the DomainError check(*row) raises at each row of cols that valid leaves out."""
+    rejected = {}
+    for i in np.flatnonzero(~valid).tolist():
+        try:
+            check(*(col[i].item() for col in cols))
+        except DomainError as exc:
+            rejected[i] = str(exc)
+    return rejected
 
 
 def label_centers(l: np.ndarray, phi: np.ndarray, r: np.ndarray, z_sign: int = +1) -> np.ndarray:

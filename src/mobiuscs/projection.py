@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
-from .geometry import constraint_theta, label_center
+from .geometry import _libm, _pow2, constraint_theta, label_center
 from .states import (
     FockVector,
     StateLabel,
@@ -62,6 +62,8 @@ __all__ = [
     "project_overlap",
     "projected_overlap_series",
     "universal_projector",
+    "universal_projectors",
+    "valid_specs",
     "project_mobius_to_circle",
 ]
 
@@ -301,6 +303,26 @@ def universal_projector(
         value = sum(_si(c / floor * T) for c in coeffs) / math.pi
         return float(min(max(value, 0.0), 1.0))
     raise ValueError(f"unknown method {method!r}")
+
+
+def valid_specs(theta, phi, delta) -> np.ndarray:
+    """The rows of the float columns theta, phi and delta that ProjectionSpec accepts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = theta - constraint_theta(phi)
+        return (np.isfinite(theta) & np.isfinite(phi) & np.isfinite(delta) & (delta > 0.0)
+                & np.isfinite(x * x + delta * delta))
+
+
+def universal_projectors(theta, phi, delta, boundary_tol: float = 1e-9) -> np.ndarray:
+    """The "indicator" universal_projector at every row valid_specs accepts, bit for bit.
+
+    Its operations in its order, with libm's pow mapped over the column.
+    """
+    if not np.all(valid_specs(theta, phi, delta)):
+        raise DomainError("need a valid ProjectionSpec in every row")
+    x2, a = _libm(_pow2, theta - constraint_theta(phi)), _libm(_pow2, delta)
+    return np.where(np.abs(x2 - a) <= boundary_tol * np.maximum(1.0, a), 0.5,
+                    np.where(x2 < a, 1.0, 0.0))
 
 
 def project_mobius_to_circle(v: FockVector) -> FockVector:

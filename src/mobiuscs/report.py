@@ -58,7 +58,7 @@ class Check:
 
     def run(self) -> VerificationCheck:
         return VerificationCheck(self.name, self.description, self.grid,
-                                 self.evaluate(), self.tolerance)
+                                 float(self.evaluate()), self.tolerance)
 
 
 _registry: list[Check] = []
@@ -169,8 +169,8 @@ def _momentum_triple_path() -> float:
     err = 0.0
     for s in (0.0, 0.5):
         labels = [states.StateLabel(l=l, phi=phi, r=0.5, s=s)
-                  for l in np.linspace(-1.0, 1.0, 10)
-                  for phi in np.linspace(0.0, 4.0 * math.pi, 10, endpoint=False)]
+                  for l in np.linspace(-1.0, 1.0, 10).tolist()
+                  for phi in np.linspace(0.0, 4.0 * math.pi, 10, endpoint=False).tolist()]
         ratios = states.expect_j(_batch(labels), method="ratio").tolist()
         for lab, v1 in zip(labels, ratios):
             v2 = states.expect_j(lab, method="theta")
@@ -220,7 +220,7 @@ def _spectrum_border() -> float:
     err = 0.0
     for r in (0.1, 0.5, 0.9):
         for s in (0.0, 0.5):
-            for j in np.arange(-3, 4) + s:
+            for j in (np.arange(-3, 4) + s).tolist():
                 for L0 in (0.0, 0.4, 0.7, 0.8):
                     e_gen = dynamics.energy_spectrum(j, L0, math.pi, r).E
                     e_closed = dynamics.energy_quantized(j, L0, r)
@@ -234,7 +234,7 @@ def _legendre_strip() -> float:
     rng = np.random.default_rng(42)
     err = 0.0
     for _ in range(50):
-        st = dynamics.MobiusState(*rng.uniform(-2.0, 2.0, size=4))
+        st = dynamics.MobiusState(*rng.uniform(-2.0, 2.0, size=4).tolist())
         r = float(rng.uniform(0.05, 0.95))
         p_phi, L0 = dynamics.mobius_momenta(st, r)
         h_red = dynamics.mobius_hamiltonian(p_phi, L0, st.phi, r)
@@ -255,7 +255,7 @@ def _legendre_torus() -> float:
         if abs(math.cos(theta_v)) < 1e-2:
             continue
         taken += 1
-        st = dynamics.TorusState(theta_v, *rng.uniform(-2.0, 2.0, size=5))
+        st = dynamics.TorusState(theta_v, *rng.uniform(-2.0, 2.0, size=5).tolist())
         J0, L0, p_th = dynamics.torus_momenta(st, g)
         h = dynamics.torus_hamiltonian(J0, L0, p_th, st.theta, g.r)
         legendre = (J0 * st.phi_dot + L0 * st.z0_dot + p_th * st.theta_dot
@@ -270,8 +270,8 @@ def _legendre_torus() -> float:
 def _torus_strip_reduction() -> float:
     g = geometry.TorusGeometry(R=1.0, r=0.5)
     err = 0.0
-    for phi in np.linspace(0.0, 4.0 * math.pi, 50, endpoint=False):
-        for rate in np.linspace(-2.0, 2.0, 50):
+    for phi in np.linspace(0.0, 4.0 * math.pi, 50, endpoint=False).tolist():
+        for rate in np.linspace(-2.0, 2.0, 50).tolist():
             st_m = dynamics.MobiusState(phi, rate, 0.0, 0.4)
             st_t = dynamics.TorusState(
                 geometry.constraint_theta(phi), phi, 0.5 * rate, rate, 0.0, 0.4)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .geometry import coherent_label, label_center, label_centers
+from .geometry import _rejected, coherent_label, label_center, label_centers
 from .dynamics import energy_quantized
 from .theta import (
     COLUMN_MIN_ROWS,
@@ -164,12 +164,7 @@ def label_batches(l, phi, r, s, z_sign: int = +1) -> tuple[list, dict[int, str]]
     l, phi, r, s = (np.asarray(col, dtype=float) for col in (l, phi, r, s))
     valid = ((0.0 <= r) & (r < 1.0) & ((s == 0.0) | (s == 0.5))
              & np.isfinite(l) & np.isfinite(phi) & (z_sign in (+1, -1)))
-    rejected = {}
-    for i in np.flatnonzero(~valid).tolist():
-        try:
-            _check_label(l[i].item(), phi[i].item(), r[i].item(), s[i].item(), z_sign)
-        except DomainError as exc:
-            rejected[i] = str(exc)
+    rejected = _rejected(valid, lambda *row: _check_label(*row, z_sign), l, phi, r, s)
     batches = []
     for offset in (0.0, 0.5):
         rows = np.flatnonzero(valid & (s == offset))

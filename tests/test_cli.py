@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiuscs import cli, states, theta
+from mobiuscs import cli, dynamics, projection, states, theta
 
 
 def run_cli(args, capsys):
@@ -551,6 +552,108 @@ class TestSweep:
         rows = csv_rows(out)
         assert rows[0]["error"] == ""
         assert "DomainError" in rows[-1]["error"]
+
+
+def scalar_sweep_text(argv, fmt):
+    """A sweep energy or projector run's artifact and exit code, from its scalar route.
+
+    Each row's value is that route's, or the row is blank with the text of
+    the error the route raises (or the PrecisionError of a non-finite value).
+    """
+    args = cli.build_parser().parse_args(argv)
+    with np.errstate(invalid="ignore"):
+        axes = cli.parse_grid(args.grid)
+    names = list(dict.fromkeys(name for name, _ in axes))
+    key = "E" if args.target == "energy" else "indicator"
+    rows = []
+    for point in itertools.product(*(values.tolist() for _, values in axes)):
+        params = {name: getattr(args, name) for name in cli.SWEEP_PARAMS}
+        params.update(zip((name for name, _ in axes), point))
+        row = {name: params[name] for name in names}
+        try:
+            if args.target == "energy":
+                value = dynamics.energy_spectrum(params["j"], params["L0"], params["phi"],
+                                                 params["r"]).E
+            else:
+                spec = projection.ProjectionSpec(params["theta"], params["phi"], params["delta"])
+                value = projection.universal_projector(spec, method="indicator")
+            cli._require_finite([{key: value}])
+            row.update({key: value, "error": ""})
+        except Exception as exc:
+            row.update({key: "", "error": f"{type(exc).__name__}: {exc}"})
+        rows.append(row)
+    code = 1 if any(row["error"] for row in rows) else 0
+    if all(row["error"] for row in rows):  # no row made the value column
+        rows = [{k: v for k, v in row.items() if k != key} for row in rows]
+    if fmt == "json":
+        return json.dumps({"command": ["sweep", args.target], "config": cli._config(args),
+                           "rows": rows}) + "\n", code
+    return TestEmit.oracle_csv([{k: cli.fmt(v) for k, v in row.items()} for row in rows]), code
+
+
+# grids with every kind of failing energy and projector row
+COLUMN_SWEEPS = [
+    ["energy", "--grid", "r=-0.5:1.5:9,j=0:2:3"],                     # r < 0 and r >= 1
+    ["energy", "--grid", "j=-1:1:3", "--phi", "inf"],                 # cos(inf)
+    ["energy", "--grid", "phi=0:inf:3,j=-1:1:2", "--theta", "nan"],   # NaN and inf phi
+    ["energy", "--grid", "j=1e150:1e200:4,r=0:0.9:2"],                # E overflows
+    ["energy", "--j", "1e200", "--grid", "L0=-1:1:3"],
+    ["energy", "--grid", "phi=0:4pi:9,r=-0.25:1.25:7,j=-1e200:1e200:3"],  # all of them
+    ["energy", "--grid", "phi=0:4pi:40,L0=-2:2:30", "--r", "0.9", "--j", "-2.5"],
+    ["projector", "--grid", "delta=-0.1:0.1:5,theta=0:pi:3"],         # delta <= 0
+    ["projector", "--grid", "delta=-0.0:0:2"],
+    ["projector", "--grid", "theta=0:pi:3", "--phi", "inf"],          # non-finite input
+    ["projector", "--grid", "phi=0:pi:3", "--theta", "nan"],
+    ["projector", "--grid", "theta=1e150:1e300:4,delta=0.1:1e200:3"],  # defect square overflows
+    ["projector", "--grid", "theta=1.4707963267948966:1.6707963267948966:5,r=0:1.5:3"],
+    ["projector", "--grid", "theta=-2pi:2pi:60,phi=0:4pi:50,delta=-0.5:1.5:5"],
+]
+
+
+class TestColumnSweeps:
+    """sweep energy and sweep projector, against their scalar routes, byte for byte."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", COLUMN_SWEEPS, ids=" ".join)
+    def test_artifact_is_built_from_the_scalar_routes(self, capsys, argv, fmt):
+        code, out, _ = run_cli(["sweep", *argv, "--format", fmt], capsys)
+        assert (out, code) == scalar_sweep_text(["sweep", *argv], fmt)
+
+    @pytest.mark.parametrize("argv", COLUMN_SWEEPS, ids=" ".join)
+    def test_run_config_rewrites_the_artifact(self, capsys, tmp_path, argv):
+        artifact, rerun = tmp_path / "artifact.json", tmp_path / "rerun.json"
+        code = cli.main(["sweep", *argv, "--format", "json", "--out", str(artifact)])
+        assert cli.main(["run", "--config", str(artifact),
+                         "--format", "json", "--out", str(rerun)]) == code
+        assert rerun.read_bytes() == artifact.read_bytes()
+        capsys.readouterr()
+        assert run_cli(["run", "--config", str(artifact)], capsys) == run_cli(["sweep", *argv],
+                                                                              capsys)
+
+    def test_every_failure_kind_is_covered(self, capsys):
+        errors = set()
+        for argv in COLUMN_SWEEPS:
+            _, out, _ = run_cli(["sweep", *argv], capsys)
+            errors |= {row["error"] for row in csv_rows(out)}
+        assert errors >= {
+            "", "DomainError: need 0 <= r < 1.0, got r=-0.5",
+            "DomainError: need 0 <= r < 1.0, got r=1.5",
+            "ValueError: math domain error", "PrecisionError: E is not finite",
+            "DomainError: delta must be positive", "DomainError: need finite theta, phi and delta",
+            "DomainError: defect or delta too large: its square overflows"}
+
+    def test_energy_and_projector_run_in_batches(self, monkeypatch, capsys):
+        sizes = []
+        for module, name in ((dynamics, "mobius_hamiltonians"),
+                             (projection, "universal_projectors")):
+            def spy(*cols, fn=getattr(module, name)):
+                sizes.append(len(cols[0]))
+                return fn(*cols)
+            monkeypatch.setattr(module, name, spy)
+        assert run_cli(["sweep", "energy", "--grid", "phi=0:4pi:100,r=0:1.98:100"], capsys)[0] == 1
+        assert run_cli(["sweep", "projector", "--grid", "theta=0:pi:100,delta=-1:1:100"],
+                       capsys)[0] == 1
+        assert sizes == [5000, 5000]  # the r < 1 rows, the delta > 0 rows: one batch each
 
 
 class TestEmit:

@@ -16,13 +16,14 @@ from mobiuscs.dynamics import (
     energy_spectrum,
     integrate_mobius,
     mobius_hamiltonian,
+    mobius_hamiltonians,
     mobius_lagrangian,
     mobius_momenta,
     mobius_phidot,
     torus_hamiltonian,
     torus_lagrangian,
 )
-from mobiuscs.geometry import TorusGeometry, constraint_theta
+from mobiuscs.geometry import TorusGeometry, _libm, _pow2, constraint_theta
 
 RNG = np.random.default_rng(20260810)
 
@@ -154,6 +155,67 @@ class TestMobiusHamiltonian:
                    - mobius_hamiltonian(J, L0, phi, r, variant="compact"))
             predicted = 0.5 * jj * jj * 0.25 * r * r * math.cos(0.5 * phi) ** 2
             assert gap == pytest.approx(predicted, abs=1e-13)
+
+
+# r = 1 + r*cos(0) - 1 at cells (J, L0, r), phi = 0, where libm's pow(1 + r, 2) is not
+# (1 + r)*(1 + r) and E differs with it: a column that squares as numpy does fails here
+POW_NOT_SQUARE_CELLS = [
+    ("0x1.df59479a9be30p+0", "-0x1.e1aaf8e04a9b0p-3", "0x1.121e9a0da302cp-2"),
+    ("-0x1.46c15727cab9ep+1", "-0x1.6b4e3b2362a44p-1", "0x1.ff7976bad6108p-2"),
+    ("0x1.4f18116773fd4p+1", "0x1.92f42b0dd3940p-6", "0x1.2a6e5bc058928p-2"),
+    ("0x1.f27ab60d469e8p+0", "0x1.e5b5ae430993ep-1", "0x1.7ad53bc57a098p-1"),
+    ("-0x1.c12b97d459d06p+0", "-0x1.d1e8658d068f0p-2", "0x1.3108783687d7cp-1"),
+    ("0x1.731d60654d33ep+1", "0x1.1a524d3c3c0fcp-1", "0x1.b2322b3c9afb0p-2"),
+    ("-0x1.4465740c26dd8p-1", "-0x1.98ea7c0e72f44p-2", "0x1.311a6c50b9bf8p-1"),
+    ("-0x1.3e994b9c976ddp+1", "-0x1.39b2edd9a45c0p-3", "0x1.c87b9156b9e52p-1"),
+]
+ONE_POW_NOT_SQUARE = [r for _, _, r in POW_NOT_SQUARE_CELLS]
+
+
+class TestEnergyColumn:
+    @staticmethod
+    def scalar(J, L0, phi, r):
+        return [energy_spectrum(*cell).E for cell in zip(J.tolist(), L0.tolist(), phi.tolist(),
+                                                          r.tolist())]
+
+    def test_matches_energy_spectrum_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        n = 10_000
+        J = rng.uniform(-5.0, 5.0, n)
+        L0 = rng.uniform(-2.0, 2.0, n)
+        phi = rng.uniform(-4 * math.pi, 4 * math.pi, n)
+        r = np.where(rng.random(n) < 0.05, 0.0, rng.uniform(0.0, 1.0, n))
+        assert np.array_equal(bits(mobius_hamiltonians(J, L0, phi, r)),
+                              bits(self.scalar(J, L0, phi, r)))
+        # a 100 x 100 grid: its angles repeat, and are mapped once each
+        phi, r = (axis.ravel() for axis in np.meshgrid(np.linspace(0, 4 * math.pi, 100),
+                                                       np.linspace(0.0, 0.9, 100)))
+        assert np.array_equal(bits(mobius_hamiltonians(J, L0, phi, r)),
+                              bits(self.scalar(J, L0, phi, r)))
+
+    def test_where_libm_pow_is_not_the_square(self):
+        J, L0, r = (np.array([float.fromhex(h) for h in col])
+                    for col in zip(*POW_NOT_SQUARE_CELLS))
+        phi = np.zeros(J.size)
+        assert np.all(1.0 + r * np.cos(phi) == 1.0 + r)
+        expected = self.scalar(J, L0, phi, r)
+        assert np.array_equal(bits(mobius_hamiltonians(J, L0, phi, r)), bits(expected))
+        one = 1.0 + r
+        bracket = one * one  # numpy's square
+        jj = (J + 0.5 * r * L0) / bracket
+        squared = 0.5 * (jj * jj * bracket + L0 * L0)
+        assert np.all(bits(squared) != bits(expected))
+
+    def test_rejects_r_outside_the_strip(self):
+        with pytest.raises(DomainError):
+            mobius_hamiltonians(np.ones(3), np.zeros(3), np.zeros(3), np.array([0.5, 1.0, 0.2]))
+
+    def test_inf_angle_raises_as_the_scalar_route(self):
+        with pytest.raises(ValueError, match="^math domain error$"):
+            energy_spectrum(1.0, 0.0, math.inf, 0.5)
+        with pytest.raises(ValueError, match="^math domain error$"):
+            mobius_hamiltonians(np.ones(2), np.zeros(2), np.array([0.0, math.inf]),
+                                np.full(2, 0.5))
 
 
 class TestSpectrum:
@@ -291,11 +353,19 @@ class TestIntegration:
             integrate_mobius(MobiusState(**state), **run)
 
     def test_strip_bracket_rounds_alike_on_floats_and_arrays(self):
+        # a float's ** 2 is libm's pow and an array's numpy's x*x: with libm's pow
+        # mapped as its square, an array rounds as the floats do
         rng = np.random.default_rng(6)
         c, sn = np.cos(rng.uniform(-6, 6, size=(2, 200)))
         r = float(rng.uniform(0.0, 0.95))
         scalar = [dynamics._strip_bracket(float(a), float(b), r) for a, b in zip(c, sn)]
-        assert np.array_equal(bits(scalar), bits(dynamics._strip_bracket(c, sn, r)))
+        mapped = dynamics._strip_bracket(c, sn, r, lambda one: _libm(_pow2, one))
+        assert np.array_equal(bits(scalar), bits(mapped))
+        one = 1.0 + np.array([float.fromhex(h) for h in ONE_POW_NOT_SQUARE])
+        assert np.array_equal(bits(dynamics._strip_bracket(one - 1.0, 0.0, 1.0)),
+                              bits(one * one))
+        assert not np.array_equal(bits([dynamics._strip_bracket(x - 1.0, 0.0, 1.0)
+                                        for x in one.tolist()]), bits(one * one))
 
     def test_columns_schema(self):
         traj = integrate_mobius(MobiusState(0.1, 1.0, 0.0, 0.2), 0.5, t_end=1.0, dt=1e-2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mobiuscs.errors import DomainError
 from mobiuscs.geometry import (
     TorusGeometry,
+    _distinct,
     _libm,
     coherent_label,
     constraint_theta,
@@ -157,3 +158,46 @@ class TestLibm:
     def test_signed_zeros_stay_apart(self):
         col = np.array([0.0, -0.0] * 8)
         assert _libm(lambda x: math.copysign(1.0, x), col).tolist() == [1.0, -1.0] * 8
+
+
+class TestDistinct:
+    @staticmethod
+    def bits(col):
+        return np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
+
+    @pytest.mark.parametrize("n_first, n_last", [
+        (100, 100), (2, 5000), (5000, 2), (10, 1000), (1000, 10), (3, 4000), (40, 25),
+        (7, 1500), (1, 1024),
+    ])
+    def test_both_axes_of_a_grid_are_deduped(self, n_first, n_last):
+        # the first axis repeats in runs of n_last rows, the last with period n_last
+        first, last = np.meshgrid(np.linspace(-32.0, 32.0, n_first),
+                                  np.linspace(0.0, 4 * math.pi, n_last), indexing="ij")
+        for axis in (first.ravel(), last.ravel()):
+            kept = np.unique(self.bits(axis))
+            if 2 * kept.size <= axis.size:
+                assert _distinct(self.bits(axis)).tolist() == kept.tolist()
+            else:  # (1, 1024): the only axis is all distinct
+                assert _distinct(self.bits(axis)) is None
+
+    def test_rule_below_the_probe(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 17, 500, 1023):
+            for col in (rng.standard_normal(n), rng.integers(0, max(1, n // 2), n) * 0.5,
+                        np.zeros(n), np.where(np.arange(n) % 2 == 0, 0.0, -0.0)):
+                kept = np.unique(self.bits(col))
+                got = _distinct(self.bits(col))
+                assert (got is None if 2 * kept.size > n else got.tolist() == kept.tolist())
+
+    def test_distinct_column_is_not_sorted(self, monkeypatch):
+        sizes = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort",
+                            lambda a, *args, **kw: sizes.append(a.size) or sort(a, *args, **kw))
+        col = np.random.default_rng(4).standard_normal(10_000)
+        assert _distinct(self.bits(col)) is None
+        assert sizes and max(sizes) <= 4 * math.isqrt(col.size)
+        calls = []
+        assert _libm(lambda x: calls.append(x) or math.exp(x), col).tobytes() == np.array(
+            [math.exp(x) for x in col.tolist()]).tobytes()
+        assert len(calls) == col.size and max(sizes) <= 4 * math.isqrt(col.size)

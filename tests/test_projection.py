@@ -22,6 +22,8 @@ from mobiuscs.projection import (
     projected_overlap_series,
     torus_labels,
     universal_projector,
+    universal_projectors,
+    valid_specs,
 )
 from mobiuscs.states import StateLabel, build_cs, fiducial, label_for_center, overlap
 
@@ -162,6 +164,86 @@ class TestUniversalProjector:
             exact = float(sum(mp.si(c * cutoff) for c in coeffs) / mp.pi)
         qd = universal_projector(spec, method="quadrature", tail_tol=1e-4)
         assert abs(qd - exact) <= 1e-12
+
+
+# (defect, delta) at |defect^2 - delta^2| = boundary_tol * max(1, delta^2) exactly,
+# outside the window and inside it
+BOUNDARY_ROWS = [("0x1.9218890c37ce7p-15", "0x1.2e2de5bbe9a89p-15"),
+                 ("0x1.7ca99733f0257p-15", "0x1.1102e430f1935p-15"),
+                 ("0x1.dd36f1646815cp-18", "0x1.0fe5361018eebp-15"),
+                 ("0x1.3c4c72ed837adp-17", "0x1.14ce541d9f09ep-15")]
+
+# (defect, delta) on the window's edge where libm's pow(x, 2) and numpy's x*x
+# put the row on different sides of it
+POW_FLIP_ROWS = [("0x1.82b96258e5ae1p-1", "0x1.82b9625335fdcp-1"),
+                 ("0x1.82b9624d864d7p-1", "0x1.82b9625335fdcp-1"),
+                 ("0x1.10e6654e407e7p-16", "0x1.2a4eb61b171bcp-15"),
+                 ("0x1.9f0837b2e867bp+0", "0x1.9f0837af6d216p+0"),
+                 ("0x1.c049fa8e79e39p-1", "0x1.c049fa89921d4p-1"),
+                 ("0x1.c049fa84aa56fp-1", "0x1.c049fa89921d4p-1")]
+
+
+def scalar_indicators(theta, phi, delta):
+    return [universal_projector(ProjectionSpec(*row), method="indicator")
+            for row in zip(theta.tolist(), phi.tolist(), delta.tolist())]
+
+
+class TestProjectorColumn:
+    def test_matches_the_scalar_indicator_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        n = 10_000
+        phi = rng.uniform(-4 * math.pi, 4 * math.pi, n)
+        delta = rng.uniform(1e-3, 3.0, n)
+        theta = constraint_theta(phi) + rng.uniform(-2.0, 2.0, n) * delta
+        got = universal_projectors(theta, phi, delta)
+        assert got.tobytes() == np.array(scalar_indicators(theta, phi, delta)).tobytes()
+        assert set(got.tolist()) == {0.0, 1.0}
+
+    def test_boundary_rows_and_one_ulp_either_side(self):
+        defects, deltas = [], []
+        for x_hex, d_hex in BOUNDARY_ROWS + POW_FLIP_ROWS:
+            x, d = float.fromhex(x_hex), float.fromhex(d_hex)
+            defects += [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+            deltas += [d] * 3
+        # and near the edge of a window wider than 1, where the layer scales with delta^2
+        for d in (1.5, 2.75):
+            edge = math.sqrt(d * d * (1.0 + 1e-9))
+            for k in range(-3, 4):
+                defects.append(edge + k * math.ulp(edge))
+                deltas.append(d)
+        x = np.array(defects + [-v for v in defects])
+        delta = np.array(deltas * 2)
+        phi = np.full(x.size, -math.pi)  # constraint_theta(-pi) = 0: theta is the defect
+        theta = x + constraint_theta(phi)
+        assert np.array_equal(theta - constraint_theta(phi), x)
+        got = universal_projectors(theta, phi, delta)
+        assert got.tobytes() == np.array(scalar_indicators(theta, phi, delta)).tobytes()
+        assert {0.0, 0.5, 1.0} <= set(got.tolist())
+        for x_hex, d_hex in BOUNDARY_ROWS:
+            x, d = float.fromhex(x_hex), float.fromhex(d_hex)
+            assert abs(x ** 2 - d ** 2) == 1e-9 * max(1.0, d ** 2)
+        # numpy's square would move the POW_FLIP_ROWS across the edge
+        x, d = (np.array([float.fromhex(h) for h in col]) for col in zip(*POW_FLIP_ROWS))
+        a = d * d
+        squared = np.where(np.abs(x * x - a) <= 1e-9 * np.maximum(1.0, a), 0.5,
+                           np.where(x * x < a, 1.0, 0.0))
+        assert np.all(squared != scalar_indicators(x, np.full(x.size, -math.pi), d))
+
+    def test_valid_specs_is_the_spec_check(self):
+        cells = [0.0, -0.0, 0.1, -0.1, 1.0, math.pi, 1e154, -1e154, 1e200, 1e300,
+                 math.inf, -math.inf, math.nan]
+        theta, phi, delta = (axis.ravel() for axis in np.meshgrid(cells, cells, cells))
+        mask = valid_specs(theta, phi, delta)
+        for row, ok in zip(zip(theta.tolist(), phi.tolist(), delta.tolist()), mask.tolist()):
+            try:
+                ProjectionSpec(*row)
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert ok == accepted, row
+        assert 0 < np.count_nonzero(mask) < mask.size
+        with pytest.raises(DomainError):
+            universal_projectors(theta, phi, delta)
 
 
 class TestSineIntegral:
