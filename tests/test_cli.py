@@ -619,17 +619,6 @@ class TestColumnSweeps:
         code, out, _ = run_cli(["sweep", *argv, "--format", fmt], capsys)
         assert (out, code) == scalar_sweep_text(["sweep", *argv], fmt)
 
-    @pytest.mark.parametrize("argv", COLUMN_SWEEPS, ids=" ".join)
-    def test_run_config_rewrites_the_artifact(self, capsys, tmp_path, argv):
-        artifact, rerun = tmp_path / "artifact.json", tmp_path / "rerun.json"
-        code = cli.main(["sweep", *argv, "--format", "json", "--out", str(artifact)])
-        assert cli.main(["run", "--config", str(artifact),
-                         "--format", "json", "--out", str(rerun)]) == code
-        assert rerun.read_bytes() == artifact.read_bytes()
-        capsys.readouterr()
-        assert run_cli(["run", "--config", str(artifact)], capsys) == run_cli(["sweep", *argv],
-                                                                              capsys)
-
     def test_every_failure_kind_is_covered(self, capsys):
         errors = set()
         for argv in COLUMN_SWEEPS:
@@ -856,6 +845,7 @@ class TestConfig:
         ["sweep", "expect-u", "--grid", "l=-1:1:5", "--workers", "4"],
         ["sweep", "energy", "--grid", "j=-1:1:3", "--L0=-1e-05"],
         ["sweep", "projector", "--grid", "theta=0:pi:3", "--delta", "0.2"],
+        *(["sweep", *argv] for argv in COLUMN_SWEEPS),
     ]
 
     @pytest.mark.parametrize("argv", ARTIFACT_COMMANDS, ids=" ".join)
