@@ -40,7 +40,7 @@ import numpy as np
 
 from . import dynamics, projection, report, states, theta
 from .errors import DomainError, PrecisionError
-from .geometry import _distinct, _rejected
+from .geometry import _distinct, _rejected, valid_r
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
 
@@ -488,31 +488,37 @@ def _state_values(target: str, batch: states.LabelBatch) -> dict:
     return {"supnorm": states.gaussian_supnorm(batch)}
 
 
+def _error_text(exc: Exception) -> str:
+    """A sweep row's error cell: the exception's type and message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _sweep_work(target: str, column) -> tuple[list, dict[int, str]]:
-    """A target's work items, and the DomainError text of each row it rejects unevaluated.
+    """A target's work items, and the error text of each row it rejects unevaluated.
 
     ``column(name)`` is a sweep parameter at every point.  A work item is
     (rows, evaluate, columns): evaluate(*columns) gives the target's value
     arrays at rows.  states.label_batches splits a state target's rows; an
-    energy or projector row is rejected where a mask mirrors the check of
-    its scalar route, with the text that check raises.
+    energy or projector row is rejected where a mask mirrors the checks of
+    its scalar route, with the text that route raises there.
     """
     if target == "energy":
         cols = [column(key) for key in ("j", "L0", "phi", "r")]
-        valid = (0.0 <= cols[3]) & (cols[3] < 1.0)
-        rejected = _rejected(valid, dynamics._check_r, cols[3])
+        # math.cos raises at an infinite angle
+        valid, route = valid_r(cols[3]) & ~np.isinf(cols[2]), dynamics.energy_spectrum
         evaluate = lambda *c: {"E": dynamics.mobius_hamiltonians(*c)}
     elif target == "projector":
         cols = [column(key) for key in ("theta", "phi", "delta")]
-        valid = projection.valid_specs(*cols)
-        rejected = _rejected(valid, projection.ProjectionSpec, *cols)
+        valid, route = projection.valid_specs(*cols), projection.ProjectionSpec
         evaluate = lambda *c: {"indicator": projection.universal_projectors(*c)}
     else:
         batches, rejected = states.label_batches(*map(column, ("l", "phi", "r", "s")))
-        return [(rows, lambda *c, s=batch.s: _state_values(target, states.LabelBatch(*c, s)),
-                 [batch.centers, batch.phis]) for rows, batch in batches], rejected
+        return ([(rows, lambda *c, s=batch.s: _state_values(target, states.LabelBatch(*c, s)),
+                  [batch.centers, batch.phis]) for rows, batch in batches],
+                {i: f"DomainError: {text}" for i, text in rejected.items()})
     rows = np.flatnonzero(valid)
-    return [(rows, evaluate, [col[rows] for col in cols])], rejected
+    return ([(rows, evaluate, [col[rows] for col in cols])] if rows.size else [],
+            _rejected(valid, route, *cols, text=_error_text))
 
 
 def _grid_columns(axes: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -539,7 +545,7 @@ def _sweep_batches(work: list, rejected: dict, values: dict, errors: list) -> np
     """
     failed = np.zeros(len(errors), dtype=bool)
     for i, text in rejected.items():
-        errors[i] = f"DomainError: {text}"
+        errors[i] = text
         failed[i] = True
     while work:
         rows, evaluate, cols = work.pop()
@@ -547,7 +553,7 @@ def _sweep_batches(work: list, rejected: dict, values: dict, errors: list) -> np
             result = evaluate(*cols)
         except Exception as exc:  # per-row failure is recorded, not fatal
             if rows.size == 1:
-                errors[rows[0]] = f"{type(exc).__name__}: {exc}"
+                errors[rows[0]] = _error_text(exc)
                 failed[rows] = True
             else:
                 half = rows.size // 2

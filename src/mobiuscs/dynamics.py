@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoordinateSingularityError, DomainError, EnergyDriftError
-from .geometry import TorusGeometry, _libm, _pow2, mobius_point, torus_point
+from .geometry import TorusGeometry, _libm, _pow2, mobius_point, torus_point, valid_r
 
 __all__ = [
     "MobiusState",
@@ -101,7 +101,7 @@ class ConservedSet:
 
 
 def _check_r(r: float, upper: float = 1.0) -> float:
-    if not (0.0 <= r < upper):
+    if not valid_r(r, upper):
         raise DomainError(f"need 0 <= r < {upper}, got r={r}")
     return float(r)
 
@@ -140,17 +140,16 @@ def mobius_lagrangian(s: MobiusState, r: float, path: str = "closed", z_sign: in
     raise ValueError(f"unknown path {path!r}")
 
 
-def _strip_bracket(c, sn, r, square=None):
+def _strip_bracket(c, sn, r, square=lambda one: one ** 2):
     """Metric bracket (1 + r*c)^2 + (r^2/4)*sn^2 at c = cos(phi/2), sn = sin(phi/2).
 
     Takes floats or arrays, but does not round alike on both: ``** 2`` is
     libm's pow on a float and numpy's x*x on an array, which differ in the
     last bit on about 875 of 10^6 inputs.  _sampled_energy, hence
-    Trajectory.phi_dot, exports numpy's rounding.  ``square``, if given,
-    squares 1 + r*c instead: mobius_hamiltonians maps libm's pow with it.
+    Trajectory.phi_dot, exports numpy's rounding.  ``square`` squares
+    1 + r*c: mobius_hamiltonians passes libm's pow, mapped over the column.
     """
-    one = 1.0 + r * c
-    return (one ** 2 if square is None else square(one)) + 0.25 * r * r * sn * sn
+    return square(1.0 + r * c) + 0.25 * r * r * sn * sn
 
 
 def mobius_momenta(s: MobiusState, r: float) -> tuple[float, float]:
@@ -200,10 +199,10 @@ def mobius_hamiltonian(J: float, L0: float, phi: float, r: float, variant: str =
 def mobius_hamiltonians(J, L0, phi, r) -> np.ndarray:
     """mobius_hamiltonian at every row of the float columns, bit for bit.
 
-    Its operations in its order, with libm's cos, sin and pow mapped over the column.
+    Its operations in its order, with libm's cos, sin and pow mapped over
+    the column.  Each row must pass valid_r and hold no infinite phi (where
+    mobius_hamiltonian raises): the caller masks the other rows out.
     """
-    if not np.all((0.0 <= r) & (r < 1.0)):
-        raise DomainError("need 0 <= r < 1 in every row")
     half = 0.5 * phi
     c = _libm(math.cos, half)
     bracket = _strip_bracket(c, _libm(math.sin, half), r, lambda one: _libm(_pow2, one))
@@ -504,7 +503,7 @@ def torus_lagrangian(s: TorusState, g: TorusGeometry, path: str = "embedding") -
                          (it is what the strip reduction would leave behind);
     path="embedding_fd"  finite-difference kinetic energy oracle.
     """
-    if not (0.0 <= g.r < g.R):
+    if not valid_r(g.r, g.R):
         raise DomainError("need 0 <= r < R")
     sth = math.sin(s.theta)
     if path == "embedding":

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ __all__ = [
     "coherent_label",
     "label_center",
     "label_centers",
+    "valid_r",
 ]
 
 
@@ -57,8 +57,13 @@ class TorusGeometry:
     l: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.r < self.R):
+        if not valid_r(self.r, self.R):
             raise DomainError(f"need 0 <= r < R, got r={self.r}, R={self.R}")
+
+
+def valid_r(r, upper: float = 1.0):
+    """Whether 0 <= r < upper: a bool for a float, the row mask for a float column."""
+    return (0.0 <= r) & (r < upper)
 
 
 def _check_z_sign(z_sign: int) -> int:
@@ -97,7 +102,7 @@ def mobius_point(phi: float, g: TorusGeometry, z_sign: int = +1) -> np.ndarray:
 def coherent_label(l: float, phi: float, r: float, z_sign: int = +1) -> complex:
     """Complex coherent-state label xi; |xi| >= (1-r)*exp(-l-r) > 0."""
     _check_z_sign(z_sign)
-    if not (0.0 <= r < 1.0):
+    if not valid_r(r):
         raise DomainError(f"need 0 <= r < 1, got r={r}")
     half = 0.5 * phi
     height = l + z_sign * r * math.sin(half)
@@ -108,7 +113,7 @@ def coherent_label(l: float, phi: float, r: float, z_sign: int = +1) -> complex:
 def label_center(l: float, phi: float, r: float, z_sign: int = +1) -> float:
     """Gaussian center l' of the coefficient profile; equals -log|xi|."""
     _check_z_sign(z_sign)
-    if not (0.0 <= r < 1.0):
+    if not valid_r(r):
         raise DomainError(f"need 0 <= r < 1, got r={r}")
     half = 0.5 * phi
     return (l + z_sign * r * math.sin(half)) - math.log(1.0 + r * math.cos(half))
@@ -116,20 +121,17 @@ def label_center(l: float, phi: float, r: float, z_sign: int = +1) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _probe(n: int) -> np.ndarray:
-    """4*isqrt(n) of the rows 0..n-1, sorted: pseudo-random, the same on every call."""
-    rows = np.array(sorted(random.Random(n).sample(range(n), 4 * math.isqrt(n))))
-    rows.flags.writeable = False  # one array for every caller
-    return rows
+    """4*isqrt(n) distinct rows of 0..n-1, pseudo-random and sorted, the same on every call."""
+    return np.sort(np.random.default_rng(n).choice(n, 4 * math.isqrt(n), replace=False))
 
 
 def _distinct(bits: np.ndarray) -> np.ndarray | None:
     """The sorted distinct entries of the int64 column bits; None if over half are distinct.
 
-    From 1024 rows on, the column is first read at its _probe rows and
-    taken as over half distinct, unsorted, if they hold no repeat.  At most
-    half distinct, it would show about 16 repeated pairs there on average,
-    and always one if it has fewer distinct entries than probed rows: so a
-    grid axis is found whether it repeats in runs or with a period.
+    A column of 1024 rows or more whose _probe rows hold no repeat is taken
+    as over half distinct, unsorted.  At most half distinct, it would show
+    about 16 repeated pairs there, and at least one if it has fewer distinct
+    entries than probed rows: a grid axis is found, in runs or periodic.
     """
     if bits.size >= 1024:
         probe = np.sort(bits[_probe(bits.size)])
@@ -162,14 +164,14 @@ def _libm(fn, col: np.ndarray) -> np.ndarray:
 _pow2 = functools.partial(pow, exp=2)  # a float's ** 2: libm's pow, not numpy's x*x
 
 
-def _rejected(valid: np.ndarray, check, *cols) -> dict[int, str]:
-    """The text of the DomainError check(*row) raises at each row of cols that valid leaves out."""
-    rejected = {}
-    for i in np.flatnonzero(~valid).tolist():
+def _rejected(valid: np.ndarray, check, *cols, text=str) -> dict[int, str]:
+    """text(error) of the error check(*row) raises at each row of cols that valid leaves out."""
+    rows, rejected = np.flatnonzero(~valid), {}
+    for i, row in zip(rows.tolist(), zip(*(col[rows].tolist() for col in cols))):
         try:
-            check(*(col[i].item() for col in cols))
-        except DomainError as exc:
-            rejected[i] = str(exc)
+            check(*row)
+        except Exception as exc:  # the row's own error, as its scalar route gives it
+            rejected[i] = text(exc)
     return rejected
 
 
@@ -180,7 +182,7 @@ def label_centers(l: np.ndarray, phi: np.ndarray, r: np.ndarray, z_sign: int = +
     mapped over the column.
     """
     _check_z_sign(z_sign)
-    if not np.all((0.0 <= r) & (r < 1.0)):
+    if not np.all(valid_r(r)):
         raise DomainError("need 0 <= r < 1 in every row")
     half = 0.5 * phi
     return ((l + z_sign * r * _libm(math.sin, half))

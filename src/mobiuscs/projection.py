@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
-from .geometry import _libm, _pow2, constraint_theta, label_center
+from .geometry import _libm, _pow2, constraint_theta, label_center, valid_r
 from .states import (
     FockVector,
     StateLabel,
@@ -66,6 +66,9 @@ __all__ = [
     "valid_specs",
     "project_mobius_to_circle",
 ]
+
+
+BOUNDARY_TOL = 1e-9  # the indicator's boundary layer, relative to max(1, delta^2)
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ def torus_labels(l: float, theta: float, phi: float, r: float) -> tuple[complex,
     factors of xi_aux collapse and only exp(-2*pi*sin(phi)^2 + k*theta)
     survives.
     """
-    if not (0.0 <= r < 1.0):
+    if not valid_r(r):
         raise DomainError(f"need 0 <= r < 1, got r={r}")
     half = 0.5 * phi
     radial = 1.0 + r * math.cos(half)
@@ -265,7 +268,7 @@ def universal_projector(
     spec: ProjectionSpec,
     method: str = "indicator",
     tail_tol: float = 1e-4,
-    boundary_tol: float = 1e-9,
+    boundary_tol: float = BOUNDARY_TOL,
 ) -> float:
     """Constraint-window projector value in [0, 1].
 
@@ -313,15 +316,14 @@ def valid_specs(theta, phi, delta) -> np.ndarray:
                 & np.isfinite(x * x + delta * delta))
 
 
-def universal_projectors(theta, phi, delta, boundary_tol: float = 1e-9) -> np.ndarray:
-    """The "indicator" universal_projector at every row valid_specs accepts, bit for bit.
+def universal_projectors(theta, phi, delta) -> np.ndarray:
+    """The "indicator" universal_projector at every row of the float columns, bit for bit.
 
     Its operations in its order, with libm's pow mapped over the column.
+    Each row must be one valid_specs accepts: the caller masks the others out.
     """
-    if not np.all(valid_specs(theta, phi, delta)):
-        raise DomainError("need a valid ProjectionSpec in every row")
     x2, a = _libm(_pow2, theta - constraint_theta(phi)), _libm(_pow2, delta)
-    return np.where(np.abs(x2 - a) <= boundary_tol * np.maximum(1.0, a), 0.5,
+    return np.where(np.abs(x2 - a) <= BOUNDARY_TOL * np.maximum(1.0, a), 0.5,
                     np.where(x2 < a, 1.0, 0.0))
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .geometry import _rejected, coherent_label, label_center, label_centers
+from .geometry import _rejected, coherent_label, label_center, label_centers, valid_r
 from .dynamics import energy_quantized
 from .theta import (
     COLUMN_MIN_ROWS,
@@ -114,7 +114,7 @@ class StateLabel:
 
 def _check_label(l: float, phi: float, r: float, s: float, z_sign: int) -> None:
     """Raise DomainError unless StateLabel(l, phi, r, s, z_sign) is a valid label."""
-    if not (0.0 <= r < 1.0):
+    if not valid_r(r):
         raise DomainError(f"need 0 <= r < 1, got r={r}")
     if s not in (0.0, 0.5):
         raise DomainError(f"basis offset s must be 0 or 0.5, got {s}")
@@ -162,7 +162,7 @@ def label_batches(l, phi, r, s, z_sign: int = +1) -> tuple[list, dict[int, str]]
     sector's rows come from geometry.label_centers, bit-equal to the labels' own.
     """
     l, phi, r, s = (np.asarray(col, dtype=float) for col in (l, phi, r, s))
-    valid = ((0.0 <= r) & (r < 1.0) & ((s == 0.0) | (s == 0.5))
+    valid = (valid_r(r) & ((s == 0.0) | (s == 0.5))
              & np.isfinite(l) & np.isfinite(phi) & (z_sign in (+1, -1)))
     rejected = _rejected(valid, lambda *row: _check_label(*row, z_sign), l, phi, r, s)
     batches = []
@@ -537,7 +537,7 @@ def quantization_scan(
     phi-independent and every angle qualifies whenever l is on the lattice,
     in which case the full scan grid is returned.
     """
-    if not (0.0 <= r < 1.0):
+    if not valid_r(r):
         raise DomainError(f"need 0 <= r < 1, got r={r}")
     if s not in (0.0, 0.5):
         raise DomainError("s must be 0 or 0.5")

@@ -595,6 +595,7 @@ def scalar_sweep_text(argv, fmt):
 COLUMN_SWEEPS = [
     ["energy", "--grid", "r=-0.5:1.5:9,j=0:2:3"],                     # r < 0 and r >= 1
     ["energy", "--grid", "j=-1:1:3", "--phi", "inf"],                 # cos(inf)
+    ["energy", "--grid", "r=0.5:1.5:3", "--phi=-inf"],                # r is checked first
     ["energy", "--grid", "phi=0:inf:3,j=-1:1:2", "--theta", "nan"],   # NaN and inf phi
     ["energy", "--grid", "j=1e150:1e200:4,r=0:0.9:2"],                # E overflows
     ["energy", "--j", "1e200", "--grid", "L0=-1:1:3"],
@@ -642,6 +643,8 @@ class TestColumnSweeps:
         assert run_cli(["sweep", "energy", "--grid", "phi=0:4pi:100,r=0:1.98:100"], capsys)[0] == 1
         assert run_cli(["sweep", "projector", "--grid", "theta=0:pi:100,delta=-1:1:100"],
                        capsys)[0] == 1
+        # no row to evaluate: each gets the error of cos(inf) without a call
+        assert run_cli(["sweep", "energy", "--grid", "j=-2:2:3000", "--phi", "inf"], capsys)[0] == 1
         assert sizes == [5000, 5000]  # the r < 1 rows, the delta > 0 rows: one batch each
 
 

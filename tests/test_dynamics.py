@@ -23,7 +23,7 @@ from mobiuscs.dynamics import (
     torus_hamiltonian,
     torus_lagrangian,
 )
-from mobiuscs.geometry import TorusGeometry, _libm, _pow2, constraint_theta
+from mobiuscs.geometry import TorusGeometry, _libm, _pow2, constraint_theta, valid_r
 
 RNG = np.random.default_rng(20260810)
 
@@ -206,9 +206,18 @@ class TestEnergyColumn:
         squared = 0.5 * (jj * jj * bracket + L0 * L0)
         assert np.all(bits(squared) != bits(expected))
 
-    def test_rejects_r_outside_the_strip(self):
-        with pytest.raises(DomainError):
-            mobius_hamiltonians(np.ones(3), np.zeros(3), np.zeros(3), np.array([0.5, 1.0, 0.2]))
+    def test_valid_r_is_the_scalar_check(self):
+        cells = [0.0, -0.0, 0.5, math.nextafter(1.0, 0.0), 1.0, -1e-300, 1.5, math.inf,
+                 -math.inf, math.nan]
+        mask = valid_r(np.array(cells))
+        for r, ok in zip(cells, mask.tolist()):
+            assert valid_r(r) is ok
+            try:
+                energy_spectrum(1.0, 0.0, 0.0, r)
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert ok == accepted, r
 
     def test_inf_angle_raises_as_the_scalar_route(self):
         with pytest.raises(ValueError, match="^math domain error$"):

@@ -1,5 +1,6 @@
 """Torus factorization, projected overlap, constraint projector, circle relabeling."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import mobiuscs
 from mobiuscs.errors import DomainError
 from mobiuscs.geometry import constraint_theta
 from mobiuscs.projection import (
+    BOUNDARY_TOL,
     ProjectionSpec,
     _si,
     build_torus_cs,
@@ -207,7 +209,7 @@ class TestProjectorColumn:
             deltas += [d] * 3
         # and near the edge of a window wider than 1, where the layer scales with delta^2
         for d in (1.5, 2.75):
-            edge = math.sqrt(d * d * (1.0 + 1e-9))
+            edge = math.sqrt(d * d * (1.0 + BOUNDARY_TOL))
             for k in range(-3, 4):
                 defects.append(edge + k * math.ulp(edge))
                 deltas.append(d)
@@ -219,13 +221,16 @@ class TestProjectorColumn:
         got = universal_projectors(theta, phi, delta)
         assert got.tobytes() == np.array(scalar_indicators(theta, phi, delta)).tobytes()
         assert {0.0, 0.5, 1.0} <= set(got.tolist())
+        # the scalar route's default layer is the one the column form uses
+        layer = inspect.signature(universal_projector).parameters["boundary_tol"].default
+        assert layer == BOUNDARY_TOL
         for x_hex, d_hex in BOUNDARY_ROWS:
             x, d = float.fromhex(x_hex), float.fromhex(d_hex)
-            assert abs(x ** 2 - d ** 2) == 1e-9 * max(1.0, d ** 2)
+            assert abs(x ** 2 - d ** 2) == BOUNDARY_TOL * max(1.0, d ** 2)
         # numpy's square would move the POW_FLIP_ROWS across the edge
         x, d = (np.array([float.fromhex(h) for h in col]) for col in zip(*POW_FLIP_ROWS))
         a = d * d
-        squared = np.where(np.abs(x * x - a) <= 1e-9 * np.maximum(1.0, a), 0.5,
+        squared = np.where(np.abs(x * x - a) <= BOUNDARY_TOL * np.maximum(1.0, a), 0.5,
                            np.where(x * x < a, 1.0, 0.0))
         assert np.all(squared != scalar_indicators(x, np.full(x.size, -math.pi), d))
 
@@ -242,8 +247,6 @@ class TestProjectorColumn:
                 accepted = False
             assert ok == accepted, row
         assert 0 < np.count_nonzero(mask) < mask.size
-        with pytest.raises(DomainError):
-            universal_projectors(theta, phi, delta)
 
 
 class TestSineIntegral:
