@@ -29,6 +29,7 @@ import argparse
 import cmath
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -82,6 +83,9 @@ def fmt(value) -> str:
     return str(value)
 
 
+_WORDS = ("command", "action", "target")  # the dests that hold an artifact's command words
+
+
 def load_config(path: str) -> tuple[list | None, dict[str, str]]:
     """Read a key=value file or a JSON artifact.
 
@@ -114,7 +118,7 @@ def load_config(path: str) -> tuple[list | None, dict[str, str]]:
     values = {}
     for key, value in items:
         key = key.strip().replace("-", "_")
-        if key in ("command", "target", "action"):
+        if key in _WORDS:
             continue
         if value is None or isinstance(value, (list, dict)):
             raise DomainError(f"config key {key!r} needs a number or a string, got {value!r}")
@@ -251,24 +255,21 @@ def _chunk_text(n: int, plans: list) -> str:
     return template % tuple(grid.ravel().tolist())
 
 
-def _columns(rows: list[dict]) -> dict[str, list]:
-    """A short table given as rows, as columns keyed like the first row."""
-    return {key: [row[key] for row in rows] for key in (rows[0] if rows else ())}
-
-
-def emit(columns: dict, args, command: list[str], config: dict, blank: dict | None = None) -> None:
+def emit(columns: dict, args, blank: dict | None = None) -> None:
     """Write a table given as equal-length columns as CSV or JSON, deterministically.
 
     ``blank`` maps the key of a float-array column to the row mask of its
     blank cells: empty in CSV, "" in JSON.  The output goes to --out or
-    stdout.  JSON rows are built from the columns for the artifact alone.
+    stdout.  A JSON artifact takes its command words and config from
+    ``args``; its rows are built from the columns for the artifact alone.
     """
     blank = blank or {}
     if args.format == "json":
         cells = {key: _with_blanks(col, blank[key]) if key in blank else col
                  for key, col in columns.items()}
         rows = [dict(zip(cells, values)) for values in zip(*cells.values())]
-        payload = json.dumps({"command": command, "config": config, "rows": rows},
+        command = [getattr(args, key) for key in _WORDS if hasattr(args, key)]
+        payload = json.dumps({"command": command, "config": _config(args), "rows": rows},
                              default=float) + "\n"
     elif args.format != "csv":
         raise DomainError(f"unknown format {args.format!r}")
@@ -296,10 +297,10 @@ def _modulus(z: complex) -> float:
     return math.nan if cmath.isnan(z) and not cmath.isinf(z) else abs(z)
 
 
-def _require_finite(rows: list[dict]) -> None:
-    """Raise PrecisionError at the first inf or NaN cell of ``rows``."""
-    for row in rows:
-        for key, value in row.items():
+def _require_finite(columns: dict) -> None:
+    """Raise PrecisionError at the first row holding an inf or NaN, at its first such key."""
+    for row in zip(*columns.values()):
+        for key, value in zip(columns, row):
             if isinstance(value, (float, np.floating)) and not math.isfinite(value):
                 raise PrecisionError(f"{key} is not finite", achieved=float(value))
 
@@ -324,21 +325,16 @@ def cmd_theta(args) -> int:
     shift = 0.0 if args.s == 0.0 else 0.5
     t3 = theta.theta3(1j * c / math.pi, states.TAU_NATURAL)
     t2 = theta.theta2(1j * c / math.pi, states.TAU_NATURAL)
-    modular = (states._exp(c * c, "norm_modular_route") * math.sqrt(math.pi)
-               * theta.theta3(c + shift, states.TAU_DUAL))
+    modular = states.modular_norm(c, args.s, "norm_modular_route")
     natural = t3 if args.s == 0.0 else t2
-    rows = [
-        {"quantity": "center", "value_re": c, "value_im": 0.0},
-        {"quantity": "theta3_natural", "value_re": t3.real, "value_im": t3.imag},
-        {"quantity": "theta2_natural", "value_re": t2.real, "value_im": t2.imag},
-        {"quantity": "norm_modular_route", "value_re": modular.real, "value_im": modular.imag},
-        {"quantity": "modular_residual",
-         "value_re": _modulus(natural - modular) / max(1.0, _modulus(modular)), "value_im": 0.0},
-        {"quantity": "logderiv_dual",
-         "value_re": theta.theta3_logderiv(c + shift, states.TAU_DUAL), "value_im": 0.0},
-    ]
-    _require_finite(rows)
-    emit(_columns(rows), args, ["theta"], _config(args))
+    values = {"center": c, "theta3_natural": t3, "theta2_natural": t2,
+              "norm_modular_route": modular,
+              "modular_residual": _modulus(natural - modular) / max(1.0, _modulus(modular)),
+              "logderiv_dual": theta.theta3_logderiv(c + shift, states.TAU_DUAL)}
+    columns = {"quantity": list(values), "value_re": [v.real for v in values.values()],
+               "value_im": [v.imag for v in values.values()]}
+    _require_finite(columns)
+    emit(columns, args)
     return 0
 
 
@@ -348,45 +344,42 @@ def cmd_cs(args) -> int:
         v1 = states.expect_j(label, method="ratio")
         v2 = states.expect_j(label, method="theta")
         v3 = states.expect_j(label, method="series")
-        rows = [{"expect_j": v2, "ratio_path": v1, "series_path": v3,
-                 "max_spread": max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3))}]
+        columns = {"expect_j": [v2], "ratio_path": [v1], "series_path": [v3],
+                   "max_spread": [max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3))]}
     elif args.action == "expect-u":
         d = states.expect_u(label, method="direct")
         t = states.expect_u(label, method="dual")
-        rows = [{"expect_u_re": t.real, "expect_u_im": t.imag, "expect_u_abs": _modulus(t),
-                 "spread": _modulus(d - t)}]
+        columns = {"expect_u_re": [t.real], "expect_u_im": [t.imag],
+                   "expect_u_abs": [_modulus(t)], "spread": [_modulus(d - t)]}
     elif args.action == "norm2":
-        rows = [{"norm2": states.norm2(label, method="theta"),
-                 "direct_path": states.norm2(label, method="direct"),
-                 "modular_path": states.norm2(label, method="modular")}]
+        columns = {"norm2": [states.norm2(label, method="theta")],
+                   "direct_path": [states.norm2(label, method="direct")],
+                   "modular_path": [states.norm2(label, method="modular")]}
     elif args.action == "distribution":
-        law = states.occupation_law(label, args.j)  # the --j level alone, if given
-        rows = [{"j": jj, "probability": p, "gaussian": g, "deviation": abs(p - g)}
-                for jj, p, g in zip(*(col.tolist() for col in law))]
+        levels, p, g = states.occupation_law(label, args.j)  # the --j level alone, if given
+        columns = {"j": levels.tolist(), "probability": p.tolist(), "gaussian": g.tolist(),
+                   "deviation": np.abs(p - g).tolist()}
     elif args.action == "overlap":
         other = states.StateLabel(l=args.l2, phi=args.phi2, r=args.r, s=args.s)
         direct = states.overlap(label, other, method="direct")
         closed = states.overlap(label, other, method="theta")
-        rows = [{"overlap_re": closed.real, "overlap_im": closed.imag,
-                 "spread": _modulus(direct - closed)}]
+        columns = {"overlap_re": [closed.real], "overlap_im": [closed.imag],
+                   "spread": [_modulus(direct - closed)]}
     elif args.action == "coeffs":
         v = states.build_cs(label, j_max=args.j_max)
-        rows = [{"j": jj, "c_re": cc.real, "c_im": cc.imag}
-                for jj, cc in zip(v.j, v.c)]
+        columns = {"j": v.j.tolist(), "c_re": v.c.real.tolist(), "c_im": v.c.imag.tolist()}
     elif args.action == "quantize":
-        roots = states.quantization_scan(args.r, args.l, args.s)
-        rows = []
-        for phi in roots:
-            lab = states.StateLabel(l=args.l, phi=phi, r=args.r, s=args.s)
-            rows.append({"phi": phi, "center": lab.center,
-                         "expect_j": states.expect_j(lab, method="ratio")})
+        labels = [states.StateLabel(l=args.l, phi=phi, r=args.r, s=args.s)
+                  for phi in states.quantization_scan(args.r, args.l, args.s)]
+        columns = {"phi": [lab.phi for lab in labels], "center": [lab.center for lab in labels],
+                   "expect_j": [states.expect_j(lab, method="ratio") for lab in labels]}
     elif args.action == "fidelity":
-        rows = [{"t": args.t,
-                 "fidelity": states.temporal_fidelity(label, args.t, L0=args.L0)}]
+        columns = {"t": [args.t],
+                   "fidelity": [states.temporal_fidelity(label, args.t, L0=args.L0)]}
     else:
         raise DomainError(f"unknown cs action {args.action!r}")
-    _require_finite(rows)
-    emit(_columns(rows), args, ["cs", args.action], _config(args))
+    _require_finite(columns)
+    emit(columns, args)
     return 0
 
 
@@ -394,14 +387,16 @@ def cmd_spectrum(args) -> int:
     for flag, value in (("--j-max", args.j_max), ("--L0", args.L0), ("--phi", args.phi)):
         if not math.isfinite(value):
             raise DomainError(f"{flag} must be finite, got {value}")
-    rows = []
-    for j in states.level_grid(args.j_max, args.s):
-        general = dynamics.energy_spectrum(float(j), args.L0, args.phi, args.r)
-        rows.append({"j": float(j), "L0": args.L0,
-                     "E": general.E,
-                     "E_border": dynamics.energy_quantized(float(j), args.L0, args.r)})
-    _require_finite(rows)
-    emit(_columns(rows), args, ["spectrum"], _config(args))
+    j = states.level_grid(args.j_max, args.s)
+    columns = {}
+    if j.size:  # an empty grid evaluates no level, so it checks no r
+        E_border = dynamics.energy_quantized(j, args.L0, args.r)
+        L0, phi, r = (np.full(j.size, value) for value in (args.L0, args.phi, args.r))
+        columns = {"j": j.tolist(), "L0": L0.tolist(),
+                   "E": dynamics.mobius_hamiltonians(j, L0, phi, r).tolist(),
+                   "E_border": E_border.tolist()}
+    _require_finite(columns)
+    emit(columns, args)
     return 0
 
 
@@ -411,7 +406,7 @@ def cmd_dynamics(args) -> int:
     s0 = dynamics.MobiusState(phi=args.phi, phi_dot=phi_dot, z0=args.z0, z0_dot=z0_dot)
     traj = dynamics.integrate_mobius(s0, args.r, t_end=args.t_end, dt=args.dt,
                                      energy_tol=args.tol)
-    emit(traj.columns(), args, ["dynamics"], _config(args))
+    emit(traj.columns(), args)
     return 0
 
 
@@ -419,26 +414,20 @@ def cmd_project(args) -> int:
     spec = projection.ProjectionSpec(theta=args.theta, phi=args.phi, delta=args.delta)
     ind = projection.universal_projector(spec, method="indicator")
     quad_val = projection.universal_projector(spec, method="quadrature")
-    rows = [{
-        "defect": spec.argument,
-        "delta": args.delta,
-        "indicator": ind,
-        "quadrature": quad_val,
-        "difference": abs(ind - quad_val),
-    }]
-    emit(_columns(rows), args, ["project"], _config(args))
+    emit({"defect": [spec.argument], "delta": [args.delta], "indicator": [ind],
+          "quadrature": [quad_val], "difference": [abs(ind - quad_val)]}, args)
     return 0
 
 
 def cmd_verify(args) -> int:
     checks = report.run_suite(args.suite)
-    emit(_columns([c.row() for c in checks]), args, ["verify"], _config(args))
-    failed = [c for c in checks if not c.passed]
+    keys = [*(field.name for field in dataclasses.fields(report.VerificationCheck)), "passed"]
+    emit({key: [getattr(c, key) for c in checks] for key in keys}, args)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.check}: max_error={fmt(c.max_error)} tol={fmt(c.tolerance)}",
               file=sys.stderr)
-    return 1 if failed else 0
+    return 0 if all(c.passed for c in checks) else 1
 
 
 _GRID_PART = re.compile(r"^(\w+)=([^:]+):([^:]+):(\d+)$")
@@ -451,8 +440,8 @@ SWEEP_PARAMS = {"l": float, "phi": parse_angle, "r": float, "s": parse_offset,
 def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
     """Parse 'var=start:stop:count[,var=...]' into (name, values) pairs.
 
-    Endpoints are inclusive; count is the number of points; count 0 gives an
-    empty axis (and an empty sweep).
+    Endpoints are inclusive and must be finite; count is the number of
+    points; count 0 gives an empty axis (and an empty sweep).
     """
     axes = []
     for part in spec.split(","):
@@ -466,6 +455,8 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
             lo, hi = SWEEP_PARAMS[name](lo_s), SWEEP_PARAMS[name](hi_s)
         except (ValueError, argparse.ArgumentTypeError):
             raise DomainError(f"cannot parse grid component {part!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"grid endpoints must be finite, got {part.strip()!r}")
         try:
             axes.append((name, np.linspace(lo, hi, int(count_s))))
         except (MemoryError, ValueError):  # past numpy's size limit or the memory
@@ -594,7 +585,7 @@ def cmd_sweep(args) -> int:
     for key in sorted(values):
         columns[key] = values[key]
     columns["error"] = errors
-    emit(columns, args, ["sweep", args.target], _config(args), dict.fromkeys(values, failed))
+    emit(columns, args, dict.fromkeys(values, failed))
     return 1 if failed.any() else 0
 
 

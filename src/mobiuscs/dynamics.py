@@ -203,9 +203,8 @@ def mobius_hamiltonians(J, L0, phi, r) -> np.ndarray:
     the column.  Each row must pass valid_r and hold no infinite phi (where
     mobius_hamiltonian raises): the caller masks the other rows out.
     """
-    half = 0.5 * phi
-    c = _libm(math.cos, half)
-    bracket = _strip_bracket(c, _libm(math.sin, half), r, lambda one: _libm(_pow2, one))
+    c, sn = _libm((math.cos, math.sin), 0.5 * phi)
+    bracket = _strip_bracket(c, sn, r, lambda one: _libm(_pow2, one))
     jj = (J + 0.5 * r * L0 * c) / bracket
     return 0.5 * (jj * jj * bracket + L0 * L0)
 

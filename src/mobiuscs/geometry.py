@@ -144,21 +144,25 @@ def _distinct(bits: np.ndarray) -> np.ndarray | None:
     return kept[np.concatenate(([True], new))]
 
 
-def _libm(fn, col: np.ndarray) -> np.ndarray:
+def _libm(fn, col: np.ndarray):
     """The math function fn at every entry of col (numpy's own may differ in the last bit).
 
     A column that _distinct finds at most half distinct (0.0 and -0.0
     apart) has fn run once per distinct bit pattern, as sweep grids repeat
-    each angle along the other axes; any other column, once per row.
+    each angle along the other axes; any other column, once per row.  A
+    tuple of functions shares the one dedupe and gives a tuple of columns.
     """
+    fns = fn if isinstance(fn, tuple) else (fn,)
     col = np.ascontiguousarray(col, dtype=np.float64)
     bits = col.view(np.int64)
     distinct = _distinct(bits)
     if distinct is None:
-        return np.fromiter(map(fn, col.tolist()), dtype=float, count=col.size)
-    table = np.fromiter(map(fn, distinct.view(np.float64).tolist()), dtype=float,
-                        count=distinct.size)
-    return table[np.searchsorted(distinct, bits)]
+        values, index = col.tolist(), slice(None)
+    else:
+        values, index = distinct.view(np.float64).tolist(), np.searchsorted(distinct, bits)
+    mapped = tuple(np.fromiter(map(f, values), dtype=float, count=len(values))[index]
+                   for f in fns)
+    return mapped if isinstance(fn, tuple) else mapped[0]
 
 
 _pow2 = functools.partial(pow, exp=2)  # a float's ** 2: libm's pow, not numpy's x*x
@@ -184,6 +188,5 @@ def label_centers(l: np.ndarray, phi: np.ndarray, r: np.ndarray, z_sign: int = +
     _check_z_sign(z_sign)
     if not np.all(valid_r(r)):
         raise DomainError("need 0 <= r < 1 in every row")
-    half = 0.5 * phi
-    return ((l + z_sign * r * _libm(math.sin, half))
-            - _libm(math.log, 1.0 + r * _libm(math.cos, half)))
+    sn, c = _libm((math.sin, math.cos), 0.5 * phi)
+    return (l + z_sign * r * sn) - _libm(math.log, 1.0 + r * c)

@@ -34,16 +34,6 @@ class VerificationCheck:
     def passed(self) -> bool:
         return bool(self.max_error <= self.tolerance)
 
-    def row(self) -> dict:
-        return {
-            "check": self.check,
-            "description": self.description,
-            "grid": self.grid,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class Check:

@@ -74,6 +74,7 @@ __all__ = [
     "fiducial",
     "overlap",
     "norm2",
+    "modular_norm",
     "expect_j",
     "expect_u",
     "occupation_law",
@@ -317,10 +318,17 @@ def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.
         j = level_grid(default_j_max(center), label.s)
         return float(np.exp(2.0 * center * j - j * j).sum())
     if method == "modular":
-        shift = 0.0 if label.s == 0.0 else 0.5
-        th = theta3(center + shift, TAU_DUAL)
-        return float(_exp(center * center, "modular norm2") * math.sqrt(math.pi) * th.real)
+        return float(modular_norm(center, label.s).real)
     raise ValueError(f"unknown method {method!r}")
+
+
+def modular_norm(center: float, s: float, what: str = "modular norm2") -> complex:
+    """exp(l'^2)*sqrt(pi)*Theta_3(l' (+1/2) | i*pi), with the theta sum's imaginary roundoff.
+
+    Raises PrecisionError naming ``what`` where exp(l'^2) overflows.
+    """
+    th = theta3(center + (0.0 if s == 0.0 else 0.5), TAU_DUAL)
+    return _exp(center * center, what) * math.sqrt(math.pi) * th
 
 
 def _natural_nus(centers):

@@ -348,9 +348,9 @@ def _shift_prefactors(nu: np.ndarray, tau: complex) -> tuple[np.ndarray, np.ndar
     x, y = _c_prod(k.real, k.imag, quarter.real + nu.real, quarter.imag + nu.imag)
     main = np.isfinite(x) & np.isfinite(y) & (x < _EXP_MAIN_MAX)
     re, im = np.empty(nu.size), np.empty(nu.size)
-    scale, y = _libm(math.exp, x[main]), y[main]
-    re[main] = scale * _libm(math.cos, y)
-    im[main] = scale * _libm(math.sin, y)
+    scale = _libm(math.exp, x[main])
+    cos_y, sin_y = _libm((math.cos, math.sin), y[main])
+    re[main], im[main] = scale * cos_y, scale * sin_y
     for i in np.flatnonzero(~main).tolist():
         p = _shift_prefactor(nu[i].item(), tau)
         re[i], im[i] = p.real, p.imag

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiuscs import cli, dynamics, projection, states, theta
+from mobiuscs import cli, dynamics, projection, report, states, theta
+from mobiuscs.errors import DomainError, PrecisionError
 
 
 def run_cli(args, capsys):
@@ -121,7 +123,7 @@ def sweep_against_one_label_calls(target, grid, flags=(), fmt="csv"):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = one_label_values(target, states.StateLabel(**params))
-            cli._require_finite([expected])
+            cli._require_finite({key: [value] for key, value in expected.items()})
             error = ""
         except Exception as exc:
             expected, error = {}, f"{type(exc).__name__}: {exc}"
@@ -371,6 +373,9 @@ class TestSweep:
         ("workers=1:2:3", "unknown sweep variable 'workers'"),
         ("t=0:1:2", "unknown sweep variable 't'"),
         ("l=a:b:3", "cannot parse grid component"),
+        ("theta=0:inf:3", "grid endpoints must be finite, got 'theta=0:inf:3'"),
+        ("l=-inf:0:3", "grid endpoints must be finite, got 'l=-inf:0:3'"),
+        ("phi=nan:1:2", "grid endpoints must be finite, got 'phi=nan:1:2'"),
     ])
     def test_bad_grid_exit_code(self, capsys, grid, message):
         code, out, err = run_cli(["sweep", "expect-j", "--grid", grid], capsys)
@@ -577,7 +582,7 @@ def scalar_sweep_text(argv, fmt):
             else:
                 spec = projection.ProjectionSpec(params["theta"], params["phi"], params["delta"])
                 value = projection.universal_projector(spec, method="indicator")
-            cli._require_finite([{key: value}])
+            cli._require_finite({key: [value]})
             row.update({key: value, "error": ""})
         except Exception as exc:
             row.update({key: "", "error": f"{type(exc).__name__}: {exc}"})
@@ -596,7 +601,7 @@ COLUMN_SWEEPS = [
     ["energy", "--grid", "r=-0.5:1.5:9,j=0:2:3"],                     # r < 0 and r >= 1
     ["energy", "--grid", "j=-1:1:3", "--phi", "inf"],                 # cos(inf)
     ["energy", "--grid", "r=0.5:1.5:3", "--phi=-inf"],                # r is checked first
-    ["energy", "--grid", "phi=0:inf:3,j=-1:1:2", "--theta", "nan"],   # NaN and inf phi
+    ["energy", "--grid", "j=-1:1:2,L0=0:1:2", "--phi", "nan", "--theta", "nan"],  # NaN phi
     ["energy", "--grid", "j=1e150:1e200:4,r=0:0.9:2"],                # E overflows
     ["energy", "--j", "1e200", "--grid", "L0=-1:1:3"],
     ["energy", "--grid", "phi=0:4pi:9,r=-0.25:1.25:7,j=-1e200:1e200:3"],  # all of them
@@ -648,6 +653,158 @@ class TestColumnSweeps:
         assert sizes == [5000, 5000]  # the r < 1 rows, the delta > 0 rows: one batch each
 
 
+def checked_exp(x, what):
+    """math.exp(x), or the PrecisionError the modular routes raise where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise PrecisionError(f"{what} overflows: exp({x:g})", achieved=math.inf) from None
+
+
+def point_rows(args):
+    """A point command's table as a list of row dicts, each cell from its scalar route."""
+    if args.command == "spectrum":
+        for flag, value in (("--j-max", args.j_max), ("--L0", args.L0), ("--phi", args.phi)):
+            if not math.isfinite(value):
+                raise DomainError(f"{flag} must be finite, got {value}")
+        return [{"j": j, "L0": args.L0,
+                 "E": dynamics.energy_spectrum(j, args.L0, args.phi, args.r).E,
+                 "E_border": dynamics.energy_quantized(j, args.L0, args.r)}
+                for j in states.level_grid(args.j_max, args.s).tolist()]
+    if args.command == "project":
+        spec = projection.ProjectionSpec(theta=args.theta, phi=args.phi, delta=args.delta)
+        ind = projection.universal_projector(spec, method="indicator")
+        quad = projection.universal_projector(spec, method="quadrature")
+        return [{"defect": spec.argument, "delta": args.delta, "indicator": ind,
+                 "quadrature": quad, "difference": abs(ind - quad)}]
+    if args.command == "verify":
+        return [{**dataclasses.asdict(c), "passed": c.passed} for c in report.run_suite(args.suite)]
+    label = cli.make_label(args)
+    c, shift = label.center, 0.0 if args.s == 0.0 else 0.5
+    if args.command == "theta":
+        t3 = theta.theta3(1j * c / math.pi, states.TAU_NATURAL)
+        t2 = theta.theta2(1j * c / math.pi, states.TAU_NATURAL)
+        modular = (checked_exp(c * c, "norm_modular_route") * math.sqrt(math.pi)
+                   * theta.theta3(c + shift, states.TAU_DUAL))
+        natural = t3 if args.s == 0.0 else t2
+        residual = cli._modulus(natural - modular) / max(1.0, cli._modulus(modular))
+        return [{"quantity": "center", "value_re": c, "value_im": 0.0},
+                {"quantity": "theta3_natural", "value_re": t3.real, "value_im": t3.imag},
+                {"quantity": "theta2_natural", "value_re": t2.real, "value_im": t2.imag},
+                {"quantity": "norm_modular_route", "value_re": modular.real,
+                 "value_im": modular.imag},
+                {"quantity": "modular_residual", "value_re": residual, "value_im": 0.0},
+                {"quantity": "logderiv_dual",
+                 "value_re": theta.theta3_logderiv(c + shift, states.TAU_DUAL), "value_im": 0.0}]
+    if args.action == "expect-j":
+        v1, v2, v3 = (states.expect_j(label, method=m) for m in ("ratio", "theta", "series"))
+        return [{"expect_j": v2, "ratio_path": v1, "series_path": v3,
+                 "max_spread": max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3))}]
+    if args.action == "expect-u":
+        d, t = states.expect_u(label, method="direct"), states.expect_u(label, method="dual")
+        return [{"expect_u_re": t.real, "expect_u_im": t.imag, "expect_u_abs": cli._modulus(t),
+                 "spread": cli._modulus(d - t)}]
+    if args.action == "norm2":
+        natural = states.norm2(label, method="theta")
+        direct = states.norm2(label, method="direct")
+        th = theta.theta3(c + shift, states.TAU_DUAL)
+        modular = float(checked_exp(c * c, "modular norm2") * math.sqrt(math.pi) * th.real)
+        return [{"norm2": natural, "direct_path": direct, "modular_path": modular}]
+    if args.action == "distribution":
+        law = states.occupation_law(label, args.j)
+        return [{"j": j, "probability": p, "gaussian": g, "deviation": abs(p - g)}
+                for j, p, g in zip(*(col.tolist() for col in law))]
+    if args.action == "overlap":
+        other = states.StateLabel(l=args.l2, phi=args.phi2, r=args.r, s=args.s)
+        direct = states.overlap(label, other, method="direct")
+        closed = states.overlap(label, other, method="theta")
+        return [{"overlap_re": closed.real, "overlap_im": closed.imag,
+                 "spread": cli._modulus(direct - closed)}]
+    if args.action == "coeffs":
+        v = states.build_cs(label, j_max=args.j_max)
+        return [{"j": j, "c_re": cc.real, "c_im": cc.imag} for j, cc in zip(v.j, v.c)]
+    if args.action == "quantize":
+        rows = []
+        for phi in states.quantization_scan(args.r, args.l, args.s):
+            lab = states.StateLabel(l=args.l, phi=phi, r=args.r, s=args.s)
+            rows.append({"phi": phi, "center": lab.center,
+                         "expect_j": states.expect_j(lab, method="ratio")})
+        return rows
+    return [{"t": args.t, "fidelity": states.temporal_fidelity(label, args.t, L0=args.L0)}]
+
+
+def point_reference(argv, fmt):
+    """(stdout, stderr, exit code) of a point command, from its table built row by row."""
+    args = cli.build_parser().parse_args([*argv, "--format", fmt])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = point_rows(args)
+        if args.command not in ("project", "verify"):
+            for row in rows:
+                for key, value in row.items():
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise PrecisionError(f"{key} is not finite", achieved=value)
+    except DomainError as exc:
+        return "", f"error: {exc}\n", 2
+    except PrecisionError as exc:
+        return "", f"precision failure: {exc} (achieved {exc.achieved})\n", 1
+    code, err = 0, ""
+    if args.command == "verify":
+        code = 0 if all(row["passed"] for row in rows) else 1
+        err = "".join(f"{'PASS' if row['passed'] else 'FAIL'} {row['check']}: "
+                      f"max_error={cli.fmt(row['max_error'])} tol={cli.fmt(row['tolerance'])}\n"
+                      for row in rows)
+    if fmt == "csv":
+        return TestEmit.oracle_csv(rows), err, code
+    command = [args.command, *([args.action] if args.command == "cs" else [])]
+    artifact = {"command": command, "config": cli._config(args), "rows": rows}
+    return json.dumps(artifact, default=float) + "\n", err, code
+
+
+CS_ACTIONS = ("expect-j", "expect-u", "norm2", "distribution", "overlap", "coeffs", "quantize",
+              "fidelity")
+POINT_COMMANDS = [
+    *([*argv, "--s", s] for s in ("int", "half") for argv in (
+        ["theta", "--l", "0.3", "--phi", "1"],
+        ["theta", "--l", "30", "--r", "0"],                    # the modular norm overflows
+        ["theta", "--l", "-2.5", "--phi", "pi", "--r", "0.7"],
+        *(["cs", action, "--l", "0.3", "--phi", "1"] for action in CS_ACTIONS),
+        ["cs", "distribution", "--l", "0.4", "--j", "2"],      # one row, or not a half level
+        ["cs", "coeffs", "--l", "0.4", "--j-max", "12"],
+        ["cs", "coeffs", "--l", "5", "--j-max", "3"],          # the tail is too wide
+        ["cs", "norm2", "--l", "26.3", "--r", "0"],
+        ["cs", "overlap", "--l", "0.2", "--l2", "-1", "--phi2", "pi/2"],
+        ["cs", "quantize", "--l", "2"],
+        ["cs", "fidelity", "--l", "0.2", "--t", "0.7", "--L0", "0.3"],
+        ["spectrum"],
+        ["spectrum", "--j-max", "7.5", "--phi", "0.3", "--L0", "-0.7", "--r", "0.9"],
+        ["spectrum", "--j-max", "0.3", "--r", "1.5"],          # no level in the half sector
+        ["spectrum", "--r", "1.5"],
+        ["spectrum", "--L0", "1e200"],                         # E overflows
+    )),
+    ["project", "--theta", "pi/2", "--phi", "0", "--delta", "0.1"],
+    ["project", "--theta", "1", "--delta", "-0.1"],
+    ["verify", "--suite", "theta"],
+]
+
+
+class TestPointTables:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", POINT_COMMANDS, ids=" ".join)
+    def test_output_matches_the_row_wise_build(self, capsys, argv, fmt):
+        code, out, err = run_cli([*argv, "--format", fmt], capsys)
+        assert (out, err, code) == point_reference(argv, fmt)
+
+    def test_cases_cover_every_outcome(self):
+        codes = {argv[0]: set() for argv in POINT_COMMANDS}
+        for argv in POINT_COMMANDS:
+            out, _, code = point_reference(argv, "csv")
+            codes[argv[0]].add((code, bool(out)))
+        assert codes["spectrum"] == {(0, True), (0, False), (1, False), (2, False)}
+        assert codes["cs"] >= {(0, True), (1, False), (2, False)}
+        assert codes["theta"] == {(0, True), (1, False)}
+
+
 class TestEmit:
     @staticmethod
     def oracle_csv(rows):
@@ -664,7 +821,8 @@ class TestEmit:
     @staticmethod
     def emitted(columns, fmt, tmp_path, blank=None):
         out = tmp_path / f"table.{fmt}"
-        cli.emit(columns, SimpleNamespace(format=fmt, out=str(out)), ["test"], {"n": 1}, blank)
+        args = SimpleNamespace(command="verify", suite="theta", format=fmt, out=str(out))
+        cli.emit(columns, args, blank)
         return out.read_bytes()
 
     @staticmethod
@@ -707,7 +865,7 @@ class TestEmit:
                  "blank_first_chunk": np.arange(n) < cli.CHUNK_ROWS + 3}
         rows = self.rows_with_blanks(columns, blank)
         assert self.emitted(columns, "csv", tmp_path, blank) == self.oracle_csv(rows).encode()
-        artifact = {"command": ["test"], "config": {"n": 1}, "rows": rows}
+        artifact = {"command": ["verify"], "config": {"suite": "theta"}, "rows": rows}
         assert self.emitted(columns, "json", tmp_path, blank) == (
             json.dumps(artifact, default=float) + "\n").encode()
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobiuscs import dynamics, geometry
 from mobiuscs.errors import DomainError
 from mobiuscs.geometry import (
     TorusGeometry,
@@ -158,6 +159,29 @@ class TestLibm:
     def test_signed_zeros_stay_apart(self):
         col = np.array([0.0, -0.0] * 8)
         assert _libm(lambda x: math.copysign(1.0, x), col).tolist() == [1.0, -1.0] * 8
+
+    @pytest.mark.parametrize("col", [np.repeat(np.linspace(0.0, 2 * math.pi, 50), 40),
+                                     np.random.default_rng(6).standard_normal(2000)])
+    def test_functions_share_one_dedupe(self, col):
+        sin, cos = _libm((math.sin, math.cos), col)
+        assert sin.tobytes() == _libm(math.sin, col).tobytes()
+        assert cos.tobytes() == _libm(math.cos, col).tobytes()
+
+    def test_one_dedupe_per_angle_column(self, monkeypatch):
+        l, phi = (axis.ravel() for axis in np.meshgrid(
+            np.linspace(-32.0, 32.0, 100), np.linspace(0.0, 4 * math.pi, 100), indexing="ij"))
+        r = np.full(l.size, 0.5)
+        calls = []
+        monkeypatch.setattr(geometry, "_distinct",
+                            lambda bits, fn=geometry._distinct: calls.append(bits.size) or fn(bits))
+        centers = label_centers(l, phi, r)
+        energies = dynamics.mobius_hamiltonians(l, r, phi, r)
+        # sin and cos of phi/2 share one dedupe; log and pow take one more column each
+        assert calls == [l.size] * 4
+        rows = list(zip(l.tolist(), phi.tolist()))
+        assert centers.tobytes() == np.array([label_center(x, p, 0.5) for x, p in rows]).tobytes()
+        assert energies.tobytes() == np.array(
+            [dynamics.mobius_hamiltonian(x, 0.5, p, 0.5) for x, p in rows]).tobytes()
 
 
 class TestDistinct:
