@@ -440,8 +440,9 @@ SWEEP_PARAMS = {"l": float, "phi": parse_angle, "r": float, "s": parse_offset,
 def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
     """Parse 'var=start:stop:count[,var=...]' into (name, values) pairs.
 
-    Endpoints are inclusive and must be finite; count is the number of
-    points; count 0 gives an empty axis (and an empty sweep).
+    Endpoints are inclusive, and they and every point between must be
+    finite; count is the number of points; count 0 gives an empty axis
+    (and an empty sweep).
     """
     axes = []
     for part in spec.split(","):
@@ -458,9 +459,12 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError(f"grid endpoints must be finite, got {part.strip()!r}")
         try:
-            axes.append((name, np.linspace(lo, hi, int(count_s))))
+            values = np.linspace(lo, hi, int(count_s))
         except (MemoryError, ValueError):  # past numpy's size limit or the memory
             raise DomainError(f"cannot allocate the grid axis {part.strip()!r}") from None
+        if not np.all(np.isfinite(values)):  # hi - lo overflows: linspace gives inf and NaN
+            raise DomainError(f"grid points must be finite, got {part.strip()!r}")
+        axes.append((name, values))
     return axes
 
 

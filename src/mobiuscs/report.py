@@ -70,7 +70,7 @@ def _theta3_modular() -> float:
     err = 0.0
     for lp in np.linspace(-2.0, 2.0, 50):
         direct = theta.theta3(1j * lp / math.pi, TAU_NATURAL)
-        closed = math.exp(lp * lp) * math.sqrt(math.pi) * theta.theta3(lp, TAU_DUAL)
+        closed = states.modular_norm(lp, 0.0)
         err = max(err, abs(direct - closed) / abs(closed))
     return err
 

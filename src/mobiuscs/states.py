@@ -29,7 +29,8 @@ needs 5 terms at any l', and its Theta_3 has period 1 in nu, so the batched
 <U> route reads it at the reduced center l' - round(l') and is finite at
 any finite l'.  The <J> ratio and direct <U> routes sum the rescaled
 weights exp(-(j - l')^2), which never overflow.  norm2 itself leaves
-double range past |l'| ~ 26.6 on every route.
+double range past |l'| ~ 26.6, and its s = 1/2 theta route from l' ~ 26.1:
+the shifted Theta_3 it sums carries a factor exp(l' + 1/4) above Theta_2.
 
 The distinguished angles phi = (2k+1)*pi place the particle on the strip
 border, where l' = l +/- r and the theta correction to <J> vanishes; with
@@ -46,16 +47,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .geometry import _rejected, coherent_label, label_center, label_centers, valid_r
+from .geometry import _libm, _rejected, coherent_label, label_center, label_centers, valid_r
 from .dynamics import energy_quantized
 from .theta import (
     COLUMN_MIN_ROWS,
-    _c_prod,
-    _c_quot,
-    _complex,
+    _shift_prefactor,
     row_blocks,
     theta2,
-    theta2_many,
     theta3,
     theta3_logderiv,
     theta3_many,
@@ -307,11 +305,13 @@ def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.
     method="theta"    Theta_{3|2}(i*l'/pi | i/pi);
     method="modular"  exp(l'^2)*sqrt(pi)*Theta_3(l' (+1/2) | i*pi).
 
+    Each route overflows past |l'| ~ 26.6, where exp(l'^2) leaves double
+    range; the s = 1/2 theta route from l' ~ 26.1, since the shifted
+    Theta_3(i*l'/pi + i/(2*pi) | i/pi) it sums is exp(l' + 1/4) times Theta_2.
     A LabelBatch (method="theta") gives an array, its theta sums batched.
     """
     if method == "theta":
-        many = theta3_many if label.s == 0.0 else theta2_many
-        return _batched(label, lambda batch: many(_natural_nus(batch.centers), TAU_NATURAL).real)
+        return _batched(label, _natural_norm2)
     _refuse_batch("norm2", label, "theta", method)
     center = label.center
     if method == "direct":
@@ -331,17 +331,28 @@ def modular_norm(center: float, s: float, what: str = "modular norm2") -> comple
     return _exp(center * center, what) * math.sqrt(math.pi) * th
 
 
-def _natural_nus(centers):
-    """1j*c/pi at every center c, as Python's complex arithmetic gives it.
+def _natural_norm2(batch: LabelBatch) -> np.ndarray:
+    """Theta_{3|2}(i*l'/pi | i/pi) per label: theta3's or theta2's real part at 1j*l'/pi.
 
-    From COLUMN_MIN_ROWS centers on, as a column in CPython's real
-    operations (a center of -0.0 gives 0j there too).
+    Bit for bit at every finite l': at a purely imaginary nu both sums are
+    real, and Theta_2's shift prefactor exp(i*pi*(tau/4 + nu)) is exp(x),
+    x = -pi*((1/pi)/4 + l'/pi): libm's exp(x), as cmath.exp's main branch
+    gives it below 708 (its rescaled branch starts at log(DBL_MAX/4) =
+    708.39...).  Any other row takes theta._shift_prefactor itself, in row
+    order after the Theta_3 sums, so an overflowing prefactor raises its
+    own PrecisionError.
     """
-    if len(centers) < COLUMN_MIN_ROWS:
-        return [1j * c / math.pi for c in centers]
-    with np.errstate(all="ignore"):  # Python's float arithmetic gives inf and NaN silently
-        return _complex(*_c_quot(*_c_prod(0.0, 1.0, np.asarray(centers, dtype=float), 0.0),
-                                 complex(math.pi)))
+    nu = 1j * (np.asarray(batch.centers, dtype=float) / math.pi)
+    if batch.s == 0.0:
+        return theta3_many(nu, TAU_NATURAL).real
+    t3 = theta3_many(nu + TAU_NATURAL / 2.0, TAU_NATURAL).real
+    x = -math.pi * (TAU_NATURAL.imag / 4.0 + nu.imag)
+    main = x < 708.0
+    prefactor = np.empty(x.size)
+    prefactor[main] = _libm(math.exp, x[main])
+    for i in np.flatnonzero(~main).tolist():
+        prefactor[i] = _shift_prefactor(complex(nu[i]), TAU_NATURAL).real
+    return prefactor * t3
 
 
 def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | np.ndarray:

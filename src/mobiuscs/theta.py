@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, PrecisionError
-from .geometry import _libm
 
 __all__ = [
     "SeriesPolicy",
@@ -40,7 +39,6 @@ __all__ = [
     "theta3",
     "theta3_many",
     "theta2",
-    "theta2_many",
     "theta2_series",
     "theta3_modular",
     "theta3_logderiv",
@@ -286,75 +284,6 @@ def theta2(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> 
     nu = complex(nu)
     t3 = theta3(nu + tau / 2.0, tau, policy)
     return _shift_prefactor(nu, tau) * t3
-
-
-def theta2_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """:func:`theta2` at every entry of ``nu``, bit for bit.
-
-    The shifted Theta3 sums go through :func:`theta3_many`.  From
-    COLUMN_MIN_ROWS entries on, each prefactor and product is taken as
-    float64 columns (_shift_prefactors, _c_prod); a shorter column takes
-    them in Python complex arithmetic, as in :func:`theta2`.
-    """
-    tau = _check_tau(tau)
-    nu = np.array(nu, dtype=complex).ravel()
-    t3 = theta3_many(nu + tau / 2.0, tau, policy)
-    if nu.size < COLUMN_MIN_ROWS:
-        return np.array([_shift_prefactor(v, tau) * t for v, t in zip(nu.tolist(), t3.tolist())],
-                        dtype=complex)
-    with np.errstate(all="ignore"):  # Python's float arithmetic gives inf and NaN silently
-        return _complex(*_c_prod(*_shift_prefactors(nu, tau), t3.real, t3.imag))
-
-
-def _c_prod(ar, ai, br, bi):
-    """(ar + i*ai) * (br + i*bi) in the real operations of CPython's complex product."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _c_quot(ar, ai, b: complex):
-    """(ar + i*ai) / b in the real operations of CPython's complex quotient.
-
-    Its branch for |Re b| >= |Im b| > 0 only, the one a real divisor takes.
-    """
-    ratio = b.imag / b.real
-    denom = b.real + b.imag * ratio
-    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex column with parts re and im, each part kept bit for bit."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-# below this real part cmath.exp takes its main branch, exp(x)*cos(y) + i*exp(x)*sin(y),
-# and cannot overflow (its rescaled branch starts at log(DBL_MAX/4) = 708.396...)
-_EXP_MAIN_MAX = 708.0
-
-
-def _shift_prefactors(nu: np.ndarray, tau: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(real, imag) columns of _shift_prefactor at every entry of ``nu``, bit for bit.
-
-    The exponent 1j*pi*(tau/4 + nu) is formed in CPython's real operations
-    and exponentiated as cmath.exp's main branch does, with libm's exp, cos
-    and sin mapped (geometry._libm).  Rows where cmath.exp would take
-    another branch (a non-finite part, a real part from _EXP_MAIN_MAX on)
-    call _shift_prefactor itself, in index order, so the first row whose
-    prefactor overflows raises its PrecisionError.
-    """
-    quarter = tau / 4.0
-    k = 1j * math.pi
-    x, y = _c_prod(k.real, k.imag, quarter.real + nu.real, quarter.imag + nu.imag)
-    main = np.isfinite(x) & np.isfinite(y) & (x < _EXP_MAIN_MAX)
-    re, im = np.empty(nu.size), np.empty(nu.size)
-    scale = _libm(math.exp, x[main])
-    cos_y, sin_y = _libm((math.cos, math.sin), y[main])
-    re[main], im[main] = scale * cos_y, scale * sin_y
-    for i in np.flatnonzero(~main).tolist():
-        p = _shift_prefactor(nu[i].item(), tau)
-        re[i], im[i] = p.real, p.imag
-    return re, im
 
 
 def theta3_modular(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:

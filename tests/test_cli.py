@@ -376,6 +376,9 @@ class TestSweep:
         ("theta=0:inf:3", "grid endpoints must be finite, got 'theta=0:inf:3'"),
         ("l=-inf:0:3", "grid endpoints must be finite, got 'l=-inf:0:3'"),
         ("phi=nan:1:2", "grid endpoints must be finite, got 'phi=nan:1:2'"),
+        # finite endpoints whose span overflows: linspace gives [nan, inf, 1e308], [nan, 1.7e308]
+        ("theta=-1e308:1e308:3", "grid points must be finite, got 'theta=-1e308:1e308:3'"),
+        ("l=-1.7e308:1.7e308:2", "grid points must be finite, got 'l=-1.7e308:1.7e308:2'"),
     ])
     def test_bad_grid_exit_code(self, capsys, grid, message):
         code, out, err = run_cli(["sweep", "expect-j", "--grid", grid], capsys)
@@ -461,8 +464,8 @@ class TestSweep:
 
     def test_grid_sweep_maps_libm_once_per_distinct_angle(self, capsys, monkeypatch):
         # a 100x100 grid repeats each phi along l: sin and cos run once per distinct
-        # half-angle in label_centers and once for the Theta2 prefactor angle that every
-        # row shares, and no row takes the scalar prefactor
+        # half-angle in label_centers; the Theta2 prefactor exp(-l' - 1/4) is real and
+        # calls neither, and no row takes the scalar prefactor
         calls = dict.fromkeys(("sin", "cos", "_shift_prefactor"), 0)
         for owner, name in ((math, "sin"), (math, "cos"), (theta, "_shift_prefactor")):
             def counted(*args, name=name, fn=getattr(owner, name)):
@@ -474,7 +477,7 @@ class TestSweep:
         rows = csv_rows(out)
         assert code == 1 and len(rows) == 10_000  # rows past |l'| ~ 26.6 overflow
         assert 0 < sum(bool(row["error"]) for row in rows) < 5000
-        assert calls["sin"] <= 100 + 1 and calls["cos"] <= 100 + 1
+        assert calls["sin"] <= 100 and calls["cos"] <= 100
         assert calls["_shift_prefactor"] == 0
 
     def test_failing_batch_rows_keep_their_own_errors(self, capsys):
@@ -485,6 +488,13 @@ class TestSweep:
         assert errors[0].startswith("PrecisionError: lattice sum did not reach")
         assert errors[1].startswith("PrecisionError: Theta2 prefactor overflows")
         assert errors[2] == ""
+        code, out, _ = run_cli(["sweep", "norm2", "--grid", "l=-900:-700:3", "--r", "0",
+                                "--s", "half"], capsys)
+        assert code == 1
+        assert [row["error"] for row in csv_rows(out)] == [
+            "PrecisionError: Theta2 prefactor overflows: exp(899.75)",
+            "PrecisionError: Theta2 prefactor overflows: exp(799.75)",
+            "PrecisionError: norm2 is not finite"]
 
     def test_far_level_grid_rows_keep_their_own_errors(self, capsys):
         code, out, _ = run_cli(["sweep", "expect-j", "--grid", "l=-1e300:1e300:5", "--r", "0"],

@@ -15,7 +15,7 @@ from mobiuscs.states import (
     FockVector,
     LabelBatch,
     StateLabel,
-    _natural_nus,
+    TAU_NATURAL,
     bargmann_coeff,
     build_cs,
     default_j_max,
@@ -34,7 +34,7 @@ from mobiuscs.states import (
     quantization_scan,
     temporal_fidelity,
 )
-from mobiuscs.theta import COLUMN_MIN_ROWS
+from mobiuscs.theta import COLUMN_MIN_ROWS, theta2, theta3
 
 RNG = np.random.default_rng(314159)
 
@@ -314,29 +314,70 @@ class TestNorm:
             ref = float(mp_sums(center, s)[2])
             assert abs(got - ref) <= 1e-13 * ref, center
 
+    @staticmethod
+    def theta_norms(centers, s):
+        """norm2's bytes at a LabelBatch of the centers, or the text it raises."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                batch = LabelBatch(centers, np.zeros(len(centers)), s)
+                return norm2(batch, method="theta").tobytes()
+        except PrecisionError as exc:
+            return str(exc)
+
+    @staticmethod
+    def scalar_theta(centers, s):
+        """The real parts of theta3 (s = 0) or theta2 (s = 1/2) at 1j*c/pi, in index order.
+
+        As bytes, or the text of the first entry that raises.
+        """
+        fn = theta3 if s == 0.0 else theta2
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.array([fn(1j * c / math.pi, TAU_NATURAL).real for c in centers]).tobytes()
+        except PrecisionError as exc:
+            return str(exc)
+
     @pytest.mark.parametrize("s", [0.0, 0.5])
-    def test_theta_batch_at_edge_centers_matches_one_label_batches(self, s):
-        # from COLUMN_MIN_ROWS labels on, nu = 1j*c/pi is formed in real operations;
-        # a center of -0.0 must still give 0j, as Python's complex arithmetic does
-        rng = np.random.default_rng(52)
-        centers = np.array([-0.0, 0.0, 30.0, -30.0, 2.0 ** 52, -(2.0 ** 52)]
-                           + rng.uniform(-40.0, 40.0, COLUMN_MIN_ROWS).tolist())
-        nus = _natural_nus(centers)
-        assert nus.tobytes() == np.array([1j * c / math.pi for c in centers.tolist()]).tobytes()
-        assert (bits(nus[0].real), bits(nus[0].imag)) == (bits(0.0), bits(0.0))
+    @pytest.mark.parametrize("size", [1, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS])
+    def test_theta_route_is_the_scalar_theta_sum(self, s, size):
+        # bit for bit at signed zeros and near the overflow edge; at +-2^52 the lattice
+        # sums exceed max_terms, and a batch raises the error of its first failing row
+        rng = np.random.default_rng(size)
+        centers = [-0.0, 0.0, 26.0, -26.0, 2.0 ** 52, -(2.0 ** 52),
+                   *rng.uniform(-40.0, 40.0, 2 * size).tolist()]
+        failures = 0
+        for lo in range(0, len(centers), size):
+            batch = centers[lo:lo + size]
+            finite = [c for c in batch if abs(c) < 2.0 ** 52]
+            assert self.theta_norms(finite, s) == self.scalar_theta(finite, s)
+            expected = self.scalar_theta(batch, s)
+            assert self.theta_norms(batch, s) == expected
+            failures += isinstance(expected, str)
+        assert failures == (2 if size == 1 else 1)
 
-        def theta_norms(cs):
-            """norm2's bytes at a LabelBatch of the centers cs, or the text it raises."""
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return norm2(LabelBatch(cs, np.zeros(len(cs)), s), method="theta").tobytes()
-            except PrecisionError as exc:
-                return str(exc)
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_theta_route_at_a_non_finite_center_fails_at_the_cap(self, s, bad):
+        # nu = 1j*(c/pi) is nan+nanj at a NaN center, as 1j*c/pi is; at c = +-inf it is
+        # nan+-infj, where Python's complex quotient gives nan+nanj (achieved bound nan)
+        centers = np.random.default_rng(6).uniform(-20.0, 20.0, 2 * COLUMN_MIN_ROWS).tolist()
+        centers[70] = bad
+        got = self.theta_norms(centers, s)
+        assert got == ("lattice sum did not reach tol=1e-14 within 10000 terms "
+                       f"(achieved bound {'nan' if math.isnan(bad) else 'inf'})")
+        if math.isnan(bad):
+            assert got == self.scalar_theta(centers, s)
 
-        finite = np.delete(centers, [4, 5])  # the lattice sums at +-2^52 exceed max_terms
-        assert theta_norms(finite) == b"".join(theta_norms([c]) for c in finite.tolist())
-        assert theta_norms(centers) == theta_norms([2.0 ** 52])  # the first failing row's error
-        assert theta_norms(centers).startswith("lattice sum did not reach")
+    def test_theta_route_raises_the_first_overflowing_prefactor(self):
+        # Theta2's prefactor exp(x), x = -l' - 1/4 as rounded: from x = 708 each row takes
+        # the scalar prefactor (cmath.exp's rescaled branch), which overflows past 709.78
+        centers = (-0.25 - np.linspace(707.0, 712.0, 400)).tolist()
+        below = [c for c in centers if c > -709.7]
+        for batch in (centers, centers[::-1], below):
+            assert self.theta_norms(batch, 0.5) == self.scalar_theta(batch, 0.5)
+        assert isinstance(self.theta_norms(below, 0.5), bytes)
+        assert self.theta_norms(centers, 0.5).startswith("Theta2 prefactor overflows: exp(709.")
+        assert self.theta_norms(centers[::-1], 0.5).startswith("Theta2 prefactor overflows: exp(712")
 
     def test_depends_only_on_center(self):
         a = label_for_center(0.37, 0.5, 0.5)

@@ -18,7 +18,6 @@ from mobiuscs.theta import (
     _truncation_order,
     _truncation_orders,
     theta2,
-    theta2_many,
     theta2_series,
     theta3,
     theta3_logderiv,
@@ -107,11 +106,10 @@ class TestTheta2:
         # exp(i*pi*(tau/4 + nu)) = exp(-center - 1/4) at nu = i*center/pi leaves double
         # range (the shifted Theta3 sum there overflows to inf, with numpy's warning)
         nu = 1j * center / math.pi
-        for call in (lambda: theta2(nu, TAU_NATURAL), lambda: theta2_many([nu], TAU_NATURAL)):
-            with np.errstate(over="ignore"), pytest.raises(
-                    PrecisionError, match=r"Theta2 prefactor overflows: exp\(") as exc:
-                call()
-            assert exc.value.achieved == math.inf
+        with np.errstate(over="ignore"), pytest.raises(
+                PrecisionError, match=r"Theta2 prefactor overflows: exp\(") as exc:
+            theta2(nu, TAU_NATURAL)
+        assert exc.value.achieved == math.inf
 
 
 class TestModular:
@@ -301,65 +299,12 @@ class TestMany:
                              rng.uniform(-1.0, 1.0, 100) + 1j * rng.uniform(-3.0, 3.0, 100)])
         # bytes, so that overflowed entries (inf and NaN parts) compare too
         with np.errstate(over="ignore", invalid="ignore"):
-            many3, many2 = theta3_many(nu, tau), theta2_many(nu, tau)
-            scalar3 = np.array([theta3(v, tau) for v in nu])
-            scalar2 = np.array([theta2(v, tau) for v in nu])
-        assert many3.tobytes() == scalar3.tobytes()
-        assert many2.tobytes() == scalar2.tobytes()
-
-    @staticmethod
-    def theta2_or_failure(nu, tau):
-        """(theta2_many bytes, scalar bytes), or the text each raises; scalars run in index order."""
-        def run(evaluate):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return evaluate().tobytes()
-            except (PrecisionError, ValueError) as exc:
-                return f"{type(exc).__name__}: {exc}"
-        return (run(lambda: theta2_many(nu, tau)),
-                run(lambda: np.array([theta2(v, tau) for v in nu.tolist()], dtype=complex)))
-
-    @pytest.mark.parametrize("tau", [TAU_NATURAL, TAU_DUAL, 0.3 + 0.8j])
-    @pytest.mark.parametrize("size", [COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS])
-    def test_theta2_signed_zeros_and_batch_sizes(self, tau, size):
-        # the column path forms the prefactor from real parts: each signed zero must survive
-        zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
-        edge = [complex(x, y) for x in (0.0, -0.0, 1.5, -1.5) for y in (0.0, -0.0, 2.0, -2.0)]
-        rng = np.random.default_rng(size)
-        filler = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-3.0, 3.0, size)
-        nu = np.array([*zeros, *edge, *filler])[:size]
-        many, scalar = self.theta2_or_failure(nu, tau)
-        assert isinstance(many, bytes) and many == scalar
-
-    @pytest.mark.parametrize("tau", [TAU_NATURAL, 4j * 709.0 / math.pi])
-    def test_theta2_prefactor_overflow_edge(self, tau):
-        # the prefactor's exponent has real part x = -pi*Im(tau/4 + nu): rows below 708 take
-        # the column path, rows up to log(DBL_MAX/4) and past it cmath.exp, which overflows
-        # past 709.78; each batch raises the PrecisionError of its first failing row.  At
-        # Im(tau) = 4*709/pi the shifted Theta3 is of order 1 there, so the values stay
-        # finite up to the overflow and show every bit of the prefactor.
-        b = complex(tau).imag
-        x = np.linspace(707.0, 712.0, 400)
-        nu = np.random.default_rng(4).uniform(-1.0, 1.0, x.size) - 1j * (x / math.pi + b / 4.0)
-        finite, results = x < 709.7, {}
-        for name, batch in (("finite", nu[finite]), ("all", nu), ("reversed", nu[~finite][::-1])):
-            many, scalar = self.theta2_or_failure(batch, tau)
-            assert many == scalar
-            results[name] = many
-        assert isinstance(results["finite"], bytes)
-        assert results["all"].startswith("PrecisionError: Theta2 prefactor overflows: exp(709.")
-        assert results["reversed"].startswith("PrecisionError: Theta2 prefactor overflows: exp(712")
-
-    @pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
-    def test_theta2_non_finite_real_part_fails_as_the_scalar_route(self, part):
-        nu = np.random.default_rng(6).uniform(-1.0, 1.0, 2 * COLUMN_MIN_ROWS).astype(complex)
-        nu[70] = complex(part, 0.5)
-        many, scalar = self.theta2_or_failure(nu, TAU_NATURAL)
-        assert many == scalar
+            many = theta3_many(nu, tau)
+            scalar = np.array([theta3(v, tau) for v in nu])
+        assert many.tobytes() == scalar.tobytes()
 
     def test_empty(self):
         assert theta3_many([], TAU_NATURAL).shape == (0,)
-        assert theta2_many([], TAU_NATURAL).shape == (0,)
 
     def test_real_arguments_on_the_dual_lattice_sum_five_terms(self, monkeypatch):
         # the dual <U> route of states reads Theta3(f | i*pi) at real f: one order, one block
