@@ -13,10 +13,11 @@ Subcommands::
     run        re-run the command of a JSON artifact with its config
 
 Angles accept symbolic multiples of pi ("pi", "3pi", "pi/2", "-0.5pi") so
-the border angles are expressible exactly.  All numeric output is printed
-with 17 significant digits; CSV artifacts use a header row, comma
-separators and LF line endings, and identical configs produce
-byte-identical artifacts.  The values of a --config file (key=value
+the border angles are expressible exactly; a negative number or angle may
+follow its flag as its own word ("--phi -0.5pi", "--l -3.2e-05").  All
+numeric output is printed with 17 significant digits; CSV artifacts use a
+header row, comma separators and LF line endings, and identical configs
+produce byte-identical artifacts.  The values of a --config file (key=value
 lines or a JSON artifact) act as flags placed before the command line's
 own, so a flag given on the command line wins.  A command whose result
 holds inf or NaN prints no numbers and exits 1.  Sweeps run serially;
@@ -55,12 +56,46 @@ def parse_angle(text: str) -> float:
         coeff = 1.0 if coeff_s in ("", "+") else -1.0 if coeff_s == "-" else float(coeff_s)
         value = coeff * math.pi
         if div_s:
-            value /= float(div_s)
+            try:
+                value /= float(div_s)
+            except ZeroDivisionError:
+                raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
         return value
     try:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
+
+
+def _bind_values(argv: list[str]) -> list[str]:
+    """``argv`` with each long flag followed by a negative number or angle written as --flag=value.
+
+    argparse reads a word that starts with '-' as a flag unless it is a plain
+    decimal such as -3 or -0.5, so '--phi -0.5pi', '--phi -pi/2', '--l -3.2e-05'
+    and '--l -inf' would leave their flags without a value.  A word that
+    parse_angle (hence float) reads is bound to the long flag before it.
+    """
+    out: list[str] = []
+    for word in argv:
+        if (word[:1] == "-" and word[1:2] != "-" and out and _takes_value(out[-1])
+                and _is_angle(word)):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
+def _takes_value(flag: str) -> bool:
+    """Whether the word ``flag`` is a long flag that still needs its value ('--' and --help do not)."""
+    return flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+
+
+def _is_angle(word: str) -> bool:
+    try:
+        parse_angle(word)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
 
 
 def parse_offset(text: str) -> float:
@@ -721,7 +756,7 @@ def main(argv=None) -> int:
     takes effect.
     """
     parser = _parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _bind_values(sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     try:
         if args.config:

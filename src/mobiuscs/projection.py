@@ -69,6 +69,7 @@ __all__ = [
 
 
 BOUNDARY_TOL = 1e-9  # the indicator's boundary layer, relative to max(1, delta^2)
+TAIL_TOL = 1e-4  # the quadrature's certified tail
 
 
 @dataclass(frozen=True)
@@ -264,34 +265,29 @@ def _si(x: float) -> float:
     return math.copysign(total, x)
 
 
-def universal_projector(
-    spec: ProjectionSpec,
-    method: str = "indicator",
-    tail_tol: float = 1e-4,
-    boundary_tol: float = BOUNDARY_TOL,
-) -> float:
+def universal_projector(spec: ProjectionSpec, method: str = "indicator") -> float:
     """Constraint-window projector value in [0, 1].
 
     method="indicator"   closed Dirichlet-integral value: 1 inside the
                          window x^2 < delta^2, 0 outside, 1/2 on the
-                         boundary (boundary proximity measured by
-                         ``boundary_tol``);
+                         boundary (within BOUNDARY_TOL * max(1, delta^2)
+                         of it);
     method="quadrature"  truncated oscillatory integral
                          (1/pi) * [Si((a+x2)*L) + Si((a-x2)*L)] with the
                          cutoff L chosen so the certified tail is below
-                         ``tail_tol``; Si is evaluated in closed form.
+                         TAIL_TOL; Si is evaluated in closed form.
     """
     x2 = spec.argument ** 2
     a = spec.delta ** 2
     if method == "indicator":
-        if abs(x2 - a) <= boundary_tol * max(1.0, a):
+        if abs(x2 - a) <= BOUNDARY_TOL * max(1.0, a):
             return 0.5
         return 1.0 if x2 < a else 0.0
     if method == "quadrature":
         # the lam integral splits into two sine integrals,
         #   E = (1/pi) * [Si((a+x2)*L) + Si((a-x2)*L)],
         # truncated at a single L with |integral_T^inf sin(u)/u du| <= 2/T
-        # certifying each tail below tail_tol/4.  Inside the boundary layer
+        # certifying each tail below TAIL_TOL/4.  Inside the boundary layer
         # |a - x2| << a + x2 the range is capped (a vanishing coefficient
         # would demand an unbounded range); there the smoothed value tends
         # to the boundary limit 1/2 by construction.
@@ -301,7 +297,7 @@ def universal_projector(
         if not coeffs:
             raise DomainError("degenerate window: delta and the defect both vanish")
         # L = T/floor; each Si argument c*L = (c/floor)*T stays within 16*T
-        T = 8.0 / tail_tol
+        T = 8.0 / TAIL_TOL
         floor = max(min(abs(c) for c in coeffs), c_plus / 16.0)
         value = sum(_si(c / floor * T) for c in coeffs) / math.pi
         return float(min(max(value, 0.0), 1.0))

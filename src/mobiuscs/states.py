@@ -23,14 +23,16 @@ as Theta_3(nu + 1/2)).  Each quantity is exposed through at least two
 independent evaluation routes so the closed forms are verifiable against
 truncated sums.
 
-The routes on the natural lattice tau = i/pi need 2|l'| + 13 terms and
-overflow past |l'| ~ 26.6.  The dual lattice tau = i*pi (nome exp(-pi^2))
-needs 5 terms at any l', and its Theta_3 has period 1 in nu, so the batched
-<U> route reads it at the reduced center l' - round(l') and is finite at
-any finite l'.  The <J> ratio and direct <U> routes sum the rescaled
-weights exp(-(j - l')^2), which never overflow.  norm2 itself leaves
-double range past |l'| ~ 26.6, and its s = 1/2 theta route from l' ~ 26.1:
-the shifted Theta_3 it sums carries a factor exp(l' + 1/4) above Theta_2.
+The routes on the natural lattice tau = i/pi sum 13 to 15 terms around
+the peak term n0 = -round(l') at any finite l' (see theta), and overflow
+past |l'| ~ 26.6.  The dual lattice tau = i*pi (nome exp(-pi^2)) needs 5
+terms at any l', and its Theta_3 has period 1 in nu, so the batched <U>
+route reads it at the reduced center l' - round(l') and is finite at any
+finite l'.  The <J> ratio and direct <U> routes sum the rescaled weights
+exp(-(j - l')^2), which never overflow; the ratio sums the 18 to 21
+levels around round(l').  norm2 itself leaves double range past
+|l'| ~ 26.6, and its s = 1/2 theta route from l' ~ 26.1: the shifted
+Theta_3 it sums carries a factor exp(l' + 1/4) above Theta_2.
 
 The distinguished angles phi = (2k+1)*pi place the particle on the strip
 border, where l' = l +/- r and the theta correction to <J> vanishes; with
@@ -397,9 +399,9 @@ def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | n
 _EXACT_INT = 2.0 ** 52  # below this, a center's default_j_max is exact as an int64
 
 
-def _grid_blocks(batch: LabelBatch, reach: int = 0):
+def _grid_blocks(centers, s: float, reach: int = 0):
     """(rows, levels, centers as a column) per row block of labels on one level grid."""
-    centers = np.asarray(batch.centers, dtype=float)
+    centers = np.asarray(centers, dtype=float)
     # widened towards reach by at most 19 levels: past |l'| + 28, exp(-(j - l')^2) is 0.0
     if (centers.size >= COLUMN_MIN_ROWS and reach < _EXACT_INT
             and np.all(np.abs(centers) < _EXACT_INT)):
@@ -408,7 +410,7 @@ def _grid_blocks(batch: LabelBatch, reach: int = 0):
     else:
         j_maxes = [d + min(max(reach - d, 0), 19) for d in map(default_j_max, centers.tolist())]
     for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
-        j = level_grid(j_max, batch.s)
+        j = level_grid(j_max, s)
         yield rows, j, centers[rows, None]
 
 
@@ -420,15 +422,29 @@ def _gaussian(d: np.ndarray) -> np.ndarray:
 
 
 def _expect_j_ratio(batch: LabelBatch) -> np.ndarray:
-    """l' + sum_j (j - l')*w_j / sum_j w_j with the rescaled weights w_j = exp(-(j - l')^2)."""
-    out = np.empty(len(batch.centers))
-    for rows, j, c in _grid_blocks(batch):
-        d = j - c
+    """l' + sum_j (j - l')*w_j / sum_j w_j with the rescaled weights w_j = exp(-(j - l')^2).
+
+    Each label sums over the levels j0 + level_grid(default_j_max(f), s) around
+    its peak, j0 = rint(l') and f = l' - j0 (exact): 18 to 21 levels at any l'.
+    Z + s is invariant under the integer shift j0, and j - l' = g - f for the
+    grid level g = j - j0 is one rounding of the same real number either way,
+    so the grid of f gives the weights of those levels.  From |l'| = 2^52 on,
+    where j0 + 1/2 is no longer a double, a label keeps the symmetric grid of
+    l' itself (and level_grid's DomainError).
+    """
+    centers = np.asarray(batch.centers, dtype=float)
+    if centers.size < COLUMN_MIN_ROWS:  # with Python floats: a point call adds no numpy call
+        reduced = [c - round(c) if abs(c) < _EXACT_INT else c for c in centers.tolist()]
+    else:
+        reduced = np.where(np.abs(centers) < _EXACT_INT, centers - np.rint(centers), centers)
+    correction = np.empty(centers.size)
+    for rows, g, f in _grid_blocks(reduced, batch.s):
+        d = g - f
         w = _gaussian(d)
         norm = w.sum(axis=1)
         d *= w  # (j - l')*w_j, in place
-        out[rows] = c[:, 0] + d.sum(axis=1) / norm
-    return out
+        correction[rows] = d.sum(axis=1) / norm
+    return centers + correction
 
 
 def expect_u(label: StateLabel | LabelBatch, method: str = "dual") -> complex | np.ndarray:
@@ -489,7 +505,7 @@ def _law_blocks(batch: LabelBatch, reach: int = 0):
     exp(-1/4) and 2 on a label's grid, so nothing overflows at any l';
     probability = w/sum(w) and gaussian = w/sqrt(pi) come from the one array.
     """
-    for rows, j, c in _grid_blocks(batch, reach):
+    for rows, j, c in _grid_blocks(batch.centers, batch.s, reach):
         w = _gaussian(j - c)
         yield rows, j, w / w.sum(axis=1, keepdims=True), w / math.sqrt(math.pi)
 

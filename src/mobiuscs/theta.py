@@ -18,9 +18,12 @@ The modular transform
 exchanges slowly and rapidly convergent regimes; the prefactor reduces to
 sqrt(pi) at tau = i*pi.
 
-All sums are truncated symmetrically with a certified Gaussian tail bound,
-so every returned value carries an absolute error below the policy
-tolerance.
+Each Theta_3 sum runs over a window n0 - N ... n0 + N centred on its
+largest term, n0 = rint(-Im(nu)/Im(tau)), with the quasi-periodicity
+Theta3(nu + tau | tau) = exp(-i*pi*tau - 2*i*pi*nu) * Theta3(nu | tau)
+(DLMF 20.2(iii)) giving N: a certified Gaussian bound keeps the neglected
+tail below the policy tolerance times the modulus of the term at the
+window centre, which is an absolute bound where n0 = 0 (every real nu).
 """
 
 from __future__ import annotations
@@ -49,9 +52,12 @@ __all__ = [
 class SeriesPolicy:
     """Truncation control for the lattice sums.
 
-    ``target_tol`` is an absolute bound on the neglected tail; summation
-    stops only once the Gaussian-decay bound for the remaining terms is
-    below it.  ``max_terms`` caps the one-sided index range.
+    ``target_tol`` bounds the neglected tail of a Theta_3 sum relative to
+    the modulus of the term at its window centre n0, which is an absolute
+    bound where n0 = 0 (theta2_series's symmetric sum has an absolute
+    bound); summation stops only once the Gaussian-decay bound for the
+    remaining terms is below it.  ``max_terms`` caps the index range: no
+    window reaches past |n| = max_terms.
     """
 
     target_tol: float = 1e-14
@@ -119,20 +125,53 @@ def _truncation_order(nu: complex, tau: complex, policy: SeriesPolicy, shift: fl
         n -= 1
     while not _tail_bound(n + shift, a, b) < tol:
         if n >= policy.max_terms:
-            bound = _tail_bound(policy.max_terms + shift, a, b)
-            raise PrecisionError(
-                f"lattice sum did not reach tol={policy.target_tol:g} within "
-                f"{policy.max_terms} terms (achieved bound {bound:g})",
-                achieved=bound,
-            )
+            raise _cap_error(a, b, policy, shift)
         n += 1
     return n
+
+
+def _cap_error(a: float, b: float, policy: SeriesPolicy, shift: float = 0.0) -> PrecisionError:
+    """The error of a sum at |Im nu| = a, Im tau = b that needs more than policy.max_terms terms."""
+    bound = _tail_bound(policy.max_terms + shift, a, b)
+    return PrecisionError(
+        f"lattice sum did not reach tol={policy.target_tol:g} within "
+        f"{policy.max_terms} terms (achieved bound {bound:g})",
+        achieved=bound,
+    )
+
+
+def _window(nu: complex, tau: complex, policy: SeriesPolicy) -> tuple[int, int]:
+    """(n0, N): Theta3(nu|tau) is summed over n = n0 - N ... n0 + N.
+
+    The terms exp(i*pi*tau*n^2 + 2*i*pi*nu*n) peak at n0 = rint(-Im(nu)/Im(tau))
+    (n0 = 0 where Im(nu) is not finite), and relative to |t_n0| the term at
+    n0 + k is that of index k in the sum at the reduced argument
+    i*(Im(nu) + n0*Im(tau)), whose |Im| is at most Im(tau)/2 (the
+    quasi-periodicity Theta3(nu + tau | tau) = exp(-i*pi*tau - 2*i*pi*nu)
+    Theta3(nu | tau)).  So N is _truncation_order at that argument, and the
+    neglected tail stays below target_tol*|t_n0|.  A window reaching past
+    policy.max_terms (|n0| + N > max_terms) raises the error that
+    _truncation_order raises for the unreduced nu.
+    """
+    b = tau.imag
+    c = -nu.imag / b if math.isfinite(nu.imag) else 0.0
+    if abs(c) < policy.max_terms:
+        n0 = round(c)
+        try:
+            n = _truncation_order(complex(0.0, nu.imag + n0 * b) if n0 else nu, tau, policy)
+        except PrecisionError:
+            pass
+        else:
+            if abs(n0) + n <= policy.max_terms:
+                return n0, n
+    raise _cap_error(abs(nu.imag), b, policy)
 
 
 def _lattice_rows(nu: np.ndarray, tau: complex, n: np.ndarray) -> np.ndarray:
     """sum_n exp(i*pi*tau*n^2 + 2*i*pi*nu*n) over the lattice points ``n``, per entry of ``nu``.
 
-    Each row sums in the order of a 1-D sum over ``n``, so a row's value
+    ``n`` is one row of points for every entry, or one row per entry.  Each
+    row sums in the order of a 1-D sum over its points, so a row's value
     does not depend on which other rows share the array.
     """
     expo = 1j * math.pi * tau * n * n + 2j * math.pi * nu[:, None] * n
@@ -168,20 +207,20 @@ def _tail_bounds(m: np.ndarray, a: np.ndarray, b: float) -> tuple[np.ndarray, np
     return bound, log_mag < -700.0
 
 
-def _truncation_orders(nu: np.ndarray, tau: complex, policy: SeriesPolicy) -> np.ndarray:
-    """[_truncation_order(v, tau, policy) for v in nu], computed a column at a time.
+def _column_orders(a: np.ndarray, tau: complex,
+                   policy: SeriesPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """(orders, certified): _truncation_order's closed-form N at each |Im nu| in ``a``.
 
-    Each row starts from _truncation_order's own closed-form N (the same
-    IEEE operations, so the same N), and keeps it where numpy's tail bounds
-    show that neither of its loops would move: the bound at N - 1 is not
-    below target_tol (or N = 1) and the bound at N is, both with
-    _CERTIFY_MARGIN to spare.  Every other row (a near-tie, rho near 1,
-    N >= max_terms - 1, a non-finite nu) takes the scalar search, in index
-    order, so a failing batch raises the scalar error of its first failing row.
+    Each row's N comes from the same IEEE operations as the scalar search's
+    starting point, so it is the same N.  ``certified`` marks the rows
+    where numpy's tail bounds show that neither of the search's loops would
+    move it: the bound at N - 1 is not below target_tol (or N = 1) and the
+    bound at N is, both with _CERTIFY_MARGIN to spare.  Every other row (a
+    near-tie, rho near 1, N >= max_terms - 1, a non-finite a) needs the
+    scalar search.
     """
     b = tau.imag
     tol = policy.target_tol
-    a = np.abs(nu.imag)
     with np.errstate(all="ignore"):
         if tol < 2.0:  # else the scalar search starts from 1
             peak = a / b
@@ -195,10 +234,61 @@ def _truncation_orders(nu: np.ndarray, tau: complex, policy: SeriesPolicy) -> np
         certified = (np.isfinite(a) & (n < policy.max_terms - 1)
                      & (hi < tol * (1.0 - _CERTIFY_MARGIN))
                      & ((n == 1.0) | ((lo >= tol * (1.0 + _CERTIFY_MARGIN)) & ~lo_raised)))
-    orders = n.astype(np.int64)
+    return n.astype(np.int64), certified
+
+
+def _truncation_orders(nu: np.ndarray, tau: complex, policy: SeriesPolicy) -> np.ndarray:
+    """[_truncation_order(v, tau, policy) for v in nu], computed a column at a time.
+
+    The rows _column_orders cannot certify take the scalar search, in index
+    order, so a failing batch raises the scalar error of its first failing row.
+    """
+    orders, certified = _column_orders(np.abs(nu.imag), tau, policy)
     for i in np.flatnonzero(~certified).tolist():
         orders[i] = _truncation_order(complex(nu[i]), tau, policy)
     return orders
+
+
+def _windows(nu: np.ndarray, tau: complex,
+             policy: SeriesPolicy) -> tuple[np.ndarray | None, np.ndarray]:
+    """[_window(v, tau, policy) for v in nu] as columns (peaks n0 as floats, orders N).
+
+    Where no |Im(nu)| exceeds Im(tau)/2, every n0 is 0: the peaks are None
+    and the orders are _truncation_orders at nu itself.  Otherwise the
+    orders at the reduced arguments i*(Im(nu) + n0*Im(tau)) come from
+    _column_orders, and each row it cannot certify, or whose window
+    reaches past policy.max_terms, takes _window, in index order, so a
+    failing batch raises the error of its first failing row.
+    """
+    b = tau.imag
+    if not (2.0 * np.abs(nu.imag) > b).any():  # then |Im(nu)/Im(tau)| <= 1/2, or NaN: n0 = 0
+        return None, _truncation_orders(nu, tau, policy)
+    with np.errstate(all="ignore"):
+        peaks = np.rint(-nu.imag / b)
+        peaks[~np.isfinite(nu.imag)] = 0.0
+        orders, certified = _column_orders(np.abs(nu.imag + peaks * b), tau, policy)
+        certified &= np.abs(peaks) + orders <= policy.max_terms
+    for i in np.flatnonzero(~certified).tolist():
+        peaks[i], orders[i] = _window(complex(nu[i]), tau, policy)
+    return peaks, orders
+
+
+def _window_blocks(nu: np.ndarray, tau: complex, policy: SeriesPolicy):
+    """(rows, lattice points) per block of entries of ``nu`` whose windows are summed as one array.
+
+    Below COLUMN_MIN_ROWS entries a block shares one window (n0, N), taken
+    row by row from _window, so its points are theta3's own.  A longer
+    column's block shares the order N, each row's points shifted by its n0.
+    """
+    if nu.size < COLUMN_MIN_ROWS:
+        windows = [_window(v, tau, policy) for v in nu.tolist()]
+        for (n0, n_max), rows in row_blocks(windows, lambda window: 2 * window[1] + 1):
+            yield rows, np.arange(n0 - n_max, n0 + n_max + 1, dtype=float)
+        return
+    peaks, orders = _windows(nu, tau, policy)
+    for n_max, rows in row_blocks(orders, lambda n_max: 2 * n_max + 1):
+        n = np.arange(-n_max, n_max + 1, dtype=float)
+        yield rows, (n if peaks is None else peaks[rows, None] + n)
 
 
 def row_blocks(keys, width):
@@ -226,33 +316,28 @@ def row_blocks(keys, width):
 
 
 def theta3(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
-    """Theta3(nu|tau) by direct two-sided summation over the integer lattice."""
+    """Theta3(nu|tau) by direct summation over the integer lattice, around its peak term."""
     tau = _check_tau(tau)
     nu = complex(nu)
-    n_max = _truncation_order(nu, tau, policy)
-    n = np.arange(-n_max, n_max + 1, dtype=float)
+    n0, n_max = _window(nu, tau, policy)
+    n = np.arange(n0 - n_max, n0 + n_max + 1, dtype=float)
     return complex(_lattice_rows(np.array([nu]), tau, n)[0])
 
 
 def theta3_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
     """:func:`theta3` at every entry of ``nu``, bit for bit.
 
-    Entries are grouped by truncation order and each group is summed as
-    one (rows x lattice points) array.  From COLUMN_MIN_ROWS entries on,
-    the orders are certified a column at a time (_truncation_orders), with
-    the scalar search for the rows numpy cannot decide; a shorter column
-    takes the scalar search row by row.  Either way a column raises the
-    PrecisionError of its first entry that exceeds policy.max_terms.
+    Entries are grouped by window (_window_blocks) and each group is summed
+    as one (rows x lattice points) array.  From COLUMN_MIN_ROWS entries on,
+    the windows are certified a column at a time (_windows), with the
+    scalar search for the rows numpy cannot decide; a shorter column takes
+    _window row by row.  Either way a column raises the PrecisionError of
+    its first entry whose window reaches past policy.max_terms.
     """
     tau = _check_tau(tau)
     nu = np.array(nu, dtype=complex).ravel()
-    if nu.size < COLUMN_MIN_ROWS:
-        orders = [_truncation_order(v, tau, policy) for v in nu.tolist()]
-    else:
-        orders = _truncation_orders(nu, tau, policy)
     out = np.empty(nu.size, dtype=complex)
-    for n_max, rows in row_blocks(orders, lambda n_max: 2 * n_max + 1):
-        n = np.arange(-n_max, n_max + 1, dtype=float)
+    for rows, n in _window_blocks(nu, tau, policy):
         out[rows] = _lattice_rows(nu[rows], tau, n)
     return out
 

@@ -53,6 +53,39 @@ class TestParsing:
         with pytest.raises(Exception):
             cli.parse_angle("two pi")
 
+    @pytest.mark.parametrize("text", ["pi/0", "pi/0.0", "-2pi/0"])
+    def test_parse_angle_rejects_a_zero_divisor(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="cannot parse angle"):
+            cli.parse_angle(text)
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["theta", "--phi", "-0.5pi"], "phi", -0.5 * math.pi),
+        (["theta", "--phi", "-pi/2"], "phi", -math.pi / 2),
+        (["cs", "expect-j", "--l", "-3.2e-05"], "l", -3.2e-05),
+        (["cs", "expect-j", "--l", "-3.2000000000000002e-05"], "l", -3.2000000000000002e-05),
+        (["cs", "expect-j", "--l", "-inf"], "l", -math.inf),
+        (["sweep", "energy", "--grid", "phi=0:1:2", "--L0", "-1e-05"], "L0", -1e-05),
+        (["cs", "expect-j", "--l", "-3"], "l", -3.0),
+    ])
+    def test_negative_value_after_a_flag(self, capsys, argv, flag, value):
+        bound = [*argv[:-2], f"--{flag}={argv[-1]}"]
+        assert cli._bind_values(argv) == bound
+        assert getattr(cli.build_parser().parse_args(bound), flag) == value
+        # the command runs as its --flag=value form does (-inf: exit 2, 'label l must be finite')
+        assert run_cli(argv, capsys) == run_cli(bound, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["cs", "expect-j", "--l", "--phi", "1"],
+        ["cs", "expect-j", "--l=1", "-2"],
+        ["cs", "expect-j", "--l", "--", "-1"],
+        ["cs", "expect-j", "-h", "-1e-5"],
+        ["cs", "expect-j", "--help", "-1e-5"],
+        ["cs", "expect-j", "--l", "-two"],
+        ["theta", "--phi", "-pi/0"],
+    ])
+    def test_other_command_lines_are_left_as_they_are(self, argv):
+        assert cli._bind_values(argv) == argv
+
     def test_parse_offset(self):
         assert cli.parse_offset("int") == 0.0
         assert cli.parse_offset("half") == 0.5
@@ -379,6 +412,7 @@ class TestSweep:
         # finite endpoints whose span overflows: linspace gives [nan, inf, 1e308], [nan, 1.7e308]
         ("theta=-1e308:1e308:3", "grid points must be finite, got 'theta=-1e308:1e308:3'"),
         ("l=-1.7e308:1.7e308:2", "grid points must be finite, got 'l=-1.7e308:1.7e308:2'"),
+        ("phi=0:pi/0:3", "cannot parse grid component 'phi=0:pi/0:3'"),
     ])
     def test_bad_grid_exit_code(self, capsys, grid, message):
         code, out, err = run_cli(["sweep", "expect-j", "--grid", grid], capsys)
@@ -1152,6 +1186,9 @@ class TestCachedParser:
         ["cs", "nope"],
         ["sweep", "expect-j", "--grid"],
         ["theta", "--phi", "two pi"],
+        ["theta", "--phi", "pi/0"],
+        ["theta", "--phi", "pi/0.0"],
+        ["cs", "expect-j", "--l", "--phi", "1"],
         ["verify", "--suite", "everything"],
     ])
     def test_bad_argv_after_good_ones_fails_as_in_a_fresh_process(

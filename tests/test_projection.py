@@ -1,6 +1,5 @@
 """Torus factorization, projected overlap, constraint projector, circle relabeling."""
 
-import inspect
 import math
 import os
 import subprocess
@@ -16,6 +15,7 @@ from mobiuscs.errors import DomainError
 from mobiuscs.geometry import constraint_theta
 from mobiuscs.projection import (
     BOUNDARY_TOL,
+    TAIL_TOL,
     ProjectionSpec,
     _si,
     build_torus_cs,
@@ -162,13 +162,13 @@ class TestUniversalProjector:
         coeffs = [c for c in (a + x2, a - x2) if c != 0.0]
         floor = max(min(abs(c) for c in coeffs), (a + x2) / 16.0)
         with mp.workdps(40):
-            cutoff = mp.mpf(8.0 / 1e-4) / floor
+            cutoff = mp.mpf(8.0 / TAIL_TOL) / floor
             exact = float(sum(mp.si(c * cutoff) for c in coeffs) / mp.pi)
-        qd = universal_projector(spec, method="quadrature", tail_tol=1e-4)
+        qd = universal_projector(spec, method="quadrature")
         assert abs(qd - exact) <= 1e-12
 
 
-# (defect, delta) at |defect^2 - delta^2| = boundary_tol * max(1, delta^2) exactly,
+# (defect, delta) at |defect^2 - delta^2| = BOUNDARY_TOL * max(1, delta^2) exactly,
 # outside the window and inside it
 BOUNDARY_ROWS = [("0x1.9218890c37ce7p-15", "0x1.2e2de5bbe9a89p-15"),
                  ("0x1.7ca99733f0257p-15", "0x1.1102e430f1935p-15"),
@@ -221,9 +221,6 @@ class TestProjectorColumn:
         got = universal_projectors(theta, phi, delta)
         assert got.tobytes() == np.array(scalar_indicators(theta, phi, delta)).tobytes()
         assert {0.0, 0.5, 1.0} <= set(got.tolist())
-        # the scalar route's default layer is the one the column form uses
-        layer = inspect.signature(universal_projector).parameters["boundary_tol"].default
-        assert layer == BOUNDARY_TOL
         for x_hex, d_hex in BOUNDARY_ROWS:
             x, d = float.fromhex(x_hex), float.fromhex(d_hex)
             assert abs(x ** 2 - d ** 2) == BOUNDARY_TOL * max(1.0, d ** 2)

@@ -428,6 +428,42 @@ class TestExpectJ:
             ref = float(mp_sums(center, s)[0])
             assert abs(got - ref) <= 2 * math.ulp(max(1.0, abs(ref))), center
 
+    @staticmethod
+    def symmetric_ratio(center, s):
+        """The ratio summed over the symmetric grid level_grid(default_j_max(l'), s)."""
+        j = level_grid(default_j_max(center), s)
+        d = j - center
+        w = np.exp(-(d * d))
+        return center + (d * w).sum() / w.sum()
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("size", [1, COLUMN_MIN_ROWS - 1, 3 * COLUMN_MIN_ROWS])
+    def test_ratio_window_against_the_symmetric_grid(self, s, size):
+        # each label sums the levels around rint(l'): the symmetric grid's bytes for
+        # |l'| < 1/2, where the two grids coincide, and within 4 ulp of them elsewhere
+        rng = np.random.default_rng(size)
+        near = [-0.0, 0.0, math.nextafter(0.5, 0.0), -math.nextafter(0.5, 0.0)]
+        centers = np.array([*near, *rng.uniform(-0.5, 0.5, size), *rng.uniform(-40.0, 40.0, size),
+                            0.5, -0.5, 1.5, -2.5, 26.7, 1000.25, -999.75])
+        got = expect_j(LabelBatch(centers, np.zeros(centers.size), s), method="ratio")
+        expected = np.array([self.symmetric_ratio(c, s) for c in centers.tolist()])
+        small = np.abs(centers) < 0.5
+        assert got[small].tobytes() == expected[small].tobytes()
+        assert np.all(np.abs(got - expected) <= 4 * np.spacing(np.abs(expected)))
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_ratio_route_at_large_centers(self, s):
+        # the window sums 18 to 21 levels at any |l'| < 2^52; from 2^52 on, where
+        # rint(l') + 1/2 is no longer a double, the symmetric grid cannot be allocated
+        centers = [5000.3, -1e4 - 0.7, 1e9 + 0.25, -(2.0 ** 51 + 0.5), 2.0 ** 52 - 0.5]
+        batch = LabelBatch(centers=centers, phis=[0.0] * len(centers), s=s)
+        for center, got in zip(centers, expect_j(batch, method="ratio").tolist()):
+            ref = float(mp_sums(center, s)[0])
+            assert abs(got - ref) <= 2 * math.ulp(ref), center
+        for far in (2.0 ** 52, -(2.0 ** 52), 1e300):
+            with pytest.raises(DomainError, match="cannot allocate the levels"):
+                expect_j(LabelBatch([*centers, far], [0.0] * 6, s), method="ratio")
+
     def test_correction_vanishes_on_half_lattice(self):
         # sin(2*pi*l') kills the correction at every half-integer center
         for s in (0.0, 0.5):

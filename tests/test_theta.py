@@ -17,6 +17,7 @@ from mobiuscs.theta import (
     SeriesPolicy,
     _truncation_order,
     _truncation_orders,
+    _window,
     theta2,
     theta2_series,
     theta3,
@@ -415,7 +416,10 @@ class TestColumnOrders:
         with np.errstate(over="ignore", invalid="ignore"):
             many = theta3_many(nu, tau)
             scalar = np.array([theta3(v, tau) for v in nu])
-        assert seen == [scalar_orders(nu, tau)]
+        # each row is summed around its peak term: a short column groups its rows by
+        # window (n0, N), a longer one by order N
+        windows = [_window(v, tau, DEFAULT_POLICY) for v in nu.tolist()]
+        assert seen == [windows if size < COLUMN_MIN_ROWS else [n for _, n in windows]]
         assert many.tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("tau", TAUS)
@@ -446,3 +450,79 @@ def test_mpmath_cross_check():
         ref2 = complex(mp.jtheta(2, math.pi * nu, q))
         assert abs(theta3(nu, tau) - ref3) < 1e-12 * max(1.0, abs(ref3))
         assert abs(theta2(nu, tau) - ref2) < 1e-12 * max(1.0, abs(ref2))
+
+
+def symmetric_theta3(nu, tau, policy=DEFAULT_POLICY):
+    """Theta3 summed symmetrically about n = 0, over n = -N ... N with N = _truncation_order(nu)."""
+    n_max = _truncation_order(complex(nu), complex(tau), policy)
+    n = np.arange(-n_max, n_max + 1, dtype=float)
+    expo = 1j * math.pi * tau * n * n + 2j * math.pi * np.array([nu])[:, None] * n
+    return complex(np.exp(expo).sum(axis=1)[0])
+
+
+class TestWindows:
+    """Each sum runs over n0 - N ... n0 + N around its peak term n0 = rint(-Im nu/Im tau)."""
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("size", [1, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS])
+    def test_symmetric_where_the_peak_is_at_zero(self, tau, size):
+        half = 0.5 * complex(tau).imag
+        rng = np.random.default_rng(size)
+        imag = rng.uniform(-half, half, size)
+        imag[:2] = [half, -half][:size]  # rint(-+1/2) = 0: still the symmetric window
+        nu = rng.uniform(-1.0, 1.0, size) + 1j * imag
+        expected = np.array([symmetric_theta3(v, tau) for v in nu.tolist()])
+        assert theta3_many(nu, tau).tobytes() == expected.tobytes()
+        assert all(_window(v, tau, DEFAULT_POLICY)[0] == 0 for v in nu.tolist())
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_neglected_tail_is_below_tol_times_the_peak_term(self, tau):
+        mp = pytest.importorskip("mpmath")
+        tau = complex(tau)
+        with mp.workdps(30):
+            t = mp.mpc(tau.real, tau.imag)
+
+            def term(nu, n):
+                return mp.exp(1j * mp.pi * t * n * n + 2j * mp.pi * mp.mpc(nu.real, nu.imag) * n)
+
+            checked = 0
+            for im in (0.51, -0.7, 1.5, -3.3, 6.49, -12.6, 26.2):
+                nu = complex(0.3, im * tau.imag)
+                n0, n_max = _window(nu, tau, DEFAULT_POLICY)
+                assert n0 == round(-im) != 0
+                # beyond n0 -+ 40 the terms fall below exp(-pi*Im(tau)*1600/2) of t_n0
+                tail = mp.fsum(term(nu, n) for k in range(n_max + 1, 41)
+                               for n in (n0 - k, n0 + k))
+                assert abs(tail) <= DEFAULT_POLICY.target_tol * abs(term(nu, n0))
+                checked += 1
+        assert checked == 7
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("size", [COLUMN_MIN_ROWS // 2, 3 * COLUMN_MIN_ROWS])
+    @pytest.mark.parametrize("bad", [complex(0.0, math.nan), complex(0.0, math.inf),
+                                     complex(math.nan, math.nan), 1e6j])
+    def test_a_failing_row_raises_its_unreduced_error(self, tau, size, bad):
+        nu = 1j * np.linspace(-5.0, 5.0, size) * complex(tau).imag  # peaks n0 = -5 ... 5
+        nu[size // 3] = bad
+        nu[size // 2] = 1e6j if bad != 1e6j else complex(0.0, math.inf)
+        expected = _order_or_failure(_truncation_order, bad, tau, DEFAULT_POLICY)
+        assert isinstance(expected, tuple)
+        for call in (lambda: theta3_many(nu, tau), lambda: theta3(bad, tau)):
+            with pytest.raises(PrecisionError) as info:
+                call()
+            assert (str(info.value), repr(info.value.achieved)) == expected
+
+    def test_a_window_past_max_terms_raises_the_unreduced_error(self):
+        # natural lattice, nu = i*l'/pi: the window reaches |l'| + 6 or 7 on its far side
+        policy = SeriesPolicy(max_terms=200)
+        assert _window(190j / math.pi, TAU_NATURAL, policy) == (-190, 6)
+        for l in (195.0, 210.0, 1e4):
+            expected = _order_or_failure(_truncation_order, 1j * l / math.pi, TAU_NATURAL, policy)
+            assert isinstance(expected, tuple)
+            nu = 1j * np.array([0.0, 190.0, l, 1e6]) / math.pi
+            for call in (lambda: theta3_many(nu, TAU_NATURAL, policy),
+                         lambda: theta3_many(np.repeat(nu, COLUMN_MIN_ROWS), TAU_NATURAL, policy),
+                         lambda: theta3(nu[2], TAU_NATURAL, policy)):
+                with pytest.raises(PrecisionError) as info:
+                    call()
+                assert (str(info.value), repr(info.value.achieved)) == expected
