@@ -433,10 +433,9 @@ def _expect_j_ratio(batch: LabelBatch) -> np.ndarray:
     l' itself (and level_grid's DomainError).
     """
     centers = np.asarray(batch.centers, dtype=float)
-    if centers.size < COLUMN_MIN_ROWS:  # with Python floats: a point call adds no numpy call
-        reduced = [c - round(c) if abs(c) < _EXACT_INT else c for c in centers.tolist()]
-    else:
-        reduced = np.where(np.abs(centers) < _EXACT_INT, centers - np.rint(centers), centers)
+    j0 = np.rint(centers)
+    j0[np.abs(centers) >= _EXACT_INT] = 0.0  # there (and at +-inf) l' keeps its own grid
+    reduced = centers - j0
     correction = np.empty(centers.size)
     for rows, g, f in _grid_blocks(reduced, batch.s):
         d = g - f

@@ -237,39 +237,28 @@ def _column_orders(a: np.ndarray, tau: complex,
     return n.astype(np.int64), certified
 
 
-def _truncation_orders(nu: np.ndarray, tau: complex, policy: SeriesPolicy) -> np.ndarray:
-    """[_truncation_order(v, tau, policy) for v in nu], computed a column at a time.
-
-    The rows _column_orders cannot certify take the scalar search, in index
-    order, so a failing batch raises the scalar error of its first failing row.
-    """
-    orders, certified = _column_orders(np.abs(nu.imag), tau, policy)
-    for i in np.flatnonzero(~certified).tolist():
-        orders[i] = _truncation_order(complex(nu[i]), tau, policy)
-    return orders
-
-
 def _windows(nu: np.ndarray, tau: complex,
              policy: SeriesPolicy) -> tuple[np.ndarray | None, np.ndarray]:
     """[_window(v, tau, policy) for v in nu] as columns (peaks n0 as floats, orders N).
 
-    Where no |Im(nu)| exceeds Im(tau)/2, every n0 is 0: the peaks are None
-    and the orders are _truncation_orders at nu itself.  Otherwise the
-    orders at the reduced arguments i*(Im(nu) + n0*Im(tau)) come from
-    _column_orders, and each row it cannot certify, or whose window
-    reaches past policy.max_terms, takes _window, in index order, so a
-    failing batch raises the error of its first failing row.
+    The orders at the reduced arguments i*(Im(nu) + n0*Im(tau)) come from
+    _column_orders, and each row it cannot certify, or whose window reaches
+    past policy.max_terms, takes _window, in index order, so a failing
+    batch raises the error of its first failing row.  Where no |Im(nu)|
+    exceeds Im(tau)/2, every n0 is 0: the peaks are None and the orders
+    are taken at nu itself.
     """
     b = tau.imag
-    if not (2.0 * np.abs(nu.imag) > b).any():  # then |Im(nu)/Im(tau)| <= 1/2, or NaN: n0 = 0
-        return None, _truncation_orders(nu, tau, policy)
     with np.errstate(all="ignore"):
-        peaks = np.rint(-nu.imag / b)
-        peaks[~np.isfinite(nu.imag)] = 0.0
-        orders, certified = _column_orders(np.abs(nu.imag + peaks * b), tau, policy)
-        certified &= np.abs(peaks) + orders <= policy.max_terms
+        if (2.0 * np.abs(nu.imag) > b).any():
+            peaks = np.rint(-nu.imag / b)  # _window's n0 (a non-finite Im(nu) fails there)
+            orders, certified = _column_orders(np.abs(nu.imag + peaks * b), tau, policy)
+            certified &= np.abs(peaks) + orders <= policy.max_terms
+        else:  # |Im(nu)/Im(tau)| <= 1/2, or NaN: n0 = 0
+            peaks = None
+            orders, certified = _column_orders(np.abs(nu.imag), tau, policy)
     for i in np.flatnonzero(~certified).tolist():
-        peaks[i], orders[i] = _window(complex(nu[i]), tau, policy)
+        orders[i] = _window(complex(nu[i]), tau, policy)[1]
     return peaks, orders
 
 

@@ -16,8 +16,8 @@ from mobiuscs.theta import (
     DEFAULT_POLICY,
     SeriesPolicy,
     _truncation_order,
-    _truncation_orders,
     _window,
+    _windows,
     theta2,
     theta2_series,
     theta3,
@@ -315,7 +315,8 @@ class TestMany:
                             lambda nu, tau, n: widths.append((nu.size, n.size))
                             or lattice_rows(nu, tau, n))
         nu = np.random.default_rng(3).uniform(-0.5, 1.0, 2000)
-        assert _truncation_orders(nu.astype(complex), TAU_DUAL, DEFAULT_POLICY).tolist() == [2] * 2000
+        peaks, orders = _windows(nu.astype(complex), TAU_DUAL, DEFAULT_POLICY)
+        assert peaks is None and orders.tolist() == [2] * 2000
         theta3_many(nu, TAU_DUAL)
         assert widths == [(2000, 5)]
 
@@ -339,28 +340,35 @@ class TestMany:
 TAUS = [TAU_NATURAL, TAU_DUAL, 0.3 + 0.8j]
 
 
-def scalar_orders(nu, tau, policy=DEFAULT_POLICY):
-    """[_truncation_order(v, ...) for v in nu], or the failure of its first failing entry."""
-    return _order_or_failure(lambda: [_truncation_order(v, tau, policy)
+def scalar_windows(nu, tau, policy=DEFAULT_POLICY):
+    """[_window(v, ...) for v in nu], or the failure of its first failing entry."""
+    return _order_or_failure(lambda: [_window(v, tau, policy)
                                       for v in np.asarray(nu, dtype=complex).tolist()])
 
 
-def column_orders(nu, tau, policy=DEFAULT_POLICY):
-    return _order_or_failure(lambda: _truncation_orders(
-        np.asarray(nu, dtype=complex), complex(tau), policy).tolist())
+def column_windows(nu, tau, policy=DEFAULT_POLICY):
+    """_windows(nu, ...) as a list of windows (n0, N), or its failure."""
+    def windows():
+        peaks, orders = _windows(np.asarray(nu, dtype=complex), complex(tau), policy)
+        peaks = [0] * len(orders) if peaks is None else peaks.astype(int).tolist()
+        return list(zip(peaks, orders.tolist()))
+    return _order_or_failure(windows)
 
 
-def edge(tau, policy):
-    """|Im nu| at which the closed-form order reaches policy.max_terms (see _truncation_order)."""
-    b, m = complex(tau).imag, policy.max_terms
-    c = math.log(2.0 / policy.target_tol) / (math.pi * b)
-    return b * (m * m - c) / (2.0 * m)
+def window_edge(tau, policy):
+    """|Im nu| at the far end of the last peak n0 whose windows all stay within policy.max_terms.
+
+    Within the cell of a peak n0 the reduced |Im| runs up to Im(tau)/2,
+    where the order is largest (see _window).
+    """
+    b = complex(tau).imag
+    n0 = policy.max_terms - _truncation_order(0.5j * b, complex(tau), policy)
+    return b * (n0 + 0.5)
 
 
-def threshold(tau, policy, a_lo, a_hi):
-    """Adjacent floats a < a' in [a_lo, a_hi] where the scalar order steps up."""
-    order = lambda a: _truncation_order(1j * a, tau, policy)
-    assert order(a_lo) < order(a_hi)
+def threshold(order, a_lo, a_hi):
+    """Adjacent floats a < a' in [a_lo, a_hi] where order(a) changes."""
+    assert order(a_lo) != order(a_hi)
     while math.nextafter(a_lo, math.inf) < a_hi:
         mid = 0.5 * (a_lo + a_hi)
         if order(mid) == order(a_lo):
@@ -371,24 +379,27 @@ def threshold(tau, policy, a_lo, a_hi):
 
 
 class TestColumnOrders:
-    """theta3_many's column-wise orders against the scalar search, entry by entry."""
+    """theta3_many's column-wise windows (_windows) against the scalar _window, entry by entry."""
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("policy", [DEFAULT_POLICY, SeriesPolicy(1e-8, 300), SeriesPolicy(3.0, 50)])
     def test_dense_grid_up_to_the_max_terms_edge(self, tau, policy):
-        a = np.linspace(0.0, edge(tau, policy) * (1.0 - 1e-12), 20_001)
+        a = np.linspace(0.0, window_edge(tau, policy) * (1.0 - 1e-12), 20_001)
         rng = np.random.default_rng(3)
         nu = rng.uniform(-1.0, 1.0, a.size) + 1j * a * rng.choice([-1.0, 1.0], a.size)
-        expected = scalar_orders(nu, tau, policy)
-        assert isinstance(expected, list) and max(expected) >= policy.max_terms - 1
-        assert column_orders(nu, tau, policy) == expected
+        expected = scalar_windows(nu, tau, policy)
+        assert isinstance(expected, list)
+        assert max(abs(n0) + n for n0, n in expected) >= policy.max_terms - 1
+        assert column_windows(nu, tau, policy) == expected
+        small = np.abs(nu.imag) <= 0.5 * complex(tau).imag  # every n0 = 0: no reduction
+        assert column_windows(nu[small], tau, policy) == [w for w, k in zip(expected, small) if k]
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_non_finite_real_parts_keep_their_orders(self, tau):
         rng = np.random.default_rng(4)
         real = rng.choice([math.inf, -math.inf, math.nan, 0.25], 500)
         nu = real + 1j * rng.uniform(-40.0, 40.0, 500)
-        assert column_orders(nu, tau) == scalar_orders(nu, tau)
+        assert column_windows(nu, tau) == scalar_windows(nu, tau)
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("bad", [complex(0.0, math.nan), complex(0.0, math.inf),
@@ -399,7 +410,7 @@ class TestColumnOrders:
         nu[150] = complex(0.0, math.inf) if bad != complex(0.0, math.inf) else 1e6j
         expected = _order_or_failure(_truncation_order, complex(nu[70]), tau, DEFAULT_POLICY)
         assert isinstance(expected, tuple)
-        assert column_orders(nu, tau) == expected
+        assert column_windows(nu, tau) == expected
         with pytest.raises(PrecisionError) as info:
             theta3_many(nu, tau)
         assert (str(info.value), repr(info.value.achieved)) == expected
@@ -425,21 +436,31 @@ class TestColumnOrders:
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("policy", [DEFAULT_POLICY, SeriesPolicy(1e-3, 10_000)])
     def test_order_thresholds_take_the_scalar_search(self, tau, policy, monkeypatch):
+        # the order of a window steps where its reduced |Im| crosses a threshold,
+        # once in the cell n0 = 0 and in every other cell
+        b = complex(tau).imag
+        order = lambda a: _window(1j * a, tau, policy)[1]
         grid = np.linspace(0.0, 60.0, 241).tolist()
-        orders = [_truncation_order(1j * a, tau, policy) for a in grid]
-        steps = [k for k in range(len(grid) - 1) if orders[k] < orders[k + 1]]
+        orders = [order(a) for a in grid]
+        steps = [k for k in range(len(grid) - 1) if orders[k] != orders[k + 1]]
         entries = []
-        for k in (steps[0], steps[len(steps) // 2], steps[-1]):
-            lo, hi = threshold(tau, policy, grid[k], grid[k + 1])
+        for a_lo, a_hi in [(0.0, 0.4 * b)] + [(grid[k], grid[k + 1])
+                                              for k in (steps[0], steps[len(steps) // 2], steps[-1])]:
+            lo, hi = threshold(order, a_lo, a_hi)
             entries += [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
-        # the tied entries between ordinary ones, in a column past the cutoff
-        nu = 1j * np.concatenate([entries, np.linspace(0.0, 60.0, 2 * COLUMN_MIN_ROWS), entries])
-        expected = scalar_orders(nu, tau, policy)
-        scalar_calls = []
-        monkeypatch.setattr(theta_module, "_truncation_order",
-                            lambda v, *args: scalar_calls.append(v.imag) or _truncation_order(v, *args))
-        assert column_orders(nu, tau, policy) == expected
-        assert set(entries) <= set(scalar_calls) and len(scalar_calls) < nu.size // 2
+        # the tied entries between ordinary ones, in columns past the cutoff: one
+        # whose every n0 is 0 and one reaching 60
+        first = entries[:4]
+        for column in (first + np.linspace(-0.5 * b, 0.5 * b, 2 * COLUMN_MIN_ROWS).tolist() + first,
+                       entries + np.linspace(0.0, 60.0, 2 * COLUMN_MIN_ROWS).tolist() + entries):
+            nu = 1j * np.array(column)
+            expected = scalar_windows(nu, tau, policy)
+            scalar_calls = []
+            monkeypatch.setattr(theta_module, "_window",
+                                lambda v, *args: scalar_calls.append(v.imag) or _window(v, *args))
+            assert column_windows(nu, tau, policy) == expected
+            assert set(column[:4]) <= set(scalar_calls) and len(scalar_calls) < nu.size // 2
+            monkeypatch.undo()
 
 
 def test_mpmath_cross_check():
