@@ -40,7 +40,7 @@ import sys
 
 import numpy as np
 
-from . import dynamics, projection, report, states, theta
+from . import _g17, dynamics, projection, report, states, theta
 from .errors import DomainError, PrecisionError
 from .geometry import _distinct, _rejected, valid_r
 
@@ -166,6 +166,7 @@ _FLOAT_SLOT = "%.17g"  # fmt's format for a float, as a %-operator slot
 _NEEDS_CSV = frozenset(',"\r\n')  # the characters that can make csv quote a cell
 _TEXT = frozenset({str})  # the cell types of a text column
 _FLOATS = frozenset({float, np.float64})  # the cell types a list of floats may hold
+_FILL = bytes([_g17.FILL])  # the byte deleted from a chunk's byte rows to leave its text
 
 
 class _TextCells(dict):
@@ -198,76 +199,35 @@ class _TextCells(dict):
         return text
 
 
-def _chunk_plan(chunk, blank, texts: _TextCells):
-    """One column's rows of a chunk as (cell, values), for the chunk's row template.
+def _cells(values, kinds: set, texts: _TextCells):
+    """The cells of a column that is not all floats: (cell, None) if every row shares one, else (None, cells).
 
-    The cell is text that every row shares (values None), a %.17g slot
-    filled by ``values``, the column's floats, or a %s slot filled by
-    ``values``, each row's cell text.  A text column gets each distinct
-    text fmt-ed once, its cell kept in ``texts`` for every column and
-    chunk; any other column that is neither text nor floats has each
-    cell fmt-ed.
+    A text column gets each distinct text fmt-ed once, its cell kept in
+    ``texts`` for every column and chunk; any other column has each value
+    fmt-ed.
     """
-    if isinstance(chunk, np.ndarray) and chunk.dtype.kind == "f":
-        return _float_plan(chunk, blank, texts.empty)
-    kinds = set(map(type, chunk))
-    if kinds <= _FLOATS:
-        return _FLOAT_SLOT, chunk
     if kinds != _TEXT:
-        return "%s", [texts.cell(fmt(value)) for value in chunk]
-    distinct = set(chunk)
+        return None, [texts.cell(fmt(value)) for value in values]
+    distinct = set(values)
     for text in distinct.difference(texts):
         texts[text] = texts.cell(fmt(text))
     if len(distinct) == 1:
-        return texts[chunk[0]].replace("%", "%%"), None
-    return "%s", list(map(texts.__getitem__, chunk))
+        return texts[values[0]], None
+    return None, list(map(texts.__getitem__, values))
 
 
-def _float_plan(chunk: np.ndarray, blank, empty: str):
-    """_chunk_plan of a float array; ``blank`` is None or the mask of its empty rows.
+def _chunk_plan(chunk: list, texts: _TextCells):
+    """One list column's rows of a chunk as (cell, values), for the chunk's row template.
 
-    A chunk whose values geometry._distinct finds at most half distinct
-    gets each distinct bit pattern (0.0 and -0.0 apart) formatted once; a
-    chunk with blank rows has its other floats formatted by one %.  A mask
-    with no row set is taken as None.
+    The cell is text that every row shares (values None), a %.17g slot
+    filled by ``values``, the column's floats, or a %s slot filled by
+    ``values``, each row's cell text.
     """
-    if blank is not None and not blank.any():
-        blank = None
-    chunk = np.ascontiguousarray(chunk, dtype=np.float64)
-    bits = chunk.view(np.int64)
-    distinct = _distinct(bits if blank is None else bits[~blank])
-    if distinct is None:
-        if blank is None:
-            return _FLOAT_SLOT, chunk
-        cells = np.full(chunk.size, empty, dtype=object)
-        filled = chunk[~blank].tolist()
-        cells[~blank] = ((_FLOAT_SLOT + "\n") * len(filled) % tuple(filled)).split("\n")[:-1]
-        return "%s", cells
-    table = [f"{v:.17g}" for v in distinct.view(np.float64).tolist()]
-    if blank is None and len(table) == 1:
-        return table[0], None
-    index = np.searchsorted(distinct, bits)
-    if blank is not None:
-        index[blank] = len(table)
-    return "%s", np.array([*table, empty], dtype=object)[index]
-
-
-def _write_csv(columns: dict, fh, blank: dict) -> None:
-    """Header and rows, CHUNK_ROWS at a time; nothing at all for an empty table.
-
-    ``blank`` maps a float column's key to the row mask of its empty cells.
-    """
-    cols = list(columns.values())
-    n_rows = len(cols[0]) if cols else 0
-    if not n_rows:
-        return
-    texts = _TextCells('""' if len(cols) == 1 else "")
-    fh.write(texts.row(columns))
-    for lo in range(0, n_rows, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, n_rows)
-        fh.write(_chunk_text(hi - lo, [
-            _chunk_plan(col[lo:hi], blank[key][lo:hi] if key in blank else None, texts)
-            for key, col in columns.items()]))
+    kinds = set(map(type, chunk))
+    if kinds <= _FLOATS:
+        return _FLOAT_SLOT, chunk
+    cell, cells = _cells(chunk, kinds, texts)
+    return ("%s", cells) if cell is None else (cell.replace("%", "%%"), None)
 
 
 def _chunk_text(n: int, plans: list) -> str:
@@ -275,19 +235,140 @@ def _chunk_text(n: int, plans: list) -> str:
 
     One row template, repeated n times and holding each column's cell, is
     filled by one % with the slots' values in row order; a %.17g slot
-    gives fmt's text for a float.  Every temporary of a chunk is freed on
-    return, before the next chunk is planned.
+    gives fmt's text for a float.
     """
     template = (",".join(cell for cell, _ in plans) + "\n") * n
     slotted = [values for _, values in plans if values is not None]
-    if all(isinstance(values, list) for values in slotted):  # a short table
-        # tuple() of a list: a tuple built from a generator is resized, and
-        # CPython keeps each freed one in the free list of its final size
-        return template % tuple([value for row in zip(*slotted) for value in row])
-    grid = np.empty((n, len(slotted)), dtype=object)
-    for j, values in enumerate(slotted):
-        grid[:, j] = values
-    return template % tuple(grid.ravel().tolist())
+    # tuple() of a list: a tuple built from a generator is resized, and
+    # CPython keeps each freed one in the free list of its final size
+    return template % tuple([value for row in zip(*slotted) for value in row])
+
+
+def _byte_plan(column, blank, texts: _TextCells):
+    """A whole column as (cell, cells), for _chunk_bytes.
+
+    The cell is text that every row shares (cells None), the %.17g slot
+    for floats encoded chunk by chunk (cells: the floats, ``blank`` and
+    the byte row of an empty cell), or %s for rows gathered from a table
+    of distinct cells (cells: the table and each row's index in it).
+    ``blank`` is None or the mask of a float array's empty rows.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return _float_plan(column, blank, texts.empty)
+    kinds = set(map(type, column))
+    if kinds <= _FLOATS:
+        return _float_plan(np.array(column, dtype=np.float64), None, texts.empty)
+    cell, cells = _cells(column, kinds, texts)
+    if cell is not None:
+        return cell, None
+    index = dict.fromkeys(cells)
+    for i, text in enumerate(index):
+        index[text] = i
+    return "%s", (_table([text.encode() for text in index]),
+                  np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells)))
+
+
+def _table(cells: list) -> np.ndarray:
+    """The byte cells as rows of one width, each filled out with _g17.FILL."""
+    width = max(map(len, cells))
+    return np.frombuffer(b"".join(cell.ljust(width, _FILL) for cell in cells),
+                         dtype=np.uint8).reshape(len(cells), width)
+
+
+def _float_plan(column: np.ndarray, blank, empty: str):
+    """_byte_plan of a float array; ``blank`` is None or the mask of its empty rows.
+
+    A column whose values geometry._distinct finds at most half distinct
+    gets each distinct bit pattern (0.0 and -0.0 apart) formatted once, and
+    one shared by every row as its cell text; any other column is encoded
+    chunk by chunk.  A blank row's cell is ``empty``.  A mask with no row
+    set is taken as None.
+    """
+    if blank is not None and not blank.any():
+        blank = None
+    column = np.asarray(column, dtype=np.float64)  # a strided column stays uncopied
+    bits = column.view(np.int64)
+    distinct = _distinct(bits if blank is None else bits[~blank])
+    if distinct is None:
+        # a blank row's float, as a sweep's 0.0, is not left to the fallback
+        return _FLOAT_SLOT, (column if blank is None else np.where(blank, 1.0, column), blank,
+                             np.frombuffer(empty.encode().ljust(_g17.WIDTH, _FILL), np.uint8))
+    texts = [f"{v:.17g}" for v in distinct.view(np.float64).tolist()]
+    if blank is None and len(texts) == 1:
+        return texts[0], None
+    at = np.searchsorted(distinct, bits)
+    if blank is not None:
+        at[blank] = len(texts)
+    return "%s", (_table([text.encode() for text in [*texts, empty]]), at)
+
+
+def _chunk_bytes(lo: int, hi: int, plans: list) -> str:
+    """The CSV text of rows lo:hi, given each column's (cell, cells) from _byte_plan.
+
+    The %.17g columns are encoded about CHUNK_ROWS values to a call: one
+    column at a time in a full chunk, several together in a short one.
+    The columns' rows, with the shared cells and separators between them,
+    are laid side by side; deleting every fill byte leaves the text.
+    """
+    n = hi - lo
+    floats = [cells[0][lo:hi] for cell, cells in plans if cells is not None and cell == _FLOAT_SLOT]
+    per_call = max(1, CHUNK_ROWS // n)
+    encoded = (rows for first in range(0, len(floats), per_call)
+               for rows in _g17.encode(np.column_stack(floats[first:first + per_call]))
+               .reshape(n, -1, _g17.WIDTH).transpose(1, 0, 2))
+    parts, shared = [], ""
+
+    def flush(text):
+        data = np.frombuffer(text.encode(), dtype=np.uint8)
+        parts.append(np.broadcast_to(data, (n, data.size)))
+
+    for (cell, cells), sep in zip(plans, [","] * (len(plans) - 1) + ["\n"]):
+        if cells is None:
+            shared += cell + sep
+            continue
+        if shared:
+            flush(shared)
+        shared = sep
+        if cell != _FLOAT_SLOT:
+            table, at = cells
+            parts.append(table.take(at[lo:hi], axis=0))
+            continue
+        _, blank, empty = cells
+        rows = next(encoded)
+        if blank is not None:
+            rows[blank[lo:hi]] = empty
+        parts.append(rows)
+    flush(shared)
+    chunk = np.concatenate(parts, axis=1)
+    parts.clear()
+    text = chunk.tobytes()
+    del chunk  # each buffer is freed as soon as the next holds the chunk
+    return text.translate(None, _FILL).decode()
+
+
+def _write_csv(columns: dict, fh, blank: dict) -> None:
+    """Header and rows, CHUNK_ROWS at a time; nothing at all for an empty table.
+
+    ``blank`` maps a float column's key to the row mask of its empty cells.
+    A table with a float array column is planned column by column, then
+    assembled as bytes chunk by chunk; a table of lists alone, as the
+    one-row point tables, fills a row template, which costs less than
+    numpy's fixed cost per call there.
+    """
+    cols = list(columns.values())
+    n_rows = len(cols[0]) if cols else 0
+    if not n_rows:
+        return
+    texts = _TextCells('""' if len(cols) == 1 else "")
+    fh.write(texts.row(columns))
+    chunks = [(lo, min(lo + CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, CHUNK_ROWS)]
+    if not any(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in cols):
+        for lo, hi in chunks:
+            fh.write(_chunk_text(hi - lo, [_chunk_plan(col[lo:hi], texts) for col in cols]))
+        return
+    plans = [_byte_plan(col, blank.get(key), texts) for key, col in columns.items()]
+    for lo, hi in chunks:
+        fh.write(_chunk_bytes(lo, hi, plans))
 
 
 def emit(columns: dict, args, blank: dict | None = None) -> None:
@@ -300,8 +381,10 @@ def emit(columns: dict, args, blank: dict | None = None) -> None:
     """
     blank = blank or {}
     if args.format == "json":
-        cells = {key: _with_blanks(col, blank[key]) if key in blank else col
-                 for key, col in columns.items()}
+        # float64 cells as Python floats, which json writes with the same repr
+        cells = {key: _with_blanks(col, blank[key]) if key in blank
+                 else col.tolist() if isinstance(col, np.ndarray) and col.dtype == np.float64
+                 else col for key, col in columns.items()}
         rows = [dict(zip(cells, values)) for values in zip(*cells.values())]
         command = [getattr(args, key) for key in _WORDS if hasattr(args, key)]
         payload = json.dumps({"command": command, "config": _config(args), "rows": rows},

@@ -217,6 +217,8 @@ class FockVector:
 
 def default_j_max(center: float) -> int:
     """Level cutoff giving a relative Gaussian tail below ~exp(-81)."""
+    if not math.isfinite(center):
+        raise DomainError(f"level cutoff j_max must be finite, got {abs(center) + 9}")
     return math.ceil(abs(center)) + 9
 
 
@@ -586,7 +588,7 @@ def quantization_scan(
     for phi in (math.pi, 3.0 * math.pi):
         label = StateLabel(l=l, phi=phi, r=r, s=s)
         center = label.center
-        if abs(center - 0.5 * round(2.0 * center)) > tol:
+        if abs(math.remainder(center, 0.5)) > tol:  # 2 * center may overflow
             continue
         jbar = expect_j(label, method="ratio")
         if abs(jbar - s - round(jbar - s)) > tol:

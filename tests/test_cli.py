@@ -211,6 +211,17 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "cannot allocate" in err
 
+    # 2 * center and the pair midpoint overflow to inf near DBL_MAX
+    @pytest.mark.parametrize("argv", [
+        ["cs", "quantize", "--l", "1e308", "--r", "0.5"],
+        ["cs", "overlap", "--l", "1.7976931348623157e308", "--r", "0.5", "--s", "half",
+         "--l2", "1e300"],
+    ])
+    def test_level_cutoff_near_dbl_max_exit_code(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_theta_command(self, capsys):
         code, out, _ = run_cli(["theta", "--l", "0", "--phi", "0", "--r", "0"], capsys)
         assert code == 0
@@ -979,6 +990,89 @@ class TestEmit:
     def test_small_tables_match_row_writer(self, tmp_path, columns):
         rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
         assert self.emitted(columns, "csv", tmp_path) == self.oracle_csv(rows).encode()
+
+
+C = cli.CHUNK_ROWS
+# a row count, as the two factors of a sweep grid
+ROW_COUNTS = {1: (1, 1), C - 1: (63, 65), C: (64, 64), C + 1: (17, 241), 3 * C + 7: (5, 2459)}
+
+
+class TestArtifactBytes:
+    """Every CSV table a sweep or dynamics run hands emit, against csv.writer with fmt per cell."""
+
+    @staticmethod
+    def oracle_csv(columns, blank):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        n = len(next(iter(columns.values())))
+        if n:
+            writer.writerow(columns)
+        for i in range(n):
+            writer.writerow(["" if key in blank and blank[key][i] else cli.fmt(col[i])
+                             for key, col in columns.items()])
+        return buffer.getvalue()
+
+    def check(self, argv, capsys, monkeypatch):
+        tables = []
+        emit = cli.emit
+        monkeypatch.setattr(cli, "emit", lambda columns, args, blank=None: (
+            tables.append((columns, blank or {})), emit(columns, args, blank))[1])
+        code, out, _ = run_cli(argv, capsys)
+        (columns, blank), = tables
+        self.assert_same(out, self.oracle_csv(columns, blank))
+        return code, columns, blank
+
+    @staticmethod
+    def assert_same(text, expected):
+        """text == expected, reported at the first line that differs (a diff of the whole is slow)."""
+        lines, wanted = text.split("\n"), expected.split("\n")
+        first = next((i for i, pair in enumerate(zip(lines, wanted)) if pair[0] != pair[1]),
+                     min(len(lines), len(wanted)))
+        assert lines[first:first + 1] == wanted[first:first + 1] and len(lines) == len(wanted)
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize("target, grid", [
+        ("expect-j", "l=-30:30:{},phi=0:4pi:{}"),
+        ("expect-u", "l=-30:30:{},r=0.5:1.5:{}"),  # r >= 1 rows fail
+        ("norm2", "l=-30:30:{},phi=0:4pi:{}"),      # |l'| > 26.6 rows fail
+        ("gaussian-supnorm", "l=-30:30:{},phi=0:4pi:{}"),
+    ])
+    @pytest.mark.parametrize("s", ["int", "half"])
+    def test_state_sweeps(self, capsys, monkeypatch, target, grid, s, n):
+        code, columns, blank = self.check(
+            ["sweep", target, "--grid", grid.format(*ROW_COUNTS[n]), "--s", s], capsys,
+            monkeypatch)
+        assert len(columns["error"]) == n
+        if n > 1 and target in ("expect-u", "norm2"):
+            assert code == 1 and 0 < next(iter(blank.values())).sum() < n
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize("target, grid", [
+        ("energy", "r=0:1.5:{},j=-2:2:{}"),              # r >= 1 rows fail
+        ("projector", "delta=-0.1:0.1:{},theta=0:pi:{}"),  # delta <= 0 rows fail
+    ])
+    def test_column_sweeps(self, capsys, monkeypatch, target, grid, n):
+        code, columns, blank = self.check(
+            ["sweep", target, "--grid", grid.format(*ROW_COUNTS[n])], capsys, monkeypatch)
+        assert len(columns["error"]) == n
+        if n > 1:
+            assert code == 1 and 0 < next(iter(blank.values())).sum() < n
+
+    @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 3 * C + 7])  # t_end > 0: 2 rows or more
+    def test_dynamics(self, capsys, monkeypatch, n):
+        code, columns, _ = self.check(
+            ["dynamics", "--t-end", repr((n - 1) / 100), "--dt", "0.01"], capsys, monkeypatch)
+        assert code == 0 and len(columns["t"]) == n
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_one_column_table(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        for column in (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+                       np.repeat([0.5, -0.0, 1e300], n // 3 + 1)[:n]):
+            blank = {"only": rng.random(n) < 0.3}
+            out = tmp_path / "table.csv"
+            cli.emit({"only": column}, SimpleNamespace(format="csv", out=str(out)), blank)
+            self.assert_same(out.read_text(), self.oracle_csv({"only": column}, blank))
 
 
 class TestRoundTrip:
