@@ -52,7 +52,6 @@ from .errors import DomainError, PrecisionError
 from .geometry import _libm, _rejected, coherent_label, label_center, label_centers, valid_r
 from .dynamics import energy_quantized
 from .theta import (
-    COLUMN_MIN_ROWS,
     _shift_prefactor,
     row_blocks,
     theta2,
@@ -405,12 +404,12 @@ def _grid_blocks(centers, s: float, reach: int = 0):
     """(rows, levels, centers as a column) per row block of labels on one level grid."""
     centers = np.asarray(centers, dtype=float)
     # widened towards reach by at most 19 levels: past |l'| + 28, exp(-(j - l')^2) is 0.0
-    if (centers.size >= COLUMN_MIN_ROWS and reach < _EXACT_INT
-            and np.all(np.abs(centers) < _EXACT_INT)):
+    if reach < _EXACT_INT and (np.abs(centers) < _EXACT_INT).all():
         d = np.ceil(np.abs(centers)).astype(np.int64) + 9  # default_j_max, exact in int64 here
         j_maxes = d + np.minimum(np.maximum(reach - d, 0), 19)
-    else:
-        j_maxes = [d + min(max(reach - d, 0), 19) for d in map(default_j_max, centers.tolist())]
+    else:  # Python ints, which numpy must not round to float64 past 2^63
+        j_maxes = np.array([d + min(max(reach - d, 0), 19)
+                            for d in map(default_j_max, centers.tolist())], dtype=object)
     for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
         j = level_grid(j_max, s)
         yield rows, j, centers[rows, None]
@@ -612,6 +611,9 @@ def temporal_fidelity(label: StateLabel, t: float, L0: float = 0.0,
     t = 0 and stays below 1 for t != 0: the spectrum is quadratic, so
     coherent evolution is a diagnostic, not an identity.
     """
+    for name, value in (("t", t), ("L0", L0)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     v = build_cs(label, j_max=j_max)
     evolved = evolve(v, t, label.r, L0)
     center = label.center

@@ -24,11 +24,15 @@ Theta3(nu + tau | tau) = exp(-i*pi*tau - 2*i*pi*nu) * Theta3(nu | tau)
 (DLMF 20.2(iii)) giving N: a certified Gaussian bound keeps the neglected
 tail below the policy tolerance times the modulus of the term at the
 window centre, which is an absolute bound where n0 = 0 (every real nu).
+N is a step function of |Im| of the reduced argument: every sum, one entry
+or a column, reads it from one table of its steps per (Im(tau), policy).
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +144,43 @@ def _cap_error(a: float, b: float, policy: SeriesPolicy, shift: float = 0.0) -> 
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _order_table(b: float, policy: SeriesPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """(thresholds, orders): _truncation_order at |Im nu| = a on Im tau = b, as a step table.
+
+    The order at a is orders[k] for the first k with a <= thresholds[k]
+    (bisect_left, or searchsorted with side="left").  Each threshold but
+    the last is the largest double keeping the order before it, found by
+    bisection on the bits of a: the tail bound, hence the order, does not
+    decrease in a.  An order that policy.max_terms cannot meet reads
+    max_terms + 1 ("fails"), as does every a past the last threshold b: a
+    sum's reduced argument has a <= Im(tau)/2 but for rounding.
+    """
+    fails = policy.max_terms + 1
+
+    def order(bits: int) -> int:  # at the double >= 0 with these bits (they sort as the doubles do)
+        a = float(np.int64(bits).view(np.float64))
+        try:
+            return _truncation_order(complex(0.0, a), complex(0.0, b), policy)
+        except PrecisionError:
+            return fails
+
+    steps, orders = [], [order(0)]
+    lo, top = 0, int(np.float64(b).view(np.int64))
+    while orders[-1] != order(top):  # order(lo) is orders[-1]: bisect for its last double
+        hi = top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if order(mid) == orders[-1] else (lo, mid)
+        steps.append(lo)
+        orders.append(order(hi))
+        lo = hi
+    thresholds = np.array([*steps, top], dtype=np.int64).view(np.float64)
+    orders = np.array([*orders, fails])
+    thresholds.flags.writeable = orders.flags.writeable = False  # shared by every caller
+    return thresholds, orders
+
+
 def _window(nu: complex, tau: complex, policy: SeriesPolicy) -> tuple[int, int]:
     """(n0, N): Theta3(nu|tau) is summed over n = n0 - N ... n0 + N.
 
@@ -148,22 +189,20 @@ def _window(nu: complex, tau: complex, policy: SeriesPolicy) -> tuple[int, int]:
     n0 + k is that of index k in the sum at the reduced argument
     i*(Im(nu) + n0*Im(tau)), whose |Im| is at most Im(tau)/2 (the
     quasi-periodicity Theta3(nu + tau | tau) = exp(-i*pi*tau - 2*i*pi*nu)
-    Theta3(nu | tau)).  So N is _truncation_order at that argument, and the
-    neglected tail stays below target_tol*|t_n0|.  A window reaching past
-    policy.max_terms (|n0| + N > max_terms) raises the error that
-    _truncation_order raises for the unreduced nu.
+    Theta3(nu | tau)).  So N is _truncation_order at that argument, read
+    from _order_table, and the neglected tail stays below target_tol*|t_n0|.
+    A window reaching past policy.max_terms (|n0| + N > max_terms) raises
+    the error that _truncation_order raises for the unreduced nu.
     """
     b = tau.imag
     c = -nu.imag / b if math.isfinite(nu.imag) else 0.0
     if abs(c) < policy.max_terms:
         n0 = round(c)
-        try:
-            n = _truncation_order(complex(0.0, nu.imag + n0 * b) if n0 else nu, tau, policy)
-        except PrecisionError:
-            pass
-        else:
-            if abs(n0) + n <= policy.max_terms:
-                return n0, n
+        a = abs(nu.imag + n0 * b) if n0 else abs(nu.imag)
+        thresholds, orders = _order_table(b, policy)
+        n = int(orders[bisect.bisect_left(thresholds, a)])
+        if math.isfinite(a) and abs(n0) + n <= policy.max_terms:
+            return n0, n
     raise _cap_error(abs(nu.imag), b, policy)
 
 
@@ -179,105 +218,31 @@ def _lattice_rows(nu: np.ndarray, tau: complex, n: np.ndarray) -> np.ndarray:
 
 
 BLOCK_TERMS = 1 << 15  # lattice terms (rows x points) summed in one array
-# Below this many rows, per-row Python beats numpy's fixed cost per call: one
-# truncation order took 2.8 us in Python and 97 us as one-entry columns
-# (Python 3.11, numpy 2.4, 2-vCPU x86_64).
-COLUMN_MIN_ROWS = 64
-# A numpy-evaluated tail bound decides a row only where it clears target_tol
-# by this relative margin, far beyond the few ulp between numpy's and libm's exp.
-_CERTIFY_MARGIN = 1e-9
-_RHO_MAX = 1.0 - 1e-3  # 1 - rho then keeps those few ulp below 1e-12 relative
-
-
-def _tail_bounds(m: np.ndarray, a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(bound, raised): _tail_bound at every entry, as far as numpy can tell.
-
-    x and log_mag are formed with the same operations as in _tail_bound, so
-    its inf branches are taken exactly.  Elsewhere numpy's exp stands in for
-    libm's, with log_mag raised to -700 where it is lower (``raised``: there
-    the bound only bounds _tail_bound's from above); where rho is near 1 the
-    bound is NaN, which no comparison passes.
-    """
-    x = -math.pi * b * (2.0 * m + 1.0) + 2.0 * math.pi * a
-    log_mag = -math.pi * b * m * m + 2.0 * math.pi * a * m
-    rho = np.exp(np.minimum(x, 0.0))
-    bound = 2.0 * np.exp(np.clip(log_mag, -700.0, 700.0)) / (1.0 - rho)
-    bound[rho > _RHO_MAX] = math.nan
-    bound[(x > 0.0) | (log_mag > 700.0)] = math.inf
-    return bound, log_mag < -700.0
-
-
-def _column_orders(a: np.ndarray, tau: complex,
-                   policy: SeriesPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """(orders, certified): _truncation_order's closed-form N at each |Im nu| in ``a``.
-
-    Each row's N comes from the same IEEE operations as the scalar search's
-    starting point, so it is the same N.  ``certified`` marks the rows
-    where numpy's tail bounds show that neither of the search's loops would
-    move it: the bound at N - 1 is not below target_tol (or N = 1) and the
-    bound at N is, both with _CERTIFY_MARGIN to spare.  Every other row (a
-    near-tie, rho near 1, N >= max_terms - 1, a non-finite a) needs the
-    scalar search.
-    """
-    b = tau.imag
-    tol = policy.target_tol
-    with np.errstate(all="ignore"):
-        if tol < 2.0:  # else the scalar search starts from 1
-            peak = a / b
-            root = peak + np.sqrt(peak * peak + math.log(2.0 / tol) / (math.pi * b))
-            n = np.where(root < policy.max_terms, np.maximum(1.0, np.ceil(root)),
-                         float(policy.max_terms))
-        else:
-            n = np.ones(a.shape)
-        hi, _ = _tail_bounds(n, a, b)
-        lo, lo_raised = _tail_bounds(n - 1.0, a, b)
-        certified = (np.isfinite(a) & (n < policy.max_terms - 1)
-                     & (hi < tol * (1.0 - _CERTIFY_MARGIN))
-                     & ((n == 1.0) | ((lo >= tol * (1.0 + _CERTIFY_MARGIN)) & ~lo_raised)))
-    return n.astype(np.int64), certified
 
 
 def _windows(nu: np.ndarray, tau: complex,
              policy: SeriesPolicy) -> tuple[np.ndarray | None, np.ndarray]:
     """[_window(v, tau, policy) for v in nu] as columns (peaks n0 as floats, orders N).
 
-    The orders at the reduced arguments i*(Im(nu) + n0*Im(tau)) come from
-    _column_orders, and each row it cannot certify, or whose window reaches
-    past policy.max_terms, takes _window, in index order, so a failing
-    batch raises the error of its first failing row.  Where no |Im(nu)|
-    exceeds Im(tau)/2, every n0 is 0: the peaks are None and the orders
-    are taken at nu itself.
+    The orders are read from _order_table as _window reads them, and the
+    first row (in index order) whose reduced |Im| is not finite or whose
+    window reaches past policy.max_terms raises _window's error for it.
+    Where no |Im(nu)| exceeds Im(tau)/2, every n0 is 0 and peaks is None.
     """
     b = tau.imag
     with np.errstate(all="ignore"):
-        if (2.0 * np.abs(nu.imag) > b).any():
+        a = np.abs(nu.imag)
+        peaks = None  # |Im(nu)/Im(tau)| <= 1/2, or NaN: n0 = 0
+        if (2.0 * a > b).any():
             peaks = np.rint(-nu.imag / b)  # _window's n0 (a non-finite Im(nu) fails there)
-            orders, certified = _column_orders(np.abs(nu.imag + peaks * b), tau, policy)
-            certified &= np.abs(peaks) + orders <= policy.max_terms
-        else:  # |Im(nu)/Im(tau)| <= 1/2, or NaN: n0 = 0
-            peaks = None
-            orders, certified = _column_orders(np.abs(nu.imag), tau, policy)
-    for i in np.flatnonzero(~certified).tolist():
-        orders[i] = _window(complex(nu[i]), tau, policy)[1]
+            a = np.abs(nu.imag + peaks * b)
+        thresholds, table = _order_table(b, policy)
+        orders = table[thresholds.searchsorted(a)]
+        ok = np.isfinite(a) & ((orders if peaks is None else np.abs(peaks) + orders)
+                               <= policy.max_terms)
+    if not ok.all():
+        raise _cap_error(abs(float(nu.imag[ok.argmin()])), b, policy)
     return peaks, orders
-
-
-def _window_blocks(nu: np.ndarray, tau: complex, policy: SeriesPolicy):
-    """(rows, lattice points) per block of entries of ``nu`` whose windows are summed as one array.
-
-    Below COLUMN_MIN_ROWS entries a block shares one window (n0, N), taken
-    row by row from _window, so its points are theta3's own.  A longer
-    column's block shares the order N, each row's points shifted by its n0.
-    """
-    if nu.size < COLUMN_MIN_ROWS:
-        windows = [_window(v, tau, policy) for v in nu.tolist()]
-        for (n0, n_max), rows in row_blocks(windows, lambda window: 2 * window[1] + 1):
-            yield rows, np.arange(n0 - n_max, n0 + n_max + 1, dtype=float)
-        return
-    peaks, orders = _windows(nu, tau, policy)
-    for n_max, rows in row_blocks(orders, lambda n_max: 2 * n_max + 1):
-        n = np.arange(-n_max, n_max + 1, dtype=float)
-        yield rows, (n if peaks is None else peaks[rows, None] + n)
 
 
 def row_blocks(keys, width):
@@ -285,22 +250,15 @@ def row_blocks(keys, width):
 
     Rows of one key are cut into blocks of at most BLOCK_TERMS // width(key)
     rows (at least one), so no array holds more than one block's terms.
-    From COLUMN_MIN_ROWS keys on, the rows of each distinct key are found by
-    one numpy comparison over the key column, cheaper than a sort for the few
-    distinct orders or level grids of a column, and come as integer arrays;
-    fewer keys are grouped in a dict.
+    The rows of each distinct key are found by one numpy comparison over
+    the key column, cheaper than a sort for the few distinct orders or
+    level grids of a column.
     """
-    if len(keys) < COLUMN_MIN_ROWS:
-        groups: dict = {}
-        for i, key in enumerate(keys):
-            groups.setdefault(key, []).append(i)
-        grouped = groups.items()
-    else:
-        keys = np.asarray(keys)
-        grouped = [(key, np.flatnonzero(keys == key)) for key in dict.fromkeys(keys.tolist())]
-    for key, rows in grouped:
+    keys = np.asarray(keys)
+    for key in dict.fromkeys(keys.tolist()):
+        rows = (keys == key).nonzero()[0]
         step = max(1, BLOCK_TERMS // width(key))
-        for lo in range(0, len(rows), step):
+        for lo in range(0, rows.size, step):
             yield key, rows[lo:lo + step]
 
 
@@ -316,18 +274,19 @@ def theta3(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> 
 def theta3_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
     """:func:`theta3` at every entry of ``nu``, bit for bit.
 
-    Entries are grouped by window (_window_blocks) and each group is summed
-    as one (rows x lattice points) array.  From COLUMN_MIN_ROWS entries on,
-    the windows are certified a column at a time (_windows), with the
-    scalar search for the rows numpy cannot decide; a shorter column takes
-    _window row by row.  Either way a column raises the PrecisionError of
-    its first entry whose window reaches past policy.max_terms.
+    Entries are grouped by truncation order, read for the whole column from
+    theta3's order table (_windows), and each group is summed as one
+    (rows x lattice points) array, each row's points shifted by its peak.
+    A column raises the PrecisionError of its first entry whose window
+    reaches past policy.max_terms.
     """
     tau = _check_tau(tau)
     nu = np.array(nu, dtype=complex).ravel()
     out = np.empty(nu.size, dtype=complex)
-    for rows, n in _window_blocks(nu, tau, policy):
-        out[rows] = _lattice_rows(nu[rows], tau, n)
+    peaks, orders = _windows(nu, tau, policy)
+    for n_max, rows in row_blocks(orders, lambda n_max: 2 * n_max + 1):
+        n = np.arange(-n_max, n_max + 1, dtype=float)
+        out[rows] = _lattice_rows(nu[rows], tau, n if peaks is None else peaks[rows, None] + n)
     return out
 
 

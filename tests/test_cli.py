@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -296,6 +297,7 @@ class TestCommands:
         # the Theta2 prefactor exp(-l' - 1/4) overflows past l' ~ -709.5
         ["cs", "norm2", "--l", "-1000", "--s", "half"],
         ["cs", "fidelity", "--l", "30"],
+        ["cs", "fidelity", "--L0", "1e300"],  # finite input, overflowing phases
         ["cs", "coeffs", "--l", "40"],
         ["cs", "overlap", "--l", "30", "--l2", "30"],
         # 2*pi*|Im nu| > 709.8: exp() of the term ratio would leave double range
@@ -356,6 +358,9 @@ class TestCommands:
         ["spectrum", "--L0", "inf"], ["spectrum", "--j-max", "inf"], ["spectrum", "--j-max", "nan"],
         ["cs", "coeffs", "--j-max", "inf"], ["cs", "coeffs", "--j-max", "nan"],
         ["cs", "distribution", "--j", "nan"], ["cs", "distribution", "--j", "inf"],
+        ["cs", "fidelity", "--t", "nan"], ["cs", "fidelity", "--t", "inf"],
+        ["cs", "fidelity", "--t", "-inf"], ["cs", "fidelity", "--L0", "nan"],
+        ["cs", "fidelity", "--L0", "inf"],
     ])
     def test_non_finite_level_input_exit_code(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
@@ -481,7 +486,7 @@ class TestSweep:
         ("r=0:1.2:7", ["--l", "0.3", "--phi", "1.1"]),          # r axis; r >= 1 rows fail
         ("s=0:0.5:3", ["--l", "-2", "--phi", "pi"]),            # s axis; s = 1/4 fails
         ("l=-30:30:13", ["--phi", "pi", "--s", "half"]),        # one axis
-        # batches past COLUMN_MIN_ROWS: every phi distinct; phi = -0.0 past |l'| ~ 26.6
+        # long batches: every phi distinct; phi = -0.0 past |l'| ~ 26.6
         ("phi=-3:40:300", ["--l", "5"]),
         ("phi=-0.0:0:2,l=-30:30:61", ["--s", "half"]),
         ("l=-30:30:5,phi=0:4pi:4,r=0:0.9:3", []),               # three axes
@@ -1325,3 +1330,39 @@ class TestCachedParser:
         monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.grid) or 7)
         assert cli.main(["sweep", "norm2", "--grid", "l=0:1:2"]) == 7
         assert seen == ["l=0:1:2"]
+
+
+# sha256 of stdout, computed before the truncation orders were read from one table per
+# lattice; the grid crosses the 26.1-26.6 overflow band, so norm2 has error rows
+OUTPUT_DIGESTS = [
+    (["sweep", "expect-j", "--s", "int"], 0,
+     "8b76e7dba6507a9b68da112adfe2ebe15b3baf07082e348827968392b733ea8f"),
+    (["sweep", "expect-u", "--s", "int"], 0,
+     "35cf3894698f42337cfa39b4bf82f5fddede33c7474f0f621c9cb8f8745de42c"),
+    (["sweep", "norm2", "--s", "int"], 1,
+     "6baaf1b821e8c5dce62c1b17b842f2cd7703a95aef9398fe1254f0fce1381a75"),
+    (["sweep", "expect-j", "--s", "half"], 0,
+     "834e9a1950a0ab1e15eb8cf3a9e934f8189c0389e95bdee564fc4dc39b00a7c0"),
+    (["sweep", "expect-u", "--s", "half"], 0,
+     "2113287a65c9f950e742c4aaf455f6f2cf4de9ef3290ba75eed50776f5ea9afe"),
+    (["sweep", "norm2", "--s", "half"], 1,
+     "012c1b3782a81b2469a72674a74772683bb8bb3355f784250ffbebc2ca39bcd7"),
+    (["theta", "--l", "0.3"], 0, "89f3349ea1d15bc4451d0d7f63789cbf08ea137062bbbb9b9c3e78cd33f14baf"),
+    (["theta", "--l", "-12.7"], 0, "0a1158a16fc4f5590131a9f6315b3399ff61165e56feba446985ba9a4380cf60"),
+    (["theta", "--l", "26.3"], 0, "eb72bda0f0003ee7da092138622751fa38e09043ac258063554780aadf71241a"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", OUTPUT_DIGESTS)
+def test_output_digest(capsys, argv, code, digest):
+    if argv[0] == "sweep":
+        argv = [*argv, "--grid", "l=-27:27:55,phi=0:4pi:7", "--r", "0.5"]
+    got, out, err = run_cli(argv, capsys)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_theta_past_max_terms_error_text(capsys):
+    assert run_cli(["theta", "--l", "1e17"], capsys) == (
+        1, "", "precision failure: lattice sum did not reach tol=1e-14 within 10000 terms "
+               "(achieved bound inf) (achieved inf)\n")

@@ -34,7 +34,7 @@ from mobiuscs.states import (
     quantization_scan,
     temporal_fidelity,
 )
-from mobiuscs.theta import COLUMN_MIN_ROWS, theta2, theta3
+from mobiuscs.theta import theta2, theta3
 
 RNG = np.random.default_rng(314159)
 
@@ -224,6 +224,37 @@ class TestLabelBatch:
                     assert [col.tobytes() for col in law] == [
                         col.tobytes() for col in occupation_law(lab)]
 
+    @staticmethod
+    def outcome(call):
+        """The bytes of a route's values, or the type and text of the error it raises."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.asarray(call()).tobytes()
+        except (DomainError, PrecisionError) as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 197])
+    def test_batch_of_every_length_matches_one_label_calls(self, s, size):
+        # centers |l'| > 1/2: every natural-lattice sum has its peak at n0 = -rint(l') != 0;
+        # with one failing label in the middle, a batch raises its first failing row's error
+        rng = np.random.default_rng(size)
+        l = (rng.uniform(3.0, 26.0, size) * rng.choice([-1.0, 1.0], size)).tolist()
+        phi = rng.uniform(-20.0, 20.0, size).tolist()
+        for far in (None, 1e300, 2.0 ** 60):
+            if far is not None:
+                l[size // 2] = far
+            [(rows, batch)], rejected = label_batches(l, phi, [0.5] * size, [s] * size)
+            assert rejected == {} and np.all(np.abs(batch.centers) > 0.5)
+            labels = [StateLabel(*point) for point in zip(l, phi, [0.5] * size, [s] * size)]
+            for route in self.ROUTES:
+                expected = [self.outcome(lambda: route(lab)) for lab in labels]
+                failed = [o for o in expected if isinstance(o, tuple)]
+                got = self.outcome(lambda: route(batch))
+                assert got == (failed[0] if failed else b"".join(expected))
+                if far is not None and route is self.ROUTES[0]:
+                    assert failed  # the natural norm fails past |l'| ~ 10^4
+
     @pytest.mark.parametrize("fn,method", [(norm2, "direct"), (norm2, "modular"),
                                            (expect_j, "theta"), (expect_u, "direct"),
                                            (expect_u, "theta")])
@@ -338,7 +369,7 @@ class TestNorm:
             return str(exc)
 
     @pytest.mark.parametrize("s", [0.0, 0.5])
-    @pytest.mark.parametrize("size", [1, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS])
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 197])
     def test_theta_route_is_the_scalar_theta_sum(self, s, size):
         # bit for bit at signed zeros and near the overflow edge; at +-2^52 the lattice
         # sums exceed max_terms, and a batch raises the error of its first failing row
@@ -360,7 +391,7 @@ class TestNorm:
     def test_theta_route_at_a_non_finite_center_fails_at_the_cap(self, s, bad):
         # nu = 1j*(c/pi) is nan+nanj at a NaN center, as 1j*c/pi is; at c = +-inf it is
         # nan+-infj, where Python's complex quotient gives nan+nanj (achieved bound nan)
-        centers = np.random.default_rng(6).uniform(-20.0, 20.0, 2 * COLUMN_MIN_ROWS).tolist()
+        centers = np.random.default_rng(6).uniform(-20.0, 20.0, 128).tolist()
         centers[70] = bad
         got = self.theta_norms(centers, s)
         assert got == ("lattice sum did not reach tol=1e-14 within 10000 terms "
@@ -437,7 +468,7 @@ class TestExpectJ:
         return center + (d * w).sum() / w.sum()
 
     @pytest.mark.parametrize("s", [0.0, 0.5])
-    @pytest.mark.parametrize("size", [1, COLUMN_MIN_ROWS - 1, 3 * COLUMN_MIN_ROWS])
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 197])
     def test_ratio_window_against_the_symmetric_grid(self, s, size):
         # each label sums the levels around rint(l'): the symmetric grid's bytes for
         # |l'| < 1/2, where the two grids coincide, and within 4 ulp of them elsewhere
@@ -463,6 +494,13 @@ class TestExpectJ:
         for far in (2.0 ** 52, -(2.0 ** 52), 1e300):
             with pytest.raises(DomainError, match="cannot allocate the levels"):
                 expect_j(LabelBatch([*centers, far], [0.0] * 6, s), method="ratio")
+
+    @pytest.mark.parametrize("size", [2, 70])
+    def test_level_cutoffs_past_2_63_stay_integers(self, size):
+        # default_j_max(9.5e18) is an int in [2^63, 2^64), which a float64 key column rounds
+        centers = [1.0] * (size - 1) + [9.5e18]
+        with pytest.raises(DomainError, match="cannot allocate the levels"):
+            expect_j(LabelBatch(centers, [0.0] * size, 0.0), method="ratio")
 
     def test_correction_vanishes_on_half_lattice(self):
         # sin(2*pi*l') kills the correction at every half-integer center

@@ -1,7 +1,11 @@
 """Theta engine: series values, shift relation, modular transform, log-derivative."""
 
+import bisect
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +16,10 @@ from mobiuscs import theta as theta_module
 from mobiuscs.errors import DomainError, PrecisionError
 from mobiuscs.states import TAU_DUAL, TAU_NATURAL
 from mobiuscs.theta import (
-    COLUMN_MIN_ROWS,
     DEFAULT_POLICY,
     SeriesPolicy,
+    _cap_error,
+    _order_table,
     _truncation_order,
     _window,
     _windows,
@@ -320,7 +325,7 @@ class TestMany:
         theta3_many(nu, TAU_DUAL)
         assert widths == [(2000, 5)]
 
-    @pytest.mark.parametrize("size", [0, 5, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS, 5000])
+    @pytest.mark.parametrize("size", [0, 1, 5, 64, 5000])
     def test_row_blocks_match_a_dict_grouping(self, size):
         keys = np.random.default_rng(size).integers(0, 40, size) ** 3  # some blocks get cut
 
@@ -340,9 +345,31 @@ class TestMany:
 TAUS = [TAU_NATURAL, TAU_DUAL, 0.3 + 0.8j]
 
 
+def search_window(nu, tau, policy=DEFAULT_POLICY):
+    """_window's (n0, N) with N from the search _truncation_order at the reduced argument."""
+    b = tau.imag
+    c = -nu.imag / b if math.isfinite(nu.imag) else 0.0
+    if abs(c) < policy.max_terms:
+        n0 = round(c)
+        try:
+            n = _truncation_order(complex(0.0, nu.imag + n0 * b) if n0 else nu, tau, policy)
+        except PrecisionError:
+            pass
+        else:
+            if abs(n0) + n <= policy.max_terms:
+                return n0, n
+    raise _cap_error(abs(nu.imag), b, policy)
+
+
 def scalar_windows(nu, tau, policy=DEFAULT_POLICY):
+    """[search_window(v, ...) for v in nu], or the failure of its first failing entry."""
+    return _order_or_failure(lambda: [search_window(v, complex(tau), policy)
+                                      for v in np.asarray(nu, dtype=complex).tolist()])
+
+
+def table_windows(nu, tau, policy=DEFAULT_POLICY):
     """[_window(v, ...) for v in nu], or the failure of its first failing entry."""
-    return _order_or_failure(lambda: [_window(v, tau, policy)
+    return _order_or_failure(lambda: [_window(v, complex(tau), policy)
                                       for v in np.asarray(nu, dtype=complex).tolist()])
 
 
@@ -366,20 +393,8 @@ def window_edge(tau, policy):
     return b * (n0 + 0.5)
 
 
-def threshold(order, a_lo, a_hi):
-    """Adjacent floats a < a' in [a_lo, a_hi] where order(a) changes."""
-    assert order(a_lo) != order(a_hi)
-    while math.nextafter(a_lo, math.inf) < a_hi:
-        mid = 0.5 * (a_lo + a_hi)
-        if order(mid) == order(a_lo):
-            a_lo = mid
-        else:
-            a_hi = mid
-    return a_lo, a_hi
-
-
 class TestColumnOrders:
-    """theta3_many's column-wise windows (_windows) against the scalar _window, entry by entry."""
+    """theta3's and theta3_many's windows, read from the order table, against the order search."""
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("policy", [DEFAULT_POLICY, SeriesPolicy(1e-8, 300), SeriesPolicy(3.0, 50)])
@@ -390,6 +405,7 @@ class TestColumnOrders:
         expected = scalar_windows(nu, tau, policy)
         assert isinstance(expected, list)
         assert max(abs(n0) + n for n0, n in expected) >= policy.max_terms - 1
+        assert table_windows(nu, tau, policy) == expected
         assert column_windows(nu, tau, policy) == expected
         small = np.abs(nu.imag) <= 0.5 * complex(tau).imag  # every n0 = 0: no reduction
         assert column_windows(nu[small], tau, policy) == [w for w, k in zip(expected, small) if k]
@@ -410,57 +426,111 @@ class TestColumnOrders:
         nu[150] = complex(0.0, math.inf) if bad != complex(0.0, math.inf) else 1e6j
         expected = _order_or_failure(_truncation_order, complex(nu[70]), tau, DEFAULT_POLICY)
         assert isinstance(expected, tuple)
+        assert scalar_windows(nu, tau) == expected
         assert column_windows(nu, tau) == expected
         with pytest.raises(PrecisionError) as info:
             theta3_many(nu, tau)
         assert (str(info.value), repr(info.value.achieved)) == expected
 
     @pytest.mark.parametrize("tau", TAUS)
-    @pytest.mark.parametrize("size", [1, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS, 3 * COLUMN_MIN_ROWS + 5])
-    def test_theta3_many_orders_on_both_sides_of_the_cutoff(self, tau, size, monkeypatch):
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 197])
+    def test_theta3_many_at_every_column_length(self, tau, size, monkeypatch):
         seen = []
         row_blocks = theta_module.row_blocks
         monkeypatch.setattr(theta_module, "row_blocks",
                             lambda keys, width: seen.append(list(keys)) or row_blocks(keys, width))
         rng = np.random.default_rng(size)
-        nu = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-30.0, 30.0, size)
+        b = complex(tau).imag
+        # peaks n0 = rint(-Im nu / Im tau) of 1 to 30 in modulus, either sign
+        nu = (rng.uniform(-1.0, 1.0, size)
+              + 1j * b * rng.uniform(0.5, 30.0, size) * rng.choice([-1.0, 1.0], size))
+        windows = [_window(v, tau, DEFAULT_POLICY) for v in nu.tolist()]
+        assert all(n0 != 0 for n0, _ in windows)
         with np.errstate(over="ignore", invalid="ignore"):
             many = theta3_many(nu, tau)
             scalar = np.array([theta3(v, tau) for v in nu])
-        # each row is summed around its peak term: a short column groups its rows by
-        # window (n0, N), a longer one by order N
-        windows = [_window(v, tau, DEFAULT_POLICY) for v in nu.tolist()]
-        assert seen == [windows if size < COLUMN_MIN_ROWS else [n for _, n in windows]]
+        # each row is summed around its peak term, its rows grouped by order N
+        assert seen == [[n for _, n in windows]]
         assert many.tobytes() == scalar.tobytes()
+        for bad in (complex(0.0, math.nan), 1e6j):  # one failing row in the middle
+            column = nu.copy()
+            column[size // 2] = bad
+            with pytest.raises(PrecisionError) as info:
+                theta3(bad, tau)
+            expected = (str(info.value), repr(info.value.achieved))
+            with pytest.raises(PrecisionError) as info:
+                theta3_many(column, tau)
+            assert (str(info.value), repr(info.value.achieved)) == expected
 
-    @pytest.mark.parametrize("tau", TAUS)
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, SeriesPolicy(1e-3, 10_000)])
-    def test_order_thresholds_take_the_scalar_search(self, tau, policy, monkeypatch):
-        # the order of a window steps where its reduced |Im| crosses a threshold,
-        # once in the cell n0 = 0 and in every other cell
-        b = complex(tau).imag
-        order = lambda a: _window(1j * a, tau, policy)[1]
-        grid = np.linspace(0.0, 60.0, 241).tolist()
-        orders = [order(a) for a in grid]
-        steps = [k for k in range(len(grid) - 1) if orders[k] != orders[k + 1]]
-        entries = []
-        for a_lo, a_hi in [(0.0, 0.4 * b)] + [(grid[k], grid[k + 1])
-                                              for k in (steps[0], steps[len(steps) // 2], steps[-1])]:
-            lo, hi = threshold(order, a_lo, a_hi)
-            entries += [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
-        # the tied entries between ordinary ones, in columns past the cutoff: one
-        # whose every n0 is 0 and one reaching 60
-        first = entries[:4]
-        for column in (first + np.linspace(-0.5 * b, 0.5 * b, 2 * COLUMN_MIN_ROWS).tolist() + first,
-                       entries + np.linspace(0.0, 60.0, 2 * COLUMN_MIN_ROWS).tolist() + entries):
-            nu = 1j * np.array(column)
-            expected = scalar_windows(nu, tau, policy)
-            scalar_calls = []
-            monkeypatch.setattr(theta_module, "_window",
-                                lambda v, *args: scalar_calls.append(v.imag) or _window(v, *args))
-            assert column_windows(nu, tau, policy) == expected
-            assert set(column[:4]) <= set(scalar_calls) and len(scalar_calls) < nu.size // 2
-            monkeypatch.undo()
+
+def search_order(a, b, policy):
+    """_truncation_order at |Im nu| = a on Im tau = b, or max_terms + 1 where it fails."""
+    try:
+        return _truncation_order(complex(0.0, a), complex(0.0, b), policy)
+    except PrecisionError:
+        return policy.max_terms + 1
+
+
+TABLE_IMAG_TAU = [0.05, 1.0 / math.pi, 0.8, 1.0, math.pi, 5.0]
+TABLE_POLICIES = [SeriesPolicy(1e-14), SeriesPolicy(1e-6), SeriesPolicy(1e-300), SeriesPolicy(3.0),
+                  SeriesPolicy(1e-14, 3), SeriesPolicy(1e-14, 8)]
+
+
+class TestOrderTable:
+    """_order_table's steps against the order search it is built from."""
+
+    @pytest.mark.parametrize("b", TABLE_IMAG_TAU)
+    @pytest.mark.parametrize("policy", TABLE_POLICIES)
+    def test_table_reads_the_search_at_every_step_and_on_a_grid(self, b, policy):
+        thresholds, orders = _order_table(b, policy)
+        assert len(orders) == len(thresholds) + 1
+        assert thresholds[-1] == b and orders[-1] == policy.max_terms + 1
+        assert list(orders) == sorted(orders)  # the orders never decrease in a
+        assert list(thresholds) == sorted(set(thresholds))
+        steps = thresholds[:-1].tolist()
+        points = [x for t in steps
+                  for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+        points += np.linspace(0.0, b, 2001).tolist() + [b, math.nextafter(b, 0.0), 5e-324]
+        points += np.random.default_rng(7).uniform(0.0, b, 2000).tolist()
+        for a in points:
+            assert orders[bisect.bisect_left(thresholds, a)] == search_order(a, b, policy), a
+        got = np.take(orders, np.searchsorted(thresholds, np.array(points)))
+        assert got.tolist() == [search_order(a, b, policy) for a in points]
+        # every step is where the search steps: the last double of the order before it
+        for t, before, after in zip(steps, orders, orders[1:]):
+            assert search_order(t, b, policy) == before
+            assert search_order(math.nextafter(t, math.inf), b, policy) == after
+        # theta3's and theta3_many's lookups at those points, one at a time and as one
+        # column, and at the steps of the cells of peaks n0 = -3 and 7
+        nu = 1j * np.array(points + [t + k * b for t in points[:len(steps) * 3] for k in (3, -7)])
+        for tau in (complex(0.0, b), complex(0.3, b)):
+            expected = [_order_or_failure(search_window, v, tau, policy) for v in nu.tolist()]
+            assert [_order_or_failure(_window, v, tau, policy) for v in nu.tolist()] == expected
+            first_failure = next((w for w in expected if isinstance(w[0], str)), expected)
+            assert column_windows(nu, tau, policy) == first_failure
+
+    def test_capped_policies_read_fails_where_the_search_fails(self):
+        for policy in TABLE_POLICIES[-2:]:
+            fails = policy.max_terms + 1
+            assert any(fails in _order_table(b, policy)[1][:-1] for b in TABLE_IMAG_TAU)
+            assert any(fails not in _order_table(b, policy)[1][:-1] for b in TABLE_IMAG_TAU)
+
+    def test_past_the_table_reads_fails(self):
+        # a reduced argument has a <= Im(tau)/2 but for rounding; past a = Im(tau) the table
+        # holds no order
+        thresholds, orders = _order_table(1.0 / math.pi, DEFAULT_POLICY)
+        assert orders[bisect.bisect_left(thresholds, math.nextafter(1.0 / math.pi, 1.0))] == 10_001
+
+    def test_built_on_first_use_in_a_bounded_cache(self):
+        code = ("import mobiuscs.cli\nfrom mobiuscs.theta import _order_table\n"
+                "print(_order_table.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == "0\n"
+        rng = np.random.default_rng(9)
+        for tau in rng.uniform(-1.0, 1.0, 100) + 1j * rng.uniform(0.2, 3.0, 100):
+            theta3(0.1 + 0.3j, tau)
+        assert _order_table.cache_info().currsize <= _order_table.cache_info().maxsize == 64
 
 
 def test_mpmath_cross_check():
@@ -485,7 +555,7 @@ class TestWindows:
     """Each sum runs over n0 - N ... n0 + N around its peak term n0 = rint(-Im nu/Im tau)."""
 
     @pytest.mark.parametrize("tau", TAUS)
-    @pytest.mark.parametrize("size", [1, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS])
+    @pytest.mark.parametrize("size", [1, 2, 65])
     def test_symmetric_where_the_peak_is_at_zero(self, tau, size):
         half = 0.5 * complex(tau).imag
         rng = np.random.default_rng(size)
@@ -519,7 +589,7 @@ class TestWindows:
         assert checked == 7
 
     @pytest.mark.parametrize("tau", TAUS)
-    @pytest.mark.parametrize("size", [COLUMN_MIN_ROWS // 2, 3 * COLUMN_MIN_ROWS])
+    @pytest.mark.parametrize("size", [32, 192])
     @pytest.mark.parametrize("bad", [complex(0.0, math.nan), complex(0.0, math.inf),
                                      complex(math.nan, math.nan), 1e6j])
     def test_a_failing_row_raises_its_unreduced_error(self, tau, size, bad):
@@ -542,7 +612,6 @@ class TestWindows:
             assert isinstance(expected, tuple)
             nu = 1j * np.array([0.0, 190.0, l, 1e6]) / math.pi
             for call in (lambda: theta3_many(nu, TAU_NATURAL, policy),
-                         lambda: theta3_many(np.repeat(nu, COLUMN_MIN_ROWS), TAU_NATURAL, policy),
                          lambda: theta3(nu[2], TAU_NATURAL, policy)):
                 with pytest.raises(PrecisionError) as info:
                     call()
