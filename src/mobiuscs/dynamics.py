@@ -110,22 +110,19 @@ def _check_r(r: float, upper: float = 1.0) -> float:
 # Mobius strip: Lagrangian, momenta, Hamiltonian
 # ---------------------------------------------------------------------------
 
-def mobius_lagrangian(s: MobiusState, r: float, path: str = "closed", z_sign: int = -1) -> float:
+def mobius_lagrangian(s: MobiusState, r: float, path: str = "embedding", z_sign: int = -1) -> float:
     """Kinetic Lagrangian at a strip state.
 
-    path="closed"        the closed form above (cross term -r*cos(phi/2), i.e.
-                         the z_sign = -1 embedding, written out);
     path="embedding"     exact form derived from the embedding with the given
                          z_sign (cross term flips with the sign convention);
+                         at the default z_sign = -1, the closed form above
+                         (cross term -r*cos(phi/2));
     path="embedding_fd"  kinetic energy from central finite differences of the
                          embedded point -- the independent oracle.
     """
     _check_r(r)
     half = 0.5 * s.phi
     c = math.cos(half)
-    if path == "closed":
-        bracket = (1.0 + r * c) ** 2 + 0.25 * r * r
-        return 0.5 * (s.phi_dot ** 2 * bracket - r * c * s.z0_dot * s.phi_dot + s.z0_dot ** 2)
     if path == "embedding":
         bracket = (1.0 + r * c) ** 2 + 0.25 * r * r
         return 0.5 * (s.phi_dot ** 2 * bracket + z_sign * r * c * s.z0_dot * s.phi_dot + s.z0_dot ** 2)

@@ -24,15 +24,15 @@ independent evaluation routes so the closed forms are verifiable against
 truncated sums.
 
 The routes on the natural lattice tau = i/pi sum 13 to 15 terms around
-the peak term n0 = -round(l') at any finite l' (see theta), and overflow
-past |l'| ~ 26.6.  The dual lattice tau = i*pi (nome exp(-pi^2)) needs 5
-terms at any l', and its Theta_3 has period 1 in nu, so the batched <U>
-route reads it at the reduced center l' - round(l') and is finite at any
-finite l'.  The <J> ratio and direct <U> routes sum the rescaled weights
-exp(-(j - l')^2), which never overflow; the ratio sums the 18 to 21
-levels around round(l').  norm2 itself leaves double range past
-|l'| ~ 26.6, and its s = 1/2 theta route from l' ~ 26.1: the shifted
-Theta_3 it sums carries a factor exp(l' + 1/4) above Theta_2.
+the peak term at any finite l' (see theta; Theta_2 on the half-integer
+lattice, Theta_3 on the integer one), and overflow past |l'| ~ 26.6.
+The dual lattice tau = i*pi (nome exp(-pi^2)) needs 5 terms at any l',
+and its Theta_3 has period 1 in nu, so the batched <U> route reads it at
+the reduced center l' - round(l') and is finite at any finite l'.  The
+<J> ratio and direct <U> routes sum the rescaled weights exp(-(j - l')^2),
+which never overflow; the ratio sums the 18 to 21 levels around
+round(l').  norm2 itself leaves double range past |l'| ~ 26.6, by every
+route and in both sectors.
 
 The distinguished angles phi = (2k+1)*pi place the particle on the strip
 border, where l' = l +/- r and the theta correction to <J> vanishes; with
@@ -49,16 +49,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .geometry import _libm, _rejected, coherent_label, label_center, label_centers, valid_r
+from .geometry import _rejected, coherent_label, label_center, label_centers, valid_r
 from .dynamics import energy_quantized
-from .theta import (
-    _shift_prefactor,
-    row_blocks,
-    theta2,
-    theta3,
-    theta3_logderiv,
-    theta3_many,
-)
+from .theta import row_blocks, theta2, theta2_many, theta3, theta3_logderiv, theta3_many
 
 __all__ = [
     "StateLabel",
@@ -308,9 +301,7 @@ def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.
     method="theta"    Theta_{3|2}(i*l'/pi | i/pi);
     method="modular"  exp(l'^2)*sqrt(pi)*Theta_3(l' (+1/2) | i*pi).
 
-    Each route overflows past |l'| ~ 26.6, where exp(l'^2) leaves double
-    range; the s = 1/2 theta route from l' ~ 26.1, since the shifted
-    Theta_3(i*l'/pi + i/(2*pi) | i/pi) it sums is exp(l' + 1/4) times Theta_2.
+    Each route overflows past |l'| ~ 26.6, where exp(l'^2) leaves double range.
     A LabelBatch (method="theta") gives an array, its theta sums batched.
     """
     if method == "theta":
@@ -335,27 +326,9 @@ def modular_norm(center: float, s: float, what: str = "modular norm2") -> comple
 
 
 def _natural_norm2(batch: LabelBatch) -> np.ndarray:
-    """Theta_{3|2}(i*l'/pi | i/pi) per label: theta3's or theta2's real part at 1j*l'/pi.
-
-    Bit for bit at every finite l': at a purely imaginary nu both sums are
-    real, and Theta_2's shift prefactor exp(i*pi*(tau/4 + nu)) is exp(x),
-    x = -pi*((1/pi)/4 + l'/pi): libm's exp(x), as cmath.exp's main branch
-    gives it below 708 (its rescaled branch starts at log(DBL_MAX/4) =
-    708.39...).  Any other row takes theta._shift_prefactor itself, in row
-    order after the Theta_3 sums, so an overflowing prefactor raises its
-    own PrecisionError.
-    """
+    """Theta_{3|2}(i*l'/pi | i/pi) per label: theta3's or theta2's real part at 1j*l'/pi."""
     nu = 1j * (np.asarray(batch.centers, dtype=float) / math.pi)
-    if batch.s == 0.0:
-        return theta3_many(nu, TAU_NATURAL).real
-    t3 = theta3_many(nu + TAU_NATURAL / 2.0, TAU_NATURAL).real
-    x = -math.pi * (TAU_NATURAL.imag / 4.0 + nu.imag)
-    main = x < 708.0
-    prefactor = np.empty(x.size)
-    prefactor[main] = _libm(math.exp, x[main])
-    for i in np.flatnonzero(~main).tolist():
-        prefactor[i] = _shift_prefactor(complex(nu[i]), TAU_NATURAL).real
-    return prefactor * t3
+    return (theta3_many if batch.s == 0.0 else theta2_many)(nu, TAU_NATURAL).real
 
 
 def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | np.ndarray:

@@ -6,12 +6,10 @@ Conventions used throughout the package::
     Theta2(nu | tau) = sum_{n in Z} exp(i*pi*tau*(n+1/2)^2 + 2*i*pi*nu*(n+1/2))
 
 with nome q = exp(i*pi*tau), |q| < 1 (requires Im(tau) > 0).  Theta2 is
-evaluated through the shift relation
-
-    Theta2(nu | tau) = exp(i*pi*(tau/4 + nu)) * Theta3(nu + tau/2 | tau)
-
-and the half-integer lattice sum is kept as an independent cross-check.
-The modular transform
+summed on its own half-integer lattice.  Its term at n + 1/2 is the term
+at n of Theta3(nu + tau/2 | tau) times one constant exp(i*pi*(tau/4 + nu))
+(the half-period shift relation, kept as an oracle), so it takes that
+sum's window.  The modular transform
 
     Theta3(nu | tau) = exp(-i*pi*nu^2/tau) * sqrt(i/tau) * Theta3(-nu/tau | -1/tau)
 
@@ -26,6 +24,8 @@ tail below the policy tolerance times the modulus of the term at the
 window centre, which is an absolute bound where n0 = 0 (every real nu).
 N is a step function of |Im| of the reduced argument: every sum, one entry
 or a column, reads it from one table of its steps per (Im(tau), policy).
+A constant factor leaves a relative bound as it is, so Theta2 keeps the
+bound of the shifted Theta3 whose window it sums.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
     "theta3",
     "theta3_many",
     "theta2",
-    "theta2_series",
+    "theta2_many",
     "theta3_modular",
     "theta3_logderiv",
 ]
@@ -58,10 +58,9 @@ class SeriesPolicy:
 
     ``target_tol`` bounds the neglected tail of a Theta_3 sum relative to
     the modulus of the term at its window centre n0, which is an absolute
-    bound where n0 = 0 (theta2_series's symmetric sum has an absolute
-    bound); summation stops only once the Gaussian-decay bound for the
-    remaining terms is below it.  ``max_terms`` caps the index range: no
-    window reaches past |n| = max_terms.
+    bound where n0 = 0; summation stops only once the Gaussian-decay bound
+    for the remaining terms is below it.  ``max_terms`` caps the index
+    range: no window reaches past |n| = max_terms.
     """
 
     target_tol: float = 1e-14
@@ -102,12 +101,11 @@ def _tail_bound(m: float, a: float, b: float) -> float:
     return 2.0 * math.exp(log_mag) / (1.0 - rho)
 
 
-def _truncation_order(nu: complex, tau: complex, policy: SeriesPolicy, shift: float = 0.0) -> int:
+def _truncation_order(nu: complex, tau: complex, policy: SeriesPolicy) -> int:
     """Smallest one-sided order N whose certified tail bound is < target_tol.
 
-    Terms at index n (plus lattice ``shift``) have modulus
-    exp(-pi*Im(tau)*(n+shift)^2 + 2*pi*|Im(nu)|*|n+shift|); for m >= N the
-    two-sided tail is below
+    Terms at index n have modulus exp(-pi*Im(tau)*n^2 + 2*pi*|Im(nu)|*|n|);
+    for m >= N the two-sided tail is below
 
         2 * exp(-pi*b*m^2 + 2*pi*a*m) / (1 - rho),
         rho = exp(-pi*b*(2*m+1) + 2*pi*a)
@@ -115,7 +113,7 @@ def _truncation_order(nu: complex, tau: complex, policy: SeriesPolicy, shift: fl
     once the term ratio rho is < 1.  Since 1 - rho <= 1, the bound can only
     pass beyond the larger root m* of pi*b*m^2 - 2*pi*a*m = log(2/tol), and
     past m* > a/b it decreases with m; so N is found by stepping from
-    ceil(m* - shift) under the exact test.
+    ceil(m*) under the exact test.
     """
     b = tau.imag
     a = abs(nu.imag)
@@ -123,24 +121,22 @@ def _truncation_order(nu: complex, tau: complex, policy: SeriesPolicy, shift: fl
     n = 1
     if tol < 2.0:  # else the bound need not decrease in m: step from 1
         peak = a / b
-        root = peak + math.sqrt(peak * peak + math.log(2.0 / tol) / (math.pi * b)) - shift
+        root = peak + math.sqrt(peak * peak + math.log(2.0 / tol) / (math.pi * b))
         n = max(1, math.ceil(root)) if root < policy.max_terms else policy.max_terms
-    while n > 1 and _tail_bound(n - 1 + shift, a, b) < tol:
+    while n > 1 and _tail_bound(n - 1, a, b) < tol:
         n -= 1
-    while not _tail_bound(n + shift, a, b) < tol:
+    while not _tail_bound(n, a, b) < tol:
         if n >= policy.max_terms:
-            raise _cap_error(a, b, policy, shift)
+            raise _cap_error(a, b, policy)
         n += 1
     return n
 
 
-def _cap_error(a: float, b: float, policy: SeriesPolicy, shift: float = 0.0) -> PrecisionError:
+def _cap_error(a: float, b: float, policy: SeriesPolicy) -> PrecisionError:
     """The error of a sum at |Im nu| = a, Im tau = b that needs more than policy.max_terms terms."""
-    bound = _tail_bound(policy.max_terms + shift, a, b)
     return PrecisionError(
-        f"lattice sum did not reach tol={policy.target_tol:g} within "
-        f"{policy.max_terms} terms (achieved bound {bound:g})",
-        achieved=bound,
+        f"lattice sum did not reach tol={policy.target_tol:g} within {policy.max_terms} terms",
+        achieved=_tail_bound(policy.max_terms, a, b),
     )
 
 
@@ -262,61 +258,61 @@ def row_blocks(keys, width):
             yield key, rows[lo:lo + step]
 
 
-def theta3(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
-    """Theta3(nu|tau) by direct summation over the integer lattice, around its peak term."""
+def _lattice_sum(nu: complex, tau: complex, policy: SeriesPolicy, offset: float) -> complex:
+    """sum_n exp(i*pi*tau*n^2 + 2*i*pi*nu*n) over n = k + offset, k in _window(nu + offset*tau).
+
+    Offset 0 gives Theta3(nu|tau) and offset 1/2 Theta2(nu|tau).
+    """
     tau = _check_tau(tau)
     nu = complex(nu)
-    n0, n_max = _window(nu, tau, policy)
+    n0, n_max = _window(nu + offset * tau if offset else nu, tau, policy)
     n = np.arange(n0 - n_max, n0 + n_max + 1, dtype=float)
-    return complex(_lattice_rows(np.array([nu]), tau, n)[0])
+    return complex(_lattice_rows(np.array([nu]), tau, n + offset if offset else n)[0])
 
 
-def theta3_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """:func:`theta3` at every entry of ``nu``, bit for bit.
+def _lattice_sums(nu, tau: complex, policy: SeriesPolicy, offset: float) -> np.ndarray:
+    """_lattice_sum at every entry of ``nu``, bit for bit, grouped by truncation order.
 
-    Entries are grouped by truncation order, read for the whole column from
-    theta3's order table (_windows), and each group is summed as one
-    (rows x lattice points) array, each row's points shifted by its peak.
-    A column raises the PrecisionError of its first entry whose window
-    reaches past policy.max_terms.
+    The windows of the whole column are read from the order table
+    (_windows), and each group is summed as one (rows x lattice points)
+    array, each row's points shifted by its peak.  A column raises the
+    PrecisionError of its first entry whose window reaches past
+    policy.max_terms.
     """
     tau = _check_tau(tau)
     nu = np.array(nu, dtype=complex).ravel()
     out = np.empty(nu.size, dtype=complex)
-    peaks, orders = _windows(nu, tau, policy)
+    peaks, orders = _windows(nu + offset * tau if offset else nu, tau, policy)
     for n_max, rows in row_blocks(orders, lambda n_max: 2 * n_max + 1):
         n = np.arange(-n_max, n_max + 1, dtype=float)
+        if offset:
+            n += offset
         out[rows] = _lattice_rows(nu[rows], tau, n if peaks is None else peaks[rows, None] + n)
     return out
 
 
-def theta2_series(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
-    """Theta2(nu|tau) by direct summation over the half-integer lattice.
-
-    Independent of :func:`theta2`; kept as the oracle for the shift relation.
-    """
-    tau = _check_tau(tau)
-    nu = complex(nu)
-    n_max = _truncation_order(nu, tau, policy, shift=0.5)
-    n = np.arange(-n_max, n_max, dtype=float) + 0.5
-    return complex(_lattice_rows(np.array([nu]), tau, n)[0])
+def theta3(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
+    """Theta3(nu|tau) by direct summation over the integer lattice, around its peak term."""
+    return _lattice_sum(nu, tau, policy, 0.0)
 
 
-def _shift_prefactor(nu: complex, tau: complex) -> complex:
-    """exp(i*pi*(tau/4 + nu)), raising PrecisionError where it leaves double range."""
-    try:
-        return cmath.exp(1j * math.pi * (tau / 4.0 + nu))
-    except OverflowError:
-        x = -math.pi * (tau / 4.0 + nu).imag
-        raise PrecisionError(f"Theta2 prefactor overflows: exp({x:g})", achieved=math.inf) from None
+def theta3_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """:func:`theta3` at every entry of ``nu``, bit for bit (see _lattice_sums)."""
+    return _lattice_sums(nu, tau, policy, 0.0)
 
 
 def theta2(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
-    """Theta2(nu|tau) via the half-period shift of Theta3."""
-    tau = _check_tau(tau)
-    nu = complex(nu)
-    t3 = theta3(nu + tau / 2.0, tau, policy)
-    return _shift_prefactor(nu, tau) * t3
+    """Theta2(nu|tau) by direct summation over the half-integer lattice, around its peak term.
+
+    The window is that of Theta3(nu + tau/2 | tau), and a window reaching
+    past policy.max_terms raises the error of that Theta3.
+    """
+    return _lattice_sum(nu, tau, policy, 0.5)
+
+
+def theta2_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """:func:`theta2` at every entry of ``nu``, bit for bit (see _lattice_sums)."""
+    return _lattice_sums(nu, tau, policy, 0.5)
 
 
 def theta3_modular(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:

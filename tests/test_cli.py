@@ -99,16 +99,23 @@ class TestParsing:
         assert axes[1][1][-1] == pytest.approx(0.9)
 
 
+def mp_norm2(center, s):
+    """<xi|xi> = sum_j exp(2*l'*j - j^2) over j in Z + s, |j - l'| <= 40, to 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    c = mp.mpf(center)
+    lo = math.floor(center - s) - 40
+    return mp.fsum(mp.exp(2 * c * (k + s) - mp.mpf(k + s) ** 2) for k in range(lo, lo + 82))
+
+
 def mp_occupation(center, s, levels):
     """|<j|xi>|^2/<xi|xi> at each level and its sup-distance to exp(-(j - l')^2)/sqrt(pi).
 
     From 40-digit lattice sums over |j - l'| <= 40.
     """
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
     c = mp.mpf(center)
-    lo = math.floor(center - s) - 40
-    norm = mp.fsum(mp.exp(2 * c * (k + s) - mp.mpf(k + s) ** 2) for k in range(lo, lo + 82))
+    norm = mp_norm2(center, s)
     law = [mp.exp(2 * c * j - mp.mpf(j) ** 2) / norm for j in levels]
     sup = max(abs(p - mp.exp(-(mp.mpf(j) - c) ** 2) / mp.sqrt(mp.pi)) for j, p in zip(levels, law))
     return [float(p) for p in law], float(sup)
@@ -294,7 +301,6 @@ class TestCommands:
         # exp(l'^2) overflows past |l'| ~ 26.6
         ["theta", "--l", "30"],
         ["cs", "norm2", "--l", "40"],
-        # the Theta2 prefactor exp(-l' - 1/4) overflows past l' ~ -709.5
         ["cs", "norm2", "--l", "-1000", "--s", "half"],
         ["cs", "fidelity", "--l", "30"],
         ["cs", "fidelity", "--L0", "1e300"],  # finite input, overflowing phases
@@ -379,6 +385,18 @@ class TestCommands:
             _, single, _ = run_cli(["cs", "distribution", "--l", "26.636", "--r", "0",
                                     "--j", row["j"]], capsys)
             assert csv_rows(single) == [row]
+
+    @pytest.mark.parametrize("argv,key", [(["cs", "norm2", "--l", "26.3"], "norm2"),
+                                          (["theta", "--l", "26.6"], "theta2_natural")])
+    def test_half_sector_theta_norm_up_to_the_overflow_edge(self, capsys, argv, key):
+        # Theta_2 on its own lattice is finite wherever exp(l'^2) is, as Theta_3 is
+        code, out, err = run_cli([*argv, "--r", "0", "--s", "half"], capsys)
+        assert (code, err) == (0, "")
+        rows = csv_rows(out)
+        if argv[0] == "theta":
+            rows = [{key: row["value_re"]} for row in rows if row["quantity"] == key]
+        ref = mp_norm2(float(argv[-1]), 0.5)
+        assert abs(float(rows[0][key]) - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("s", ["int", "half"])
     def test_distribution_past_the_norm_overflow_edge(self, capsys, s):
@@ -514,10 +532,9 @@ class TestSweep:
 
     def test_grid_sweep_maps_libm_once_per_distinct_angle(self, capsys, monkeypatch):
         # a 100x100 grid repeats each phi along l: sin and cos run once per distinct
-        # half-angle in label_centers; the Theta2 prefactor exp(-l' - 1/4) is real and
-        # calls neither, and no row takes the scalar prefactor
-        calls = dict.fromkeys(("sin", "cos", "_shift_prefactor"), 0)
-        for owner, name in ((math, "sin"), (math, "cos"), (theta, "_shift_prefactor")):
+        # half-angle in label_centers, and the Theta2 sums call neither
+        calls = dict.fromkeys(("sin", "cos"), 0)
+        for owner, name in ((math, "sin"), (math, "cos")):
             def counted(*args, name=name, fn=getattr(owner, name)):
                 calls[name] += 1
                 return fn(*args)
@@ -528,23 +545,21 @@ class TestSweep:
         assert code == 1 and len(rows) == 10_000  # rows past |l'| ~ 26.6 overflow
         assert 0 < sum(bool(row["error"]) for row in rows) < 5000
         assert calls["sin"] <= 100 and calls["cos"] <= 100
-        assert calls["_shift_prefactor"] == 0
 
     def test_failing_batch_rows_keep_their_own_errors(self, capsys):
         code, out, _ = run_cli(["sweep", "norm2", "--grid", "l=-1e4:1e4:5", "--s", "half"],
                                capsys)
         errors = [row["error"] for row in csv_rows(out)]
         assert code == 1
-        assert errors[0].startswith("PrecisionError: lattice sum did not reach")
-        assert errors[1].startswith("PrecisionError: Theta2 prefactor overflows")
-        assert errors[2] == ""
+        # the batch fails at row 0's cap error and is halved until each row reads its own
+        assert errors == ["PrecisionError: lattice sum did not reach tol=1e-14 within 10000 terms",
+                          "PrecisionError: norm2 is not finite", "",
+                          "PrecisionError: norm2 is not finite",
+                          "PrecisionError: lattice sum did not reach tol=1e-14 within 10000 terms"]
         code, out, _ = run_cli(["sweep", "norm2", "--grid", "l=-900:-700:3", "--r", "0",
                                 "--s", "half"], capsys)
         assert code == 1
-        assert [row["error"] for row in csv_rows(out)] == [
-            "PrecisionError: Theta2 prefactor overflows: exp(899.75)",
-            "PrecisionError: Theta2 prefactor overflows: exp(799.75)",
-            "PrecisionError: norm2 is not finite"]
+        assert [row["error"] for row in csv_rows(out)] == ["PrecisionError: norm2 is not finite"] * 3
 
     def test_far_level_grid_rows_keep_their_own_errors(self, capsys):
         code, out, _ = run_cli(["sweep", "expect-j", "--grid", "l=-1e300:1e300:5", "--r", "0"],
@@ -1333,7 +1348,9 @@ class TestCachedParser:
 
 
 # sha256 of stdout, computed before the truncation orders were read from one table per
-# lattice; the grid crosses the 26.1-26.6 overflow band, so norm2 has error rows
+# lattice, but for the three outputs that print Theta_2 sums (the half-sector sweep norm2,
+# theta at -12.7 and at 26.3), recomputed when Theta_2 became its own half-integer lattice
+# sum; the grid crosses |l'| ~ 26.6, so norm2 has error rows
 OUTPUT_DIGESTS = [
     (["sweep", "expect-j", "--s", "int"], 0,
      "8b76e7dba6507a9b68da112adfe2ebe15b3baf07082e348827968392b733ea8f"),
@@ -1346,10 +1363,10 @@ OUTPUT_DIGESTS = [
     (["sweep", "expect-u", "--s", "half"], 0,
      "2113287a65c9f950e742c4aaf455f6f2cf4de9ef3290ba75eed50776f5ea9afe"),
     (["sweep", "norm2", "--s", "half"], 1,
-     "012c1b3782a81b2469a72674a74772683bb8bb3355f784250ffbebc2ca39bcd7"),
+     "8cf5f0e2ab80f3afd3f9d66d78cd00ad5562f77904d5cb35b190b1319a74bd16"),
     (["theta", "--l", "0.3"], 0, "89f3349ea1d15bc4451d0d7f63789cbf08ea137062bbbb9b9c3e78cd33f14baf"),
-    (["theta", "--l", "-12.7"], 0, "0a1158a16fc4f5590131a9f6315b3399ff61165e56feba446985ba9a4380cf60"),
-    (["theta", "--l", "26.3"], 0, "eb72bda0f0003ee7da092138622751fa38e09043ac258063554780aadf71241a"),
+    (["theta", "--l", "-12.7"], 0, "a9f59bf2ab0e201db22a13aa34d1d0c7144e303631b0b15b6f5ead2f80998538"),
+    (["theta", "--l", "26.3"], 0, "1e595dd36eda45e2bf1ec6cb18774ca8db341d2494a6a10c6c478567fc7b801a"),
 ]
 
 
@@ -1365,4 +1382,4 @@ def test_output_digest(capsys, argv, code, digest):
 def test_theta_past_max_terms_error_text(capsys):
     assert run_cli(["theta", "--l", "1e17"], capsys) == (
         1, "", "precision failure: lattice sum did not reach tol=1e-14 within 10000 terms "
-               "(achieved bound inf) (achieved inf)\n")
+               "(achieved inf)\n")

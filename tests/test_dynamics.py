@@ -98,11 +98,13 @@ class TestMobiusLagrangian:
         for _ in range(20):
             s = MobiusState(*RNG.uniform(-2, 2, size=4))
             r = float(RNG.uniform(0.05, 0.95))
-            closed = mobius_lagrangian(s, r, path="closed")
-            exact = mobius_lagrangian(s, r, path="embedding", z_sign=-1)
+            exact = mobius_lagrangian(s, r)
+            bracket = (1.0 + r * math.cos(0.5 * s.phi)) ** 2 + 0.25 * r * r
+            closed = 0.5 * (s.phi_dot ** 2 * bracket
+                            - r * math.cos(0.5 * s.phi) * s.z0_dot * s.phi_dot + s.z0_dot ** 2)
             fd = mobius_lagrangian(s, r, path="embedding_fd", z_sign=-1)
-            assert closed == pytest.approx(exact, abs=1e-15)
-            assert closed == pytest.approx(fd, abs=1e-8)
+            assert exact == pytest.approx(closed, abs=1e-15)
+            assert exact == pytest.approx(fd, abs=1e-8)
 
     def test_mirrored_sign_flips_cross_term(self):
         s = MobiusState(1.0, 0.7, 0.2, 0.9)
@@ -460,7 +462,7 @@ class TestTorus:
         st = TorusState(constraint_theta(1.1), 1.1, 0.55, 1.1, 0.0, 0.4)
         sm = MobiusState(1.1, 1.1, 0.0, 0.4)
         gap = (torus_lagrangian(st, self.G, path="printed")
-               - mobius_lagrangian(sm, self.G.r, path="closed"))
+               - mobius_lagrangian(sm, self.G.r))
         assert gap == pytest.approx(0.125 * self.G.r**2 * 1.1**2, abs=1e-14)
 
     def test_hamiltonian_equatorial(self):

@@ -393,22 +393,32 @@ class TestNorm:
         # nan+-infj, where Python's complex quotient gives nan+nanj (achieved bound nan)
         centers = np.random.default_rng(6).uniform(-20.0, 20.0, 128).tolist()
         centers[70] = bad
-        got = self.theta_norms(centers, s)
-        assert got == ("lattice sum did not reach tol=1e-14 within 10000 terms "
-                       f"(achieved bound {'nan' if math.isnan(bad) else 'inf'})")
+        with pytest.raises(PrecisionError) as info, np.errstate(over="ignore", invalid="ignore"):
+            norm2(LabelBatch(centers, np.zeros(len(centers)), s), method="theta")
+        assert str(info.value) == "lattice sum did not reach tol=1e-14 within 10000 terms"
+        assert repr(info.value.achieved) == ("nan" if math.isnan(bad) else "inf")
         if math.isnan(bad):
-            assert got == self.scalar_theta(centers, s)
+            assert self.theta_norms(centers, s) == self.scalar_theta(centers, s)
 
-    def test_theta_route_raises_the_first_overflowing_prefactor(self):
-        # Theta2's prefactor exp(x), x = -l' - 1/4 as rounded: from x = 708 each row takes
-        # the scalar prefactor (cmath.exp's rescaled branch), which overflows past 709.78
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_theta_route_overflows_to_inf_in_both_sectors(self, s):
+        # past |l'| ~ 26.6 (here l' = -707.25 ... -712.25) each row is inf, as the scalar's;
+        # no row raises: the caller reports the non-finite value
         centers = (-0.25 - np.linspace(707.0, 712.0, 400)).tolist()
-        below = [c for c in centers if c > -709.7]
-        for batch in (centers, centers[::-1], below):
-            assert self.theta_norms(batch, 0.5) == self.scalar_theta(batch, 0.5)
-        assert isinstance(self.theta_norms(below, 0.5), bytes)
-        assert self.theta_norms(centers, 0.5).startswith("Theta2 prefactor overflows: exp(709.")
-        assert self.theta_norms(centers[::-1], 0.5).startswith("Theta2 prefactor overflows: exp(712")
+        for batch in (centers, centers[::-1]):
+            got = self.theta_norms(batch, s)
+            assert got == self.scalar_theta(batch, s)
+            assert np.frombuffer(got).tolist() == [math.inf] * len(batch)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_theta_route_against_mpmath_up_to_the_overflow_edge(self, s):
+        rng = np.random.default_rng(2424)
+        centers = [*rng.uniform(-26.5, 26.55, 600).tolist(),
+                   -26.5, -26.3, -26.1, -0.5, -0.0, 0.0, 0.5, 26.1, 26.3, 26.5, 26.55, 26.6]
+        got = norm2(LabelBatch(centers, np.zeros(len(centers)), s), method="theta")
+        assert np.isfinite(got).all()
+        worst = max(abs(g - float(mp_sums(c, s)[2])) / g for g, c in zip(got.tolist(), centers))
+        assert worst <= 3e-13
 
     def test_depends_only_on_center(self):
         a = label_for_center(0.37, 0.5, 0.5)
