@@ -30,9 +30,9 @@ The dual lattice tau = i*pi (nome exp(-pi^2)) needs 5 terms at any l',
 and its Theta_3 has period 1 in nu, so the batched <U> route reads it at
 the reduced center l' - round(l') and is finite at any finite l'.  The
 <J> ratio and direct <U> routes sum the rescaled weights exp(-(j - l')^2),
-which never overflow; the ratio sums the 18 to 21 levels around
-round(l').  norm2 itself leaves double range past |l'| ~ 26.6, by every
-route and in both sectors.
+which never overflow, over the 18 to 21 levels around round(l') (the
+ratio keeps the grid of l' itself from |l'| = 2^52 on).  norm2 itself
+leaves double range past |l'| ~ 26.6, by every route and in both sectors.
 
 The distinguished angles phi = (2k+1)*pi place the particle on the strip
 border, where l' = l +/- r and the theta correction to <J> vanishes; with
@@ -51,7 +51,8 @@ import numpy as np
 from .errors import DomainError, PrecisionError
 from .geometry import _rejected, coherent_label, label_center, label_centers, valid_r
 from .dynamics import energy_quantized
-from .theta import row_blocks, theta2, theta2_many, theta3, theta3_logderiv, theta3_many
+from .theta import (row_blocks, theta2, theta2_many, theta3, theta3_logderiv, theta3_many,
+                    theta34_real)
 
 __all__ = [
     "StateLabel",
@@ -430,7 +431,9 @@ def expect_u(label: StateLabel | LabelBatch, method: str = "dual") -> complex | 
                      f = l' - round(l'), and the reciprocal ratio for s = 1/2
                      (Jacobi's imaginary transformation); finite at any l';
     method="direct"  sum_j conj(c_{j+1}) c_j / sum_j |c_j|^2 over the rescaled
-                     coefficients c_j = exp(-(j - l')^2/2 - i*phi*j).
+                     coefficients c_j = exp(-(j - l')^2/2 - i*phi*j), on the levels
+                     j0 + level_grid(default_j_max(f), s) around j0 = round(l'),
+                     f = l' - j0; finite at any l'.
 
     A LabelBatch (method="dual") gives an array.
     """
@@ -443,23 +446,24 @@ def expect_u(label: StateLabel | LabelBatch, method: str = "dual") -> complex | 
         a, b = theta2(nu, TAU_NATURAL), theta3(nu, TAU_NATURAL)
         return math.exp(-0.25) * cmath.exp(1j * label.phi) * (a / b if label.s == 0.0 else b / a)
     if method == "direct":
-        j = level_grid(default_j_max(center), label.s)
-        c = np.exp(-0.5 * (j - center) ** 2 - 1j * label.phi * j)
+        # the levels j0 + g around j0 = rint(l'), f = l' - j0 exact; exp(-i*phi*j0) cancels
+        f = center - float(np.rint(center)) if math.isfinite(center) else center
+        g = level_grid(default_j_max(f), label.s)
+        c = np.exp(-0.5 * (g - f) ** 2 - 1j * label.phi * g)
         return complex(np.vdot(c[1:], c[:-1])) / float(np.vdot(c, c).real)
     raise ValueError(f"unknown method {method!r}")
 
 
 def _expect_u_dual(batch: LabelBatch) -> np.ndarray:
-    """The dual ratio per label, its Theta_3 sums taken as one block.
+    """The dual ratio per label, Theta_3 and Theta_4 = Theta_3(. + 1/2) from one cosine table.
 
-    f = l' - round(l') is exact in double precision.  Theta_3 has period 1
-    in nu; reducing first keeps f + 1/2 apart from f where l' + 1/2 would
-    round to l' (|l'| >= 2^52).  Every real argument takes the same
-    truncation order on the dual lattice.
+    f = l' - round(l') is exact in double precision.  Theta_3 and Theta_4
+    have period 1 in nu, and the cosines cos(2*pi*f*n) of the reduced
+    center are accurate at any l', where those of l' itself are not.  Every
+    real argument takes the same five terms on the dual lattice.
     """
     centers = np.asarray(batch.centers, dtype=float)
-    nu = (centers - np.rint(centers)) + np.array([0.0, 0.5])[:, None]
-    th3, th4 = theta3_many(nu, TAU_DUAL).real.reshape(nu.shape)
+    th3, th4 = theta34_real(centers - np.rint(centers), TAU_DUAL)
     ratio = th4 / th3 if batch.s == 0.0 else th3 / th4
     return np.exp(1j * np.asarray(batch.phis, dtype=float)) * (math.exp(-0.25) * ratio)
 

@@ -26,6 +26,14 @@ N is a step function of |Im| of the reduced argument: every sum, one entry
 or a column, reads it from one table of its steps per (Im(tau), policy).
 A constant factor leaves a relative bound as it is, so Theta2 keeps the
 bound of the shifted Theta3 whose window it sums.
+
+Where Re(tau) = 0 and Re(nu) = 0 every term is a real exponential, as in
+the norms <xi|xi> = Theta_{3|2}(i*l'/pi | i/pi).  Such a row is summed as
+exp(-pi*Im(tau)*n^2 - 2*pi*Im(nu)*n) through numpy's real exp, which is
+vectorized; numpy's complex exp calls libm's cexp one element at a time,
+and every other row keeps it.  At real x and purely imaginary tau,
+theta34_real gives Theta3(x|tau) and Theta4(x|tau) = Theta3(x + 1/2|tau),
+whose terms differ by (-1)^n, from one table of cos(2*pi*x*n).
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ __all__ = [
     "theta3_many",
     "theta2",
     "theta2_many",
+    "theta34_real",
     "theta3_modular",
     "theta3_logderiv",
 ]
@@ -207,10 +216,40 @@ def _lattice_rows(nu: np.ndarray, tau: complex, n: np.ndarray) -> np.ndarray:
 
     ``n`` is one row of points for every entry, or one row per entry.  Each
     row sums in the order of a 1-D sum over its points, so a row's value
-    does not depend on which other rows share the array.
+    does not depend on which other rows share the array.  A row whose
+    exponent is real (Re tau = 0 and Re nu = 0) sums the real exponentials
+    exp(-pi*Im(tau)*n^2 - 2*pi*Im(nu)*n), imaginary part +0.0; every other
+    row sums the complex ones.  The choice is made per row, so a row's bits
+    do not depend on its column either.  The result is a float array where
+    every row is real, else a complex one.
     """
-    expo = 1j * math.pi * tau * n * n + 2j * math.pi * nu[:, None] * n
-    return np.exp(expo).sum(axis=1)
+    real = nu.real == 0.0 if tau.real == 0.0 else None
+    count = 0 if real is None else np.count_nonzero(real)
+    if count == 0:
+        return _complex_rows(nu, tau, n)
+    if count == nu.size:
+        return _real_rows(nu.imag, tau.imag, n)
+    out = np.empty(nu.size, dtype=complex)
+    out[real] = _real_rows(nu.imag[real], tau.imag, n if n.ndim == 1 else n[real])
+    out[~real] = _complex_rows(nu[~real], tau, n if n.ndim == 1 else n[~real])
+    return out
+
+
+def _complex_rows(nu: np.ndarray, tau: complex, n: np.ndarray) -> np.ndarray:
+    """_lattice_rows through the complex exponential (numpy's exp calls libm's cexp per term)."""
+    return np.exp(1j * math.pi * tau * n * n + 2j * math.pi * nu[:, None] * n).sum(axis=1)
+
+
+def _real_rows(a: np.ndarray, b: float, n: np.ndarray) -> np.ndarray:
+    """sum_n exp(-pi*b*n^2 - 2*pi*a*n) per entry of ``a``: _lattice_rows at nu = i*a, tau = i*b.
+
+    The exponent is the real part of the complex one, rounded as it rounds.
+    """
+    expo = -(2.0 * math.pi) * a[:, None] * n
+    square = n * -(math.pi * b)
+    square *= n
+    expo += square
+    return np.exp(expo, out=expo).sum(axis=1)
 
 
 BLOCK_TERMS = 1 << 15  # lattice terms (rows x points) summed in one array
@@ -261,13 +300,18 @@ def row_blocks(keys, width):
 def _lattice_sum(nu: complex, tau: complex, policy: SeriesPolicy, offset: float) -> complex:
     """sum_n exp(i*pi*tau*n^2 + 2*i*pi*nu*n) over n = k + offset, k in _window(nu + offset*tau).
 
-    Offset 0 gives Theta3(nu|tau) and offset 1/2 Theta2(nu|tau).
+    Offset 0 gives Theta3(nu|tau) and offset 1/2 Theta2(nu|tau).  The
+    one row picks its kernel as _lattice_rows does, without a mask.
     """
     tau = _check_tau(tau)
     nu = complex(nu)
     n0, n_max = _window(nu + offset * tau if offset else nu, tau, policy)
     n = np.arange(n0 - n_max, n0 + n_max + 1, dtype=float)
-    return complex(_lattice_rows(np.array([nu]), tau, n + offset if offset else n)[0])
+    if offset:
+        n += offset
+    if tau.real == 0.0 and nu.real == 0.0:
+        return complex(_real_rows(np.array([nu.imag]), tau.imag, n)[0])
+    return complex(_complex_rows(np.array([nu]), tau, n)[0])
 
 
 def _lattice_sums(nu, tau: complex, policy: SeriesPolicy, offset: float) -> np.ndarray:
@@ -313,6 +357,54 @@ def theta2(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> 
 def theta2_many(nu, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
     """:func:`theta2` at every entry of ``nu``, bit for bit (see _lattice_sums)."""
     return _lattice_sums(nu, tau, policy, 0.5)
+
+
+def theta34_real(x, tau: complex,
+                 policy: SeriesPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
+    """(Theta3(x|tau), Theta4(x|tau)) at every real entry of ``x``, for purely imaginary tau.
+
+    Theta4(x|tau) = Theta3(x + 1/2|tau) has the terms of Theta3 times (-1)^n.
+    At real x the terms at n and -n are complex conjugates, so with the odd
+    and even halves O and E of sum_{n=1}^{N} w_n cos(2*pi*x*n),
+    w_n = exp(-pi*Im(tau)*n^2),
+
+        Theta3 = 1 + 2*(E + O),    Theta4 = 1 + 2*(E - O),
+
+    both from one table of the cosines, as float arrays.  Every real
+    argument has _window's window at nu = 0 (peak n0 = 0, and the order at
+    |Im nu| = 0), so N is read once for the column, and each entry depends
+    on its own x alone.  The cosines are of 2*pi*x*n as given: reduce x
+    modulo 1 first where it is large.
+    """
+    tau = _check_tau(tau)
+    if tau.real != 0.0:
+        raise DomainError(f"theta34_real needs a purely imaginary tau, got tau={tau}")
+    _, n_max = _window(0j, tau, policy)
+    n = np.arange(1.0, n_max + 1.0)
+    w = np.exp(-(math.pi * tau.imag) * n * n)
+    halves = np.zeros((2, np.size(x)))  # the odd and even halves O, E
+    for k, cos in enumerate(_cos_table(np.array(x, dtype=float).ravel(), n_max)):
+        cos *= w[k]
+        halves[k % 2] += cos  # n = k + 1
+    odd, even = halves
+    return 1.0 + 2.0 * (even + odd), 1.0 + 2.0 * (even - odd)
+
+
+def _cos_table(x: np.ndarray, n_max: int) -> np.ndarray:
+    """cos(2*pi*x*n) for n = 1 ... n_max (rows) at every entry of ``x`` (columns).
+
+    One libm cosine per entry: the rows past n = 1 follow from the Chebyshev
+    recurrence cos((n+1)t) = 2*cos(t)*cos(nt) - cos((n-1)t), whose error
+    grows at most as n^2 ulp, where the weights exp(-pi*Im(tau)*n^2) fall.
+    """
+    table = np.empty((n_max, x.size))
+    table[0] = np.cos(2.0 * math.pi * x)
+    twice, previous = 2.0 * table[0], np.ones(x.size)
+    for k in range(1, n_max):
+        np.multiply(twice, table[k - 1], out=table[k])
+        table[k] -= previous
+        previous = table[k - 1]
+    return table
 
 
 def theta3_modular(nu: complex, tau: complex, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:

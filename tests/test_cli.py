@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobiuscs import cli, dynamics, projection, report, states, theta
@@ -329,6 +329,10 @@ class TestCommands:
         ["cs", "expect-u", "--l", "40"],
         ["cs", "expect-u", "--l", "400"],
         ["cs", "expect-u", "--l", "-800", "--s", "half"],
+        # the direct route sums the levels around round(l'), at any finite l'
+        ["cs", "expect-u", "--l", "-1e300"],
+        ["cs", "expect-u", "--l", "1e17"],
+        ["cs", "expect-u", "--l", "1e17", "--s", "half"],
     ])
     def test_scale_free_routes_past_the_norm_overflow_edge(self, capsys, argv):
         # <J> and <U> are bounded, and their routes sum exp(-(j - l')^2)-scaled weights
@@ -1347,26 +1351,28 @@ class TestCachedParser:
         assert seen == ["l=0:1:2"]
 
 
-# sha256 of stdout, computed before the truncation orders were read from one table per
-# lattice, but for the three outputs that print Theta_2 sums (the half-sector sweep norm2,
-# theta at -12.7 and at 26.3), recomputed when Theta_2 became its own half-integer lattice
-# sum; the grid crosses |l'| ~ 26.6, so norm2 has error rows
+# sha256 of stdout.  The expect-j digests date from before the truncation orders were read
+# from one table per lattice.  The sweep norm2 and theta outputs were recomputed when the
+# real-exponent lattice rows began to sum real exponentials, and the sweep expect-u outputs
+# when the dual <U> route began to read Theta_3 and Theta_4 from one cosine table; each
+# recomputed output was checked against 40-digit mpmath.  The grid crosses |l'| ~ 26.6, so
+# norm2 has error rows
 OUTPUT_DIGESTS = [
     (["sweep", "expect-j", "--s", "int"], 0,
      "8b76e7dba6507a9b68da112adfe2ebe15b3baf07082e348827968392b733ea8f"),
     (["sweep", "expect-u", "--s", "int"], 0,
-     "35cf3894698f42337cfa39b4bf82f5fddede33c7474f0f621c9cb8f8745de42c"),
+     "a84871d9cb9a549e8fd5c332772514d5e650aa33ab5eaabd174aa2332676c26a"),
     (["sweep", "norm2", "--s", "int"], 1,
-     "6baaf1b821e8c5dce62c1b17b842f2cd7703a95aef9398fe1254f0fce1381a75"),
+     "69f011851aa9726e4374c82d08c7cac8ca7505a32c96804b871928095a4a3232"),
     (["sweep", "expect-j", "--s", "half"], 0,
      "834e9a1950a0ab1e15eb8cf3a9e934f8189c0389e95bdee564fc4dc39b00a7c0"),
     (["sweep", "expect-u", "--s", "half"], 0,
-     "2113287a65c9f950e742c4aaf455f6f2cf4de9ef3290ba75eed50776f5ea9afe"),
+     "973429e04cc8acb33074073261221044d4a00d5bab8110942cb05719bdeb6b80"),
     (["sweep", "norm2", "--s", "half"], 1,
-     "8cf5f0e2ab80f3afd3f9d66d78cd00ad5562f77904d5cb35b190b1319a74bd16"),
-    (["theta", "--l", "0.3"], 0, "89f3349ea1d15bc4451d0d7f63789cbf08ea137062bbbb9b9c3e78cd33f14baf"),
-    (["theta", "--l", "-12.7"], 0, "a9f59bf2ab0e201db22a13aa34d1d0c7144e303631b0b15b6f5ead2f80998538"),
-    (["theta", "--l", "26.3"], 0, "1e595dd36eda45e2bf1ec6cb18774ca8db341d2494a6a10c6c478567fc7b801a"),
+     "4eed950f3922170b3cd6d3b04d2375cde348b42a72aa42d5fa664a9387856ff0"),
+    (["theta", "--l", "0.3"], 0, "0e754931258936856df3ac6d996e1fc4819d561d9af84f639ed58970a497ce95"),
+    (["theta", "--l", "-12.7"], 0, "284595505bc869a508565e2d5aec3683d691197f3840547231b8a0b417270b11"),
+    (["theta", "--l", "26.3"], 0, "42173457707efda626ffaf29b8d9719f87a85c3a147051cc163dafe4aed14d7f"),
 ]
 
 
@@ -1383,3 +1389,58 @@ def test_theta_past_max_terms_error_text(capsys):
     assert run_cli(["theta", "--l", "1e17"], capsys) == (
         1, "", "precision failure: lattice sum did not reach tol=1e-14 within 10000 terms "
                "(achieved inf)\n")
+
+
+# -- the exit contract of the theta and state commands -------------------------------
+
+CONTRACT_L = ["0", "-0", "5e-324", "26.3", "-26.3", "26.7", "-26.7", "4503599627370496",
+              "1e300", "-1e300", "1.7976931348623157e308", "nan", "inf", "-inf", "-0.5pi"]
+CONTRACT_R = ["0", "0.9", "0.999999999", "1", "-0.1", "nan"]
+
+
+CONTRACT_COMMANDS = ["theta", "cs norm2", "cs expect-u", "cs overlap", "sweep norm2",
+                     "sweep expect-u"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(CONTRACT_COMMANDS), l=st.sampled_from(CONTRACT_L),
+       l2=st.sampled_from(CONTRACT_L), r=st.sampled_from(CONTRACT_R),
+       phi=st.sampled_from(["0", "pi", "-0.5pi"]), s=st.sampled_from(["int", "half"]))
+# past the overflow edge; a pair midpoint past DBL_MAX; l' past 2^52, where every double is
+# an integer; the direct <U> route at the end of double range
+@example(command="sweep norm2", l="-26.7", l2="26.7", r="0", phi="0", s="half")
+@example(command="cs overlap", l="1.7976931348623157e308", l2="1e300", r="0.9", phi="0",
+         s="half")
+@example(command="theta", l="4503599627370496", l2="0", r="0", phi="pi", s="int")
+@example(command="cs expect-u", l="-1e300", l2="0", r="0.999999999", phi="-0.5pi", s="half")
+def test_exit_contract_of_the_theta_and_state_commands(command, l, l2, r, phi, s):
+    """No exception escapes; exit 0 prints only finite numbers, exit 2 prints nothing.
+
+    The sweeps run the grid l = l:l2:3, and cs overlap takes l2 as --l2.  A
+    sweep row with an empty error holds finite numbers at exit 0 or 1.
+    argparse's own exit (SystemExit 2) counts as exit code 2.
+    """
+    argv = command.split()
+    argv += ["--grid", f"l={l}:{l2}:3"] if argv[0] == "sweep" else ["--l", l]
+    if command == "cs overlap":
+        argv += ["--l2", l2]
+    argv += ["--r", r, "--phi", phi, "--s", s]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        return
+    rows = csv_rows(out.getvalue())
+    if argv[0] == "sweep":
+        rows = [row for row in rows if not row.pop("error")]
+    elif code == 1:
+        assert out.getvalue() == "", argv
+    for row in rows:
+        for key, cell in row.items():
+            if key != "quantity":
+                assert math.isfinite(float(cell)), (argv, key, cell)

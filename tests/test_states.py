@@ -3,6 +3,7 @@
 import cmath
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -569,6 +570,26 @@ class TestExpectU:
             lab = label_for_center(center, 1.3, 0.5)
             direct = expect_u(lab, method="direct")
             assert abs(direct - complex(mp_sums(lab.center, 0.0, 1.3)[1])) <= 1e-13
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_direct_route_at_any_center(self, s):
+        # the 18 to 21 levels around round(l'), where l' itself has no grid that fits in memory
+        for l in (1e17, -1e300, 2.0 ** 52 + 2.0, -(2.0 ** 53), 1.7976931348623157e308):
+            lab = StateLabel(l=l, phi=0.7, r=0.5, s=s)
+            direct = expect_u(lab, method="direct")
+            assert abs(direct - expect_u(lab, method="dual")) <= 1e-15, l
+        for center in (0.3, -7.61, 26.7, -400.5, 1e6 + 0.37, 2.0 ** 51 + 0.5):
+            lab = label_for_center(center, 1.3, 0.5, s)
+            ref = complex(mp_sums(lab.center, s, 1.3)[1])
+            assert abs(expect_u(lab, method="direct") - ref) <= 1e-15, center
+
+    @pytest.mark.parametrize("center,text", [(math.inf, "inf"), (-math.inf, "inf"),
+                                             (math.nan, "nan")])
+    def test_direct_route_at_a_non_finite_center_keeps_its_error(self, center, text):
+        lab = SimpleNamespace(center=center, phi=0.0, s=0.0)
+        with pytest.raises(DomainError) as info:
+            expect_u(lab, method="direct")
+        assert str(info.value) == f"level cutoff j_max must be finite, got {text}"
 
     def test_operator_action_route(self):
         # raising the vector and contracting reproduces the closed form

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mobiuscs import theta as theta_module
 from mobiuscs.errors import DomainError, PrecisionError
-from mobiuscs.states import TAU_DUAL, TAU_NATURAL
+from mobiuscs.states import TAU_DUAL, TAU_NATURAL, LabelBatch, expect_u
 from mobiuscs.theta import (
     DEFAULT_POLICY,
     SeriesPolicy,
@@ -29,6 +29,7 @@ from mobiuscs.theta import (
     theta3_logderiv,
     theta3_many,
     theta3_modular,
+    theta34_real,
 )
 
 
@@ -310,17 +311,20 @@ class TestMany:
         assert theta3_many([], TAU_NATURAL).shape == (0,)
 
     def test_real_arguments_on_the_dual_lattice_sum_five_terms(self, monkeypatch):
-        # the dual <U> route of states reads Theta3(f | i*pi) at real f: one order, one block
-        widths = []
+        # the dual <U> route of states reads Theta3 and Theta4(f | i*pi) at real f from
+        # theta34_real: one table of cos(2*pi*f*n), n = 1, 2, for the five terms n = -2 ... 2
+        tables, lattice = [], []
+        cos_table = theta_module._cos_table
+        monkeypatch.setattr(theta_module, "_cos_table",
+                            lambda x, n_max: tables.append((x.size, n_max)) or cos_table(x, n_max))
         lattice_rows = theta_module._lattice_rows
         monkeypatch.setattr(theta_module, "_lattice_rows",
-                            lambda nu, tau, n: widths.append((nu.size, n.size))
-                            or lattice_rows(nu, tau, n))
-        nu = np.random.default_rng(3).uniform(-0.5, 1.0, 2000)
-        peaks, orders = _windows(nu.astype(complex), TAU_DUAL, DEFAULT_POLICY)
+                            lambda *args: lattice.append(args) or lattice_rows(*args))
+        f = np.random.default_rng(3).uniform(-0.5, 0.5, 2000)
+        peaks, orders = _windows(f.astype(complex), TAU_DUAL, DEFAULT_POLICY)
         assert peaks is None and orders.tolist() == [2] * 2000
-        theta3_many(nu, TAU_DUAL)
-        assert widths == [(2000, 5)]
+        expect_u(LabelBatch(f, np.zeros(f.size), 0.0), method="dual")
+        assert tables == [(2000, 2)] and lattice == []
 
     @pytest.mark.parametrize("size", [0, 1, 5, 64, 5000])
     def test_row_blocks_match_a_dict_grouping(self, size):
@@ -626,3 +630,149 @@ class TestWindows:
                 with pytest.raises(PrecisionError) as info:
                     call()
                 assert (str(info.value), repr(info.value.achieved)) == expected
+
+
+def real_and_complex_column(tau, size, seed):
+    """A column of real-exponent rows (Re nu = +-0) and complex rows, peaks n0 != 0.
+
+    Row size // 3 overflows to inf (a real-exponent row past |l'| ~ 26.6 on
+    the natural lattice) and row size // 2 is NaN (its real part), where
+    the column is long enough to hold them apart.
+    """
+    rng = np.random.default_rng(seed)
+    b = complex(tau).imag
+    imag = b * rng.uniform(0.5, 30.0, size) * rng.choice([-1.0, 1.0], size)
+    real = rng.choice([0.0, -0.0, 0.3, -0.71], size)
+    nu = real + 1j * imag
+    if size > 2:
+        nu[size // 3] = complex(0.0, 300.0 / math.pi)
+        nu[size // 2] = complex(math.nan, b * 3.3)
+    return nu
+
+
+class TestRealRows:
+    """_lattice_rows sums a row whose exponent is real through the real exp, row by row."""
+
+    @pytest.mark.parametrize("tau", [TAU_NATURAL, TAU_DUAL, 0.8j, 0.3 + 0.8j])
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 197])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_mixed_rows_match_their_one_row_calls(self, tau, size, offset, monkeypatch):
+        real_rows = []
+        kernel = theta_module._real_rows
+        monkeypatch.setattr(theta_module, "_real_rows",
+                            lambda a, b, n: real_rows.append(a.size) or kernel(a, b, n))
+        scalar_fn, many_fn = (theta2, theta2_many) if offset else (theta3, theta3_many)
+        nu = real_and_complex_column(tau, size, seed=size)
+        if size == 1:
+            nu[0] = nu[0].imag * 1j  # one real-exponent row alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            many = many_fn(nu, tau)
+            rows = np.array([many_fn(nu[k:k + 1], tau)[0] for k in range(size)])
+            scalar = np.array([scalar_fn(v, tau) for v in nu.tolist()])
+        assert many.tobytes() == rows.tobytes() == scalar.tobytes()
+        real = (nu.real == 0.0) & (complex(tau).real == 0.0)
+        # each real row went through the real kernel once in the column and twice alone
+        assert sum(real_rows) == 3 * np.count_nonzero(real)
+        assert (many[real].imag.tobytes() == np.zeros(np.count_nonzero(real)).tobytes())
+        if size > 2:
+            assert not cmath.isfinite(many[size // 3])
+            if real[size // 3]:
+                assert many[size // 3] == complex(math.inf, 0.0)
+            assert cmath.isnan(many[size // 2])
+
+    def test_real_rows_are_the_real_exponentials(self):
+        b, nu = 1.0 / math.pi, 1j * np.array([-3.7, 0.0, 12.25]) / math.pi
+        n = np.arange(-40.0, 41.0)
+        got = theta3_many(nu, TAU_NATURAL)
+        expo = -math.pi * b * n * n - 2.0 * math.pi * nu.imag[:, None] * n
+        assert np.abs(got - np.exp(expo).sum(axis=1)).max() <= 1e-15 * np.abs(got).max()
+        # the exponent is the real part of the complex one, rounded as it rounds (but for
+        # the sign of a zero, which exp does not see)
+        complex_expo = 1j * math.pi * TAU_NATURAL * n * n + 2j * math.pi * nu[:, None] * n
+        assert (theta_module._real_rows(nu.imag, b, n).tobytes()
+                == np.exp(complex_expo.real).sum(axis=1).tobytes())
+
+    def test_overflowing_real_row_warns_as_the_complex_sum_did(self):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            assert theta3(300j / math.pi, TAU_NATURAL) == complex(math.inf, 0.0)
+
+
+def brute_theta34(x, tau, n_max=60):
+    """(Theta3, Theta4)(x|tau) at real x from the complex brute-force oracle, real parts."""
+    return brute_theta3(x, tau, n_max).real, brute_theta3(x + 0.5, tau, n_max).real
+
+
+class TestTheta34Real:
+    """theta34_real: Theta3 and Theta4 at real x on purely imaginary tau, from one cosine table."""
+
+    TAUS = [TAU_DUAL, TAU_NATURAL, 0.8j]
+
+    @staticmethod
+    def term_sum(tau):
+        """sum_n |terms| = sum_n exp(-pi*Im(tau)*n^2) over the column's window."""
+        n_max = _window(0j, complex(tau), DEFAULT_POLICY)[1]
+        return sum(math.exp(-math.pi * complex(tau).imag * n * n) for n in range(-n_max, n_max + 1))
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_against_theta3_and_brute_sums(self, tau):
+        x = np.concatenate([np.random.default_rng(8).uniform(-2.0, 2.0, 400),
+                            [0.0, -0.0, 0.25, 0.5, -0.5, 1.0, 0.125]])
+        th3, th4 = theta34_real(x, tau)
+        tol = 4.0 * 2.0 ** -52 * self.term_sum(tau)
+        for k, v in enumerate(x.tolist()):
+            assert abs(th3[k] - theta3(v, tau).real) <= tol
+            assert abs(th4[k] - theta3(v + 0.5, tau).real) <= tol
+            b3, b4 = brute_theta34(v, tau)
+            assert abs(th3[k] - b3) <= tol and abs(th4[k] - b4) <= tol
+        assert th3.dtype == th4.dtype == np.float64
+
+    def test_frozen_values(self):
+        th3, th4 = theta34_real([0.0, 0.5], TAU_DUAL)
+        assert th4[0] == th3[1] == pytest.approx(THETA3_HALF_DUAL, abs=2e-16)
+        th3, th4 = theta34_real([0.0], TAU_NATURAL)
+        assert th3[0] == pytest.approx(THETA3_AT_0, abs=4e-16)
+
+    @pytest.mark.parametrize("tau", TAUS + [0.05j, 5.0j])
+    def test_order_is_windows_at_every_x(self, tau, monkeypatch):
+        orders = []
+        cos_table = theta_module._cos_table
+        monkeypatch.setattr(theta_module, "_cos_table",
+                            lambda x, n_max: orders.append(n_max) or cos_table(x, n_max))
+        x = np.concatenate([np.linspace(-3.0, 3.0, 301), [1e17, -1e300, math.nan, math.inf]])
+        with np.errstate(invalid="ignore"):
+            theta34_real(x, tau)
+        assert len(orders) == 1
+        assert {_window(complex(v), complex(tau), DEFAULT_POLICY) for v in x.tolist()} == {
+            (0, orders[0])}
+        assert orders[0] == _truncation_order(0j, complex(tau), DEFAULT_POLICY)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 197])
+    def test_rows_alone_and_in_a_column(self, tau, size):
+        x = np.random.default_rng(size).uniform(-1.0, 1.0, size)
+        th3, th4 = theta34_real(x, tau)
+        alone = [theta34_real(x[k:k + 1], tau) for k in range(size)]
+        assert th3.tobytes() == np.concatenate([a for a, _ in alone]).tobytes()
+        assert th4.tobytes() == np.concatenate([b for _, b in alone]).tobytes()
+
+    def test_empty(self):
+        th3, th4 = theta34_real([], TAU_DUAL)
+        assert th3.shape == th4.shape == (0,)
+
+    @pytest.mark.parametrize("tau", [0.3 + 0.8j, -1e-300 + 1j])
+    def test_rejects_a_tau_off_the_imaginary_axis(self, tau):
+        with pytest.raises(DomainError, match="purely imaginary tau"):
+            theta34_real([0.1], tau)
+
+    def test_rejects_tau_below_the_real_axis(self):
+        with pytest.raises(DomainError, match="Im\\(tau\\) must be positive"):
+            theta34_real([0.1], -1j)
+
+    def test_past_max_terms_raises_theta3s_error(self):
+        policy = SeriesPolicy(max_terms=3)
+        with pytest.raises(PrecisionError) as info:
+            theta3(0.3, 0.05j, policy)
+        expected = (str(info.value), repr(info.value.achieved))
+        with pytest.raises(PrecisionError) as info:
+            theta34_real([0.3], 0.05j, policy)
+        assert (str(info.value), repr(info.value.achieved)) == expected
