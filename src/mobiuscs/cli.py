@@ -6,7 +6,8 @@ Subcommands::
     cs         coherent-state quantities (expect-j, expect-u, norm2,
                distribution, overlap, coeffs, quantize, fidelity)
     spectrum   level energies at the border angles
-    dynamics   integrate a strip trajectory and export it
+    dynamics   sample a strip trajectory (closed-form quadrature or RK4) and
+               export it
     project    universal constraint-window projector
     verify     identity-verification suites (exit 1 on any failure)
     sweep      Cartesian parameter sweeps of scalar targets
@@ -522,8 +523,8 @@ def cmd_dynamics(args) -> int:
     phi_dot = dynamics.mobius_phidot(args.j, args.L0, args.phi, args.r)
     z0_dot = args.L0 + 0.5 * args.r * math.cos(0.5 * args.phi) * phi_dot
     s0 = dynamics.MobiusState(phi=args.phi, phi_dot=phi_dot, z0=args.z0, z0_dot=z0_dot)
-    traj = dynamics.integrate_mobius(s0, args.r, t_end=args.t_end, dt=args.dt,
-                                     energy_tol=args.tol)
+    route = dynamics.integrate_mobius if args.method == "rk4" else dynamics.quadrature_mobius
+    traj = route(s0, args.r, t_end=args.t_end, dt=args.dt, energy_tol=args.tol)
     emit(traj.columns(), args)
     return 0
 
@@ -717,9 +718,13 @@ def _config_argv(parser: argparse.ArgumentParser, args, argv: list[str]) -> list
     The config's values become flags placed before the command line's own,
     and argparse keeps a repeated flag's last value, so the command line
     wins.  ``run`` takes its command words from the artifact, and its own
-    command line gives only --out and --format.
+    command line gives only --out and --format.  A dynamics artifact that
+    records no method was written by RK4, the only route then, and re-runs
+    as --method rk4.
     """
     command, values = load_config(args.config)
+    if command == ["dynamics"]:
+        values.setdefault("method", "rk4")
     if args.command != "run":
         words, tail = argv[:1], argv[1:]
     else:
@@ -779,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L0", type=float, default=0.0)
     p.set_defaults(phi=math.pi)
 
-    p = sub.add_parser("dynamics", help="integrate a strip trajectory")
+    p = sub.add_parser("dynamics", help="sample a strip trajectory")
     _add_common(p, label=True)
     p.add_argument("--j", type=float, default=1.0, help="initial angular momentum")
     p.add_argument("--L0", type=float, default=0.0, help="axial momentum")
@@ -787,6 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-6, help="energy-drift acceptance")
+    p.add_argument("--method", choices=("quadrature", "rk4"), default="quadrature",
+                   help="closed-form quadrature (RK4 past its coefficient cap) or RK4")
 
     p = sub.add_parser("project", help="universal constraint-window projector")
     _add_common(p)

@@ -24,7 +24,18 @@ phi = (2k+1)*pi, where the spectrum closes to
 
     E = 2 j^2 / (4 + r^2) + L0^2 / 2.
 
-Trajectories come from a fixed-step RK4 in canonical variables with
+Trajectories come by two routes, which share their input checks
+(_start) and act as each other's oracles.
+
+quadrature_mobius samples the flow in closed form.  Z0 is cyclic and E is
+conserved, so K = phi_dot^2 * B(phi) is constant (B the bracket above), and
+G(phi(t)) = G(phi0) + sign(phi_dot0)*sqrt(K)*t with G the integral of
+sqrt(B).  G is summed from sqrt(B)'s cosine series, taken by an FFT and
+trimmed where its coefficients reach roundoff, and inverted by Newton steps
+from a Hermite table.  Past MAX_TERMS coefficients (r near 1) the orbit is
+handed to RK4, and the Trajectory's steps > 0 shows it.
+
+integrate_mobius is a fixed-step RK4 in canonical variables with
 compensated (Kahan) state accumulation and step-halving acceptance on the
 energy drift.  A trial at one internal step is checked every BLOCK_ROWS
 output rows and abandoned at the first block whose drift is over the
@@ -59,6 +70,7 @@ __all__ = [
     "energy_spectrum",
     "conserved_set",
     "integrate_mobius",
+    "quadrature_mobius",
     "torus_lagrangian",
     "torus_momenta",
     "torus_hamiltonian",
@@ -364,6 +376,7 @@ class Trajectory:
 
     ``substeps`` is the number of RK4 steps per output row of the accepted
     trial; ``steps`` counts the RK4 steps of every trial the run started.
+    Both are 0 on a trajectory sampled in closed form (quadrature_mobius).
     """
 
     t: np.ndarray
@@ -406,23 +419,13 @@ class Trajectory:
         return out
 
 
-def integrate_mobius(
-    s0: MobiusState,
-    r: float,
-    t_end: float,
-    dt: float,
-    energy_tol: float = 1e-6,
-    max_halvings: int = 8,
-) -> Trajectory:
-    """Integrate the strip flow, sampling every dt up to t_end.
+def _start(s0: MobiusState, r: float, t_end: float, dt: float, energy_tol: float):
+    """The checks both routes make before any step, and their output grid.
 
-    The run is accepted only if the relative energy drift stays below
-    ``energy_tol``; otherwise the internal step is halved (output grid
-    unchanged) up to ``max_halvings`` times before EnergyDriftError.  Each
-    trial but the last stops at the first block of BLOCK_ROWS rows that
-    drifts too far.  Non-finite inputs, a t_end/dt that is not finite and an
-    output grid that cannot be allocated raise DomainError before any step
-    is taken.
+    Returns (out, p_phi0, L0, E0): ``out`` holds n_out + 1 rows of three
+    columns, each column contiguous.  Non-finite inputs, a t_end/dt that is
+    not finite, a NaN or negative energy_tol, an initial energy that is not
+    finite and an output grid that cannot be allocated raise DomainError.
     """
     _check_r(r)
     if not all(map(math.isfinite, (s0.phi, s0.phi_dot, s0.z0, s0.z0_dot, t_end, dt))):
@@ -446,11 +449,37 @@ def integrate_mobius(
         raise DomainError(f"initial energy {E0} is not finite")
     try:
         # every trial writes rows 1..n_out of the same grid
-        out = np.empty((n_out + 1, 3))
+        out = np.empty((3, n_out + 1)).T
     except (MemoryError, ValueError):  # ValueError: past numpy's size limit
         raise DomainError(f"cannot allocate {n_out + 1} output rows") from None
-    out[0] = s0.phi, p_phi0, s0.z0
+    return out, p_phi0, L0, E0
 
+
+def integrate_mobius(
+    s0: MobiusState,
+    r: float,
+    t_end: float,
+    dt: float,
+    energy_tol: float = 1e-6,
+    max_halvings: int = 8,
+) -> Trajectory:
+    """Integrate the strip flow by RK4, sampling every dt up to t_end.
+
+    The run is accepted only if the relative energy drift stays below
+    ``energy_tol``; otherwise the internal step is halved (output grid
+    unchanged) up to ``max_halvings`` times before EnergyDriftError.  Each
+    trial but the last stops at the first block of BLOCK_ROWS rows that
+    drifts too far.  Non-finite inputs, a t_end/dt that is not finite and an
+    output grid that cannot be allocated raise DomainError before any step
+    is taken.
+    """
+    return _rk4_run(s0, r, dt, *_start(s0, r, t_end, dt, energy_tol), energy_tol, max_halvings)
+
+
+def _rk4_run(s0, r, dt, out, p_phi0, L0, E0, energy_tol, max_halvings) -> Trajectory:
+    """integrate_mobius's halving loop, on the grid and start that _start returned."""
+    n_out = out.shape[0] - 1
+    out[0] = s0.phi, p_phi0, s0.z0
     drift = math.inf
     steps = 0
     for attempt in range(max_halvings + 1):
@@ -482,6 +511,206 @@ def integrate_mobius(
         f"energy drift {drift:g} above {energy_tol:g} after {max_halvings} halvings",
         achieved=drift,
     )
+
+
+# ---------------------------------------------------------------------------
+# Trajectory in closed form
+# ---------------------------------------------------------------------------
+
+# cosine coefficients of sqrt(B) the quadrature route sums at most; an orbit
+# that needs more (r past about 0.9975) is handed to RK4
+MAX_TERMS = 4096
+# a coefficient below this share of a_0 is roundoff: the series stops before it
+ROUNDOFF = 2.0 * 2.0 ** -52
+# Newton iterations before a row that has not converged hands the orbit to RK4
+MAX_NEWTON = 32
+FOUR_PI = 4.0 * math.pi
+
+
+def _sqrt_bracket_series(r: float, samples: int = 64) -> tuple[np.ndarray | None, int]:
+    """Cosine coefficients a_0..a_n of sqrt(B) in phi/2, and the samples they took.
+
+    sqrt(B) is analytic and periodic, so its coefficients fall geometrically.
+    It is sampled at ``samples``, twice as many, ... points of a period,
+    until every coefficient in the upper half of the transform is below
+    ROUNDOFF*a_0; the series then ends at the last coefficient above it.
+    The coefficients are None past MAX_TERMS.
+    """
+    n = samples
+    while n // 4 <= MAX_TERMS:
+        half = (2.0 * math.pi / n) * np.arange(n)
+        a = np.fft.rfft(np.sqrt(_strip_bracket(np.cos(half), np.sin(half), r))).real / n
+        a[1:-1] *= 2.0
+        last = np.flatnonzero(np.abs(a) > ROUNDOFF * a[0])[-1]
+        if last < n // 4:
+            return a[:last + 1], n
+        n *= 2
+    return None, n
+
+
+def _sine_sum(coef: np.ndarray, c, sn):
+    """sum_k coef[k-1]*sin(k*x) at c = cos(x), sn = sin(x), by Clenshaw's recurrence.
+
+    Takes float columns, or floats, for which Python's arithmetic is faster
+    than three numpy calls per term.
+    """
+    x = 2.0 * c
+    if isinstance(c, float):
+        b1 = b2 = 0.0
+        for a in coef.tolist()[::-1]:
+            b1, b2 = x * b1 - b2 + a, b1
+        return sn * b1
+    b1 = np.zeros_like(c)
+    b2 = np.zeros_like(c)
+    b0 = np.empty_like(c)
+    for a in coef[::-1]:
+        np.multiply(x, b1, out=b0)  # b0 = x*b1 - b2 + a, in place
+        b0 -= b2
+        b0 += a
+        b2, b1, b0 = b1, b0, b2
+    return sn * b1
+
+
+class _StripQuadrature:
+    """G(phi) = integral_0^phi sqrt(B), as a0*phi + sum_k (2 a_k/k)*sin(k*phi/2), and its inverse.
+
+    The inverse starts from a cubic Hermite table of G over one 4*pi period,
+    M = max(256, 8n) nodes, evaluated by one inverse FFT, and is polished by
+    Newton steps phi <- phi - (G(phi) - g)/sqrt(B(phi)).
+    """
+
+    def __init__(self, a: np.ndarray, r: float):
+        self.r = r
+        self.a0 = float(a[0])
+        n = a.size - 1
+        self.coef = 2.0 * a[1:] / np.arange(1, n + 1)
+        m = max(256, 8 * n)
+        spectrum = np.zeros(m // 2 + 1, dtype=complex)
+        spectrum[1:n + 1] = -0.5j * m * self.coef
+        wave = np.fft.irfft(spectrum, m)
+        self.nodes = (FOUR_PI / m) * np.arange(m + 1)
+        self.values = self.a0 * self.nodes + np.append(wave, wave[0])
+        half = 0.5 * self.nodes
+        c, sn = np.cos(half), np.sin(half)
+        root = np.sqrt(_strip_bracket(c, sn, r))
+        self.slopes = 1.0 / root
+        # Newton's next step is at most newton * step^2: max |G''| / (2 min G'),
+        # G'' = B'/(2 sqrt(B)), doubled for the maximum between the nodes
+        d_bracket = -r * sn * (1.0 + r * c) + 0.25 * r * r * sn * c
+        self.newton = 0.5 * float(np.max(np.abs(d_bracket) * self.slopes) * np.max(self.slopes))
+        self.period = FOUR_PI * self.a0
+
+    def __call__(self, phi):
+        """(G(phi), cos(phi/2), sin(phi/2)) at an array of angles, or at a float."""
+        half = 0.5 * phi
+        if isinstance(phi, float):
+            c, sn = math.cos(half), math.sin(half)
+        else:
+            c, sn = np.cos(half), np.sin(half)
+        return self.a0 * phi + _sine_sum(self.coef, c, sn), c, sn
+
+    def guess(self, g: np.ndarray) -> np.ndarray:
+        """The table's cubic Hermite inverse of G at g."""
+        turns = np.floor(g / self.period)
+        local = g - turns * self.period
+        i = np.searchsorted(self.values, local, side="right") - 1
+        np.clip(i, 0, self.nodes.size - 2, out=i)
+        width = self.values[i + 1] - self.values[i]
+        s = (local - self.values[i]) / width
+        s2 = s * s
+        s3 = s2 * s
+        rise = 3.0 * s2 - 2.0 * s3
+        return (self.nodes[i] + rise * (self.nodes[i + 1] - self.nodes[i])
+                + width * ((s3 - 2.0 * s2 + s) * self.slopes[i] + (s3 - s2) * self.slopes[i + 1])
+                + turns * FOUR_PI)
+
+    def inverse(self, g: np.ndarray) -> np.ndarray | None:
+        """phi with G(phi) = g at each entry, or None where a row does not converge.
+
+        A row stops once its next Newton step is bounded below a few ulp of
+        phi (newton * step^2 <= 4 eps max(|phi|, 1)).
+        """
+        phi = self.guess(g)
+        rows = np.arange(g.size)
+        for _ in range(MAX_NEWTON):
+            if not rows.size:
+                return phi
+            p = phi[rows]
+            value, c, sn = self(p)
+            step = (value - g[rows]) / np.sqrt(_strip_bracket(c, sn, self.r))
+            phi[rows] = p - step
+            done = self.newton * step * step <= 2.0 * ROUNDOFF * np.maximum(np.abs(p), 1.0)
+            rows = rows[~done]
+        return None
+
+
+def _strip_flow(s0, r, dt, out, L0, E0, energy_tol) -> Trajectory | None:
+    """The flow in closed form on the grid, L0 and E0 that _start returned.
+
+    phi_dot^2 B(phi) = K is conserved, so t = sigma*(G(phi) - G(phi0))/sqrt(K)
+    with sigma = sign(phi_dot0).  None past MAX_TERMS coefficients, where a
+    row does not converge or a value is not finite, and where the energy
+    drift is over ``energy_tol``.
+    """
+    a = _sqrt_bracket_series(r)[0]
+    if a is None:
+        return None
+    t = dt * np.arange(out.shape[0])
+    phi, phi_dot, z0 = out.T
+    half0 = 0.5 * s0.phi
+    K = s0.phi_dot * s0.phi_dot * _strip_bracket(math.cos(half0), math.sin(half0), r)
+    if K == 0.0:
+        phi[:] = s0.phi
+    else:
+        flow = _StripQuadrature(a, r)
+        g = flow(float(s0.phi))[0] + math.copysign(math.sqrt(K), s0.phi_dot) * t
+        solved = flow.inverse(g) if np.isfinite(g).all() else None
+        if solved is None:
+            return None
+        phi[:] = solved
+        phi[0] = s0.phi
+    half = 0.5 * phi
+    c, sn = np.cos(half), np.sin(half)
+    bracket = _strip_bracket(c, sn, r)
+    np.copysign(np.sqrt(K / bracket), s0.phi_dot, out=phi_dot)
+    np.add(s0.z0 + L0 * t, r * (sn - sn[0]), out=z0)
+    energy = 0.5 * (phi_dot ** 2 * bracket + L0 * L0)
+    drift = float(np.max(np.abs(energy - E0)) / max(1.0, abs(E0)))
+    if not (_accepts(drift, energy_tol) and np.isfinite(out).all()):
+        return None
+    return Trajectory(t=t, phi=phi, phi_dot=phi_dot, z0=z0, z0_dot=L0 + 0.5 * r * c * phi_dot,
+                      r=r, L0=L0, substeps=0, steps=0)
+
+
+def quadrature_mobius(
+    s0: MobiusState,
+    r: float,
+    t_end: float,
+    dt: float,
+    energy_tol: float = 1e-6,
+    max_halvings: int = 8,
+) -> Trajectory:
+    """The strip flow in closed form, sampled every dt up to t_end.
+
+    Z0 is cyclic and E is conserved, so K = phi_dot^2 B(phi) is constant and
+    the orbit is the quadrature G(phi(t)) = G(phi0) + sign(phi_dot0)*sqrt(K)*t,
+    G = integral of sqrt(B), taken from sqrt(B)'s cosine series (see
+    _StripQuadrature); phi_dot = sign(phi_dot0)*sqrt(K/B(phi)) and
+    z0 = z0(0) + L0*t + r*(sin(phi/2) - sin(phi0/2)).  K = 0 keeps phi
+    constant.  The result has substeps = steps = 0.
+
+    Raises the DomainErrors of integrate_mobius.  Where the series needs
+    more than MAX_TERMS coefficients (r near 1), a row does not converge, a
+    value is not finite or the energy drift is over ``energy_tol``, the orbit
+    is integrated by integrate_mobius's RK4 instead, with ``max_halvings``;
+    its Trajectory has steps > 0.
+    """
+    run = out, _, L0, E0 = _start(s0, r, t_end, dt, energy_tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # such a row hands the orbit to RK4
+        traj = _strip_flow(s0, r, dt, out, L0, E0, energy_tol)
+    if traj is None:
+        return _rk4_run(s0, r, dt, *run, energy_tol, max_halvings)
+    return traj
 
 
 # ---------------------------------------------------------------------------

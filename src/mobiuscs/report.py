@@ -45,20 +45,26 @@ class Check:
     description: str
     grid: str
     tolerance: float
-    evaluate: Callable[[], float]  # returns the maximum observed error
+    evaluate: Callable[..., float]  # returns the maximum observed error
+    # evaluate(shared) may reuse what another check of the same run left in
+    # the dict ``shared``; without it, evaluate() computes everything itself
+    shares: bool = False
 
-    def run(self) -> VerificationCheck:
-        return VerificationCheck(self.name, self.description, self.grid,
-                                 float(self.evaluate()), self.tolerance)
+    def run(self, shared: dict | None = None) -> VerificationCheck:
+        """Evaluate the check; ``shared`` is the dict of one run_suite call, if any."""
+        error = self.evaluate(shared) if self.shares else self.evaluate()
+        return VerificationCheck(self.name, self.description, self.grid, float(error),
+                                 self.tolerance)
 
 
 _registry: list[Check] = []
 
 
-def _check(suite: str, name: str, description: str, grid: str, tolerance: float):
+def _check(suite: str, name: str, description: str, grid: str, tolerance: float,
+           shares: bool = False):
     """Register the decorated function as the evaluator of a new check, in order."""
-    def register(evaluate: Callable[[], float]) -> Callable[[], float]:
-        _registry.append(Check(name, suite, description, grid, tolerance, evaluate))
+    def register(evaluate: Callable[..., float]) -> Callable[..., float]:
+        _registry.append(Check(name, suite, description, grid, tolerance, evaluate, shares))
         return evaluate
     return register
 
@@ -274,13 +280,38 @@ def _torus_strip_reduction() -> float:
     return err
 
 
+_STRIP_START = dynamics.MobiusState(0.3, 1.1, 0.0, 0.4)
+
+
+def _strip_orbit(shared: dict | None) -> dynamics.Trajectory:
+    """conservation-short's RK4 orbit (r = 0.5, t_end = 10, dt = 1e-3), integrated once per run.
+
+    RK4 by name: the closed-form route conserves E by construction.
+    """
+    if shared is None:
+        shared = {}
+    if "strip-orbit" not in shared:
+        shared["strip-orbit"] = dynamics.integrate_mobius(_STRIP_START, 0.5, t_end=10.0, dt=1e-3)
+    return shared["strip-orbit"]
+
+
 @_check("dynamics", "conservation-short", "energy and axial momentum drift over a trajectory",
-        "r=0.5, t_end=10, dt=1e-3", 1e-9)
-def _conservation_short() -> float:
-    traj = dynamics.integrate_mobius(dynamics.MobiusState(0.3, 1.1, 0.0, 0.4), 0.5,
-                                     t_end=10.0, dt=1e-3)
-    drifts = traj.drift()
+        "r=0.5, t_end=10, dt=1e-3", 1e-9, shares=True)
+def _conservation_short(shared: dict | None = None) -> float:
+    drifts = _strip_orbit(shared).drift()
     return max(drifts["E"], drifts["L0"])
+
+
+@_check("dynamics", "strip-flow-dual-route", "closed-form quadrature vs RK4 in phi, phi_dot, z0",
+        "r=0.5, t_end=0.5, dt=1e-3, absolute error", 1e-10, shares=True)
+def _strip_flow_dual_route(shared: dict | None = None) -> float:
+    quad = dynamics.quadrature_mobius(_STRIP_START, 0.5, t_end=0.5, dt=1e-3)
+    if quad.steps:  # the quadrature handed the orbit to RK4: nothing was compared
+        return math.inf
+    # the first 501 rows of conservation-short's orbit: the same RK4 steps as a run to 0.5
+    rk4 = _strip_orbit(shared)
+    return max(float(np.max(np.abs(getattr(quad, name) - getattr(rk4, name)[:quad.t.size])))
+               for name in ("phi", "phi_dot", "z0"))
 
 
 # -- projection -------------------------------------------------------------
@@ -336,7 +367,11 @@ SUITES: tuple[str, ...] = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
 
 def run_suite(name: str) -> list[VerificationCheck]:
-    """Run the registry's checks of suite ``name`` ("all": every check), in table order."""
+    """Run the registry's checks of suite ``name`` ("all": every check), in table order.
+
+    Checks registered with shares=True reuse results within this call only.
+    """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return [check.run() for check in CHECKS if name in ("all", check.suite)]
+    shared = {}  # results the checks of this call reuse, and no later call
+    return [check.run(shared) for check in CHECKS if name in ("all", check.suite)]

@@ -358,7 +358,9 @@ def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | n
     if method == "series":
         sign = 1.0 if label.s == 0.0 else -1.0
         q = math.exp(-math.pi * math.pi)
-        cos2 = math.cos(2.0 * math.pi * center)
+        # the correction is 1-periodic; from 2^52 on l' is an integer, and 2*pi*l' may overflow
+        phase = center if abs(center) < _EXACT_INT else math.fmod(center, 1.0)
+        cos2 = math.cos(2.0 * math.pi * phase)
         total = 0.0
         q_odd = q
         for _ in range(64):
@@ -366,7 +368,7 @@ def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | n
             q_odd *= q * q
             if q_odd < 1e-320:
                 break
-        correction = -sign * 2.0 * math.pi * math.sin(2.0 * math.pi * center) * total
+        correction = -sign * 2.0 * math.pi * math.sin(2.0 * math.pi * phase) * total
         return center + correction
     raise ValueError(f"unknown method {method!r}")
 
@@ -404,12 +406,12 @@ def _expect_j_ratio(batch: LabelBatch) -> np.ndarray:
     Z + s is invariant under the integer shift j0, and j - l' = g - f for the
     grid level g = j - j0 is one rounding of the same real number either way,
     so the grid of f gives the weights of those levels.  From |l'| = 2^52 on,
-    where j0 + 1/2 is no longer a double, a label keeps the symmetric grid of
-    l' itself (and level_grid's DomainError).
+    every double is an integer, f = 0 and <J> = l'.  An infinite l' keeps
+    its own grid, and default_j_max's DomainError.
     """
     centers = np.asarray(batch.centers, dtype=float)
     j0 = np.rint(centers)
-    j0[np.abs(centers) >= _EXACT_INT] = 0.0  # there (and at +-inf) l' keeps its own grid
+    j0[np.isinf(centers)] = 0.0
     reduced = centers - j0
     correction = np.empty(centers.size)
     for rows, g, f in _grid_blocks(reduced, batch.s):
@@ -531,6 +533,17 @@ def _gaussian_supnorm(batch: LabelBatch) -> np.ndarray:
     return out
 
 
+def _check_lattice_resolved(center: float) -> None:
+    """Raise PrecisionError from |l'| = 2^52 on: every double there is an integer.
+
+    Z + 1/2 has no double there, and the rounding of l' reaches the lattice
+    spacing, so whether <J> lies on Z + s cannot be told.
+    """
+    if abs(center) >= _EXACT_INT:
+        raise PrecisionError(f"cannot resolve the level lattice at center {center:g} >= 2^52",
+                             achieved=math.ulp(center))
+
+
 def quantization_scan(
     r: float,
     l: float,
@@ -556,6 +569,7 @@ def quantization_scan(
 
     if r == 0.0:
         grid = np.linspace(0.0, 4.0 * math.pi, n_grid, endpoint=False)
+        _check_lattice_resolved(l)
         if abs(l - s - round(l - s)) <= tol:
             return [float(p) for p in grid]
         return []
@@ -564,6 +578,7 @@ def quantization_scan(
     for phi in (math.pi, 3.0 * math.pi):
         label = StateLabel(l=l, phi=phi, r=r, s=s)
         center = label.center
+        _check_lattice_resolved(center)
         if abs(math.remainder(center, 0.5)) > tol:  # 2 * center may overflow
             continue
         jbar = expect_j(label, method="ratio")

@@ -433,6 +433,8 @@ def theta3_logderiv(nu: float, tau: complex, policy: SeriesPolicy = DEFAULT_POLI
     """
     tau = _check_tau(tau)
     nu = float(nu)
+    if abs(nu) >= 2.0 ** 52:  # an integer, where the 1-periodic series is its value at 0
+        nu = math.fmod(nu, 1.0)
     q = cmath.exp(1j * math.pi * tau)
     absq = abs(q)
     if absq >= 1.0:

@@ -219,9 +219,8 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "cannot allocate" in err
 
-    # 2 * center and the pair midpoint overflow to inf near DBL_MAX
+    # the pair midpoint overflows to inf near DBL_MAX
     @pytest.mark.parametrize("argv", [
-        ["cs", "quantize", "--l", "1e308", "--r", "0.5"],
         ["cs", "overlap", "--l", "1.7976931348623157e308", "--r", "0.5", "--s", "half",
          "--l2", "1e300"],
     ])
@@ -271,6 +270,15 @@ class TestCommands:
         flags = [r["passed"] for r in json.loads(out_json)["rows"]]
         assert cells and set(cells) <= {"true", "false"}
         assert len(flags) == len(cells) and all(type(f) is bool for f in flags)
+
+    @pytest.mark.parametrize("flags", [["--l", "1e300", "--s", "half"], ["--l", "1e300"],
+                                       ["--l", "1e300", "--s", "half", "--r", "0"],
+                                       ["--l", "1e308", "--r", "0.5"]])
+    def test_quantize_past_2_52_reports_no_root(self, capsys, flags):
+        # every double is an integer there, and 2 * center overflows near DBL_MAX
+        code, out, err = run_cli(["cs", "quantize", *flags], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("precision failure: cannot resolve the level lattice")
 
     def test_quantize(self, capsys):
         code, out, _ = run_cli(
@@ -333,6 +341,10 @@ class TestCommands:
         ["cs", "expect-u", "--l", "-1e300"],
         ["cs", "expect-u", "--l", "1e17"],
         ["cs", "expect-u", "--l", "1e17", "--s", "half"],
+        # <J> = l' from 2^52 on, where every double is an integer
+        ["cs", "expect-j", "--l", "1e300"],
+        ["cs", "expect-j", "--l", "1e300", "--s", "half"],
+        ["cs", "expect-j", "--l", "-1.7976931348623157e308", "--phi", "pi"],
     ])
     def test_scale_free_routes_past_the_norm_overflow_edge(self, capsys, argv):
         # <J> and <U> are bounded, and their routes sum exp(-(j - l')^2)-scaled weights
@@ -347,7 +359,7 @@ class TestCommands:
             assert float(rows[0]["expect_u_abs"]) <= 1.0
             assert float(rows[0]["spread"]) <= 1e-12
         elif argv[1] == "expect-j":
-            assert float(rows[0]["max_spread"]) <= 1e-12 * float(rows[0]["expect_j"])
+            assert float(rows[0]["max_spread"]) <= 1e-12 * abs(float(rows[0]["expect_j"]))
         else:
             assert [float(row["expect_j"]) for row in rows] == [30.5, 29.5]
 
@@ -565,15 +577,14 @@ class TestSweep:
         assert code == 1
         assert [row["error"] for row in csv_rows(out)] == ["PrecisionError: norm2 is not finite"] * 3
 
-    def test_far_level_grid_rows_keep_their_own_errors(self, capsys):
+    def test_far_rows_sum_the_levels_around_their_center(self, capsys):
+        # from 2^52 on every double is an integer, and <J> = l'
         code, out, _ = run_cli(["sweep", "expect-j", "--grid", "l=-1e300:1e300:5", "--r", "0"],
                                capsys)
-        errors = [row["error"] for row in csv_rows(out)]
-        assert code == 1
-        assert errors == [f"DomainError: cannot allocate the levels |j| <= {j_max}"
-                          for j_max in ("1e+300", "5e+299")] + [""] + [
-                          f"DomainError: cannot allocate the levels |j| <= {j_max}"
-                          for j_max in ("5e+299", "1e+300")]
+        rows = csv_rows(out)
+        assert code == 0 and [row["error"] for row in rows] == [""] * 5
+        far = [row for row in rows if row["l"] != "0"]
+        assert [row["expect_j"] for row in far] == [row["l"] for row in far]
 
     def test_failing_batch_is_halved_and_good_rows_stay_batched(self, monkeypatch):
         sizes = []  # rows of each batch that _state_values returned for
@@ -584,8 +595,9 @@ class TestSweep:
             return result
 
         monkeypatch.setattr(cli, "_state_values", spy)
-        # 100 rows at l = -1e300 (each fails) before 100 good rows, in one batch
-        rows = sweep_against_one_label_calls("expect-j", "l=-1e300:1:2,phi=0:1:100", [])
+        # 100 rows at l = -1e17 (each fails at the lattice-sum cap) before 100 good rows, in
+        # one batch
+        rows = sweep_against_one_label_calls("norm2", "l=-1e17:1:2,phi=0:1:100", [])
         assert [bool(row["error"]) for row in rows] == [True] * 100 + [False] * 100
         assert sizes == [100]
 
@@ -1188,7 +1200,8 @@ class TestConfig:
                           "phi2": 0.0, "t": 1.0, "L0": 0.0}  # --j is unset: a null would not re-run
 
     # artifacts written before every flag was recorded: a hand-picked key set,
-    # and a sweep's target among the config keys
+    # and a sweep's target among the config keys; a dynamics artifact from
+    # before --method re-runs by RK4, the route that wrote it
     OLD_ARTIFACTS = [
         ({"command": ["cs", "coeffs"], "config": {"l": 0.5, "phi": 1.0, "r": 0.5, "s": 0.5}},
          ["cs", "coeffs", "--l", "0.5", "--phi", "1", "--s", "half"]),
@@ -1198,7 +1211,8 @@ class TestConfig:
          ["sweep", "norm2", "--grid", "l=-1:1:3"]),
         ({"command": ["dynamics"], "config": {"phi": 0.3, "j": 1.0, "L0": 0.2, "z0": 0.0,
                                               "r": 0.5, "t_end": 0.05, "dt": 0.01, "tol": 1e-6}},
-         ["dynamics", "--phi", "0.3", "--L0", "0.2", "--t-end", "0.05", "--dt", "0.01"]),
+         ["dynamics", "--phi", "0.3", "--L0", "0.2", "--t-end", "0.05", "--dt", "0.01",
+          "--method", "rk4"]),
     ]
 
     @pytest.mark.parametrize("artifact, argv", OLD_ARTIFACTS, ids=lambda x: " ".join(x)
@@ -1356,7 +1370,15 @@ class TestCachedParser:
 # real-exponent lattice rows began to sum real exponentials, and the sweep expect-u outputs
 # when the dual <U> route began to read Theta_3 and Theta_4 from one cosine table; each
 # recomputed output was checked against 40-digit mpmath.  The grid crosses |l'| ~ 26.6, so
-# norm2 has error rows
+# norm2 has error rows.  The --method rk4 dynamics digests are those the same orbits printed
+# before the closed-form route existed; each default-route dynamics output was checked
+# against RK4 at dt/8 to 1e-10 in every column before it was pinned
+DYNAMICS_ORBITS = [
+    ["dynamics", "--phi", "0.3", "--L0", "0.2", "--t-end", "0.5", "--dt", "0.01"],
+    ["dynamics", "--phi", "1", "--j", "-2", "--r", "0.9", "--t-end", "2", "--dt", "0.01"],
+    ["dynamics", "--phi", "-0.5pi", "--j", "30", "--L0", "0.5", "--r", "0.9", "--t-end", "0.2",
+     "--dt", "1e-3"],
+]
 OUTPUT_DIGESTS = [
     (["sweep", "expect-j", "--s", "int"], 0,
      "8b76e7dba6507a9b68da112adfe2ebe15b3baf07082e348827968392b733ea8f"),
@@ -1373,6 +1395,15 @@ OUTPUT_DIGESTS = [
     (["theta", "--l", "0.3"], 0, "0e754931258936856df3ac6d996e1fc4819d561d9af84f639ed58970a497ce95"),
     (["theta", "--l", "-12.7"], 0, "284595505bc869a508565e2d5aec3683d691197f3840547231b8a0b417270b11"),
     (["theta", "--l", "26.3"], 0, "42173457707efda626ffaf29b8d9719f87a85c3a147051cc163dafe4aed14d7f"),
+    ([*DYNAMICS_ORBITS[0], "--method", "rk4"], 0,
+     "27c7f9743907a0f5b613fedc57b1edd20c2c8bf1c82f7cefb720bd613c9a5f53"),
+    ([*DYNAMICS_ORBITS[1], "--method", "rk4"], 0,
+     "9b9eb4d4324599dac87d7bd2d4e875c927e3e09ca31c36862f9acbf959076922"),
+    ([*DYNAMICS_ORBITS[2], "--method", "rk4"], 0,
+     "747037b0ee12b163924a0c7ad1f65fc8d2c90459616222496bb1231ec00d8839"),
+    (DYNAMICS_ORBITS[0], 0, "bcd9ccf497d84094ac332f0539ed0183fa879cd5c414067562b2446c71c156fc"),
+    (DYNAMICS_ORBITS[1], 0, "22f8080db182bc59af81269686f860eae20e35f5f00f8abe8b145657bd71f8c6"),
+    (DYNAMICS_ORBITS[2], 0, "56a773605144732a2b089a836299dfb3f26988c8e1a5be2a81c0d86b6f4c726c"),
 ]
 
 
@@ -1414,17 +1445,25 @@ CONTRACT_COMMANDS = ["theta", "cs norm2", "cs expect-u", "cs overlap", "sweep no
 @example(command="theta", l="4503599627370496", l2="0", r="0", phi="pi", s="int")
 @example(command="cs expect-u", l="-1e300", l2="0", r="0.999999999", phi="-0.5pi", s="half")
 def test_exit_contract_of_the_theta_and_state_commands(command, l, l2, r, phi, s):
-    """No exception escapes; exit 0 prints only finite numbers, exit 2 prints nothing.
+    """The exit contract (assert_exit_contract) of the theta and state commands.
 
-    The sweeps run the grid l = l:l2:3, and cs overlap takes l2 as --l2.  A
-    sweep row with an empty error holds finite numbers at exit 0 or 1.
-    argparse's own exit (SystemExit 2) counts as exit code 2.
+    The sweeps run the grid l = l:l2:3, and cs overlap takes l2 as --l2.
     """
     argv = command.split()
     argv += ["--grid", f"l={l}:{l2}:3"] if argv[0] == "sweep" else ["--l", l]
     if command == "cs overlap":
         argv += ["--l2", l2]
     argv += ["--r", r, "--phi", phi, "--s", s]
+    assert_exit_contract(argv)
+
+
+def assert_exit_contract(argv) -> int:
+    """Run argv; no exception escapes, exit 0 prints only finite numbers, exit 2 prints nothing.
+
+    Returns the exit code.  A sweep row with an empty error holds finite
+    numbers at exit 0 or 1.  argparse's own exit (SystemExit 2) counts as
+    exit code 2.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -1432,9 +1471,10 @@ def test_exit_contract_of_the_theta_and_state_commands(command, l, l2, r, phi, s
         except SystemExit as stop:
             code = stop.code
     assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
     if code == 2:
         assert out.getvalue() == "", argv
-        return
+        return code
     rows = csv_rows(out.getvalue())
     if argv[0] == "sweep":
         rows = [row for row in rows if not row.pop("error")]
@@ -1444,3 +1484,33 @@ def test_exit_contract_of_the_theta_and_state_commands(command, l, l2, r, phi, s
         for key, cell in row.items():
             if key != "quantity":
                 assert math.isfinite(float(cell)), (argv, key, cell)
+    return code
+
+
+# the allocation edges of test_dynamics_non_finite_input_exit_code, and a short grid
+CONTRACT_SPANS = [("--t-end", "1", "--dt", "1e-2"), ("--t-end", "1e300", "--dt", "1e-300"),
+                  ("--t-end", "1e12", "--dt", "1e-3"), ("--t-end", "1e300")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from(["0", "0.9", "0.99", "0.999999999"]),
+       phi=st.sampled_from(["0", "pi", "2pi", "-0.5pi"]), L0=st.sampled_from(["0", "0.5", "-1"]),
+       j=st.sampled_from(["1", "-2", "-30", "K=0"]), span=st.sampled_from(CONTRACT_SPANS))
+# a still strip (K = 0); the end of the series at r -> 1, where the default route runs RK4;
+# a fast orbit through the narrow neck at phi = 2pi, which RK4 cannot resolve at its last halving
+@example(r="0.9", phi="-0.5pi", L0="0.5", j="K=0", span=CONTRACT_SPANS[0])
+@example(r="0.999999999", phi="2pi", L0="0", j="-2", span=CONTRACT_SPANS[0])
+@example(r="0.99", phi="2pi", L0="0", j="-30", span=CONTRACT_SPANS[0])
+def test_exit_contract_of_dynamics_under_both_methods(r, phi, L0, j, span):
+    """The exit contract for dynamics, by the default route and by --method rk4.
+
+    K = 0 sets j = -(r/2)*cos(phi/2)*L0, where phi_dot = 0.  Both routes share
+    their checks, so they exit 2 alike; the default route exits 0 wherever RK4
+    does, and exits 1 only where RK4 exits 1 too.
+    """
+    if j == "K=0":
+        j = repr(-0.5 * float(r) * math.cos(0.5 * cli.parse_angle(phi)) * float(L0))
+    argv = ["dynamics", "--r", r, "--phi", phi, "--L0", L0, "--j", j, *span]
+    default, rk4 = assert_exit_contract(argv), assert_exit_contract([*argv, "--method", "rk4"])
+    assert (default == 2) == (rk4 == 2), argv
+    assert default == 0 or default == rk4, argv

@@ -20,6 +20,7 @@ from mobiuscs.dynamics import (
     mobius_lagrangian,
     mobius_momenta,
     mobius_phidot,
+    quadrature_mobius,
     torus_hamiltonian,
     torus_lagrangian,
 )
@@ -429,11 +430,143 @@ class TestKernel:
     def test_stiff_export_digest(self, capsys):
         # sha256 of the CSV this command printed before the kernel was unrolled
         code = cli.main(["dynamics", "--phi", "0", "--j", "30", "--L0", "0.5", "--r", "0.9",
-                         "--t-end", "2", "--dt", "1e-2"])
+                         "--t-end", "2", "--dt", "1e-2", "--method", "rk4"])
         out = capsys.readouterr().out
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "dc38f0060850e922811700750fcfa6a0cfe726074612de1602e3d672e699910b")
+
+
+def export_state(phi, j, L0, r, z0=0.0):
+    """The initial state cmd_dynamics builds from its flags."""
+    phi_dot = mobius_phidot(j, L0, phi, r)
+    return MobiusState(phi, phi_dot, z0, L0 + 0.5 * r * math.cos(0.5 * phi) * phi_dot)
+
+
+# (state, r, t_end, dt) of the smooth CSV and the stiff orbit of the trajectory export benchmark
+SMOOTH_ORBIT = (export_state(0.3, 1.0, 0.2, 0.5), 0.5, 100.0, 1e-3)
+STIFF_ORBIT = (export_state(0.0, 30.0, 0.5, 0.9), 0.9, 20.0, 1e-2)
+
+
+def max_gap(a, b, names=("phi", "phi_dot", "z0", "z0_dot")):
+    return max(float(np.max(np.abs(getattr(a, n) - getattr(b, n)))) for n in names)
+
+
+class TestQuadrature:
+    def test_matches_rk4_on_the_smooth_export_orbit(self):
+        quad = quadrature_mobius(*SMOOTH_ORBIT)
+        rk4 = integrate_mobius(*SMOOTH_ORBIT)
+        assert (quad.substeps, quad.steps, rk4.substeps) == (0, 0, 1)
+        assert np.array_equal(bits(quad.t), bits(rk4.t))
+        assert max_gap(quad, rk4, ("phi",)) <= 1e-10
+        assert max_gap(quad, rk4) <= 1e-10
+        assert quad.drift()["E"] <= 1e-14 and quad.columns()["L0"].tolist() == [rk4.L0] * 100_001
+
+    def test_stiff_orbit_matches_itself_at_twice_the_samples(self, monkeypatch):
+        quad = quadrature_mobius(*STIFF_ORBIT)
+        series = dynamics._sqrt_bracket_series
+        a, samples = series(0.9)
+        twice, _ = series(0.9, 2 * samples)
+        assert quad.steps == 0 and 100 < a.size <= twice.size < 2 * a.size
+        monkeypatch.setattr(dynamics, "_sqrt_bracket_series", lambda r: series(r, 2 * samples))
+        again = quadrature_mobius(*STIFF_ORBIT)
+        assert again.steps == 0
+        assert max_gap(quad, again, ("phi",)) <= 1e-13
+        # RK4 accepts this orbit at 128 substeps with its phi 2e-5 off
+        rk4 = integrate_mobius(*STIFF_ORBIT)
+        assert rk4.substeps == 128 and 1e-6 < max_gap(quad, rk4, ("phi",)) < 1e-4
+
+    @pytest.mark.parametrize("r, terms", [(0.0, 1), (0.5, 32), (0.9, 141), (0.99, 1106)])
+    def test_series_ends_where_its_coefficients_reach_roundoff(self, r, terms):
+        a, samples = dynamics._sqrt_bracket_series(r)
+        assert abs(a.size - terms) <= 3 and a.size <= samples // 4
+        half = np.linspace(0.0, 2.0 * math.pi, 97)
+        direct = np.sqrt(dynamics._strip_bracket(np.cos(half), np.sin(half), r))
+        summed = np.cos(np.outer(half, np.arange(a.size))) @ a  # rounds cos(k*x) at large k
+        assert np.max(np.abs(summed - direct)) <= 5e-14
+
+    def test_past_the_term_cap_the_orbit_runs_by_rk4(self):
+        assert dynamics._sqrt_bracket_series(0.999)[0] is None
+        s0, r = export_state(0.2, 1.5, 0.3, 1.0 - 1e-9), 1.0 - 1e-9
+        quad = quadrature_mobius(s0, r, t_end=1.0, dt=1e-2)
+        rk4 = integrate_mobius(s0, r, t_end=1.0, dt=1e-2)
+        assert quad.steps == rk4.steps > 0
+        assert max_gap(quad, rk4) == 0.0
+
+    def test_drift_over_the_tolerance_hands_the_orbit_to_rk4(self):
+        s0 = MobiusState(0.3, 1.1, 0.0, 0.4)
+        with pytest.raises(EnergyDriftError) as quad:
+            quadrature_mobius(s0, 0.5, t_end=1.0, dt=1e-1, energy_tol=0.0, max_halvings=1)
+        with pytest.raises(EnergyDriftError) as rk4:
+            integrate_mobius(s0, 0.5, t_end=1.0, dt=1e-1, energy_tol=0.0, max_halvings=1)
+        assert str(quad.value) == str(rk4.value)
+
+    def test_zero_rate_keeps_phi_constant(self):
+        # K = phi_dot^2 B = 0: no quadrature, phi stays, z0 moves at L0
+        quad = quadrature_mobius(MobiusState(0.7, 0.0, 0.25, 0.4), 0.5, t_end=1.0, dt=1e-2)
+        assert quad.steps == 0
+        assert set(quad.phi.tolist()) == {0.7} and set(quad.phi_dot.tolist()) == {0.0}
+        assert np.array_equal(quad.z0, 0.25 + 0.4 * quad.t)
+
+    @pytest.mark.parametrize("phi, j, L0, r", [
+        (1.0, -2.0, 0.0, 0.9), (-3.0, -0.4, 0.7, 0.3), (50.0, 0.8, -0.3, 0.0),
+        (2.0, 1.5, 0.1, 0.99)])
+    def test_matches_rk4_at_an_eighth_of_its_step(self, phi, j, L0, r):
+        s0 = export_state(phi, j, L0, r, z0=0.4)
+        quad = quadrature_mobius(s0, r, t_end=2.0, dt=1e-2)
+        fine = integrate_mobius(s0, r, t_end=2.0, dt=1e-2 / 8, energy_tol=math.inf,
+                                max_halvings=0 if r < 0.9 else 3)
+        assert quad.steps == 0
+        for name in ("phi", "phi_dot", "z0", "z0_dot"):
+            assert np.max(np.abs(getattr(quad, name) - getattr(fine, name)[::8])) <= 1e-10, name
+        assert quad.phi[0] == s0.phi and quad.z0[0] == s0.z0
+
+    @pytest.mark.parametrize("field,value", [
+        ("phi", math.nan), ("phi_dot", math.inf), ("t_end", math.nan), ("dt", math.nan),
+        ("r", math.nan), ("r", 1.0), ("energy_tol", math.nan), ("energy_tol", -1.0),
+        ("phi_dot", 1e200), ("dt", 1e-300), ("t_end", 1e12), ("t_end", 1e300), ("dt", -1.0),
+    ])
+    def test_both_routes_share_their_domain_errors(self, monkeypatch, field, value):
+        def no_series(*args):
+            raise AssertionError("the quadrature ran on rejected input")
+
+        monkeypatch.setattr(dynamics, "_sqrt_bracket_series", no_series)
+        state = {"phi": 0.1, "phi_dot": 1.0, "z0": 0.0, "z0_dot": 0.2}
+        run = {"r": 0.5, "t_end": 1.0, "dt": 1e-2}
+        (state if field in state else run)[field] = value
+        messages = []
+        for route in (quadrature_mobius, integrate_mobius):
+            with pytest.raises(DomainError) as info:
+                route(MobiusState(**state), **run)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_overflowing_rate_hands_the_orbit_to_rk4(self):
+        # sqrt(K)*t overflows: no target angle is finite
+        s0 = MobiusState(0.3, 1e150, 0.0, 0.0)
+        for route in (quadrature_mobius, integrate_mobius):
+            with pytest.raises(EnergyDriftError):
+                route(s0, 0.5, t_end=1e160, dt=1e159, max_halvings=0)
+
+    def test_seed6_closed_form_angular_momentum_excursion(self):
+        # criterion 06b's orbit: J = p_phi is no first integral, and its excursion follows
+        # in closed form from K = phi_dot^2 B: J(phi) = sigma*sqrt(K*B) - (r/2)*cos(phi/2)*L0
+        rng = np.random.default_rng(6)
+        s0 = MobiusState(*rng.uniform(-1.0, 1.0, size=4))
+        r = 0.5
+        quad = quadrature_mobius(s0, r, t_end=100.0, dt=1e-3)
+        rk4 = integrate_mobius(s0, r, t_end=100.0, dt=1e-3)
+        L0 = mobius_momenta(s0, r)[1]
+        half0 = 0.5 * s0.phi
+        K = s0.phi_dot ** 2 * dynamics._strip_bracket(math.cos(half0), math.sin(half0), r)
+        half = 0.5 * quad.phi
+        bracket = dynamics._strip_bracket(np.cos(half), np.sin(half), r)
+        closed = math.copysign(1.0, s0.phi_dot) * np.sqrt(K * bracket) - 0.5 * r * np.cos(half) * L0
+        excursion = float(np.max(np.abs(closed - closed[0])) / max(1.0, abs(closed[0])))
+        assert excursion == pytest.approx(0.38360784001, abs=5e-12)
+        assert np.max(np.abs(closed - quad.columns()["J"])) <= 1e-10
+        assert abs(excursion - rk4.drift()["J"]) <= 3e-12
+        assert abs(excursion - quad.drift()["J"]) <= 3e-12
 
 
 class TestTorus:

@@ -495,23 +495,28 @@ class TestExpectJ:
 
     @pytest.mark.parametrize("s", [0.0, 0.5])
     def test_ratio_route_at_large_centers(self, s):
-        # the window sums 18 to 21 levels at any |l'| < 2^52; from 2^52 on, where
-        # rint(l') + 1/2 is no longer a double, the symmetric grid cannot be allocated
+        # the window sums 18 to 21 levels at any |l'| < 2^52; from 2^52 on, where every
+        # double is an integer, it sums the levels around l' itself and <J> = l'
         centers = [5000.3, -1e4 - 0.7, 1e9 + 0.25, -(2.0 ** 51 + 0.5), 2.0 ** 52 - 0.5]
         batch = LabelBatch(centers=centers, phis=[0.0] * len(centers), s=s)
         for center, got in zip(centers, expect_j(batch, method="ratio").tolist()):
             ref = float(mp_sums(center, s)[0])
             assert abs(got - ref) <= 2 * math.ulp(ref), center
-        for far in (2.0 ** 52, -(2.0 ** 52), 1e300):
-            with pytest.raises(DomainError, match="cannot allocate the levels"):
-                expect_j(LabelBatch([*centers, far], [0.0] * 6, s), method="ratio")
+        far = [2.0 ** 52, -(2.0 ** 52), 2.0 ** 53 + 2.0, 1e300, -1.7976931348623157e308]
+        got = expect_j(LabelBatch([*centers, *far], [0.0] * 10, s), method="ratio")
+        assert got[5:].tolist() == far
+        for center in far:
+            lab = label_for_center(center, 0.0, 0.5, s)
+            assert [expect_j(lab, method=m) for m in ("theta", "series")] == [lab.center] * 2
 
     @pytest.mark.parametrize("size", [2, 70])
     def test_level_cutoffs_past_2_63_stay_integers(self, size):
-        # default_j_max(9.5e18) is an int in [2^63, 2^64), which a float64 key column rounds
+        # default_j_max(9.5e18) is an int in [2^63, 2^64), which a float64 key column rounds;
+        # the occupation law sums the symmetric grid of l' itself (the <J> ratio route no longer
+        # does: it sums the levels around round(l') at any l')
         centers = [1.0] * (size - 1) + [9.5e18]
         with pytest.raises(DomainError, match="cannot allocate the levels"):
-            expect_j(LabelBatch(centers, [0.0] * size, 0.0), method="ratio")
+            gaussian_supnorm(LabelBatch(centers, [0.0] * size, 0.0))
 
     def test_correction_vanishes_on_half_lattice(self):
         # sin(2*pi*l') kills the correction at every half-integer center
@@ -749,6 +754,20 @@ class TestQuantizationScan:
         values = [expect_j(StateLabel(l=30.0, phi=p, r=0.5, s=0.5), method="ratio")
                   for p in (math.pi, 3 * math.pi)]
         assert values == [30.5, 29.5]
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    @pytest.mark.parametrize("l", [2.0 ** 52, -(2.0 ** 52) - 4.0, 1e300, -1.7976931348623157e308])
+    def test_lattice_past_2_52_is_not_resolved(self, l, r, s):
+        # every double is an integer there: Z + 1/2 has none, and the rounding of l' reaches
+        # the lattice spacing, so no root is reported
+        with pytest.raises(PrecisionError, match="cannot resolve the level lattice"):
+            quantization_scan(r, l, s=s)
+
+    def test_roots_just_below_2_52(self):
+        l = 2.0 ** 52 - 1.0
+        assert quantization_scan(0.5, l, s=0.5) == [math.pi, 3 * math.pi]
+        assert quantization_scan(0.5, l, s=0.0) == []
 
 
 class TestEvolution:
