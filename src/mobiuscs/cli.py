@@ -162,7 +162,7 @@ def load_config(path: str) -> tuple[list | None, dict[str, str]]:
     return command, values
 
 
-CHUNK_ROWS = 4096  # CSV rows formatted and written per write call
+CHUNK_ROWS = 4096  # rows formatted and written per write call
 _FLOAT_SLOT = "%.17g"  # fmt's format for a float, as a %-operator slot
 _NEEDS_CSV = frozenset(',"\r\n')  # the characters that can make csv quote a cell
 _TEXT = frozenset({str})  # the cell types of a text column
@@ -176,8 +176,10 @@ class _TextCells(dict):
     Maps each text met so far to its cell.  A text is quoted by the
     table's one csv writer, which writes the header too.  An empty text
     gives ``empty``: csv writes "" for it in a row of several cells and
-    '""' in a row of one.
+    '""' in a row of one.  A float column is encoded by ``encode``.
     """
+
+    encode = staticmethod(_g17.encode)
 
     def __init__(self, empty: str):
         super().__init__()
@@ -199,19 +201,35 @@ class _TextCells(dict):
             return self.row((text,))[:-1]
         return text
 
+    def of(self, value) -> str:
+        """A value's cell: fmt's text, quoted as csv quotes it."""
+        return self.cell(fmt(value))
 
-def _cells(values, kinds: set, texts: _TextCells):
+
+class _JsonCells(dict):
+    """One table's text cells as json.dumps(..., default=float) writes them in a row.
+
+    Maps each text met so far to its cell.  A blank float cell is "", and a
+    float column is encoded by ``encode``, as json writes a float.
+    """
+
+    empty = '""'
+    encode = staticmethod(_g17.encode_repr)
+    of = staticmethod(json.JSONEncoder(default=float).encode)
+
+
+def _cells(values, kinds: set, texts):
     """The cells of a column that is not all floats: (cell, None) if every row shares one, else (None, cells).
 
-    A text column gets each distinct text fmt-ed once, its cell kept in
-    ``texts`` for every column and chunk; any other column has each value
-    fmt-ed.
+    A text column gets each distinct text's cell made once, and kept in
+    ``texts`` for every column and chunk; any other column has each
+    value's cell made.
     """
     if kinds != _TEXT:
-        return None, [texts.cell(fmt(value)) for value in values]
+        return None, [texts.of(value) for value in values]
     distinct = set(values)
     for text in distinct.difference(texts):
-        texts[text] = texts.cell(fmt(text))
+        texts[text] = texts.of(text)
     if len(distinct) == 1:
         return texts[values[0]], None
     return None, list(map(texts.__getitem__, values))
@@ -245,8 +263,8 @@ def _chunk_text(n: int, plans: list) -> str:
     return template % tuple([value for row in zip(*slotted) for value in row])
 
 
-def _byte_plan(column, blank, texts: _TextCells):
-    """A whole column as (cell, cells), for _chunk_bytes.
+def _byte_plan(column, blank, texts):
+    """A whole column as (cell, cells), for _chunk_bytes; ``texts`` is a _TextCells or _JsonCells.
 
     The cell is text that every row shares (cells None), the %.17g slot
     for floats encoded chunk by chunk (cells: the floats, ``blank`` and
@@ -254,11 +272,11 @@ def _byte_plan(column, blank, texts: _TextCells):
     of distinct cells (cells: the table and each row's index in it).
     ``blank`` is None or the mask of a float array's empty rows.
     """
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return _float_plan(column, blank, texts.empty)
+    if _is_float_array(column):
+        return _float_plan(column, blank, texts.empty, texts.of)
     kinds = set(map(type, column))
     if kinds <= _FLOATS:
-        return _float_plan(np.array(column, dtype=np.float64), None, texts.empty)
+        return _float_plan(np.array(column, dtype=np.float64), None, texts.empty, texts.of)
     cell, cells = _cells(column, kinds, texts)
     if cell is not None:
         return cell, None
@@ -269,6 +287,10 @@ def _byte_plan(column, blank, texts: _TextCells):
                   np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells)))
 
 
+def _is_float_array(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
+
+
 def _table(cells: list) -> np.ndarray:
     """The byte cells as rows of one width, each filled out with _g17.FILL."""
     width = max(map(len, cells))
@@ -276,14 +298,14 @@ def _table(cells: list) -> np.ndarray:
                          dtype=np.uint8).reshape(len(cells), width)
 
 
-def _float_plan(column: np.ndarray, blank, empty: str):
+def _float_plan(column: np.ndarray, blank, empty: str, number=_FLOAT_SLOT.__mod__):
     """_byte_plan of a float array; ``blank`` is None or the mask of its empty rows.
 
     A column whose values geometry._distinct finds at most half distinct
-    gets each distinct bit pattern (0.0 and -0.0 apart) formatted once, and
-    one shared by every row as its cell text; any other column is encoded
-    chunk by chunk.  A blank row's cell is ``empty``.  A mask with no row
-    set is taken as None.
+    gets each distinct bit pattern (0.0 and -0.0 apart) formatted once by
+    ``number``, and one shared by every row as its cell text; any other
+    column is encoded chunk by chunk.  A blank row's cell is ``empty``.  A
+    mask with no row set is taken as None.
     """
     if blank is not None and not blank.any():
         blank = None
@@ -294,7 +316,7 @@ def _float_plan(column: np.ndarray, blank, empty: str):
         # a blank row's float, as a sweep's 0.0, is not left to the fallback
         return _FLOAT_SLOT, (column if blank is None else np.where(blank, 1.0, column), blank,
                              np.frombuffer(empty.encode().ljust(_g17.WIDTH, _FILL), np.uint8))
-    texts = [f"{v:.17g}" for v in distinct.view(np.float64).tolist()]
+    texts = list(map(number, distinct.view(np.float64).tolist()))
     if blank is None and len(texts) == 1:
         return texts[0], None
     at = np.searchsorted(distinct, bits)
@@ -303,11 +325,12 @@ def _float_plan(column: np.ndarray, blank, empty: str):
     return "%s", (_table([text.encode() for text in [*texts, empty]]), at)
 
 
-def _chunk_bytes(lo: int, hi: int, plans: list) -> str:
-    """The CSV text of rows lo:hi, given each column's (cell, cells) from _byte_plan.
+def _chunk_bytes(lo: int, hi: int, plans: list, seps: list, encode) -> str:
+    """The text of rows lo:hi, given each column's (cell, cells) from _byte_plan.
 
-    The %.17g columns are encoded about CHUNK_ROWS values to a call: one
-    column at a time in a full chunk, several together in a short one.
+    seps[0] opens each row and seps[i + 1] follows column i.  The %.17g
+    columns are encoded by ``encode`` about CHUNK_ROWS values to a call:
+    one column at a time in a full chunk, several together in a short one.
     The columns' rows, with the shared cells and separators between them,
     are laid side by side; deleting every fill byte leaves the text.
     """
@@ -315,15 +338,15 @@ def _chunk_bytes(lo: int, hi: int, plans: list) -> str:
     floats = [cells[0][lo:hi] for cell, cells in plans if cells is not None and cell == _FLOAT_SLOT]
     per_call = max(1, CHUNK_ROWS // n)
     encoded = (rows for first in range(0, len(floats), per_call)
-               for rows in _g17.encode(np.column_stack(floats[first:first + per_call]))
+               for rows in encode(np.column_stack(floats[first:first + per_call]))
                .reshape(n, -1, _g17.WIDTH).transpose(1, 0, 2))
-    parts, shared = [], ""
+    parts, shared = [], seps[0]
 
     def flush(text):
         data = np.frombuffer(text.encode(), dtype=np.uint8)
         parts.append(np.broadcast_to(data, (n, data.size)))
 
-    for (cell, cells), sep in zip(plans, [","] * (len(plans) - 1) + ["\n"]):
+    for (cell, cells), sep in zip(plans, seps[1:]):
         if cells is None:
             shared += cell + sep
             continue
@@ -347,6 +370,10 @@ def _chunk_bytes(lo: int, hi: int, plans: list) -> str:
     return text.translate(None, _FILL).decode()
 
 
+def _chunks(n_rows: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, CHUNK_ROWS)]
+
+
 def _write_csv(columns: dict, fh, blank: dict) -> None:
     """Header and rows, CHUNK_ROWS at a time; nothing at all for an empty table.
 
@@ -362,14 +389,39 @@ def _write_csv(columns: dict, fh, blank: dict) -> None:
         return
     texts = _TextCells('""' if len(cols) == 1 else "")
     fh.write(texts.row(columns))
-    chunks = [(lo, min(lo + CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, CHUNK_ROWS)]
-    if not any(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in cols):
-        for lo, hi in chunks:
+    if not any(map(_is_float_array, cols)):
+        for lo, hi in _chunks(n_rows):
             fh.write(_chunk_text(hi - lo, [_chunk_plan(col[lo:hi], texts) for col in cols]))
         return
     plans = [_byte_plan(col, blank.get(key), texts) for key, col in columns.items()]
-    for lo, hi in chunks:
-        fh.write(_chunk_bytes(lo, hi, plans))
+    seps = ["", *[","] * (len(cols) - 1), "\n"]
+    for lo, hi in _chunks(n_rows):
+        fh.write(_chunk_bytes(lo, hi, plans, seps, texts.encode))
+
+
+def _write_json(columns: dict, fh, blank: dict, artifact: dict) -> None:
+    """json.dumps of the artifact with the table's rows, ``blank`` cells "", and a newline.
+
+    A table with a float array column has its rows assembled as bytes
+    chunk by chunk, as _write_csv does, with the artifact's text around
+    them; a table of lists alone is dumped as one dict per row.
+    """
+    cols = list(columns.values())
+    if not any(map(_is_float_array, cols)):
+        rows = [dict(zip(columns, values)) for values in zip(*cols)]
+        fh.write(json.dumps({**artifact, "rows": rows}, default=float) + "\n")
+        return
+    fh.write(json.dumps(artifact, default=float)[:-1] + ', "rows": [')
+    n_rows = len(cols[0])
+    if n_rows:
+        texts = _JsonCells()
+        plans = [_byte_plan(col, blank.get(key), texts) for key, col in columns.items()]
+        keys = [json.dumps(key) for key in columns]
+        seps = ["{%s: " % keys[0], *(", %s: " % key for key in keys[1:]), "}, "]
+        for lo, hi in _chunks(n_rows):
+            text = _chunk_bytes(lo, hi, plans, seps, texts.encode)
+            fh.write(text if hi < n_rows else text[:-2])  # no ", " after the last row
+    fh.write("]}\n")
 
 
 def emit(columns: dict, args, blank: dict | None = None) -> None:
@@ -378,18 +430,12 @@ def emit(columns: dict, args, blank: dict | None = None) -> None:
     ``blank`` maps the key of a float-array column to the row mask of its
     blank cells: empty in CSV, "" in JSON.  The output goes to --out or
     stdout.  A JSON artifact takes its command words and config from
-    ``args``; its rows are built from the columns for the artifact alone.
+    ``args``, followed by the table's rows.
     """
     blank = blank or {}
     if args.format == "json":
-        # float64 cells as Python floats, which json writes with the same repr
-        cells = {key: _with_blanks(col, blank[key]) if key in blank
-                 else col.tolist() if isinstance(col, np.ndarray) and col.dtype == np.float64
-                 else col for key, col in columns.items()}
-        rows = [dict(zip(cells, values)) for values in zip(*cells.values())]
-        command = [getattr(args, key) for key in _WORDS if hasattr(args, key)]
-        payload = json.dumps({"command": command, "config": _config(args), "rows": rows},
-                             default=float) + "\n"
+        artifact = {"command": [getattr(args, key) for key in _WORDS if hasattr(args, key)],
+                    "config": _config(args)}
     elif args.format != "csv":
         raise DomainError(f"unknown format {args.format!r}")
     with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
@@ -397,14 +443,7 @@ def emit(columns: dict, args, blank: dict | None = None) -> None:
         if args.format == "csv":
             _write_csv(columns, fh, blank)
         else:
-            fh.write(payload)
-
-
-def _with_blanks(col: np.ndarray, mask: np.ndarray) -> list:
-    """col's values as a list, with "" in the rows that mask sets."""
-    cells = col.astype(object)
-    cells[mask] = ""
-    return cells.tolist()
+            _write_json(columns, fh, blank, artifact)
 
 
 def _modulus(z: complex) -> float:

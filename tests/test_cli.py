@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mobiuscs import cli, dynamics, projection, report, states, theta
@@ -896,6 +896,49 @@ class TestPointTables:
         assert codes["theta"] == {(0, True), (1, False)}
 
 
+# the columns of test_json_rows_match_json_dumps
+FLOAT_KINDS = ("spread", "bits", "specials", "grid", "few", "constant")
+BLANK_KINDS = ("none", "random", "all", "unset")
+LIST_KINDS = ("str", "bool", "int", "int64", "float64", "mixed", "constant")
+TEXTS = ["", "plain", 'say "hi"', "a,b", "two\nlines", "\u00e9 \u00fc", "\x00\x1f", "back\\slash"]
+SPECIALS = np.array([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, math.nan, math.inf,
+                     -math.inf, 1e16, 1e-5, 0.1, 2.0 ** 53 + 2, 1.7976931348623157e308])
+
+
+def float_column(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "bits":  # any bit pattern: subnormals, NaNs and infinities among them
+        return rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64).view(np.float64)
+    if kind == "grid":
+        return np.arange(n) * 1e-3
+    if kind == "few":
+        return np.repeat(rng.standard_normal(3), n // 3 + 1)[:n]
+    if kind == "constant":
+        return np.full(n, SPECIALS[rng.integers(SPECIALS.size)])
+    column = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    if kind == "specials":
+        special = rng.random(n) < 0.3
+        column[special] = SPECIALS[rng.integers(0, SPECIALS.size, special.sum())]
+    return column
+
+
+def list_column(kind: str, n: int, rng) -> list:
+    picks = rng.integers(0, len(TEXTS), n).tolist()
+    if kind == "str":
+        return [TEXTS[k] for k in picks]
+    if kind == "bool":
+        return [bool(k & 1) for k in picks]
+    if kind == "int":
+        return [k * 10 ** 18 - 7 for k in picks]
+    if kind == "int64":
+        return [np.int64(k - 3) for k in picks]
+    if kind == "float64":
+        return [np.float64(v) for v in float_column("specials", n, rng)]
+    if kind == "constant":
+        return ['5%, "q"'] * n
+    return [(TEXTS[k], bool(k & 1), k, np.int64(-k), np.float64(k / 3), -k / 7)[k % 6]
+            for k in picks]
+
+
 class TestEmit:
     @staticmethod
     def oracle_csv(rows):
@@ -1026,6 +1069,38 @@ class TestEmit:
     def test_small_tables_match_row_writer(self, tmp_path, columns):
         rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
         assert self.emitted(columns, "csv", tmp_path) == self.oracle_csv(rows).encode()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([0, 1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS + 1, 3 * cli.CHUNK_ROWS]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           floats=st.lists(st.tuples(st.sampled_from(FLOAT_KINDS), st.sampled_from(BLANK_KINDS)),
+                           max_size=3),
+           lists=st.lists(st.sampled_from(LIST_KINDS), max_size=3))
+    def test_json_rows_match_json_dumps(self, n, seed, floats, lists):
+        rng = np.random.default_rng(seed)
+        columns, blank = {}, {}
+        for i, (kind, blanks) in enumerate(floats):
+            key = f"f{i} {kind}"
+            columns[key] = float_column(kind, n, rng)
+            if blanks != "none":
+                blank[key] = {"random": rng.random(n) < 0.3, "all": np.ones(n, dtype=bool),
+                              "unset": np.zeros(n, dtype=bool)}[blanks]
+        for i, kind in enumerate(lists):
+            columns[f'l{i} "{kind}" \u00e9'] = list_column(kind, n, rng)
+        assume(columns)
+        out = io.StringIO()
+        args = SimpleNamespace(command="verify", suite="theta", format="json", out=None)
+        with contextlib.redirect_stdout(out):
+            cli.emit(columns, args, blank)
+        artifact = {"command": ["verify"], "config": {"suite": "theta"},
+                    "rows": self.rows_with_blanks(columns, blank)}
+        text, expected = out.getvalue(), json.dumps(artifact, default=float) + "\n"
+        # the first difference, not a diff of the whole, which is slow
+        first = next((i for i, pair in enumerate(zip(text, expected)) if pair[0] != pair[1]),
+                     min(len(text), len(expected)))
+        assert text[first - 40:first + 40] == expected[first - 40:first + 40]
+        assert len(text) == len(expected)
+
 
 
 C = cli.CHUNK_ROWS
@@ -1372,7 +1447,10 @@ class TestCachedParser:
 # recomputed output was checked against 40-digit mpmath.  The grid crosses |l'| ~ 26.6, so
 # norm2 has error rows.  The --method rk4 dynamics digests are those the same orbits printed
 # before the closed-form route existed; each default-route dynamics output was checked
-# against RK4 at dt/8 to 1e-10 in every column before it was pinned
+# against RK4 at dt/8 to 1e-10 in every column before it was pinned.  The --format json
+# digests are those json.dumps of one dict per row printed, before the JSON rows were
+# assembled as bytes; the sweep's has blank cells and error texts, and verify's is a table
+# of lists alone
 DYNAMICS_ORBITS = [
     ["dynamics", "--phi", "0.3", "--L0", "0.2", "--t-end", "0.5", "--dt", "0.01"],
     ["dynamics", "--phi", "1", "--j", "-2", "--r", "0.9", "--t-end", "2", "--dt", "0.01"],
@@ -1404,6 +1482,18 @@ OUTPUT_DIGESTS = [
     (DYNAMICS_ORBITS[0], 0, "bcd9ccf497d84094ac332f0539ed0183fa879cd5c414067562b2446c71c156fc"),
     (DYNAMICS_ORBITS[1], 0, "22f8080db182bc59af81269686f860eae20e35f5f00f8abe8b145657bd71f8c6"),
     (DYNAMICS_ORBITS[2], 0, "56a773605144732a2b089a836299dfb3f26988c8e1a5be2a81c0d86b6f4c726c"),
+    ([*DYNAMICS_ORBITS[0], "--format", "json"], 0,
+     "bf7db252b78e3b9b93c4af0f5e45e379a388e0f0f649b729fdfeae69955d269f"),
+    ([*DYNAMICS_ORBITS[1], "--format", "json"], 0,
+     "9e60ce0f7876f84cd54fa7fcb65654b5de97ff307f8c0f05c07ec78b853ca744"),
+    ([*DYNAMICS_ORBITS[2], "--format", "json"], 0,
+     "27c69c745734d9c52f5d79f85540b2084b460a90effab89dcbf72e1a9dcfb3ab"),
+    ([*DYNAMICS_ORBITS[1], "--method", "rk4", "--format", "json"], 0,
+     "794c8c569b3e77f4e364d8c8301b011a17146a8792d4e30d6d101c03d64ecd5b"),
+    (["sweep", "norm2", "--s", "half", "--format", "json"], 1,
+     "b7f65c84e1a57bb89c37290956cbd53c4ef72d16571f54c391fdbc128a900778"),
+    (["verify", "--suite", "theta", "--format", "json"], 0,
+     "d09d309c71bfa3e43de8ad72186f4bc36b7a1726421b8cd0944773809f9739be"),
 ]
 
 
@@ -1412,7 +1502,9 @@ def test_output_digest(capsys, argv, code, digest):
     if argv[0] == "sweep":
         argv = [*argv, "--grid", "l=-27:27:55,phi=0:4pi:7", "--r", "0.5"]
     got, out, err = run_cli(argv, capsys)
-    assert (got, err) == (code, "")
+    assert got == code
+    # verify reports each check on stderr; no other command writes there
+    assert err == "" if argv[0] != "verify" else err.startswith("PASS ")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -1454,7 +1546,11 @@ def test_exit_contract_of_the_theta_and_state_commands(command, l, l2, r, phi, s
     if command == "cs overlap":
         argv += ["--l2", l2]
     argv += ["--r", r, "--phi", phi, "--s", s]
-    assert_exit_contract(argv)
+    assert assert_exit_contract([*argv, "--format", "json"]) == assert_exit_contract(argv), argv
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON output holds {name}")
 
 
 def assert_exit_contract(argv) -> int:
@@ -1462,7 +1558,8 @@ def assert_exit_contract(argv) -> int:
 
     Returns the exit code.  A sweep row with an empty error holds finite
     numbers at exit 0 or 1.  argparse's own exit (SystemExit 2) counts as
-    exit code 2.
+    exit code 2.  A --format json output must parse as JSON, and at exit 0
+    hold no NaN, Infinity or -Infinity.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1475,7 +1572,12 @@ def assert_exit_contract(argv) -> int:
     if code == 2:
         assert out.getvalue() == "", argv
         return code
-    rows = csv_rows(out.getvalue())
+    if "json" in argv and out.getvalue():
+        # at exit 1 a config value, as --r nan, may still be NaN
+        rows = json.loads(out.getvalue(), **({"parse_constant": _no_constant} if code == 0
+                                             else {}))["rows"]
+    else:
+        rows = csv_rows(out.getvalue())
     if argv[0] == "sweep":
         rows = [row for row in rows if not row.pop("error")]
     elif code == 1:
@@ -1512,5 +1614,7 @@ def test_exit_contract_of_dynamics_under_both_methods(r, phi, L0, j, span):
         j = repr(-0.5 * float(r) * math.cos(0.5 * cli.parse_angle(phi)) * float(L0))
     argv = ["dynamics", "--r", r, "--phi", phi, "--L0", L0, "--j", j, *span]
     default, rk4 = assert_exit_contract(argv), assert_exit_contract([*argv, "--method", "rk4"])
+    for method, code in (("quadrature", default), ("rk4", rk4)):
+        assert assert_exit_contract([*argv, "--method", method, "--format", "json"]) == code, argv
     assert (default == 2) == (rk4 == 2), argv
     assert default == 0 or default == rk4, argv
