@@ -298,7 +298,7 @@ def _table(cells: list) -> np.ndarray:
                          dtype=np.uint8).reshape(len(cells), width)
 
 
-def _float_plan(column: np.ndarray, blank, empty: str, number=_FLOAT_SLOT.__mod__):
+def _float_plan(column: np.ndarray, blank, empty: str, number):
     """_byte_plan of a float array; ``blank`` is None or the mask of its empty rows.
 
     A column whose values geometry._distinct finds at most half distinct
@@ -402,17 +402,12 @@ def _write_csv(columns: dict, fh, blank: dict) -> None:
 def _write_json(columns: dict, fh, blank: dict, artifact: dict) -> None:
     """json.dumps of the artifact with the table's rows, ``blank`` cells "", and a newline.
 
-    A table with a float array column has its rows assembled as bytes
-    chunk by chunk, as _write_csv does, with the artifact's text around
-    them; a table of lists alone is dumped as one dict per row.
+    The rows are assembled as bytes chunk by chunk, as _write_csv
+    assembles a table with a float array column, with the artifact's text
+    around them.
     """
-    cols = list(columns.values())
-    if not any(map(_is_float_array, cols)):
-        rows = [dict(zip(columns, values)) for values in zip(*cols)]
-        fh.write(json.dumps({**artifact, "rows": rows}, default=float) + "\n")
-        return
     fh.write(json.dumps(artifact, default=float)[:-1] + ', "rows": [')
-    n_rows = len(cols[0])
+    n_rows = len(next(iter(columns.values()))) if columns else 0
     if n_rows:
         texts = _JsonCells()
         plans = [_byte_plan(col, blank.get(key), texts) for key, col in columns.items()]

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .geometry import _distinct, _rejected, coherent_label, label_center, label_centers, valid_r
+from .geometry import _rejected, coherent_label, label_center, label_centers, valid_r
 from .dynamics import energy_quantized
 from .theta import (row_blocks, theta2, theta2_many, theta3, theta3_logderiv, theta3_many,
                     theta34_real)
@@ -467,22 +467,7 @@ def _expect_u_dual(batch: LabelBatch) -> np.ndarray:
     centers = np.asarray(batch.centers, dtype=float)
     th3, th4 = theta34_real(centers - np.rint(centers), TAU_DUAL)
     ratio = th4 / th3 if batch.s == 0.0 else th3 / th4
-    return _unit_phases(batch.phis) * (math.exp(-0.25) * ratio)
-
-
-def _unit_phases(phis) -> np.ndarray:
-    """exp(i*phi) per label, computed once per distinct angle where geometry._distinct finds them.
-
-    A sweep grid repeats each angle along its other axes.  The map is
-    elementwise, so each row gets the bits numpy gives it on its own, 0.0
-    and -0.0 apart.
-    """
-    col = np.ascontiguousarray(phis, dtype=float)
-    bits = col.view(np.int64)
-    distinct = _distinct(bits)
-    if distinct is None:
-        return np.exp(1j * col)
-    return np.exp(1j * distinct.view(np.float64))[np.searchsorted(distinct, bits)]
+    return np.exp(1j * np.asarray(batch.phis, dtype=float)) * (math.exp(-0.25) * ratio)
 
 
 def _check_level(j: float, s: float) -> None:

@@ -1040,7 +1040,7 @@ class TestEmit:
                                                                              tmp_path)
         # and a chunk of distinct floats goes to the one %.17g slot, not through a cell list
         chunk = columns["distinct"][:cli.CHUNK_ROWS]
-        assert cli._float_plan(chunk, np.zeros(chunk.size, dtype=bool), "")[0] == "%.17g"
+        assert cli._float_plan(chunk, np.zeros(chunk.size, dtype=bool), "", cli.fmt)[0] == "%.17g"
 
     def test_one_csv_writer_per_table(self, tmp_path, monkeypatch):
         texts = [f"row {i}, quoted" for i in range(50)] + ['say "hi"', "two\nlines", ""]

@@ -35,7 +35,6 @@ from mobiuscs.states import (
     quantization_scan,
     temporal_fidelity,
 )
-from mobiuscs.states import _unit_phases
 from mobiuscs.theta import theta2, theta3
 
 RNG = np.random.default_rng(314159)
@@ -569,19 +568,6 @@ class TestExpectU:
             got = expect_u(lab, method="dual")
             assert cmath.isfinite(got) and abs(got) <= 1.0
             assert got == at_zero[0]
-
-    def test_dual_route_phases_match_numpy_per_row(self):
-        # a grid's angles repeat, so the phase column is formed once per distinct angle;
-        # each row keeps the bits np.exp gives it on its own, 0.0 and -0.0 apart
-        grid = np.tile(np.concatenate([[0.0, -0.0, math.pi, -0.5 * math.pi, 5e-324],
-                                       np.linspace(0.0, 4 * math.pi, 95)]), 100)
-        for phis in (grid, RNG.uniform(-40.0, 40.0, 3000)):
-            assert np.array_equal(_unit_phases(phis).view(np.int64),
-                                  np.exp(1j * phis).view(np.int64))
-        # at f = 0 every row's ratio is that of phi = 0
-        scale = expect_u(LabelBatch(centers=[0.0], phis=[0.0], s=0.0), method="dual")[0].real
-        got = expect_u(LabelBatch(centers=np.zeros(grid.size), phis=grid, s=0.0), method="dual")
-        assert np.array_equal(got.view(np.int64), (np.exp(1j * grid) * scale).view(np.int64))
 
     def test_direct_route_past_the_norm_overflow_edge(self):
         # the rescaled coefficients exp(-(j - l')^2/2 - i*phi*j) never overflow
