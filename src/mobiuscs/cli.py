@@ -463,8 +463,10 @@ def make_label(args) -> states.StateLabel:
 
 
 def _config(args) -> dict:
-    """An artifact's config: its command's flags but --out, --format and unset (None) ones."""
-    return {key: value for key in _parser().config_flags[args.command]
+    """An artifact's config: its command's flags but --out, --format and unset (None) ones,
+    a non-finite float as its fmt text ("nan", "inf", "-inf"), which strict JSON allows."""
+    return {key: fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
+            for key in _parser().config_flags[args.command]
             if key not in ("out", "format") and (value := getattr(args, key)) is not None}
 
 

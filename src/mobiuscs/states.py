@@ -28,11 +28,11 @@ the peak term at any finite l' (see theta; Theta_2 on the half-integer
 lattice, Theta_3 on the integer one), and overflow past |l'| ~ 26.6.
 The dual lattice tau = i*pi (nome exp(-pi^2)) needs 5 terms at any l',
 and its Theta_3 has period 1 in nu, so the batched <U> route reads it at
-the reduced center l' - round(l') and is finite at any finite l'.  The
-<J> ratio and direct <U> routes sum the rescaled weights exp(-(j - l')^2),
-which never overflow, over the 18 to 21 levels around round(l') (the
-ratio keeps the grid of l' itself from |l'| = 2^52 on).  norm2 itself
-leaves double range past |l'| ~ 26.6, by every route and in both sectors.
+the reduced center l' - round(l') and is finite at any finite l'.  Every
+Fock-level sum runs over the 18 to 21 levels around round(l') (_windows):
+the <J> ratio, direct <U> and occupation law of the weights exp(-(j - l')^2),
+which never overflow, and the direct norm2 and overlap with exp(l'^2)
+factored out.  norm2 leaves double range past |l'| ~ 26.6, by every route.
 
 The distinguished angles phi = (2k+1)*pi place the particle on the strip
 border, where l' = l +/- r and the theta correction to <J> vanishes; with
@@ -238,11 +238,13 @@ def _tail_bound(j_max: float, center: float) -> float:
 
 
 def _exp(x: float, what: str) -> float:
-    """math.exp(x), raising PrecisionError where the result would overflow."""
+    """math.exp(x), raising PrecisionError where the result would overflow (x = inf too)."""
     try:
-        return math.exp(x)
+        if x != math.inf:
+            return math.exp(x)
     except OverflowError:
-        raise PrecisionError(f"{what} overflows: exp({x:g})", achieved=math.inf) from None
+        pass
+    raise PrecisionError(f"{what} overflows: exp({x:g})", achieved=math.inf)
 
 
 def _require_tail(j_max: float, center: float, rel_tol: float = 1e-12) -> float:
@@ -277,16 +279,19 @@ def fiducial(j_max: float | None = None, s: float = 0.0) -> FockVector:
 
 
 def overlap(a: StateLabel, b: StateLabel, method: str = "theta") -> complex:
-    """<a|b>: truncated direct sum, or the closed theta form."""
+    """<a|b>: the closed theta form, or method="direct", sum_j exp(2*m*j + i*delta*j - j^2)
+    as exp(m^2) * exp(i*delta*j0) * sum_g exp(-(g - f)^2 + i*delta*g) on the window of
+    m = (l'_a + l'_b)/2 (_windows), delta = phi_a - phi_b.
+    """
     if a.s != b.s:
         raise DomainError("overlapping states must share the basis offset s")
     if a.r != b.r:
         raise DomainError("overlapping states must share the half-width r")
     if method == "direct":
-        j_max = max(default_j_max(c) for c in (a.center, b.center, 0.5 * (a.center + b.center)))
-        va = build_cs(a, j_max=j_max)
-        vb = build_cs(b, j_max=j_max)
-        return va.inner(vb)
+        m, delta = 0.5 * a.center + 0.5 * b.center, a.phi - b.phi  # halved first: no overflow
+        (_, j0, g, f), = _windows([m], a.s)
+        window = complex(np.exp(-((g - f) ** 2) + 1j * delta * g).sum())
+        return _exp(m * m, "direct overlap") * cmath.exp(1j * delta * j0.item()) * window
     if method == "theta":
         nu = (a.phi - b.phi) / (2.0 * math.pi) - 1j * (a.center + b.center) / (2.0 * math.pi)
         if a.s == 0.0:
@@ -298,7 +303,7 @@ def overlap(a: StateLabel, b: StateLabel, method: str = "theta") -> complex:
 def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.ndarray:
     """<xi|xi>; depends on (l, phi) only through the center l'.
 
-    method="direct"   truncated lattice sum sum_j exp(2*l'*j - j^2);
+    method="direct"   sum_j exp(2*l'*j - j^2) as exp(l'^2) * sum_g exp(-(g - f)^2) (_windows);
     method="theta"    Theta_{3|2}(i*l'/pi | i/pi);
     method="modular"  exp(l'^2)*sqrt(pi)*Theta_3(l' (+1/2) | i*pi).
 
@@ -310,8 +315,8 @@ def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.
     _refuse_batch("norm2", label, "theta", method)
     center = label.center
     if method == "direct":
-        j = level_grid(default_j_max(center), label.s)
-        return float(np.exp(2.0 * center * j - j * j).sum())
+        (_, _, g, f), = _windows([center], label.s)
+        return _exp(center * center, "direct norm2") * float(_gaussian(g - f).sum())
     if method == "modular":
         return float(modular_norm(center, label.s).real)
     raise ValueError(f"unknown method {method!r}")
@@ -373,22 +378,24 @@ def expect_j(label: StateLabel | LabelBatch, method: str = "ratio") -> float | n
     raise ValueError(f"unknown method {method!r}")
 
 
-_EXACT_INT = 2.0 ** 52  # below this, a center's default_j_max is exact as an int64
+_EXACT_INT = 2.0 ** 52  # from here on every double is an integer
 
 
-def _grid_blocks(centers, s: float, reach: int = 0):
-    """(rows, levels, centers as a column) per row block of labels on one level grid."""
+def _windows(centers, s: float):
+    """(rows, j0, g, f) per row block of labels: the window of levels j0 + g around each peak.
+
+    j0 = rint(l') and f = l' - j0 (exact) are columns, g = level_grid(default_j_max(f), s)
+    18 to 21 levels: j - l' = g - f in one rounding at any finite l', and past the window
+    exp(-(j - l')^2) < exp(-81).  A non-finite l' raises default_j_max's DomainError.
+    """
     centers = np.asarray(centers, dtype=float)
-    # widened towards reach by at most 19 levels: past |l'| + 28, exp(-(j - l')^2) is 0.0
-    if reach < _EXACT_INT and (np.abs(centers) < _EXACT_INT).all():
-        d = np.ceil(np.abs(centers)).astype(np.int64) + 9  # default_j_max, exact in int64 here
-        j_maxes = d + np.minimum(np.maximum(reach - d, 0), 19)
-    else:  # Python ints, which numpy must not round to float64 past 2^63
-        j_maxes = np.array([d + min(max(reach - d, 0), 19)
-                            for d in map(default_j_max, centers.tolist())], dtype=object)
-    for j_max, rows in row_blocks(j_maxes, lambda j_max: 2 * j_max + 1):
-        j = level_grid(j_max, s)
-        yield rows, j, centers[rows, None]
+    for center in centers[~np.isfinite(centers)][:1]:
+        default_j_max(center)  # raises
+    j0 = np.rint(centers)
+    f = centers - j0
+    cutoffs = np.ceil(np.abs(f)).astype(int)  # 0 or 1, with f's default_j_max; ints hash fast
+    for cutoff, rows in row_blocks(cutoffs, lambda c: 2 * default_j_max(c) + 1):
+        yield rows, j0[rows, None], level_grid(default_j_max(cutoff), s), f[rows, None]
 
 
 def _gaussian(d: np.ndarray) -> np.ndarray:
@@ -401,20 +408,12 @@ def _gaussian(d: np.ndarray) -> np.ndarray:
 def _expect_j_ratio(batch: LabelBatch) -> np.ndarray:
     """l' + sum_j (j - l')*w_j / sum_j w_j with the rescaled weights w_j = exp(-(j - l')^2).
 
-    Each label sums over the levels j0 + level_grid(default_j_max(f), s) around
-    its peak, j0 = rint(l') and f = l' - j0 (exact): 18 to 21 levels at any l'.
-    Z + s is invariant under the integer shift j0, and j - l' = g - f for the
-    grid level g = j - j0 is one rounding of the same real number either way,
-    so the grid of f gives the weights of those levels.  From |l'| = 2^52 on,
-    every double is an integer, f = 0 and <J> = l'.  An infinite l' keeps
-    its own grid, and default_j_max's DomainError.
+    Each label sums the levels of its window (_windows).  From |l'| = 2^52
+    on, every double is an integer, f = 0 and <J> = l'.
     """
     centers = np.asarray(batch.centers, dtype=float)
-    j0 = np.rint(centers)
-    j0[np.isinf(centers)] = 0.0
-    reduced = centers - j0
     correction = np.empty(centers.size)
-    for rows, g, f in _grid_blocks(reduced, batch.s):
+    for rows, _, g, f in _windows(centers, batch.s):
         d = g - f
         w = _gaussian(d)
         norm = w.sum(axis=1)
@@ -433,9 +432,8 @@ def expect_u(label: StateLabel | LabelBatch, method: str = "dual") -> complex | 
                      f = l' - round(l'), and the reciprocal ratio for s = 1/2
                      (Jacobi's imaginary transformation); finite at any l';
     method="direct"  sum_j conj(c_{j+1}) c_j / sum_j |c_j|^2 over the rescaled
-                     coefficients c_j = exp(-(j - l')^2/2 - i*phi*j), on the levels
-                     j0 + level_grid(default_j_max(f), s) around j0 = round(l'),
-                     f = l' - j0; finite at any l'.
+                     coefficients c_j = exp(-(j - l')^2/2 - i*phi*j), on the window
+                     j = j0 + g of _windows; finite at any l'.
 
     A LabelBatch (method="dual") gives an array.
     """
@@ -448,10 +446,8 @@ def expect_u(label: StateLabel | LabelBatch, method: str = "dual") -> complex | 
         a, b = theta2(nu, TAU_NATURAL), theta3(nu, TAU_NATURAL)
         return math.exp(-0.25) * cmath.exp(1j * label.phi) * (a / b if label.s == 0.0 else b / a)
     if method == "direct":
-        # the levels j0 + g around j0 = rint(l'), f = l' - j0 exact; exp(-i*phi*j0) cancels
-        f = center - float(np.rint(center)) if math.isfinite(center) else center
-        g = level_grid(default_j_max(f), label.s)
-        c = np.exp(-0.5 * (g - f) ** 2 - 1j * label.phi * g)
+        (_, _, g, f), = _windows([center], label.s)  # exp(-i*phi*j0) cancels
+        c = np.exp(-0.5 * (g - f[0]) ** 2 - 1j * label.phi * g)
         return complex(np.vdot(c[1:], c[:-1])) / float(np.vdot(c, c).real)
     raise ValueError(f"unknown method {method!r}")
 
@@ -477,16 +473,22 @@ def _check_level(j: float, s: float) -> None:
         raise DomainError(f"level j={j} is not in Z + {s}")
 
 
-def _law_blocks(batch: LabelBatch, reach: int = 0):
-    """(rows, levels, probability, gaussian) per row block of labels on one level grid.
+def _law_blocks(batch: LabelBatch, level: float | None = None):
+    """(rows, levels, probability, gaussian) per row block of labels, over their windows.
 
     The weights w_j = exp(-(j - l')^2) = |<j|xi>|^2 / exp(l'^2) sum to between
-    exp(-1/4) and 2 on a label's grid, so nothing overflows at any l';
+    exp(-1/4) and 2 on a window, so nothing overflows at any l';
     probability = w/sum(w) and gaussian = w/sqrt(pi) come from the one array.
+    With ``level``, that level alone, its weight at d = (level - j0) - f.
     """
-    for rows, j, c in _grid_blocks(batch.centers, batch.s, reach):
-        w = _gaussian(j - c)
-        yield rows, j, w / w.sum(axis=1, keepdims=True), w / math.sqrt(math.pi)
+    for rows, j0, g, f in _windows(batch.centers, batch.s):
+        w = _gaussian(g - f)
+        norm = w.sum(axis=1, keepdims=True)
+        j = j0 + g if level is None else np.full_like(j0, level)
+        if level is not None:
+            with np.errstate(over="ignore"):  # d*d = inf past |d| ~ 1e154: a weight of 0.0
+                w = _gaussian(j - j0 - f)
+        yield rows, j, w / norm, w / math.sqrt(math.pi)
 
 
 def _occupation_law(batch: LabelBatch, level: float | None = None) -> list[tuple]:
@@ -494,24 +496,19 @@ def _occupation_law(batch: LabelBatch, level: float | None = None) -> list[tuple
     if level is not None:
         _check_level(level, batch.s)
     law = [None] * len(batch.centers)
-    for rows, j, p, g in _law_blocks(batch, math.ceil(abs(level or 0.0))):
-        if level is not None:
-            k = round(level - j[0])
-            if 0 <= k < j.size:
-                j, p, g = j[k:k + 1], p[:, k:k + 1], g[:, k:k + 1]
-            else:  # beyond the widened grid its weight, and so both entries, is 0.0
-                j, p, g = np.array([float(level)]), *np.zeros((2, len(rows), 1))
+    for rows, j, p, g in _law_blocks(batch, level):
         for row, i in enumerate(rows):
-            law[i] = (j, p[row], g[row])
+            _check_lattice_resolved(batch.centers[i])  # j0 + g is unresolved from 2^52 on
+            law[i] = (j[row], p[row], g[row])
     return law
 
 
 def occupation_law(label: StateLabel | LabelBatch, level: float | None = None):
     """|<j|xi>|^2 / <xi|xi> and its Gaussian limit exp(-(j - l')^2)/sqrt(pi), level by level.
 
-    The arrays (levels, probability, gaussian) over level_grid(default_j_max(l'), s);
-    a LabelBatch gives one such triple per label.  With ``level`` (in Z + s) they hold
-    that level alone, from a grid widened to reach it if it lies beyond (see _grid_blocks).
+    The arrays (levels, probability, gaussian) over the window of l' (_windows), one
+    triple per label of a LabelBatch; with ``level`` (in Z + s), that level alone, inside
+    the window or beyond it.  PrecisionError from |l'| = 2^52 on (_check_lattice_resolved).
     """
     return _batched(label, lambda batch: _occupation_law(batch, level))
 
@@ -522,7 +519,7 @@ def distribution(label: StateLabel, j: float) -> float:
 
 
 def gaussian_supnorm(label: StateLabel | LabelBatch) -> float | np.ndarray:
-    """max over the level grid of |probability - gaussian| (see occupation_law)."""
+    """max over the window's levels of |probability - gaussian| (see occupation_law)."""
     return _batched(label, _gaussian_supnorm)
 
 

@@ -509,14 +509,16 @@ class TestExpectJ:
             lab = label_for_center(center, 0.0, 0.5, s)
             assert [expect_j(lab, method=m) for m in ("theta", "series")] == [lab.center] * 2
 
-    @pytest.mark.parametrize("size", [2, 70])
-    def test_level_cutoffs_past_2_63_stay_integers(self, size):
-        # default_j_max(9.5e18) is an int in [2^63, 2^64), which a float64 key column rounds;
-        # the occupation law sums the symmetric grid of l' itself (the <J> ratio route no longer
-        # does: it sums the levels around round(l') at any l')
-        centers = [1.0] * (size - 1) + [9.5e18]
-        with pytest.raises(DomainError, match="cannot allocate the levels"):
-            gaussian_supnorm(LabelBatch(centers, [0.0] * size, 0.0))
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("size", [4, 70])
+    def test_supnorm_is_periodic_past_the_integer_edge(self, s, size):
+        # the law reads only g - f on its window; past 2^52 every double is an integer, f = 0,
+        # and each label gives the bits of l' = 0 (default_j_max(9.5e18) is past 2^63)
+        far = [9.5e18, 1e17, 2.0 ** 60, -1e300]
+        centers = [0.3] * (size - len(far)) + far
+        sups = gaussian_supnorm(LabelBatch(centers, [0.0] * size, s))
+        at_zero = gaussian_supnorm(StateLabel(l=0.0, phi=0.0, r=0.0, s=s))
+        assert sups[-len(far):].tolist() == [at_zero] * len(far)
 
     def test_correction_vanishes_on_half_lattice(self):
         # sin(2*pi*l') kills the correction at every half-integer center
@@ -664,7 +666,8 @@ class TestDistribution:
         batch = LabelBatch(centers=centers, phis=[0.0] * len(centers), s=s)
         sups = gaussian_supnorm(batch)
         for center, (levels, law, gauss), sup in zip(centers, occupation_law(batch), sups):
-            assert levels.tolist() == level_grid(default_j_max(center), s).tolist()
+            j0 = round(center)
+            assert levels.tolist() == (j0 + level_grid(default_j_max(center - j0), s)).tolist()
             mp_p, mp_g, mp_sup = self.mp_law(center, s, levels.tolist())
             assert np.max(np.abs(law - mp_p)) <= 1e-15, center
             assert np.max(np.abs(gauss - mp_g)) <= 1e-15, center
@@ -691,14 +694,16 @@ class TestDistribution:
         for k, j in enumerate(levels.tolist()):
             one = occupation_law(lab, j)
             assert [col.tolist() for col in one] == [[j], [law[k]], [gauss[k]]]
-        # a level past the grid widens it: the probabilities then run to |j|
-        far = levels[-1] + 5.0
-        (j,), (p,), (g,) = occupation_law(lab, far)
-        wide = level_grid(far, 0.5)
-        w = np.exp(-((wide - lab.center) ** 2))
-        assert j == far and p == distribution(lab, far) == w[-1] / w.sum()
-        assert g == w[-1] / math.sqrt(math.pi) > 0.0
-        # by at most 19 levels; past |l'| + 28 the weight is 0.0 in double precision
+        # a level past the window weighs exp(-d^2), d = (j - j0) - f, against the window's sum
+        j0 = round(lab.center)
+        f = lab.center - j0
+        norm = math.fsum(math.exp(-((j - j0 - f) ** 2)) for j in levels.tolist())
+        for far in (levels[-1] + 5.0, levels[0] - 3.0):
+            (j,), (p,), (g,) = occupation_law(lab, far)
+            w = math.exp(-((far - j0 - f) ** 2))
+            assert j == far and p == distribution(lab, far) == pytest.approx(w / norm, rel=1e-14)
+            assert g == pytest.approx(w / math.sqrt(math.pi), rel=1e-14) and g > 0.0
+        # past |l'| + 28 the weight is 0.0 in double precision
         for level in (levels[-1] + 19.0, levels[-1] + 20.0, -1e12 - 0.5, 2.0**51 + 0.5):
             law = occupation_law(lab, level)
             assert [col.tolist() for col in law] == [[level], [0.0], [0.0]]
