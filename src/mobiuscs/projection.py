@@ -3,24 +3,22 @@
 The torus state factorizes over two independent level lattices,
 
     |T> = sum_{j,m} a_j b_m |j, m>,
-    a_j = xi_ms^{-j} exp(-j^2/2),   b_m = xi_aux^{-m} exp(-m^2/2),
+    a_j = exp(l'_ms*j - i*phi*j - j^2/2),   b_m = exp(l'_aux*m - k*theta*m - m^2/2),
 
-where xi_ms is the strip label (z_sign = -1 flavor, circling with phase i)
-and xi_aux collects the leftover toroidal data with its *own* imaginary
-unit k (i^2 = k^2 = -1, i and k never multiplied together).  The two label
-planes are therefore kept as two separate complex numbers / coefficient
-arrays and only combined through moduli.
+where l'_ms is the strip center (z_sign = -1 flavor, circling with phase i)
+and l'_aux collects the leftover toroidal data, circling with its *own*
+imaginary unit k (i^2 = k^2 = -1, i and k never multiplied together).  The
+two label planes are therefore kept as two separate coefficient arrays and
+only combined through moduli.
 
 The physical reduction torus -> strip contracts states across the m = 0
-slice (the only level where the auxiliary k-phase factor is exactly 1):
+slice, the only level whose auxiliary coefficient b_0 = 1 carries no k-phase:
 
-    <<a|b>> = <T(a)| P |T(b)> / normalizer,   P = sum_j |j,0><j,0|
+    <T(a)| P |T(b)> = sum_j exp((l'_a + l'_b)*j + i*(phi_a - phi_b)*j - j^2),
+    P = sum_j |j,0><j,0|
 
-which reproduces the strip overlap series sum_j e^{(l'_a+l'_b)j}
-e^{i(phi_a-phi_b)j} e^{-j^2} and degenerates to the circle (boson) overlap
-as r -> 0.  A variant with the relative phase factored out globally
-(independent of j) is kept for comparison; the two differ whenever
-phi_a != phi_b mod 2*pi.
+the strip overlap series at the two torus centers, which degenerates to the
+circle (boson) overlap as r -> 0.
 
 The universal constraint projector depends only on the constraint window:
 
@@ -42,25 +40,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError
-from .geometry import _libm, _pow2, constraint_theta, label_center, valid_r
+from .errors import DomainError
+from .geometry import _libm, _pow2, constraint_theta, label_center
 from .states import (
     FockVector,
     StateLabel,
     _tail_bound,
+    _window_overlap,
     cs_coeffs,
     default_j_max,
-    fiducial,
     level_grid,
 )
 
 __all__ = [
     "ProjectionSpec",
     "TorusFock",
-    "torus_labels",
+    "torus_centers",
     "build_torus_cs",
     "project_overlap",
-    "projected_overlap_series",
     "universal_projector",
     "universal_projectors",
     "valid_specs",
@@ -95,27 +92,19 @@ class ProjectionSpec:
         return self.theta - constraint_theta(self.phi)
 
 
-def torus_labels(l: float, theta: float, phi: float, r: float) -> tuple[complex, complex]:
-    """Labels (xi_ms, xi_aux) of the factorized torus state.
+def torus_centers(l: float, theta: float, phi: float, r: float) -> tuple[float, float]:
+    """Gaussian centers (l'_ms, l'_aux) of the factorized torus state's two label planes.
 
-    xi_ms lives in the ordinary complex plane (unit i); xi_aux is returned
-    as a second complex number whose imaginary unit represents the
-    independent k.  On the constraint theta = (phi+pi)/2 the theta-dependent
-    factors of xi_aux collapse and only exp(-2*pi*sin(phi)^2 + k*theta)
-    survives.
+    l'_ms is the center of the strip label's z_sign = -1 flavor; the planes'
+    phases are phi (unit i) and theta (unit k).  On the constraint
+    theta = (phi+pi)/2 the theta-dependent terms of l'_aux cancel and
+    l'_aux = 2*pi*sin(phi)^2.
     """
-    if not valid_r(r):
-        raise DomainError(f"need 0 <= r < 1, got r={r}")
+    center_ms = label_center(l, phi, r, z_sign=-1)  # raises DomainError unless 0 <= r < 1
     half = 0.5 * phi
-    radial = 1.0 + r * math.cos(half)
-    xi_ms = cmath.exp(-(l - r * math.sin(half)) + math.log(radial) + 1j * phi)
-    aux_exponent = (
-        -2.0 * math.pi * math.sin(phi) ** 2
-        - r * (math.cos(theta) + math.sin(half))
-        + math.log((1.0 + r * math.sin(theta)) / radial)
-    )
-    xi_aux = cmath.exp(aux_exponent + 1j * theta)
-    return xi_ms, xi_aux
+    center_aux = (2.0 * math.pi * math.sin(phi) ** 2 + r * (math.cos(theta) + math.sin(half))
+                  - math.log((1.0 + r * math.sin(theta)) / (1.0 + r * math.cos(half))))
+    return center_ms, center_aux
 
 
 @dataclass(frozen=True)
@@ -126,32 +115,11 @@ class TorusFock:
     m: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    tail_bound: float = 0.0
 
     def modulus_grid(self) -> np.ndarray:
         """|c_{j,m}| as an outer product; rank 1 by construction, so the
         second singular value of this grid is a separability diagnostic."""
         return np.outer(np.abs(self.a), np.abs(self.b))
-
-    def m_slice(self, m_value: int = 0) -> np.ndarray:
-        """Strip-plane coefficients on the physical auxiliary level m = 0,
-        the only level whose k-phase factor is exactly 1 (other slices would
-        mix the two label planes)."""
-        if m_value != 0:
-            raise DomainError("only the m = 0 slice is physical")
-        idx = np.nonzero(self.m == 0)[0]
-        if idx.size != 1:
-            raise DomainError("auxiliary level m=0 not on the grid")
-        scale = self.b[idx[0]]
-        if abs(scale) < 1e-300:
-            raise DegeneracyError("auxiliary coefficient vanished")
-        return self.a * scale
-
-    def j_marginal(self) -> FockVector:
-        """FockVector of the strip sector (m = 0 column)."""
-        offset = float(self.j[0] % 1.0)
-        return FockVector(offset=offset, j=self.j.copy(), c=self.m_slice(0).copy(),
-                          tail_bound=self.tail_bound)
 
 
 def build_torus_cs(
@@ -163,66 +131,34 @@ def build_torus_cs(
     s: float = 0.0,
 ) -> TorusFock:
     """Factorized torus coherent state at the given labels."""
-    xi_ms, xi_aux = torus_labels(l, theta, phi, r)
-    center_ms = -math.log(abs(xi_ms))
-    center_aux = -math.log(abs(xi_aux))
+    center_ms, center_aux = torus_centers(l, theta, phi, r)
     if j_max is None:
         j_max = max(default_j_max(center_ms), default_j_max(center_aux))
     j = level_grid(j_max, s)
     m = level_grid(j_max, 0.0)
     a = cs_coeffs(center_ms, phi, j)
     b = cs_coeffs(center_aux, theta, m)
-    tail = _tail_bound(j_max, max(abs(center_ms), abs(center_aux)))
-    return TorusFock(j=j, m=m.astype(int), a=a, b=b, tail_bound=tail)
-
-
-def _strip_center(label: StateLabel) -> float:
-    # the torus factorization carries the z_sign = -1 flavor of the strip label
-    return label_center(label.l, label.phi, label.r, z_sign=-1)
+    return TorusFock(j=j, m=m.astype(int), a=a, b=b)
 
 
 def project_overlap(a: StateLabel, b: StateLabel) -> complex:
-    """Overlap of two strip states computed through the torus reduction.
+    """<T(a)| P |T(b)>: the overlap of two strip states through the torus reduction.
 
-    Both labels are lifted to factorized torus states (at the constraint
-    angle), contracted across the physical m = 0 slice, and normalized by
-    the same contraction of the fiducial torus state against the fiducial
-    strip norm (identically 1; the quotient is kept as a guard against a
-    degenerate truncation).
+    Each label is lifted to the torus at its constraint angle
+    theta = (phi+pi)/2.  On the m = 0 slice b_0 = 1, so the contraction is
+    the strip-plane sum at the two torus centers, summed on the window of
+    their midpoint as the direct overlap sums it.  The lift carries the
+    z_sign = -1 flavor: a z_sign = +1 label raises DomainError.  Raises
+    PrecisionError where the overlap overflows.
     """
     if a.s != b.s or a.r != b.r:
         raise DomainError("projected overlap requires matching (r, s)")
-    j_max = max(default_j_max(_strip_center(a)), default_j_max(_strip_center(b))) + 2
-    ta = build_torus_cs(a.l, constraint_theta(a.phi), a.phi, a.r, j_max=j_max, s=a.s)
-    tb = build_torus_cs(b.l, constraint_theta(b.phi), b.phi, b.r, j_max=j_max, s=b.s)
-    numerator = complex(np.vdot(ta.m_slice(0), tb.m_slice(0)))
-
-    fid = fiducial(j_max=j_max, s=a.s)
-    t0 = build_torus_cs(0.0, constraint_theta(0.0), 0.0, 0.0, j_max=j_max, s=a.s)
-    denominator = float(np.vdot(t0.m_slice(0), t0.m_slice(0)).real) / fid.norm2()
-    if abs(denominator) < 1e-12:
-        raise DegeneracyError("projection normalizer vanished")
-    return numerator / denominator
-
-
-def projected_overlap_series(a: StateLabel, b: StateLabel,
-                             phase_per_level: bool = True) -> complex:
-    """Closed series for the projected overlap.
-
-    phase_per_level=True:  sum_j e^{(l'_a+l'_b)j} e^{i(phi_a-phi_b)j} e^{-j^2}
-    (the term-by-term contraction); False: the relative phase multiplies the
-    sum globally instead, sum_j e^{(l'_a+l'_b)j} e^{-j^2} * e^{-i(phi_a-phi_b)}.
-    The two variants agree only when phi_a = phi_b mod 2*pi.
-    """
-    if a.s != b.s or a.r != b.r:
-        raise DomainError("projected overlap requires matching (r, s)")
-    ca = _strip_center(a)
-    cb = _strip_center(b)
-    j = level_grid(max(default_j_max(ca), default_j_max(cb)) + 2, a.s)
-    dphi = a.phi - b.phi
-    if phase_per_level:
-        return complex(np.exp((ca + cb) * j + 1j * dphi * j - j * j).sum())
-    return complex(np.exp((ca + cb) * j - j * j).sum() * cmath.exp(-1j * dphi))
+    if a.z_sign != -1 or b.z_sign != -1:
+        raise DomainError("the torus lift carries the z_sign = -1 flavor, got a z_sign = +1 label")
+    center_a, _ = torus_centers(a.l, constraint_theta(a.phi), a.phi, a.r)
+    center_b, _ = torus_centers(b.l, constraint_theta(b.phi), b.phi, b.r)
+    return _window_overlap(0.5 * center_a + 0.5 * center_b, a.phi - b.phi, a.s,
+                           "projected overlap")
 
 
 # ---------------------------------------------------------------------------

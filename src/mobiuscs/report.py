@@ -348,17 +348,53 @@ def _torus_separability() -> float:
     return float(sv[1] / sv[0])
 
 
+@_check("projection", "torus-projection", "projected overlap vs theta closed form",
+        "12 z_sign=-1 label pairs per sector, r in (0.05,0.95), |l| <= 3", 1e-12)
+def _torus_projection() -> float:
+    rng = np.random.default_rng(20261021)
+    err = 0.0
+    for s in (0.0, 0.5):
+        for _ in range(12):
+            r = float(rng.uniform(0.05, 0.95))
+            a, b = (states.StateLabel(l=float(rng.uniform(-3.0, 3.0)),
+                                      phi=float(rng.uniform(0.0, 4.0 * math.pi)), r=r, s=s,
+                                      z_sign=-1) for _ in range(2))
+            closed = states.overlap(a, b, method="theta")
+            err = max(err, abs(projection.project_overlap(a, b) - closed) / max(1.0, abs(closed)))
+    return err
+
+
 @_check("projection", "circle-reduction", "projected overlap at r=0 vs circle overlap",
         "5x5 (l, dphi) grid", 1e-10)
 def _circle_reduction() -> float:
     err = 0.0
     for l in np.linspace(-1.0, 1.0, 5):
         for dphi in np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False):
-            a = states.StateLabel(l=l, phi=1.0 + dphi, r=0.0, s=0.0)
-            b = states.StateLabel(l=0.3, phi=1.0, r=0.0, s=0.0)
+            a = states.StateLabel(l=l, phi=1.0 + dphi, r=0.0, s=0.0, z_sign=-1)
+            b = states.StateLabel(l=0.3, phi=1.0, r=0.0, s=0.0, z_sign=-1)
             chain = projection.project_overlap(a, b)
-            circle = states.overlap(a, b, method="direct")
+            circle = states.overlap(a, b, method="theta")
             err = max(err, abs(chain - circle) / max(1.0, abs(circle)))
+    return err
+
+
+@_check("projection", "strip-to-circle", "relabeled strip states' inner product vs circle overlap",
+        "12 s=1/2 label pairs, r in (0,0.95), |l'| <= 1", 1e-12)
+def _strip_to_circle() -> float:
+    rng = np.random.default_rng(20261022)
+    err = 0.0
+    for _ in range(12):
+        r = float(rng.uniform(0.0, 0.95))
+        a, b = (label_for_center(float(rng.uniform(-1.0, 1.0)),
+                                 float(rng.uniform(0.0, 4.0 * math.pi)), r, 0.5)
+                for _ in range(2))
+        # j_max = 10: both states, and so both relabeled ones, share one level grid
+        pa, pb = (projection.project_mobius_to_circle(states.build_cs(lab, j_max=10.0))
+                  for lab in (a, b))
+        ca, cb = (states.StateLabel(l=lab.center, phi=lab.phi % (2.0 * math.pi), r=0.0, s=0.0)
+                  for lab in (a, b))
+        circle = states.overlap(ca, cb, method="theta")
+        err = max(err, abs(pa.inner(pb) - circle) / max(1.0, abs(circle)))
     return err
 
 

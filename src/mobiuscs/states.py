@@ -31,8 +31,9 @@ and its Theta_3 has period 1 in nu, so the batched <U> route reads it at
 the reduced center l' - round(l') and is finite at any finite l'.  Every
 Fock-level sum runs over the 18 to 21 levels around round(l') (_windows):
 the <J> ratio, direct <U> and occupation law of the weights exp(-(j - l')^2),
-which never overflow, and the direct norm2 and overlap with exp(l'^2)
-factored out.  norm2 leaves double range past |l'| ~ 26.6, by every route.
+which never overflow, and the direct norm2 and overlap (and projection's
+projected overlap) with exp(l'^2) factored out.  norm2 leaves double range
+past |l'| ~ 26.6, by every route.
 
 The distinguished angles phi = (2k+1)*pi place the particle on the strip
 border, where l' = l +/- r and the theta correction to <J> vanishes; with
@@ -64,7 +65,6 @@ __all__ = [
     "level_grid",
     "build_cs",
     "cs_coeffs",
-    "fiducial",
     "overlap",
     "norm2",
     "modular_norm",
@@ -259,10 +259,20 @@ def _require_tail(j_max: float, center: float, rel_tol: float = 1e-12) -> float:
 
 
 def build_cs(label: StateLabel, j_max: float | None = None) -> FockVector:
-    """Coefficient vector of the coherent state |xi>."""
+    """Coefficient vector of the coherent state |xi>.
+
+    Raises PrecisionError, before any level is allocated, where the peak
+    modulus exp(max_g (l'^2 - (g - f)^2)/2) over the levels j = j0 + g
+    (_windows) leaves double range: from |l'| ~ 37.7 on.
+    """
     center = label.center
     if j_max is None:
         j_max = default_j_max(center)
+    elif not math.isfinite(j_max):  # an input error goes ahead of the peak's overflow
+        raise DomainError(f"level cutoff j_max must be finite, got {j_max}")
+    near = abs(math.remainder(center, 1.0))  # |f|: the distance from l' to Z
+    nearest = near if label.s == 0.0 else 0.5 - near
+    _exp(0.5 * (center * center - nearest * nearest), "coefficient peak")
     j = level_grid(j_max, label.s)
     tail = _require_tail(j_max, center)
     return FockVector(offset=label.s, j=j, c=cs_coeffs(center, label.phi, j), tail_bound=tail)
@@ -273,31 +283,39 @@ def cs_coeffs(center: float, phase: float, j: np.ndarray) -> np.ndarray:
     return np.exp(center * j - 1j * phase * j - 0.5 * j * j)
 
 
-def fiducial(j_max: float | None = None, s: float = 0.0) -> FockVector:
-    """Reference state at unit label: coefficients exp(-j^2/2)."""
-    return build_cs(StateLabel(l=0.0, phi=0.0, r=0.0, s=s), j_max=j_max)
-
-
 def overlap(a: StateLabel, b: StateLabel, method: str = "theta") -> complex:
     """<a|b>: the closed theta form, or method="direct", sum_j exp(2*m*j + i*delta*j - j^2)
-    as exp(m^2) * exp(i*delta*j0) * sum_g exp(-(g - f)^2 + i*delta*g) on the window of
-    m = (l'_a + l'_b)/2 (_windows), delta = phi_a - phi_b.
+    at m = (l'_a + l'_b)/2, delta = phi_a - phi_b, summed on the window of m
+    (_window_overlap).  Either route raises PrecisionError where <a|b> overflows.
     """
     if a.s != b.s:
         raise DomainError("overlapping states must share the basis offset s")
     if a.r != b.r:
         raise DomainError("overlapping states must share the half-width r")
     if method == "direct":
-        m, delta = 0.5 * a.center + 0.5 * b.center, a.phi - b.phi  # halved first: no overflow
-        (_, j0, g, f), = _windows([m], a.s)
-        window = complex(np.exp(-((g - f) ** 2) + 1j * delta * g).sum())
-        return _exp(m * m, "direct overlap") * cmath.exp(1j * delta * j0.item()) * window
+        m = 0.5 * a.center + 0.5 * b.center  # halved first: no overflow
+        return _window_overlap(m, a.phi - b.phi, a.s, "direct overlap")
     if method == "theta":
         nu = (a.phi - b.phi) / (2.0 * math.pi) - 1j * (a.center + b.center) / (2.0 * math.pi)
-        if a.s == 0.0:
-            return theta3(nu, TAU_NATURAL)
-        return theta2(nu, TAU_NATURAL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = (theta3 if a.s == 0.0 else theta2)(nu, TAU_NATURAL)
+        if not cmath.isfinite(value):  # past l'_a + l'_b ~ 53
+            raise PrecisionError(f"theta overlap overflows: {value}", achieved=math.inf)
+        return value
     raise ValueError(f"unknown method {method!r}")
+
+
+def _window_overlap(m: float, delta: float, s: float, what: str) -> complex:
+    """sum_j exp(2*m*j + i*delta*j - j^2) over j in Z + s, as
+    exp(m^2) * exp(i*delta*j0) * sum_g exp(-(g - f)^2 + i*delta*g) on the window of m
+    (_windows).  Raises PrecisionError naming ``what`` where the value overflows.
+    """
+    (_, j0, g, f), = _windows([m], s)
+    window = complex(np.exp(-((g - f) ** 2) + 1j * delta * g).sum())
+    value = _exp(m * m, what) * cmath.exp(1j * delta * j0.item()) * window
+    if not cmath.isfinite(value):
+        raise PrecisionError(f"{what} overflows: {value}", achieved=math.inf)
+    return value
 
 
 def norm2(label: StateLabel | LabelBatch, method: str = "direct") -> float | np.ndarray:

@@ -386,6 +386,7 @@ class TestCommands:
         ["spectrum", "--phi", "nan"], ["spectrum", "--phi", "inf"], ["spectrum", "--L0", "nan"],
         ["spectrum", "--L0", "inf"], ["spectrum", "--j-max", "inf"], ["spectrum", "--j-max", "nan"],
         ["cs", "coeffs", "--j-max", "inf"], ["cs", "coeffs", "--j-max", "nan"],
+        ["cs", "coeffs", "--l", "1e300", "--j-max", "nan"],
         ["cs", "distribution", "--j", "nan"], ["cs", "distribution", "--j", "inf"],
         ["cs", "fidelity", "--t", "nan"], ["cs", "fidelity", "--t", "inf"],
         ["cs", "fidelity", "--t", "-inf"], ["cs", "fidelity", "--L0", "nan"],
@@ -1642,10 +1643,8 @@ LEDGER_L = ["26.3", "-26.3", "30", "-30", "1e4", "-1e4", "4503599627370496", "-4
 LEDGER_FALSE_FAILURES = {
     **{("fidelity", c): "item 4: the Fock-sum fidelity overflows its unnormalized norms (exit 1)"
        for c in (30.0, 1e4)},
-    **{("fidelity", c): "item 4: the fidelity allocates the levels |j| <= |l'| + 9 (exit 2)"
+    **{("fidelity", c): "item 4: the Fock-sum fidelity's coefficient peak overflows (exit 1)"
        for c in (2.0 ** 52, 1e300)},
-    **{("coeffs", c): "item 10: coeffs overflows truly, but allocating |j| <= |l'| + 9 fails "
-                      "first (exit 2, not 1)" for c in (2.0 ** 52, 1e300)},
 }
 
 

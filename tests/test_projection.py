@@ -1,9 +1,13 @@
 """Torus factorization, projected overlap, constraint projector, circle relabeling."""
 
+import ast
+import cmath
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mobiuscs
-from mobiuscs.errors import DomainError
+from mobiuscs import projection
+from mobiuscs.errors import DomainError, PrecisionError
 from mobiuscs.geometry import constraint_theta
 from mobiuscs.projection import (
     BOUNDARY_TOL,
@@ -21,57 +26,71 @@ from mobiuscs.projection import (
     build_torus_cs,
     project_mobius_to_circle,
     project_overlap,
-    projected_overlap_series,
-    torus_labels,
+    torus_centers,
     universal_projector,
     universal_projectors,
     valid_specs,
 )
-from mobiuscs.states import StateLabel, build_cs, fiducial, label_for_center, overlap
+from mobiuscs.states import StateLabel, build_cs, label_for_center, overlap
 
 RNG = np.random.default_rng(2718)
 
 
-class TestTorusLabels:
-    def test_constraint_collapses_auxiliary_factors(self):
+class TestTorusCenters:
+    def test_constraint_collapses_auxiliary_terms(self):
         for phi in (0.4, 2.2, 5.0):
-            theta = constraint_theta(phi)
-            _, aux = torus_labels(0.3, theta, phi, 0.5)
-            expected_mod = math.exp(-2.0 * math.pi * math.sin(phi) ** 2)
-            assert abs(aux) == pytest.approx(expected_mod, rel=1e-13)
-            assert np.angle(aux) == pytest.approx(
-                (theta + math.pi) % (2 * math.pi) - math.pi, abs=1e-13)
+            _, aux = torus_centers(0.3, constraint_theta(phi), phi, 0.5)
+            assert aux == pytest.approx(2.0 * math.pi * math.sin(phi) ** 2, rel=1e-13)
 
     def test_cylinder_limit(self):
-        xi_ms, _ = torus_labels(0.7, 1.0, 2.0, 0.0)
-        assert abs(xi_ms - np.exp(-0.7 + 2.0j)) < 1e-15
+        assert torus_centers(0.7, 1.0, 2.0, 0.0)[0] == 0.7
 
     def test_substitution_value(self):
-        xi_ms, _ = torus_labels(0.0, math.pi, math.pi, 0.5)
-        assert abs(xi_ms - (-math.exp(0.5))) < 1e-14
+        assert abs(torus_centers(0.0, math.pi, math.pi, 0.5)[0] + 0.5) < 1e-15
+
+    def test_strip_center_is_the_z_sign_minus_label_center(self):
+        for l, phi, r in ((0.2, 0.7, 0.5), (-3.0, 5.5, 0.9), (1e300, 1.0, 0.3)):
+            lab = StateLabel(l=l, phi=phi, r=r, z_sign=-1)
+            assert torus_centers(l, 0.0, phi, r)[0] == lab.center
+
+    def test_half_width_checked(self):
+        with pytest.raises(DomainError):
+            torus_centers(0.0, 0.0, 0.0, 1.0)
 
 
 class TestTorusFock:
     def test_marginal_matches_strip_state(self):
+        # b_0 = 1 exactly, so the m = 0 slice is the strip plane a_j itself
         tf = build_torus_cs(0.2, 1.3, 0.7, 0.5)
         lab = StateLabel(l=0.2, phi=0.7, r=0.5, z_sign=-1)
         v = build_cs(lab, j_max=float(tf.j[-1]))
-        assert np.max(np.abs(tf.j_marginal().c - v.c)) <= 1e-12
+        assert tf.b[tf.m == 0].tolist() == [1.0]
+        assert np.max(np.abs(tf.a - v.c)) <= 1e-12
 
     def test_fiducial_torus_coefficients(self):
         tf = build_torus_cs(0.0, 0.0, 0.0, 0.0, j_max=8)
         np.testing.assert_allclose(tf.a, np.exp(-0.5 * tf.j**2), atol=1e-15)
         np.testing.assert_allclose(tf.b, np.exp(-0.5 * tf.m.astype(float) ** 2), atol=1e-15)
 
-    def test_only_physical_slice_exposed(self):
-        tf = build_torus_cs(0.0, 0.0, 0.0, 0.5)
-        with pytest.raises(DomainError):
-            tf.m_slice(1)
+
+def random_labels(rng, n, s):
+    """n pairs of z_sign = -1 labels, each of one (r, s): r in (0.05, 0.95), |l| <= 3."""
+    pairs = []
+    for _ in range(n):
+        r = float(rng.uniform(0.05, 0.95))
+        pairs.append(tuple(StateLabel(l=float(rng.uniform(-3.0, 3.0)),
+                                      phi=float(rng.uniform(0, 4 * math.pi)), r=r, s=s,
+                                      z_sign=-1) for _ in range(2)))
+    return pairs
+
+
+# label l values at and past the overflow edge, next to ordinary ones
+EDGE_L = [40.0, -40.0, 1e4, -1e4, 1e300, -1e300]
 
 
 class TestProjectedOverlap:
     def test_self_overlap_real_positive(self):
-        a = StateLabel(l=0.3, phi=2.0, r=0.5)
+        a = StateLabel(l=0.3, phi=2.0, r=0.5, z_sign=-1)
         val = project_overlap(a, a)
         assert abs(val.imag) < 1e-13 * abs(val)
         assert val.real > 0.0
@@ -79,36 +98,82 @@ class TestProjectedOverlap:
     def test_circle_limit(self):
         for rng, n_pairs in ((RNG, 10), (np.random.default_rng(9), 20)):
             for _ in range(n_pairs):
-                a = StateLabel(l=float(rng.uniform(-1, 1)),
-                               phi=float(rng.uniform(0, 2 * math.pi)), r=0.0)
-                b = StateLabel(l=float(rng.uniform(-1, 1)),
-                               phi=float(rng.uniform(0, 2 * math.pi)), r=0.0)
+                a, b = (StateLabel(l=float(rng.uniform(-1, 1)),
+                                   phi=float(rng.uniform(0, 2 * math.pi)), r=0.0, z_sign=-1)
+                        for _ in range(2))
                 chain = project_overlap(a, b)
-                circle = overlap(a, b, method="direct")
+                circle = overlap(a, b, method="theta")
                 assert abs(chain - circle) <= 1e-10 * max(1.0, abs(circle))
 
-    def test_contraction_matches_series(self):
-        for _ in range(10):
-            s = float(RNG.integers(0, 2)) * 0.5
-            a = StateLabel(l=float(RNG.uniform(-1, 1)),
-                           phi=float(RNG.uniform(0, 4 * math.pi)), r=0.5, s=s)
-            b = StateLabel(l=float(RNG.uniform(-1, 1)),
-                           phi=float(RNG.uniform(0, 4 * math.pi)), r=0.5, s=s)
-            sandwich = project_overlap(a, b)
-            series = projected_overlap_series(a, b)
-            assert abs(sandwich - series) <= 1e-10 * max(1.0, abs(series))
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_contraction_matches_theta_overlap(self, s):
+        for a, b in random_labels(np.random.default_rng(31 + int(2 * s)), 200, s):
+            closed = overlap(a, b, method="theta")
+            assert abs(project_overlap(a, b) - closed) <= 1e-12 * max(1.0, abs(closed))
 
-    def test_global_phase_variant_differs(self):
-        # the two phase placements disagree away from equal angles; the
-        # discrepancy is reported, not hidden
-        a = StateLabel(l=0.4, phi=2.0, r=0.5)
-        b = StateLabel(l=0.3, phi=1.0, r=0.5)
-        per_level = projected_overlap_series(a, b, phase_per_level=True)
-        global_phase = projected_overlap_series(a, b, phase_per_level=False)
-        assert abs(per_level - global_phase) > 0.1
-        c = StateLabel(l=0.3, phi=2.0, r=0.5)
-        assert abs(projected_overlap_series(a, c, phase_per_level=True)
-                   - projected_overlap_series(a, c, phase_per_level=False)) < 1e-13
+    @pytest.mark.parametrize("signs", [(1, -1), (-1, 1), (1, 1)])
+    def test_z_sign_plus_is_refused(self, signs):
+        a, b = (StateLabel(l=0.3, phi=2.0, r=0.5, z_sign=z) for z in signs)
+        with pytest.raises(DomainError, match="z_sign"):
+            project_overlap(a, b)
+
+    @pytest.mark.parametrize("other", [dict(r=0.4), dict(s=0.5)])
+    def test_mismatched_half_width_or_offset_is_refused(self, other):
+        a = StateLabel(l=0.3, phi=2.0, r=0.5, z_sign=-1)
+        b = StateLabel(**{"l": 0.1, "phi": 1.0, "r": 0.5, "z_sign": -1, **other})
+        with pytest.raises(DomainError, match="matching"):
+            project_overlap(a, b)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("l", EDGE_L)
+    def test_overflow_is_a_precision_error(self, l, s):
+        a = StateLabel(l=l, phi=1.0, r=0.5, s=s, z_sign=-1)
+        with pytest.raises(PrecisionError, match="projected overlap overflows"):
+            project_overlap(a, a)
+
+    @settings(deadline=None)
+    @given(l=st.one_of(st.floats(-30.0, 30.0), st.sampled_from(EDGE_L)),
+           l2=st.one_of(st.floats(-30.0, 30.0), st.sampled_from(EDGE_L)),
+           phis=st.tuples(*[st.floats(-4 * math.pi, 4 * math.pi)] * 2),
+           r=st.floats(0.0, 1.0, exclude_max=True), s=st.sampled_from([0.0, 0.5]),
+           z_signs=st.sampled_from([(-1, -1), (-1, 1), (1, -1), (1, 1)]))
+    @example(l=40.0, l2=-40.0, phis=(0.0, 1.0), r=0.5, s=0.5, z_signs=(-1, -1))
+    @example(l=1e300, l2=-1e300, phis=(2.0, 1.0), r=0.9, s=0.0, z_signs=(-1, -1))
+    def test_contract(self, l, l2, phis, r, s, z_signs):
+        # a finite complex, or DomainError/PrecisionError; never a RuntimeWarning
+        a = StateLabel(l=l, phi=phis[0], r=r, s=s, z_sign=z_signs[0])
+        b = StateLabel(l=l2, phi=phis[1], r=r, s=s, z_sign=z_signs[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if 1 in z_signs:
+                with pytest.raises(DomainError):
+                    project_overlap(a, b)
+                return
+            try:
+                value = project_overlap(a, b)
+            except PrecisionError:
+                return
+        assert isinstance(value, complex) and cmath.isfinite(value)
+
+
+def referenced_names(tree: ast.Module) -> set:
+    """Every name a module's code reads, leaving out each top-level definition's reads of itself."""
+    names = set()
+    for statement in tree.body:
+        own = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            name = node.id if isinstance(node, ast.Name) else (
+                node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name != own:
+                names.add(name)
+    return names
+
+
+def test_every_public_projection_name_has_a_caller_in_src():
+    src = pathlib.Path(projection.__file__).parent
+    used = set().union(*(referenced_names(ast.parse(path.read_text()))
+                         for path in src.glob("*.py")))
+    assert [name for name in projection.__all__ if name not in used] == []
 
 
 class TestUniversalProjector:
@@ -284,7 +349,7 @@ def test_import_leaves_scipy_unloaded():
 
 class TestCircleRelabeling:
     def test_fiducial_fixed_point(self):
-        fid = fiducial()
+        fid = build_cs(StateLabel(l=0.0, phi=0.0, r=0.0))
         out = project_mobius_to_circle(fid)
         assert np.max(np.abs(out.c - fid.c)) == 0.0
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import struct
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,6 @@ from mobiuscs.states import (
     evolve,
     expect_j,
     expect_u,
-    fiducial,
     gaussian_supnorm,
     label_batches,
     label_for_center,
@@ -43,6 +43,7 @@ RNG = np.random.default_rng(314159)
 FIDUCIAL_AMPLITUDE_SUM = 2.5066282880429056   # sum_j exp(-j^2/2), j in Z
 FIDUCIAL_NORM2_INT = 1.772637204826652        # sum_j exp(-j^2),  j in Z
 FIDUCIAL_NORM2_HALF = 1.7722704969843799      # sum_j exp(-j^2),  j in Z + 1/2
+UNIT = StateLabel(l=0.0, phi=0.0, r=0.0)      # the unit label: coefficients exp(-j^2/2)
 
 LEVEL_CUTOFFS = (0, 0.4, 0.5, 0.6, 1, 3, 3.5, 3.7, 7.6,
                  math.nextafter(0.5, 0.0), math.nextafter(3.5, 0.0), -0.5)
@@ -89,17 +90,18 @@ class TestLevelGrid:
 
 class TestBuildCS:
     def test_fiducial_center_coefficient(self):
-        v = fiducial()
+        v = build_cs(UNIT)
         assert v.c[v.j.size // 2] == 1.0  # j = 0 term of the unit label
 
     def test_fiducial_amplitude_sum(self):
-        v = fiducial(j_max=12)
+        v = build_cs(UNIT, j_max=12)
         assert np.sum(v.c).real == pytest.approx(FIDUCIAL_AMPLITUDE_SUM, abs=1e-14)
         assert abs(np.sum(v.c).real - math.sqrt(2 * math.pi)) < 2e-8
 
     def test_fiducial_norms_both_sectors(self):
-        assert fiducial(j_max=12, s=0.0).norm2() == pytest.approx(FIDUCIAL_NORM2_INT, abs=1e-14)
-        assert fiducial(j_max=12, s=0.5).norm2() == pytest.approx(FIDUCIAL_NORM2_HALF, abs=1e-14)
+        assert build_cs(UNIT, j_max=12).norm2() == pytest.approx(FIDUCIAL_NORM2_INT, abs=1e-14)
+        assert build_cs(replace(UNIT, s=0.5), j_max=12).norm2() == pytest.approx(
+            FIDUCIAL_NORM2_HALF, abs=1e-14)
 
     def test_half_sector_coefficient_value(self):
         lab = StateLabel(l=0.0, phi=math.pi, r=0.5, s=0.5)
@@ -118,6 +120,16 @@ class TestBuildCS:
         lab = StateLabel(l=3.0, phi=0.0, r=0.5)
         with pytest.raises(PrecisionError):
             build_cs(lab, j_max=3)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_peak_overflow_is_a_precision_error(self, s):
+        # the peak modulus exp((l'^2 - (j - l')^2)/2) leaves double range from |l'| ~ 37.7
+        for center in (37.6, -37.6):
+            assert np.isfinite(build_cs(label_for_center(center, 1.0, 0.5, s)).c).all()
+        # 2^52 and 1e300 raise before |j| <= |l'| + 9 is allocated
+        for center in (37.8, -37.8, 2.0 ** 52, -1e300):
+            with pytest.raises(PrecisionError, match="coefficient peak overflows"):
+                build_cs(StateLabel(l=center, phi=1.0, r=0.0, s=s))
 
     def test_label_validation(self):
         with pytest.raises(DomainError):
@@ -334,6 +346,19 @@ class TestOverlap:
         b = StateLabel(l=0.0, phi=0.0, r=0.5, s=0.5)
         with pytest.raises(DomainError):
             overlap(a, b)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("phi2", [1.0, 2.5])
+    def test_theta_overflow_is_a_precision_error(self, s, phi2):
+        # past l'_a + l'_b ~ 53 the lattice sum is inf (phi2 = phi) or nan (a phase):
+        # a PrecisionError either way, and no RuntimeWarning escapes
+        for l in (27.0, 30.0, -30.0):
+            a = StateLabel(l=l, phi=1.0, r=0.0, s=s)
+            b = StateLabel(l=l, phi=phi2, r=0.0, s=s)
+            with pytest.raises(PrecisionError, match="theta overlap overflows"):
+                overlap(a, b, method="theta")
+        a = StateLabel(l=26.0, phi=1.0, r=0.0, s=s)
+        assert cmath.isfinite(overlap(a, replace(a, phi=phi2), method="theta"))
 
 
 class TestNorm:
