@@ -655,7 +655,7 @@ def _sweep_work(target: str, column) -> tuple[list, dict[int, str]]:
     if target == "energy":
         cols = [column(key) for key in ("j", "L0", "phi", "r")]
         # math.cos raises at an infinite angle
-        valid, route = valid_r(cols[3]) & ~np.isinf(cols[2]), dynamics.energy_spectrum
+        valid, route = valid_r(cols[3]) & ~np.isinf(cols[2]), dynamics.mobius_hamiltonian
         evaluate = lambda *c: {"E": dynamics.mobius_hamiltonians(*c)}
     elif target == "projector":
         cols = [column(key) for key in ("theta", "phi", "delta")]

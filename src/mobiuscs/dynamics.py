@@ -17,10 +17,8 @@ varies along a generic orbit.  The conserved energy, reduced with L0, is
 
     H = 1/2 { JJ^2 * [(1 + r*cos(phi/2))^2 + (r^2/4)*sin^2(phi/2)] + L0^2 }
 
-with JJ = phi_dot recovered from (J, L0, phi).  A "compact" variant with
-bracket [(1 + r*cos(phi/2))^2 - (r^2/4)*cos(phi)] is retained for
-comparison; it differs by (r^2/4)*cos^2(phi/2) and coincides at
-phi = (2k+1)*pi, where the spectrum closes to
+with JJ = phi_dot recovered from (J, L0, phi).  At the border angles
+phi = (2k+1)*pi, where cos(phi/2) = 0, the spectrum closes to
 
     E = 2 j^2 / (4 + r^2) + L0^2 / 2.
 
@@ -53,13 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoordinateSingularityError, DomainError, EnergyDriftError
-from .geometry import TorusGeometry, _libm, _pow2, mobius_point, torus_point, valid_r
+from .geometry import TorusGeometry, _libm, _pow2, valid_r
 
 __all__ = [
     "MobiusState",
     "TorusState",
-    "SpectrumEntry",
-    "ConservedSet",
     "Trajectory",
     "mobius_lagrangian",
     "mobius_momenta",
@@ -67,8 +63,6 @@ __all__ = [
     "mobius_hamiltonian",
     "mobius_hamiltonians",
     "energy_quantized",
-    "energy_spectrum",
-    "conserved_set",
     "integrate_mobius",
     "quadrature_mobius",
     "torus_lagrangian",
@@ -78,6 +72,8 @@ __all__ = [
 
 # output rows per step-halving check: a failing trial stops within this many
 BLOCK_ROWS = 256
+# |cos(theta)| below which torus_hamiltonian refuses the momentum chart
+SINGULAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,20 +94,6 @@ class TorusState:
     z0_dot: float = 0.0
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    j: float
-    L0: float
-    E: float
-
-
-@dataclass(frozen=True)
-class ConservedSet:
-    J: float
-    L0: float
-    E: float
-
-
 def _check_r(r: float, upper: float = 1.0) -> float:
     if not valid_r(r, upper):
         raise DomainError(f"need 0 <= r < {upper}, got r={r}")
@@ -122,31 +104,19 @@ def _check_r(r: float, upper: float = 1.0) -> float:
 # Mobius strip: Lagrangian, momenta, Hamiltonian
 # ---------------------------------------------------------------------------
 
-def mobius_lagrangian(s: MobiusState, r: float, path: str = "embedding", z_sign: int = -1) -> float:
-    """Kinetic Lagrangian at a strip state.
+def mobius_lagrangian(s: MobiusState, r: float, z_sign: int = -1) -> float:
+    """Kinetic Lagrangian at a strip state, in closed form from the embedding.
 
-    path="embedding"     exact form derived from the embedding with the given
-                         z_sign (cross term flips with the sign convention);
-                         at the default z_sign = -1, the closed form above
-                         (cross term -r*cos(phi/2));
-    path="embedding_fd"  kinetic energy from central finite differences of the
-                         embedded point -- the independent oracle.
+    The cross term flips with the sign convention z_sign; at the default
+    z_sign = -1 it is the closed form above (cross term -r*cos(phi/2)).
+    ``verify``'s lagrangian-embedding checks it against central finite
+    differences of geometry.mobius_point.
     """
     _check_r(r)
     half = 0.5 * s.phi
     c = math.cos(half)
-    if path == "embedding":
-        bracket = (1.0 + r * c) ** 2 + 0.25 * r * r
-        return 0.5 * (s.phi_dot ** 2 * bracket + z_sign * r * c * s.z0_dot * s.phi_dot + s.z0_dot ** 2)
-    if path == "embedding_fd":
-        eps = 1e-6
-        g_plus = TorusGeometry(R=1.0, r=r, l=s.z0 + eps * s.z0_dot)
-        g_minus = TorusGeometry(R=1.0, r=r, l=s.z0 - eps * s.z0_dot)
-        p_plus = mobius_point(s.phi + eps * s.phi_dot, g_plus, z_sign=z_sign)
-        p_minus = mobius_point(s.phi - eps * s.phi_dot, g_minus, z_sign=z_sign)
-        vel = (p_plus - p_minus) / (2.0 * eps)
-        return 0.5 * float(vel @ vel)
-    raise ValueError(f"unknown path {path!r}")
+    bracket = (1.0 + r * c) ** 2 + 0.25 * r * r
+    return 0.5 * (s.phi_dot ** 2 * bracket + z_sign * r * c * s.z0_dot * s.phi_dot + s.z0_dot ** 2)
 
 
 def _strip_bracket(c, sn, r, square=lambda one: one ** 2):
@@ -181,27 +151,18 @@ def mobius_phidot(J: float, L0: float, phi: float, r: float) -> float:
     return (J + 0.5 * r * L0 * c) / _strip_bracket(c, sn, r)
 
 
-def mobius_hamiltonian(J: float, L0: float, phi: float, r: float, variant: str = "reduced") -> float:
-    """Energy as a function of (J, L0, phi).
+def mobius_hamiltonian(J: float, L0: float, phi: float, r: float) -> float:
+    """Energy as a function of (J, L0, phi); at J = j, the spectrum's level energy.
 
-    variant="reduced"  bracket (1+r*cos(phi/2))^2 + (r^2/4)*sin^2(phi/2): the
-                       Legendre transform of the closed Lagrangian, conserved
-                       along trajectories;
-    variant="compact"  bracket (1+r*cos(phi/2))^2 - (r^2/4)*cos(phi): a
-                       commonly quoted compact form that drops a
-                       (r^2/4)*cos^2(phi/2) term; kept for comparison.  The
-                       two coincide at phi = (2k+1)*pi.
+    The bracket (1+r*cos(phi/2))^2 + (r^2/4)*sin^2(phi/2) makes it the
+    Legendre transform of the closed Lagrangian, conserved along
+    trajectories; at phi = (2k+1)*pi it reduces to energy_quantized.
     """
     _check_r(r)
     half = 0.5 * phi
     c = math.cos(half)
     jj = mobius_phidot(J, L0, phi, r)
-    if variant == "reduced":
-        bracket = _strip_bracket(c, math.sin(half), r)
-    elif variant == "compact":
-        bracket = (1.0 + r * c) ** 2 - 0.25 * r * r * math.cos(phi)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    bracket = _strip_bracket(c, math.sin(half), r)
     return 0.5 * (jj * jj * bracket + L0 * L0)
 
 
@@ -222,23 +183,6 @@ def energy_quantized(j: float, L0: float, r: float) -> float:
     """Closed-form level energy at the quantized angles phi = (2k+1)*pi."""
     _check_r(r)
     return 2.0 * j * j / (4.0 + r * r) + 0.5 * L0 * L0
-
-
-def energy_spectrum(j: float, L0: float, phi: float, r: float, variant: str = "reduced") -> SpectrumEntry:
-    """Level energy for eigenvalue j at angle phi; reduces to energy_quantized."""
-    return SpectrumEntry(j=j, L0=L0, E=mobius_hamiltonian(j, L0, phi, r, variant=variant))
-
-
-def conserved_set(s: MobiusState, r: float) -> ConservedSet:
-    """Monitored quantities (J, L0, E) at a state.
-
-    L0 and E are first integrals of the strip flow.  J = p_phi is *not* (the
-    metric depends on phi); it is tracked because it parameterizes the
-    Hamiltonian and quantization formulas.
-    """
-    p_phi, L0 = mobius_momenta(s, r)
-    E = mobius_hamiltonian(p_phi, L0, s.phi, r)
-    return ConservedSet(J=p_phi, L0=L0, E=E)
 
 
 # ---------------------------------------------------------------------------
@@ -717,43 +661,23 @@ def quadrature_mobius(
 # Torus: Lagrangian, momenta, Hamiltonian
 # ---------------------------------------------------------------------------
 
-def torus_lagrangian(s: TorusState, g: TorusGeometry, path: str = "embedding") -> float:
-    """Kinetic Lagrangian at a torus state (independent angles theta, phi).
+def torus_lagrangian(s: TorusState, g: TorusGeometry) -> float:
+    """Kinetic Lagrangian at a torus state (independent angles theta, phi), from the embedding:
 
-    path="embedding"     exact form from the embedding:
-                         1/2 { phi_dot^2 (R + r sin th)^2 + (r th_dot)^2
-                               - 2 r sin th z0_dot th_dot + z0_dot^2 };
-    path="printed"       variant carrying an extra (r^2/4) phi_dot^2 term
-                         inside the azimuthal bracket, kept for comparison
-                         (it is what the strip reduction would leave behind);
-    path="embedding_fd"  finite-difference kinetic energy oracle.
+        1/2 { phi_dot^2 (R + r sin th)^2 + (r th_dot)^2 - 2 r sin th z0_dot th_dot + z0_dot^2 }
+
+    ``verify``'s lagrangian-embedding checks it against central finite
+    differences of geometry.torus_point.
     """
     if not valid_r(g.r, g.R):
         raise DomainError("need 0 <= r < R")
     sth = math.sin(s.theta)
-    if path == "embedding":
-        return 0.5 * (
-            s.phi_dot ** 2 * (g.R + g.r * sth) ** 2
-            + (g.r * s.theta_dot) ** 2
-            - 2.0 * g.r * sth * s.z0_dot * s.theta_dot
-            + s.z0_dot ** 2
-        )
-    if path == "printed":
-        return 0.5 * (
-            s.phi_dot ** 2 * ((g.R + g.r * sth) ** 2 + 0.25 * g.r ** 2)
-            + (g.r * s.theta_dot) ** 2
-            - 2.0 * g.r * sth * s.z0_dot * s.theta_dot
-            + s.z0_dot ** 2
-        )
-    if path == "embedding_fd":
-        eps = 1e-6
-        g_plus = TorusGeometry(R=g.R, r=g.r, l=s.z0 + eps * s.z0_dot)
-        g_minus = TorusGeometry(R=g.R, r=g.r, l=s.z0 - eps * s.z0_dot)
-        p_plus = torus_point(s.theta + eps * s.theta_dot, s.phi + eps * s.phi_dot, g_plus)
-        p_minus = torus_point(s.theta - eps * s.theta_dot, s.phi - eps * s.phi_dot, g_minus)
-        vel = (p_plus - p_minus) / (2.0 * eps)
-        return 0.5 * float(vel @ vel)
-    raise ValueError(f"unknown path {path!r}")
+    return 0.5 * (
+        s.phi_dot ** 2 * (g.R + g.r * sth) ** 2
+        + (g.r * s.theta_dot) ** 2
+        - 2.0 * g.r * sth * s.z0_dot * s.theta_dot
+        + s.z0_dot ** 2
+    )
 
 
 def torus_momenta(s: TorusState, g: TorusGeometry) -> tuple[float, float, float]:
@@ -765,22 +689,15 @@ def torus_momenta(s: TorusState, g: TorusGeometry) -> tuple[float, float, float]
     return J0, L0, p_theta
 
 
-def torus_hamiltonian(
-    J0: float,
-    L0: float,
-    p_theta: float,
-    theta: float,
-    r: float,
-    singular_tol: float = 1e-9,
-) -> float:
-    """Torus energy in momenta (R = 1); singular where cos(theta) = 0."""
+def torus_hamiltonian(J0: float, L0: float, p_theta: float, theta: float, r: float) -> float:
+    """Torus energy in momenta (R = 1); singular within SINGULAR_TOL of cos(theta) = 0."""
     _check_r(r)
     if r == 0.0:
         raise DomainError("tube radius r must be positive for the momentum chart")
     cth = math.cos(theta)
-    if abs(cth) < singular_tol:
+    if abs(cth) < SINGULAR_TOL:
         raise CoordinateSingularityError(
-            f"theta={theta} is within {singular_tol} of the chart singularity cos(theta)=0"
+            f"theta={theta} is within {SINGULAR_TOL} of the chart singularity cos(theta)=0"
         )
     sth = math.sin(theta)
     return 0.5 * (

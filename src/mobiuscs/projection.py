@@ -45,7 +45,6 @@ from .geometry import _libm, _pow2, constraint_theta, label_center
 from .states import (
     FockVector,
     StateLabel,
-    _tail_bound,
     _window_overlap,
     cs_coeffs,
     default_j_max,
@@ -279,5 +278,4 @@ def project_mobius_to_circle(v: FockVector) -> FockVector:
     center = w.real
     phase = -w.imag % (2.0 * math.pi)
     j = level_grid(v.j[-1], 0.0)
-    return FockVector(offset=0.0, j=j, c=cs_coeffs(center, phase, j),
-                      tail_bound=_tail_bound(j[-1], center))
+    return FockVector(offset=0.0, j=j, c=cs_coeffs(center, phase, j))

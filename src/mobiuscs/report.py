@@ -221,7 +221,7 @@ def _spectrum_border() -> float:
         for s in (0.0, 0.5):
             for j in (np.arange(-3, 4) + s).tolist():
                 for L0 in (0.0, 0.4, 0.7, 0.8):
-                    e_gen = dynamics.energy_spectrum(j, L0, math.pi, r).E
+                    e_gen = dynamics.mobius_hamiltonian(j, L0, math.pi, r)
                     e_closed = dynamics.energy_quantized(j, L0, r)
                     err = max(err, abs(e_gen - e_closed) / max(1.0, e_closed))
     return err
@@ -258,7 +258,7 @@ def _legendre_torus() -> float:
         J0, L0, p_th = dynamics.torus_momenta(st, g)
         h = dynamics.torus_hamiltonian(J0, L0, p_th, st.theta, g.r)
         legendre = (J0 * st.phi_dot + L0 * st.z0_dot + p_th * st.theta_dot
-                    - dynamics.torus_lagrangian(st, g, path="embedding"))
+                    - dynamics.torus_lagrangian(st, g))
         err = max(err, abs(h - legendre))
     return err
 
@@ -274,9 +274,47 @@ def _torus_strip_reduction() -> float:
             st_m = dynamics.MobiusState(phi, rate, 0.0, 0.4)
             st_t = dynamics.TorusState(
                 geometry.constraint_theta(phi), phi, 0.5 * rate, rate, 0.0, 0.4)
-            lm = dynamics.mobius_lagrangian(st_m, g.r, path="embedding", z_sign=-1)
-            lt = dynamics.torus_lagrangian(st_t, g, path="embedding")
+            lm = dynamics.mobius_lagrangian(st_m, g.r, z_sign=-1)
+            lt = dynamics.torus_lagrangian(st_t, g)
             err = max(err, abs(lm - lt))
+    return err
+
+
+def _fd_kinetic(point, q, q_dot) -> float:
+    """1/2 |dX/dt|^2 of the embedded point X = point(*q) moving at the rates q_dot.
+
+    dX/dt by central differences along q_dot, step eps = 1e-6: the
+    embedding's own kinetic energy, independent of the closed Lagrangians.
+    """
+    eps = 1e-6
+    ahead = point(*(x + eps * v for x, v in zip(q, q_dot)))
+    behind = point(*(x - eps * v for x, v in zip(q, q_dot)))
+    vel = (ahead - behind) / (2.0 * eps)
+    return 0.5 * float(vel @ vel)
+
+
+@_check("dynamics", "lagrangian-embedding",
+        "closed Lagrangians vs finite differences of the embedded point",
+        "25 random strip states at z_sign=+-1, r in (0.05,0.95); 25 torus states, r=0.5; "
+        "absolute error", 1e-7)
+def _lagrangian_embedding() -> float:
+    rng = np.random.default_rng(44)
+    err = 0.0
+    for _ in range(25):
+        st = dynamics.MobiusState(*rng.uniform(-2.0, 2.0, size=4).tolist())
+        r = float(rng.uniform(0.05, 0.95))
+        for z_sign in (-1, 1):
+            def strip(phi, z0):
+                return geometry.mobius_point(phi, geometry.TorusGeometry(1.0, r, z0), z_sign)
+            fd = _fd_kinetic(strip, (st.phi, st.z0), (st.phi_dot, st.z0_dot))
+            err = max(err, abs(dynamics.mobius_lagrangian(st, r, z_sign=z_sign) - fd))
+    g = geometry.TorusGeometry(R=1.0, r=0.5)
+    for _ in range(25):
+        st = dynamics.TorusState(*rng.uniform(-2.0, 2.0, size=6).tolist())
+        def torus(theta_v, phi, z0):
+            return geometry.torus_point(theta_v, phi, geometry.TorusGeometry(g.R, g.r, z0))
+        fd = _fd_kinetic(torus, (st.theta, st.phi, st.z0), (st.theta_dot, st.phi_dot, st.z0_dot))
+        err = max(err, abs(dynamics.torus_lagrangian(st, g) - fd))
     return err
 
 
@@ -348,7 +386,8 @@ def _torus_separability() -> float:
     return float(sv[1] / sv[0])
 
 
-@_check("projection", "torus-projection", "projected overlap vs theta closed form",
+@_check("projection", "torus-projection",
+        "projected overlap and m=0 contraction of the torus states vs theta closed form",
         "12 z_sign=-1 label pairs per sector, r in (0.05,0.95), |l| <= 3", 1e-12)
 def _torus_projection() -> float:
     rng = np.random.default_rng(20261021)
@@ -360,7 +399,14 @@ def _torus_projection() -> float:
                                       phi=float(rng.uniform(0.0, 4.0 * math.pi)), r=r, s=s,
                                       z_sign=-1) for _ in range(2))
             closed = states.overlap(a, b, method="theta")
-            err = max(err, abs(projection.project_overlap(a, b) - closed) / max(1.0, abs(closed)))
+            # both torus states on one level grid, wide enough for either strip center
+            j_max = max(states.default_j_max(a.center), states.default_j_max(b.center))
+            ta, tb = (projection.build_torus_cs(lab.l, geometry.constraint_theta(lab.phi),
+                                                lab.phi, r, j_max=j_max, s=s)
+                      for lab in (a, b))
+            sliced = complex(np.vdot(ta.a * ta.b[ta.m == 0], tb.a * tb.b[tb.m == 0]))
+            for value in (projection.project_overlap(a, b), sliced):
+                err = max(err, abs(value - closed) / max(1.0, abs(closed)))
     return err
 
 

@@ -71,16 +71,17 @@ __all__ = [
     "expect_j",
     "expect_u",
     "occupation_law",
-    "distribution",
     "gaussian_supnorm",
     "quantization_scan",
     "evolve",
     "temporal_fidelity",
-    "bargmann_coeff",
 ]
 
 TAU_NATURAL = 1j / math.pi   # lattice parameter of the direct overlap sums
 TAU_DUAL = 1j * math.pi      # modular partner (nome exp(-pi^2))
+TAIL_TOL = 1e-12             # relative Gaussian tail build_cs leaves past its cutoff
+SCAN_TOL = 1e-9              # quantization_scan's distance from the lattice
+SCAN_GRID = 256              # angles quantization_scan returns at r = 0
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,6 @@ class FockVector:
     offset: float
     j: np.ndarray
     c: np.ndarray
-    tail_bound: float = 0.0
 
     def norm2(self) -> float:
         return float(np.vdot(self.c, self.c).real)
@@ -200,12 +200,6 @@ class FockVector:
         if self.offset != other.offset or self.j.size != other.j.size:
             raise DomainError("FockVectors live on different level grids")
         return complex(np.vdot(self.c, other.c))
-
-    def shift_up(self) -> "FockVector":
-        """Apply the raising shift U|j> = |j+1> (top level truncated away)."""
-        c = np.zeros_like(self.c)
-        c[1:] = self.c[:-1]
-        return replace(self, c=c)
 
 
 def default_j_max(center: float) -> int:
@@ -230,13 +224,6 @@ def level_grid(j_max: float, s: float) -> np.ndarray:
         raise DomainError(f"cannot allocate the levels |j| <= {j_max:g}") from None
 
 
-def _tail_bound(j_max: float, center: float) -> float:
-    gap = j_max - abs(center)
-    if gap <= 0.0:
-        return math.inf
-    return math.exp(-gap * gap)
-
-
 def _exp(x: float, what: str) -> float:
     """math.exp(x), raising PrecisionError where the result would overflow (x = inf too)."""
     try:
@@ -247,15 +234,16 @@ def _exp(x: float, what: str) -> float:
     raise PrecisionError(f"{what} overflows: exp({x:g})", achieved=math.inf)
 
 
-def _require_tail(j_max: float, center: float, rel_tol: float = 1e-12) -> float:
-    tail = _tail_bound(j_max, center)
-    if not tail < rel_tol:
-        needed = int(math.ceil(abs(center) + math.sqrt(-math.log(rel_tol)))) + 1
+def _require_tail(j_max: float, center: float) -> None:
+    """Raise PrecisionError unless the Gaussian tail exp(-(j_max - |l'|)^2) is below TAIL_TOL."""
+    gap = j_max - abs(center)
+    tail = math.exp(-gap * gap) if gap > 0.0 else math.inf
+    if not tail < TAIL_TOL:
+        needed = int(math.ceil(abs(center) + math.sqrt(-math.log(TAIL_TOL)))) + 1
         raise PrecisionError(
             f"j_max={j_max} too small for center {center:g}; need at least {needed}",
             achieved=tail,
         )
-    return tail
 
 
 def build_cs(label: StateLabel, j_max: float | None = None) -> FockVector:
@@ -274,8 +262,8 @@ def build_cs(label: StateLabel, j_max: float | None = None) -> FockVector:
     nearest = near if label.s == 0.0 else 0.5 - near
     _exp(0.5 * (center * center - nearest * nearest), "coefficient peak")
     j = level_grid(j_max, label.s)
-    tail = _require_tail(j_max, center)
-    return FockVector(offset=label.s, j=j, c=cs_coeffs(center, label.phi, j), tail_bound=tail)
+    _require_tail(j_max, center)
+    return FockVector(offset=label.s, j=j, c=cs_coeffs(center, label.phi, j))
 
 
 def cs_coeffs(center: float, phase: float, j: np.ndarray) -> np.ndarray:
@@ -531,11 +519,6 @@ def occupation_law(label: StateLabel | LabelBatch, level: float | None = None):
     return _batched(label, lambda batch: _occupation_law(batch, level))
 
 
-def distribution(label: StateLabel, j: float) -> float:
-    """Occupation probability |<j|xi>|^2 / <xi|xi> at level j in Z + s (see occupation_law)."""
-    return float(_batched(label, lambda batch: _occupation_law(batch, j))[1][0])
-
-
 def gaussian_supnorm(label: StateLabel | LabelBatch) -> float | np.ndarray:
     """max over the window's levels of |probability - gaussian| (see occupation_law)."""
     return _batched(label, _gaussian_supnorm)
@@ -559,13 +542,7 @@ def _check_lattice_resolved(center: float) -> None:
                              achieved=math.ulp(center))
 
 
-def quantization_scan(
-    r: float,
-    l: float,
-    s: float = 0.5,
-    tol: float = 1e-9,
-    n_grid: int = 256,
-) -> list[float]:
+def quantization_scan(r: float, l: float, s: float = 0.5) -> list[float]:
     """Angles phi in [0, 4*pi) where the action identity pins <J> to the lattice.
 
     A configuration is accepted when (i) the theta correction to <J>
@@ -575,7 +552,8 @@ def quantization_scan(
     the strip edge and l' = l +/- r); interior angles where l' crosses the
     lattice accidentally are excluded.  For r = 0 the center is
     phi-independent and every angle qualifies whenever l is on the lattice,
-    in which case the full scan grid is returned.
+    in which case the full scan grid of SCAN_GRID angles is returned.  Both
+    tests are met within SCAN_TOL.
     """
     if not valid_r(r):
         raise DomainError(f"need 0 <= r < 1, got r={r}")
@@ -583,9 +561,9 @@ def quantization_scan(
         raise DomainError("s must be 0 or 0.5")
 
     if r == 0.0:
-        grid = np.linspace(0.0, 4.0 * math.pi, n_grid, endpoint=False)
+        grid = np.linspace(0.0, 4.0 * math.pi, SCAN_GRID, endpoint=False)
         _check_lattice_resolved(l)
-        if abs(l - s - round(l - s)) <= tol:
+        if abs(l - s - round(l - s)) <= SCAN_TOL:
             return [float(p) for p in grid]
         return []
 
@@ -594,10 +572,10 @@ def quantization_scan(
         label = StateLabel(l=l, phi=phi, r=r, s=s)
         center = label.center
         _check_lattice_resolved(center)
-        if abs(math.remainder(center, 0.5)) > tol:  # 2 * center may overflow
+        if abs(math.remainder(center, 0.5)) > SCAN_TOL:  # 2 * center may overflow
             continue
         jbar = expect_j(label, method="ratio")
-        if abs(jbar - s - round(jbar - s)) > tol:
+        if abs(jbar - s - round(jbar - s)) > SCAN_TOL:
             continue
         roots.append(phi)
     return roots
@@ -609,8 +587,7 @@ def evolve(v: FockVector, t: float, r: float, L0: float = 0.0) -> FockVector:
     return replace(v, c=v.c * np.exp(-1j * energies * t))
 
 
-def temporal_fidelity(label: StateLabel, t: float, L0: float = 0.0,
-                      j_max: float | None = None) -> float:
+def temporal_fidelity(label: StateLabel, t: float, L0: float = 0.0) -> float:
     """|<xi(phase-advanced)|exp(-iHt)|xi>| / norms.
 
     The comparison state keeps the center fixed and advances the angle by
@@ -621,7 +598,7 @@ def temporal_fidelity(label: StateLabel, t: float, L0: float = 0.0,
     for name, value in (("t", t), ("L0", L0)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
-    v = build_cs(label, j_max=j_max)
+    v = build_cs(label)
     evolved = evolve(v, t, label.r, L0)
     center = label.center
     omega = 4.0 * center / (4.0 + label.r ** 2)
@@ -633,10 +610,3 @@ def temporal_fidelity(label: StateLabel, t: float, L0: float = 0.0,
         # the coefficients overflowed; abs() of a NaN overlap may even raise
         raise PrecisionError("fidelity overlap overflows", achieved=math.inf)
     return abs(inner) / norms
-
-
-def bargmann_coeff(label: StateLabel, j: float) -> complex:
-    """Analytic coefficient (xi*)^{-j} exp(-j^2/2) = conj(<j|xi>)."""
-    _check_level(j, label.s)
-    center = label.center
-    return cmath.exp(center * j + 1j * label.phi * j - 0.5 * j * j)

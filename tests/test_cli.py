@@ -685,8 +685,8 @@ def scalar_sweep_text(argv, fmt):
         row = {name: params[name] for name in names}
         try:
             if args.target == "energy":
-                value = dynamics.energy_spectrum(params["j"], params["L0"], params["phi"],
-                                                 params["r"]).E
+                value = dynamics.mobius_hamiltonian(params["j"], params["L0"], params["phi"],
+                                                    params["r"])
             else:
                 spec = projection.ProjectionSpec(params["theta"], params["phi"], params["delta"])
                 value = projection.universal_projector(spec, method="indicator")
@@ -776,7 +776,7 @@ def point_rows(args):
             if not math.isfinite(value):
                 raise DomainError(f"{flag} must be finite, got {value}")
         return [{"j": j, "L0": args.L0,
-                 "E": dynamics.energy_spectrum(j, args.L0, args.phi, args.r).E,
+                 "E": dynamics.mobius_hamiltonian(j, args.L0, args.phi, args.r),
                  "E_border": dynamics.energy_quantized(j, args.L0, args.r)}
                 for j in states.level_grid(args.j_max, args.s).tolist()]
     if args.command == "project":

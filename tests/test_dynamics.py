@@ -6,14 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from mobiuscs import cli, dynamics
+from mobiuscs import cli, dynamics, report
 from mobiuscs.errors import CoordinateSingularityError, DomainError, EnergyDriftError
 from mobiuscs.dynamics import (
     MobiusState,
     TorusState,
-    conserved_set,
     energy_quantized,
-    energy_spectrum,
     integrate_mobius,
     mobius_hamiltonian,
     mobius_hamiltonians,
@@ -24,7 +22,14 @@ from mobiuscs.dynamics import (
     torus_hamiltonian,
     torus_lagrangian,
 )
-from mobiuscs.geometry import TorusGeometry, _libm, _pow2, constraint_theta, valid_r
+from mobiuscs.geometry import (
+    TorusGeometry,
+    _libm,
+    _pow2,
+    mobius_point,
+    torus_point,
+    valid_r,
+)
 
 RNG = np.random.default_rng(20260810)
 
@@ -103,15 +108,17 @@ class TestMobiusLagrangian:
             bracket = (1.0 + r * math.cos(0.5 * s.phi)) ** 2 + 0.25 * r * r
             closed = 0.5 * (s.phi_dot ** 2 * bracket
                             - r * math.cos(0.5 * s.phi) * s.z0_dot * s.phi_dot + s.z0_dot ** 2)
-            fd = mobius_lagrangian(s, r, path="embedding_fd", z_sign=-1)
+            fd = report._fd_kinetic(
+                lambda phi, z0: mobius_point(phi, TorusGeometry(1.0, r, z0), z_sign=-1),
+                (s.phi, s.z0), (s.phi_dot, s.z0_dot))
             assert exact == pytest.approx(closed, abs=1e-15)
             assert exact == pytest.approx(fd, abs=1e-8)
 
     def test_mirrored_sign_flips_cross_term(self):
         s = MobiusState(1.0, 0.7, 0.2, 0.9)
         r = 0.5
-        plus = mobius_lagrangian(s, r, path="embedding", z_sign=+1)
-        minus = mobius_lagrangian(s, r, path="embedding", z_sign=-1)
+        plus = mobius_lagrangian(s, r, z_sign=+1)
+        minus = mobius_lagrangian(s, r, z_sign=-1)
         cross = r * math.cos(0.5 * s.phi) * s.z0_dot * s.phi_dot
         assert plus - minus == pytest.approx(cross, abs=1e-14)
 
@@ -143,21 +150,8 @@ class TestMobiusHamiltonian:
         for r in (0.1, 0.5, 0.9):
             for k in (0, 1):
                 phi = (2 * k + 1) * math.pi
-                for variant in ("reduced", "compact"):
-                    h = mobius_hamiltonian(1.3, 0.4, phi, r, variant=variant)
-                    assert h == pytest.approx(energy_quantized(1.3, 0.4, r), rel=1e-12)
-
-    def test_compact_variant_discrepancy_is_the_dropped_term(self):
-        # reduced - compact = JJ^2/2 * (r^2/4) * cos^2(phi/2): the term the
-        # compact bracket drops; it vanishes exactly at the border angles
-        for _ in range(20):
-            J, L0, phi = RNG.uniform(-2, 2, size=3)
-            r = float(RNG.uniform(0.05, 0.95))
-            jj = mobius_phidot(J, L0, phi, r)
-            gap = (mobius_hamiltonian(J, L0, phi, r, variant="reduced")
-                   - mobius_hamiltonian(J, L0, phi, r, variant="compact"))
-            predicted = 0.5 * jj * jj * 0.25 * r * r * math.cos(0.5 * phi) ** 2
-            assert gap == pytest.approx(predicted, abs=1e-13)
+                h = mobius_hamiltonian(1.3, 0.4, phi, r)
+                assert h == pytest.approx(energy_quantized(1.3, 0.4, r), rel=1e-12)
 
 
 # r = 1 + r*cos(0) - 1 at cells (J, L0, r), phi = 0, where libm's pow(1 + r, 2) is not
@@ -178,10 +172,10 @@ ONE_POW_NOT_SQUARE = [r for _, _, r in POW_NOT_SQUARE_CELLS]
 class TestEnergyColumn:
     @staticmethod
     def scalar(J, L0, phi, r):
-        return [energy_spectrum(*cell).E for cell in zip(J.tolist(), L0.tolist(), phi.tolist(),
-                                                          r.tolist())]
+        return [mobius_hamiltonian(*cell) for cell in zip(J.tolist(), L0.tolist(), phi.tolist(),
+                                                           r.tolist())]
 
-    def test_matches_energy_spectrum_bit_for_bit(self):
+    def test_matches_mobius_hamiltonian_bit_for_bit(self):
         rng = np.random.default_rng(16)
         n = 10_000
         J = rng.uniform(-5.0, 5.0, n)
@@ -216,7 +210,7 @@ class TestEnergyColumn:
         for r, ok in zip(cells, mask.tolist()):
             assert valid_r(r) is ok
             try:
-                energy_spectrum(1.0, 0.0, 0.0, r)
+                mobius_hamiltonian(1.0, 0.0, 0.0, r)
                 accepted = True
             except DomainError:
                 accepted = False
@@ -224,7 +218,7 @@ class TestEnergyColumn:
 
     def test_inf_angle_raises_as_the_scalar_route(self):
         with pytest.raises(ValueError, match="^math domain error$"):
-            energy_spectrum(1.0, 0.0, math.inf, 0.5)
+            mobius_hamiltonian(1.0, 0.0, math.inf, 0.5)
         with pytest.raises(ValueError, match="^math domain error$"):
             mobius_hamiltonians(np.ones(2), np.zeros(2), np.array([0.0, math.inf]),
                                 np.full(2, 0.5))
@@ -239,18 +233,18 @@ class TestSpectrum:
         for _ in range(20):
             j, L0, phi = RNG.uniform(-3, 3, size=3)
             r = float(RNG.uniform(0.05, 0.95))
-            assert energy_spectrum(j, L0, phi, r).E == energy_spectrum(-j, -L0, phi, r).E
+            assert mobius_hamiltonian(j, L0, phi, r) == mobius_hamiltonian(-j, -L0, phi, r)
         for r in (0.1, 0.5, 0.9):
             for s in (0.0, 0.5):
                 for j in np.arange(-3, 4) + s:
                     for L0 in (0.0, 0.8):
-                        assert (energy_spectrum(float(j), L0, 1.234, r).E
-                                == energy_spectrum(float(-j), -L0, 1.234, r).E)
+                        assert (mobius_hamiltonian(float(j), L0, 1.234, r)
+                                == mobius_hamiltonian(float(-j), -L0, 1.234, r))
 
     def test_nonnegative(self):
         for _ in range(20):
             j, L0, phi = RNG.uniform(-3, 3, size=3)
-            assert energy_spectrum(j, L0, phi, 0.5).E >= 0.0
+            assert mobius_hamiltonian(j, L0, phi, 0.5) >= 0.0
 
 
 class TestIntegration:
@@ -295,7 +289,7 @@ class TestIntegration:
         same_step = integrate_mobius(s0, r, t_end=t_end, dt=dt / 4, energy_tol=math.inf,
                                      max_halvings=0)
         energy = same_step.columns()["E"][::4]
-        E0 = conserved_set(s0, r).E
+        E0 = mobius_hamiltonian(*mobius_momenta(s0, r), s0.phi, r)
         drift = np.max(np.abs(energy - E0)) / max(1.0, abs(E0))
         assert info.value.achieved == pytest.approx(drift, rel=1e-9)
 
@@ -385,14 +379,14 @@ class TestIntegration:
         assert list(cols) == ["t", "phi", "phi_dot", "z0", "z0_dot", "E", "J", "L0"]
         assert all(v.shape == traj.t.shape for v in cols.values())
 
-    def test_conserved_set_matches_columns(self):
+    def test_momenta_and_energy_match_columns(self):
         s0 = MobiusState(0.1, 1.0, 0.0, 0.2)
-        cs = conserved_set(s0, 0.5)
+        J, L0 = mobius_momenta(s0, 0.5)
         traj = integrate_mobius(s0, 0.5, t_end=0.1, dt=1e-2)
         cols = traj.columns()
-        assert cols["E"][0] == pytest.approx(cs.E, abs=1e-14)
-        assert cols["J"][0] == pytest.approx(cs.J, abs=1e-14)
-        assert cols["L0"][0] == pytest.approx(cs.L0, abs=1e-14)
+        assert cols["E"][0] == pytest.approx(mobius_hamiltonian(J, L0, s0.phi, 0.5), abs=1e-14)
+        assert cols["J"][0] == pytest.approx(J, abs=1e-14)
+        assert cols["L0"][0] == pytest.approx(L0, abs=1e-14)
 
 
 class TestKernel:
@@ -572,31 +566,23 @@ class TestQuadrature:
 class TestTorus:
     G = TorusGeometry(R=1.0, r=0.5)
 
-    def test_printed_variant_value(self):
+    def test_embedding_value(self):
         s = TorusState(theta=math.pi / 2, phi=0.0, theta_dot=0.0, phi_dot=1.0)
-        assert torus_lagrangian(s, self.G, path="printed") == pytest.approx(1.15625, abs=1e-15)
-        assert torus_lagrangian(s, self.G, path="embedding") == pytest.approx(1.125, abs=1e-15)
+        assert torus_lagrangian(s, self.G) == pytest.approx(1.125, abs=1e-15)
 
     def test_embedding_matches_fd_oracle(self):
         for _ in range(15):
             s = TorusState(*RNG.uniform(-2, 2, size=6))
-            exact = torus_lagrangian(s, self.G, path="embedding")
-            fd = torus_lagrangian(s, self.G, path="embedding_fd")
+            exact = torus_lagrangian(s, self.G)
+            fd = report._fd_kinetic(
+                lambda theta, phi, z0: torus_point(theta, phi, TorusGeometry(1.0, 0.5, z0)),
+                (s.theta, s.phi, s.z0), (s.theta_dot, s.phi_dot, s.z0_dot))
             assert exact == pytest.approx(fd, abs=1e-7)
 
     def test_degenerate_tube(self):
         g0 = TorusGeometry(R=1.0, r=0.0)
         s = TorusState(0.7, 0.2, 1.3, 0.9, 0.0, 0.5)
-        assert torus_lagrangian(s, g0, path="embedding") == pytest.approx(
-            0.5 * (0.9**2 + 0.5**2), abs=1e-15)
-
-    def test_printed_variant_constraint_gap(self):
-        # the printed bracket leaves an extra (r^2/8) * phi_dot^2 after reduction
-        st = TorusState(constraint_theta(1.1), 1.1, 0.55, 1.1, 0.0, 0.4)
-        sm = MobiusState(1.1, 1.1, 0.0, 0.4)
-        gap = (torus_lagrangian(st, self.G, path="printed")
-               - mobius_lagrangian(sm, self.G.r))
-        assert gap == pytest.approx(0.125 * self.G.r**2 * 1.1**2, abs=1e-14)
+        assert torus_lagrangian(s, g0) == pytest.approx(0.5 * (0.9**2 + 0.5**2), abs=1e-15)
 
     def test_hamiltonian_equatorial(self):
         assert torus_hamiltonian(1.3, 0.0, 0.0, 0.0, 0.5) == pytest.approx(

@@ -1,6 +1,10 @@
 """The verification registry: what its checks return."""
 
-from mobiuscs import dynamics, report
+import dataclasses
+
+import pytest
+
+from mobiuscs import dynamics, projection, report, states
 
 
 def test_every_max_error_is_a_float():
@@ -36,3 +40,38 @@ def test_the_strip_orbit_is_integrated_once_per_run(monkeypatch):
         check = next(c for c in report.CHECKS if c.name == name)
         assert check.run() == next(c for c in first if c.check == name)
     assert calls == [10.0] * 4
+
+
+def perturbed(fn):
+    """fn with its value scaled by 1 + 1e-6."""
+    return lambda *args, **kwargs: fn(*args, **kwargs) * (1.0 + 1e-6)
+
+
+def check_named(name: str) -> report.Check:
+    return next(check for check in report.CHECKS if check.name == name)
+
+
+@pytest.mark.parametrize("closed_form", ["mobius_lagrangian", "torus_lagrangian"])
+def test_lagrangian_embedding_fails_a_perturbed_closed_form(closed_form, monkeypatch):
+    check = check_named("lagrangian-embedding")
+    assert check.run().passed
+    monkeypatch.setattr(dynamics, closed_form, perturbed(getattr(dynamics, closed_form)))
+    assert not check.run().passed
+
+
+@pytest.mark.parametrize("module, route", [(states, "overlap"), (projection, "project_overlap"),
+                                           (projection, "build_torus_cs")],
+                         ids=["overlap", "project_overlap", "build_torus_cs"])
+def test_torus_projection_fails_a_perturbed_route(module, route, monkeypatch):
+    # the theta closed form, and each of the two sums checked against it
+    check = check_named("torus-projection")
+    assert check.run().passed
+    fn = getattr(module, route)
+    if route == "build_torus_cs":  # the m = 0 contraction, through the strip-plane coefficients
+        def bumped(*args, **kwargs):
+            torus = fn(*args, **kwargs)
+            return dataclasses.replace(torus, a=torus.a * (1.0 + 1e-6))
+        monkeypatch.setattr(module, route, bumped)
+    else:
+        monkeypatch.setattr(module, route, perturbed(fn))
+    assert not check.run().passed

@@ -18,10 +18,8 @@ from mobiuscs.states import (
     LabelBatch,
     StateLabel,
     TAU_NATURAL,
-    bargmann_coeff,
     build_cs,
     default_j_max,
-    distribution,
     evolve,
     expect_j,
     expect_u,
@@ -114,7 +112,9 @@ class TestBuildCS:
         lab = StateLabel(l=0.2, phi=1.7, r=0.4, s=0.0)
         v = build_cs(lab)
         for idx in (0, v.j.size // 2, v.j.size - 1):
-            assert abs(np.conj(v.c[idx]) - bargmann_coeff(lab, float(v.j[idx]))) < 1e-14
+            j = float(v.j[idx])
+            bargmann = cmath.exp(lab.center * j + 1j * lab.phi * j - 0.5 * j * j)
+            assert abs(np.conj(v.c[idx]) - bargmann) < 1e-14
 
     def test_insufficient_cutoff_raises(self):
         lab = StateLabel(l=3.0, phi=0.0, r=0.5)
@@ -279,7 +279,6 @@ class TestLabelBatch:
     @pytest.mark.parametrize("name, kwargs", [
         ("norm2", {"method": "theta"}), ("expect_j", {"method": "ratio"}),
         ("expect_u", {"method": "dual"}), ("gaussian_supnorm", {}), ("occupation_law", {}),
-        ("distribution", {"j": 1.0}),
     ])
     def test_one_label_call_enters_one_route(self, name, kwargs, monkeypatch):
         # a tracer wraps the public names: the kernel is reached without calling one again
@@ -624,24 +623,24 @@ class TestExpectU:
         assert str(info.value) == f"level cutoff j_max must be finite, got {text}"
 
     def test_operator_action_route(self):
-        # raising the vector and contracting reproduces the closed form
+        # raising the vector (U|j> = |j+1>) and contracting reproduces the closed form
         lab = StateLabel(l=0.2, phi=1.3, r=0.5, s=0.5)
         v = build_cs(lab)
-        raised = v.shift_up()
-        value = v.inner(raised) / v.norm2()
+        value = complex(np.vdot(v.c[1:], v.c[:-1])) / v.norm2()
         assert abs(value - expect_u(lab, method="theta")) <= 1e-12
 
 
 class TestDistribution:
     def test_reference_value(self):
         lab = label_for_center(0.0, 1.0, 0.5)
-        assert distribution(lab, 0.0) == pytest.approx(1.0 / FIDUCIAL_NORM2_INT, abs=1e-14)
+        (p,) = occupation_law(lab, 0.0)[1]
+        assert p == pytest.approx(1.0 / FIDUCIAL_NORM2_INT, abs=1e-14)
 
     def test_normalization(self):
         for s in (0.0, 0.5):
             lab = label_for_center(0.8, 2.0, 0.5, s)
             levels = level_grid(default_j_max(lab.center), s)
-            total = sum(distribution(lab, float(j)) for j in levels)
+            total = sum(occupation_law(lab, float(j))[1][0] for j in levels)
             assert abs(total - 1.0) <= 1e-12
 
     # |l'| where the direct norm overflows but every weight is finite
@@ -676,7 +675,7 @@ class TestDistribution:
             law, _, sup = self.mp_law(center, s, levels, dps=30)
             with np.errstate(over="ignore"):
                 in_band += norm2(lab, method="direct") == math.inf
-            got = [distribution(lab, float(j)) for j in levels]
+            got = [occupation_law(lab, float(j))[1][0] for j in levels]
             assert max(abs(g - w) for g, w in zip(got, law)) <= 1e-10
             assert abs(gaussian_supnorm(lab) - sup) <= 1e-10
         assert in_band == len(self.BAND_CENTERS)
@@ -710,7 +709,7 @@ class TestDistribution:
             for s in (0.0, 0.5):
                 lab = StateLabel(l=center, phi=0.0, r=0.0, s=s)
                 levels, law, gauss = occupation_law(lab)
-                assert [distribution(lab, j) for j in levels.tolist()] == law.tolist()
+                assert [occupation_law(lab, j)[1][0] for j in levels.tolist()] == law.tolist()
                 assert gaussian_supnorm(lab) == max(abs(p - g) for p, g in zip(law, gauss))
 
     def test_level_alone_is_its_entry_of_the_law(self):
@@ -726,19 +725,18 @@ class TestDistribution:
         for far in (levels[-1] + 5.0, levels[0] - 3.0):
             (j,), (p,), (g,) = occupation_law(lab, far)
             w = math.exp(-((far - j0 - f) ** 2))
-            assert j == far and p == distribution(lab, far) == pytest.approx(w / norm, rel=1e-14)
+            assert j == far and p == pytest.approx(w / norm, rel=1e-14)
             assert g == pytest.approx(w / math.sqrt(math.pi), rel=1e-14) and g > 0.0
         # past |l'| + 28 the weight is 0.0 in double precision
         for level in (levels[-1] + 19.0, levels[-1] + 20.0, -1e12 - 0.5, 2.0**51 + 0.5):
             law = occupation_law(lab, level)
             assert [col.tolist() for col in law] == [[level], [0.0], [0.0]]
-            assert distribution(lab, level) == 0.0
             assert math.exp(-((level - lab.center) ** 2)) == 0.0
 
     def test_off_lattice_level_rejected(self):
         lab = StateLabel(l=0.0, phi=0.0, r=0.5, s=0.0)
         with pytest.raises(DomainError):
-            distribution(lab, 0.25)
+            occupation_law(lab, 0.25)
 
 
 class TestQuantizationScan:
@@ -758,9 +756,10 @@ class TestQuantizationScan:
         assert expect_j(lab, method="ratio") == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_width_all_angles(self):
-        roots = quantization_scan(0.0, 0.5, s=0.5, n_grid=64)
-        assert len(roots) == 64
-        assert quantization_scan(0.0, 0.3, s=0.5, n_grid=64) == []
+        roots = quantization_scan(0.0, 0.5, s=0.5)
+        assert len(roots) == 256
+        assert roots == pytest.approx(np.linspace(0.0, 4 * math.pi, 256, endpoint=False).tolist())
+        assert quantization_scan(0.0, 0.3, s=0.5) == []
 
     def test_realized_values_on_sector_lattices(self):
         realized_half = set()
@@ -826,15 +825,20 @@ class TestEvolution:
 
 
 class TestBargmann:
+    # the analytic coefficient (xi*)^{-j} exp(-j^2/2) = conj(<j|xi>), written inline
     def test_unit_label(self):
         lab = StateLabel(l=0.0, phi=0.0, r=0.0)
-        assert bargmann_coeff(lab, 0.0) == 1.0
+        v = build_cs(lab)
+        j = 0.0
+        bargmann = cmath.exp(lab.center * j + 1j * lab.phi * j - 0.5 * j * j)
+        assert bargmann == np.conj(v.c[v.j == j][0]) == 1.0
 
     def test_distribution_consistency(self):
         lab = StateLabel(l=0.1, phi=2.7, r=0.5, s=0.5)
         for j in (-0.5, 0.5, 1.5):
-            p = abs(bargmann_coeff(lab, j)) ** 2 / norm2(lab)
-            assert p == pytest.approx(distribution(lab, j), rel=1e-12)
+            bargmann = cmath.exp(lab.center * j + 1j * lab.phi * j - 0.5 * j * j)
+            p = abs(bargmann) ** 2 / norm2(lab)
+            assert p == pytest.approx(occupation_law(lab, j)[1][0], rel=1e-12)
 
 
 class TestContinuity:
