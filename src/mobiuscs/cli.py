@@ -829,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-6, help="energy-drift acceptance")
     p.add_argument("--method", choices=("quadrature", "rk4"), default="quadrature",
-                   help="closed-form quadrature (RK4 past its coefficient cap) or RK4")
+                   help="closed-form quadrature (the default, at every r < 1) or RK4")
 
     p = sub.add_parser("project", help="universal constraint-window projector")
     _add_common(p)

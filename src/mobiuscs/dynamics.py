@@ -28,10 +28,9 @@ Trajectories come by two routes, which share their input checks
 quadrature_mobius samples the flow in closed form.  Z0 is cyclic and E is
 conserved, so K = phi_dot^2 * B(phi) is constant (B the bracket above), and
 G(phi(t)) = G(phi0) + sign(phi_dot0)*sqrt(K)*t with G the integral of
-sqrt(B).  G is summed from sqrt(B)'s cosine series, taken by an FFT and
-trimmed where its coefficients reach roundoff, and inverted by Newton steps
-from a Hermite table.  Past MAX_TERMS coefficients (r near 1) the orbit is
-handed to RK4, and the Trajectory's steps > 0 shows it.
+sqrt(B).  G and its inverse come from one table of Chebyshev panels over a
+period, graded toward the neck phi = 2*pi, where B has its minimum
+(1 - r)^2; so the route is one path at every r < 1.
 
 integrate_mobius is a fixed-step RK4 in canonical variables with
 compensated (Kahan) state accumulation and step-halving acceptance on the
@@ -417,11 +416,7 @@ def integrate_mobius(
     output grid that cannot be allocated raise DomainError before any step
     is taken.
     """
-    return _rk4_run(s0, r, dt, *_start(s0, r, t_end, dt, energy_tol), energy_tol, max_halvings)
-
-
-def _rk4_run(s0, r, dt, out, p_phi0, L0, E0, energy_tol, max_halvings) -> Trajectory:
-    """integrate_mobius's halving loop, on the grid and start that _start returned."""
+    out, p_phi0, L0, E0 = _start(s0, r, t_end, dt, energy_tol)
     n_out = out.shape[0] - 1
     out[0] = s0.phi, p_phi0, s0.z0
     drift = math.inf
@@ -461,169 +456,116 @@ def _rk4_run(s0, r, dt, out, p_phi0, L0, E0, energy_tol, max_halvings) -> Trajec
 # Trajectory in closed form
 # ---------------------------------------------------------------------------
 
-# cosine coefficients of sqrt(B) the quadrature route sums at most; an orbit
-# that needs more (r past about 0.9975) is handed to RK4
-MAX_TERMS = 4096
-# a coefficient below this share of a_0 is roundoff: the series stops before it
-ROUNDOFF = 2.0 * 2.0 ** -52
-# Newton iterations before a row that has not converged hands the orbit to RK4
-MAX_NEWTON = 32
 FOUR_PI = 4.0 * math.pi
+# Chebyshev points per panel of the quadrature table
+PANEL_POINTS = 12
+# panels of the quadrature table per halving of the distance to the neck
+STEP_PANELS = 3
+# rows the quadrature inverts at a time, so that their temporaries stay in cache
+CHUNK_ROWS = 16384
+# first-kind Chebyshev points on [-1, 1], and the map from values there to coefficients
+_ANGLES = (np.arange(PANEL_POINTS) + 0.5) * (math.pi / PANEL_POINTS)
+_NODES = np.cos(_ANGLES)
+_FIT = (2.0 / PANEL_POINTS) * np.cos(np.outer(_ANGLES, np.arange(PANEL_POINTS)))
+_FIT[:, 0] *= 0.5
 
 
-def _sqrt_bracket_series(r: float, samples: int = 64) -> tuple[np.ndarray | None, int]:
-    """Cosine coefficients a_0..a_n of sqrt(B) in phi/2, and the samples they took.
+def _chebyshev(coef, s, panel):
+    """sum_k coef[k][panel] T_k(s) by Clenshaw's recurrence.
 
-    sqrt(B) is analytic and periodic, so its coefficients fall geometrically.
-    It is sampled at ``samples``, twice as many, ... points of a period,
-    until every coefficient in the upper half of the transform is below
-    ROUNDOFF*a_0; the series then ends at the last coefficient above it.
-    The coefficients are None past MAX_TERMS.
+    Gathers one coefficient row at a time, so that no per-row matrix of
+    coefficients is formed.
     """
-    n = samples
-    while n // 4 <= MAX_TERMS:
-        half = (2.0 * math.pi / n) * np.arange(n)
-        a = np.fft.rfft(np.sqrt(_strip_bracket(np.cos(half), np.sin(half), r))).real / n
-        a[1:-1] *= 2.0
-        last = np.flatnonzero(np.abs(a) > ROUNDOFF * a[0])[-1]
-        if last < n // 4:
-            return a[:last + 1], n
-        n *= 2
-    return None, n
+    x = 2.0 * s
+    b1 = b2 = 0.0
+    for row in coef[:0:-1]:
+        b1, b2 = x * b1 - b2 + row.take(panel), b1
+    return s * b1 - b2 + coef[0].take(panel)
 
 
-def _sine_sum(coef: np.ndarray, c, sn):
-    """sum_k coef[k-1]*sin(k*x) at c = cos(x), sn = sin(x), by Clenshaw's recurrence.
-
-    Takes float columns, or floats, for which Python's arithmetic is faster
-    than three numpy calls per term.
-    """
-    x = 2.0 * c
-    if isinstance(c, float):
-        b1 = b2 = 0.0
-        for a in coef.tolist()[::-1]:
-            b1, b2 = x * b1 - b2 + a, b1
-        return sn * b1
-    b1 = np.zeros_like(c)
-    b2 = np.zeros_like(c)
-    b0 = np.empty_like(c)
-    for a in coef[::-1]:
-        np.multiply(x, b1, out=b0)  # b0 = x*b1 - b2 + a, in place
-        b0 -= b2
-        b0 += a
-        b2, b1, b0 = b1, b0, b2
-    return sn * b1
+def _root_bracket(phi, r):
+    half = 0.5 * phi
+    return np.sqrt(_strip_bracket(np.cos(half), np.sin(half), r))
 
 
 class _StripQuadrature:
-    """G(phi) = integral_0^phi sqrt(B), as a0*phi + sum_k (2 a_k/k)*sin(k*phi/2), and its inverse.
+    """G(phi) = integral_0^phi sqrt(B) from one table of Chebyshev panels, and its inverse.
 
-    The inverse starts from a cubic Hermite table of G over one 4*pi period,
-    M = max(256, 8n) nodes, evaluated by one inverse FFT, and is polished by
-    Newton steps phi <- phi - (G(phi) - g)/sqrt(B(phi)).
+    sqrt(B) is even and 4*pi-periodic, so G is odd, G(phi + 4*pi) = G(phi) +
+    period, and the table holds [0, 2*pi], from the widest point to the neck.
+    sqrt(B) is analytic only within about 1 - r of the neck, so the panels
+    grade toward it geometrically: each is about a fifth as wide as its
+    distance from the neck, and their edges lie 2*pi*2^(-j/STEP_PANELS) from
+    it, down to the first edge at most 1 - r, or 2^-40, closer than which no
+    panel adds to G in double precision.  On a panel, G is the antiderivative
+    of sqrt(B)'s interpolant at PANEL_POINTS Chebyshev points, and phi(G) a
+    Chebyshev series at as many points in G, solved once by Newton steps
+    clipped to the panel.
     """
 
-    def __init__(self, a: np.ndarray, r: float):
+    def __init__(self, r: float):
         self.r = r
-        self.a0 = float(a[0])
-        n = a.size - 1
-        self.coef = 2.0 * a[1:] / np.arange(1, n + 1)
-        m = max(256, 8 * n)
-        spectrum = np.zeros(m // 2 + 1, dtype=complex)
-        spectrum[1:n + 1] = -0.5j * m * self.coef
-        wave = np.fft.irfft(spectrum, m)
-        self.nodes = (FOUR_PI / m) * np.arange(m + 1)
-        self.values = self.a0 * self.nodes + np.append(wave, wave[0])
-        half = 0.5 * self.nodes
-        c, sn = np.cos(half), np.sin(half)
-        root = np.sqrt(_strip_bracket(c, sn, r))
-        self.slopes = 1.0 / root
-        # Newton's next step is at most newton * step^2: max |G''| / (2 min G'),
-        # G'' = B'/(2 sqrt(B)), doubled for the maximum between the nodes
-        d_bracket = -r * sn * (1.0 + r * c) + 0.25 * r * r * sn * c
-        self.newton = 0.5 * float(np.max(np.abs(d_bracket) * self.slopes) * np.max(self.slopes))
-        self.period = FOUR_PI * self.a0
+        edges = math.ceil(STEP_PANELS * math.log2(2.0 * math.pi / max(1.0 - r, 2.0 ** -40)))
+        self.lo = 2.0 * math.pi * (1.0 - 0.5 ** (np.arange(edges + 1) / STEP_PANELS))
+        self.hi = np.append(self.lo[1:], 2.0 * math.pi)
+        self.mid = 0.5 * (self.lo + self.hi)
+        self.half = 0.5 * (self.hi - self.lo)
+        a = _root_bracket(self.mid[:, None] + self.half[:, None] * _NODES, r) @ _FIT
+        # the antiderivative's coefficients, b_k = (a_{k-1} - a_{k+1})/(2k) but
+        # b_1 = a_0 - a_2/2, with b_0 setting it to 0 at each panel's left edge
+        k = np.arange(1, PANEL_POINTS + 1)
+        padded = np.zeros((a.shape[0], PANEL_POINTS + 3))
+        padded[:, 1:-2] = a
+        b = self.half[:, None] * (padded[:, :-2] - padded[:, 2:]) / np.append(1.0, 2.0 * k)
+        b[:, 1] += 0.5 * self.half * a[:, 0]
+        b[:, 0] = -(b[:, 1:] @ (-1.0) ** k)
+        rise = b.sum(axis=1)
+        g_hi = np.cumsum(rise)
+        g_lo = np.append(0.0, g_hi[:-1])
+        # the sum again with its rounding errors (TwoSum): the period is the
+        # same to an ulp whatever the panels, and an orbit's turns multiply it
+        added = g_hi - g_lo
+        g_hi += np.cumsum((g_lo - (g_hi - added)) + (rise - added))
+        g_lo = np.append(0.0, g_hi[:-1])
+        b[:, 0] += g_lo
+        self.forward = b.T.copy()
+        self.period = 2.0 * g_hi[-1]
+        # a panel narrower than the roundoff of G takes no g but at the end,
+        # where the lookup stops at the last panel that G can tell apart
+        self.g_lo = g_lo[:np.flatnonzero(g_hi > g_lo)[-1] + 1]
+        self.g_mid = 0.5 * (g_lo + g_hi)
+        self.g_half = 0.5 * (g_hi - g_lo)
+        target = self.g_mid[:, None] + self.g_half[:, None] * _NODES
+        s = np.tile(_NODES, (self.lo.size, 1))  # G linear on the panel
+        panel = np.arange(self.lo.size)[:, None]
+        for _ in range(3):  # s to 1e-13 at every r measured; a row's Newton step squares it
+            phi = self.mid[:, None] + self.half[:, None] * s
+            slope = self.half[:, None] * _root_bracket(phi, r)
+            s = np.clip(s - (_chebyshev(self.forward, s, panel) - target) / slope, -1.0, 1.0)
+        self.backward = ((self.mid[:, None] + self.half[:, None] * s) @ _FIT).T.copy()
 
     def __call__(self, phi):
-        """(G(phi), cos(phi/2), sin(phi/2)) at an array of angles, or at a float."""
-        half = 0.5 * phi
-        if isinstance(phi, float):
-            c, sn = math.cos(half), math.sin(half)
-        else:
-            c, sn = np.cos(half), np.sin(half)
-        return self.a0 * phi + _sine_sum(self.coef, c, sn), c, sn
+        """G at an array of angles, or at a float."""
+        turns = np.rint(phi / FOUR_PI)
+        x = phi - turns * FOUR_PI
+        a = np.minimum(np.abs(x), 2.0 * math.pi)
+        p = np.searchsorted(self.lo, a, side="right") - 1
+        g = _chebyshev(self.forward, (a - self.mid.take(p)) / self.half.take(p), p)
+        return np.copysign(g, x) + turns * self.period
 
-    def guess(self, g: np.ndarray) -> np.ndarray:
-        """The table's cubic Hermite inverse of G at g."""
-        turns = np.floor(g / self.period)
-        local = g - turns * self.period
-        i = np.searchsorted(self.values, local, side="right") - 1
-        np.clip(i, 0, self.nodes.size - 2, out=i)
-        width = self.values[i + 1] - self.values[i]
-        s = (local - self.values[i]) / width
-        s2 = s * s
-        s3 = s2 * s
-        rise = 3.0 * s2 - 2.0 * s3
-        return (self.nodes[i] + rise * (self.nodes[i + 1] - self.nodes[i])
-                + width * ((s3 - 2.0 * s2 + s) * self.slopes[i] + (s3 - s2) * self.slopes[i + 1])
-                + turns * FOUR_PI)
-
-    def inverse(self, g: np.ndarray) -> np.ndarray | None:
-        """phi with G(phi) = g at each entry, or None where a row does not converge.
-
-        A row stops once its next Newton step is bounded below a few ulp of
-        phi (newton * step^2 <= 4 eps max(|phi|, 1)).
-        """
-        phi = self.guess(g)
-        rows = np.arange(g.size)
-        for _ in range(MAX_NEWTON):
-            if not rows.size:
-                return phi
-            p = phi[rows]
-            value, c, sn = self(p)
-            step = (value - g[rows]) / np.sqrt(_strip_bracket(c, sn, self.r))
-            phi[rows] = p - step
-            done = self.newton * step * step <= 2.0 * ROUNDOFF * np.maximum(np.abs(p), 1.0)
-            rows = rows[~done]
-        return None
-
-
-def _strip_flow(s0, r, dt, out, L0, E0, energy_tol) -> Trajectory | None:
-    """The flow in closed form on the grid, L0 and E0 that _start returned.
-
-    phi_dot^2 B(phi) = K is conserved, so t = sigma*(G(phi) - G(phi0))/sqrt(K)
-    with sigma = sign(phi_dot0).  None past MAX_TERMS coefficients, where a
-    row does not converge or a value is not finite, and where the energy
-    drift is over ``energy_tol``.
-    """
-    a = _sqrt_bracket_series(r)[0]
-    if a is None:
-        return None
-    t = dt * np.arange(out.shape[0])
-    phi, phi_dot, z0 = out.T
-    half0 = 0.5 * s0.phi
-    K = s0.phi_dot * s0.phi_dot * _strip_bracket(math.cos(half0), math.sin(half0), r)
-    if K == 0.0:
-        phi[:] = s0.phi
-    else:
-        flow = _StripQuadrature(a, r)
-        g = flow(float(s0.phi))[0] + math.copysign(math.sqrt(K), s0.phi_dot) * t
-        solved = flow.inverse(g) if np.isfinite(g).all() else None
-        if solved is None:
-            return None
-        phi[:] = solved
-        phi[0] = s0.phi
-    half = 0.5 * phi
-    c, sn = np.cos(half), np.sin(half)
-    bracket = _strip_bracket(c, sn, r)
-    np.copysign(np.sqrt(K / bracket), s0.phi_dot, out=phi_dot)
-    np.add(s0.z0 + L0 * t, r * (sn - sn[0]), out=z0)
-    energy = 0.5 * (phi_dot ** 2 * bracket + L0 * L0)
-    drift = float(np.max(np.abs(energy - E0)) / max(1.0, abs(E0)))
-    if not (_accepts(drift, energy_tol) and np.isfinite(out).all()):
-        return None
-    return Trajectory(t=t, phi=phi, phi_dot=phi_dot, z0=z0, z0_dot=L0 + 0.5 * r * c * phi_dot,
-                      r=r, L0=L0, substeps=0, steps=0)
+    def inverse(self, g: np.ndarray) -> np.ndarray:
+        """phi with G(phi) = g: the backward series, then one Newton step on G."""
+        turns = np.rint(g / self.period)
+        y = g - turns * self.period
+        a = np.minimum(np.abs(y), 0.5 * self.period)
+        p = np.searchsorted(self.g_lo, a, side="right") - 1
+        phi = _chebyshev(self.backward, (a - self.g_mid.take(p)) / self.g_half.take(p), p)
+        value = _chebyshev(self.forward, (phi - self.mid.take(p)) / self.half.take(p), p)
+        phi -= (value - a) / _root_bracket(phi, self.r)
+        # G is monotone, so the panel brackets the root: this bounds the step
+        # where sqrt(B) is small, at the neck
+        np.clip(phi, self.lo.take(p), self.hi.take(p), out=phi)
+        return np.copysign(phi, y) + turns * FOUR_PI
 
 
 def quadrature_mobius(
@@ -632,29 +574,45 @@ def quadrature_mobius(
     t_end: float,
     dt: float,
     energy_tol: float = 1e-6,
-    max_halvings: int = 8,
 ) -> Trajectory:
     """The strip flow in closed form, sampled every dt up to t_end.
 
     Z0 is cyclic and E is conserved, so K = phi_dot^2 B(phi) is constant and
     the orbit is the quadrature G(phi(t)) = G(phi0) + sign(phi_dot0)*sqrt(K)*t,
-    G = integral of sqrt(B), taken from sqrt(B)'s cosine series (see
+    G = integral of sqrt(B), taken from a table of Chebyshev panels (see
     _StripQuadrature); phi_dot = sign(phi_dot0)*sqrt(K/B(phi)) and
     z0 = z0(0) + L0*t + r*(sin(phi/2) - sin(phi0/2)).  K = 0 keeps phi
     constant.  The result has substeps = steps = 0.
 
-    Raises the DomainErrors of integrate_mobius.  Where the series needs
-    more than MAX_TERMS coefficients (r near 1), a row does not converge, a
-    value is not finite or the energy drift is over ``energy_tol``, the orbit
-    is integrated by integrate_mobius's RK4 instead, with ``max_halvings``;
-    its Trajectory has steps > 0.
+    Raises the DomainErrors of integrate_mobius, and EnergyDriftError where a
+    value is not finite or the energy drift is over ``energy_tol``.
     """
-    run = out, _, L0, E0 = _start(s0, r, t_end, dt, energy_tol)
-    with np.errstate(over="ignore", invalid="ignore"):  # such a row hands the orbit to RK4
-        traj = _strip_flow(s0, r, dt, out, L0, E0, energy_tol)
-    if traj is None:
-        return _rk4_run(s0, r, dt, *run, energy_tol, max_halvings)
-    return traj
+    out, _, L0, E0 = _start(s0, r, t_end, dt, energy_tol)
+    t = dt * np.arange(out.shape[0])
+    phi, phi_dot, z0 = out.T
+    half0 = 0.5 * s0.phi
+    K = s0.phi_dot * s0.phi_dot * _strip_bracket(math.cos(half0), math.sin(half0), r)
+    with np.errstate(over="ignore", invalid="ignore"):  # such a row raises below
+        if K == 0.0:
+            phi[:] = s0.phi
+        else:
+            flow = _StripQuadrature(r)
+            g0, rate = flow(s0.phi), math.copysign(math.sqrt(K), s0.phi_dot)
+            for lo in range(0, t.size, CHUNK_ROWS):
+                phi[lo:lo + CHUNK_ROWS] = flow.inverse(g0 + rate * t[lo:lo + CHUNK_ROWS])
+            phi[0] = s0.phi
+        half = 0.5 * phi
+        c, sn = np.cos(half), np.sin(half)
+        bracket = _strip_bracket(c, sn, r)
+        np.copysign(np.sqrt(K / bracket), s0.phi_dot, out=phi_dot)
+        np.add(s0.z0 + L0 * t, r * (sn - sn[0]), out=z0)
+        energy = 0.5 * (phi_dot ** 2 * bracket + L0 * L0)
+    finite = np.isfinite(out).all()
+    drift = float(np.max(np.abs(energy - E0)) / max(1.0, abs(E0))) if finite else math.inf
+    if not _accepts(drift, energy_tol):
+        raise EnergyDriftError(f"energy drift {drift:g} above {energy_tol:g}", achieved=drift)
+    return Trajectory(t=t, phi=phi, phi_dot=phi_dot, z0=z0, z0_dot=L0 + 0.5 * r * c * phi_dot,
+                      r=r, L0=L0, substeps=0, steps=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Strip/torus dynamics: closed forms, Legendre duality, conservation, integration."""
 
+import bisect
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -442,6 +444,48 @@ SMOOTH_ORBIT = (export_state(0.3, 1.0, 0.2, 0.5), 0.5, 100.0, 1e-3)
 STIFF_ORBIT = (export_state(0.0, 30.0, 0.5, 0.9), 0.9, 20.0, 1e-2)
 
 
+# r of the table's accuracy test, out to the neck orbits
+NECK_R = [0.0, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9]
+# angles of the table's accuracy test: both sides of the neck at 2pi, panel edges, turns
+TABLE_ANGLES = [0.0, 1e-9, 0.3, 1.0, math.pi / 3, 2.5, math.pi, 1.5 * math.pi, 5.0, 6.0,
+                2 * math.pi - 1e-3, 2 * math.pi - 1e-9, 2 * math.pi, 2 * math.pi + 3e-7, 7.0, 9.0,
+                4 * math.pi - 0.1, 4 * math.pi, -2.0, 20.0, -33.3]
+
+
+class MpStripIntegral:
+    """G(phi) = integral_0^phi sqrt(B) to 30 digits, the oracle of the quadrature table.
+
+    The half period [0, 2pi] is split at 2pi - pi*2^-i, toward the neck, and the
+    integral over each piece is summed once; G is odd and gains its period
+    every 4pi.
+    """
+
+    def __init__(self, mp, r):
+        self.mp = mp
+        with mp.workdps(30):
+            r = mp.mpf(r)
+            self.root = lambda x: mp.sqrt((1 + r * mp.cos(x / 2)) ** 2
+                                          + r * r / 4 * mp.sin(x / 2) ** 2)
+            self.points = [mp.mpf(0)] + [2 * mp.pi - mp.pi / mp.mpf(2) ** i for i in range(48)]
+            self.below = [mp.mpf(0)]
+            for a, b in zip(self.points, self.points[1:] + [2 * mp.pi]):
+                self.below.append(self.below[-1] + mp.quad(self.root, [a, b]))
+
+    def __call__(self, phi):
+        mp = self.mp
+        with mp.workdps(30):
+            phi = mp.mpf(float(phi))
+            turns = mp.nint(phi / (4 * mp.pi))
+            x = phi - 4 * mp.pi * turns
+            i = bisect.bisect_right(self.points, abs(x)) - 1
+            value = self.below[i] + mp.quad(self.root, [self.points[i], abs(x)])
+            return mp.sign(x) * value + 2 * turns * self.below[-1]
+
+
+def no_rk4(*args):
+    raise AssertionError("the quadrature took an RK4 step")
+
+
 def max_gap(a, b, names=("phi", "phi_dot", "z0", "z0_dot")):
     return max(float(np.max(np.abs(getattr(a, n) - getattr(b, n)))) for n in names)
 
@@ -456,44 +500,55 @@ class TestQuadrature:
         assert max_gap(quad, rk4) <= 1e-10
         assert quad.drift()["E"] <= 1e-14 and quad.columns()["L0"].tolist() == [rk4.L0] * 100_001
 
-    def test_stiff_orbit_matches_itself_at_twice_the_samples(self, monkeypatch):
+    def test_stiff_orbit_matches_itself_at_twice_the_panels(self, monkeypatch):
         quad = quadrature_mobius(*STIFF_ORBIT)
-        series = dynamics._sqrt_bracket_series
-        a, samples = series(0.9)
-        twice, _ = series(0.9, 2 * samples)
-        assert quad.steps == 0 and 100 < a.size <= twice.size < 2 * a.size
-        monkeypatch.setattr(dynamics, "_sqrt_bracket_series", lambda r: series(r, 2 * samples))
+        edges = dynamics._StripQuadrature(0.9).lo
+        monkeypatch.setattr(dynamics, "STEP_PANELS", 2 * dynamics.STEP_PANELS)
+        twice = dynamics._StripQuadrature(0.9).lo
+        # every edge kept, and one more between each two
+        assert np.isin(edges, twice).all() and twice.size in (2 * edges.size - 1, 2 * edges.size)
         again = quadrature_mobius(*STIFF_ORBIT)
-        assert again.steps == 0
+        assert quad.steps == again.steps == 0
         assert max_gap(quad, again, ("phi",)) <= 1e-13
         # RK4 accepts this orbit at 128 substeps with its phi 2e-5 off
         rk4 = integrate_mobius(*STIFF_ORBIT)
         assert rk4.substeps == 128 and 1e-6 < max_gap(quad, rk4, ("phi",)) < 1e-4
 
-    @pytest.mark.parametrize("r, terms", [(0.0, 1), (0.5, 32), (0.9, 141), (0.99, 1106)])
-    def test_series_ends_where_its_coefficients_reach_roundoff(self, r, terms):
-        a, samples = dynamics._sqrt_bracket_series(r)
-        assert abs(a.size - terms) <= 3 and a.size <= samples // 4
-        half = np.linspace(0.0, 2.0 * math.pi, 97)
-        direct = np.sqrt(dynamics._strip_bracket(np.cos(half), np.sin(half), r))
-        summed = np.cos(np.outer(half, np.arange(a.size))) @ a  # rounds cos(k*x) at large k
-        assert np.max(np.abs(summed - direct)) <= 5e-14
+    @pytest.mark.parametrize("r", NECK_R)
+    def test_table_matches_mpmath(self, r):
+        mp = pytest.importorskip("mpmath")
+        G = MpStripIntegral(mp, r)
+        flow = dynamics._StripQuadrature(r)
+        for phi in TABLE_ANGLES:
+            exact = G(phi)
+            assert abs(flow(phi) - exact) <= 1e-15 * max(1, abs(exact)), phi
+            # the inverse: G at the returned angle is the target to roundoff
+            g = float(exact)
+            back = G(flow.inverse(np.array([g]))[0])
+            assert abs(back - g) <= 1e-15 * max(1.0, abs(g)), phi
 
-    def test_past_the_term_cap_the_orbit_runs_by_rk4(self):
-        assert dynamics._sqrt_bracket_series(0.999)[0] is None
+    @pytest.mark.parametrize("r", [1.0 - 1e-9, 1.0 - 2.0 ** -52])
+    def test_inverse_stays_at_the_neck(self, r):
+        # within 3000 ulps of G's value at the neck, phi is within about sqrt(8*3000 ulps)
+        # of it; the panel that brackets the root bounds each row's Newton step
+        flow = dynamics._StripQuadrature(r)
+        neck = 0.5 * flow.period
+        phi = flow.inverse(neck + math.ulp(neck) * np.arange(-3000.0, 3001.0))
+        assert np.max(np.abs(phi - 2.0 * math.pi)) <= 1e-5
+
+    def test_near_r_one_the_orbit_is_sampled_in_closed_form(self):
         s0, r = export_state(0.2, 1.5, 0.3, 1.0 - 1e-9), 1.0 - 1e-9
         quad = quadrature_mobius(s0, r, t_end=1.0, dt=1e-2)
         rk4 = integrate_mobius(s0, r, t_end=1.0, dt=1e-2)
-        assert quad.steps == rk4.steps > 0
-        assert max_gap(quad, rk4) == 0.0
+        assert quad.steps == 0 and rk4.steps > 0
+        assert max_gap(quad, rk4) <= 1e-10
 
-    def test_drift_over_the_tolerance_hands_the_orbit_to_rk4(self):
+    def test_drift_over_the_tolerance_raises_without_rk4(self, monkeypatch):
         s0 = MobiusState(0.3, 1.1, 0.0, 0.4)
-        with pytest.raises(EnergyDriftError) as quad:
-            quadrature_mobius(s0, 0.5, t_end=1.0, dt=1e-1, energy_tol=0.0, max_halvings=1)
-        with pytest.raises(EnergyDriftError) as rk4:
-            integrate_mobius(s0, 0.5, t_end=1.0, dt=1e-1, energy_tol=0.0, max_halvings=1)
-        assert str(quad.value) == str(rk4.value)
+        monkeypatch.setattr(dynamics, "_rk4_mobius", no_rk4)
+        with pytest.raises(EnergyDriftError) as info:
+            quadrature_mobius(s0, 0.5, t_end=1.0, dt=1e-1, energy_tol=0.0)
+        assert 0.0 < info.value.achieved < 1e-15
 
     def test_zero_rate_keeps_phi_constant(self):
         # K = phi_dot^2 B = 0: no quadrature, phi stays, z0 moves at L0
@@ -521,10 +576,10 @@ class TestQuadrature:
         ("phi_dot", 1e200), ("dt", 1e-300), ("t_end", 1e12), ("t_end", 1e300), ("dt", -1.0),
     ])
     def test_both_routes_share_their_domain_errors(self, monkeypatch, field, value):
-        def no_series(*args):
+        def no_table(*args):
             raise AssertionError("the quadrature ran on rejected input")
 
-        monkeypatch.setattr(dynamics, "_sqrt_bracket_series", no_series)
+        monkeypatch.setattr(dynamics, "_StripQuadrature", no_table)
         state = {"phi": 0.1, "phi_dot": 1.0, "z0": 0.0, "z0_dot": 0.2}
         run = {"r": 0.5, "t_end": 1.0, "dt": 1e-2}
         (state if field in state else run)[field] = value
@@ -535,12 +590,31 @@ class TestQuadrature:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
-    def test_overflowing_rate_hands_the_orbit_to_rk4(self):
+    def test_overflowing_rate_raises_without_rk4(self, monkeypatch):
         # sqrt(K)*t overflows: no target angle is finite
         s0 = MobiusState(0.3, 1e150, 0.0, 0.0)
-        for route in (quadrature_mobius, integrate_mobius):
-            with pytest.raises(EnergyDriftError):
-                route(s0, 0.5, t_end=1e160, dt=1e159, max_halvings=0)
+        with pytest.raises(EnergyDriftError):
+            integrate_mobius(s0, 0.5, t_end=1e160, dt=1e159, max_halvings=0)
+        monkeypatch.setattr(dynamics, "_rk4_mobius", no_rk4)
+        with pytest.raises(EnergyDriftError) as info:
+            quadrature_mobius(s0, 0.5, t_end=1e160, dt=1e159)
+        assert info.value.achieved == math.inf
+
+    @pytest.mark.parametrize("r", ["0.998", "0.999", "0.9999", "0.999999", "0.999999999"])
+    def test_neck_orbits_keep_g_to_roundoff(self, capsys, r):
+        # RK4 cannot step through the neck of these orbits; the table samples them
+        mp = pytest.importorskip("mpmath")
+        argv = ["dynamics", "--r", r, "--j", "20", "--L0", "0.3", "--t-end", "10", "--dt", "1e-3"]
+        assert cli.main(argv) == 0
+        rows = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+        t, phi, energy = rows[:, 0], rows[:, 1], rows[:, 5]
+        assert float(np.max(np.abs(energy - energy[0]))) <= 1e-15 * max(1.0, abs(energy[0]))
+        s0 = export_state(0.0, 20.0, 0.3, float(r))
+        K = s0.phi_dot ** 2 * dynamics._strip_bracket(1.0, 0.0, float(r))
+        G = MpStripIntegral(mp, float(r))
+        for i in np.linspace(0, t.size - 1, 7).astype(int):
+            g = mp.sqrt(mp.mpf(K)) * mp.mpf(t[i])  # G(phi0) = G(0) = 0
+            assert abs(G(phi[i]) - g) <= 1e-15 * max(1, abs(g)), (r, i)
 
     def test_seed6_closed_form_angular_momentum_excursion(self):
         # criterion 06b's orbit: J = p_phi is no first integral, and its excursion follows
